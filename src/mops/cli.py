@@ -343,7 +343,6 @@ def build_parser():
     p.add_argument("--grid")
     p.add_argument("--scaled", action="store_true")
     p.add_argument("--tol", type=float)
-    p.add_argument("--out", choices=("csv",), default="csv")
     p.set_defaults(func=cmd_density)
 
     return ap

@@ -12,11 +12,8 @@ from fractions import Fraction
 
 from . import binom, jack, orthopoly, partitions, symfun
 from .errors import DomainError, UnsupportedModeError
-from .rational import N as N_PARAM
 from .rational import RationalFunction
 from .symfun import GENERIC
-
-FAMILIES = ("hermite", "laguerre", "jacobi")
 
 
 class EnsembleSpec:
@@ -25,7 +22,7 @@ class EnsembleSpec:
     __slots__ = ("family", "alpha", "params", "nvars")
 
     def __init__(self, family, alpha, nvars=GENERIC, **params):
-        if family not in FAMILIES:
+        if family not in orthopoly.FAMILIES:
             raise DomainError("unknown ensemble %r" % family)
         self.family = family
         self.alpha = jack._as_alpha(alpha)
@@ -40,18 +37,13 @@ class EnsembleSpec:
             raise DomainError("unexpected parameters: %s" % ", ".join(params))
         self.params = checked
 
-    def _m_scalar(self):
-        if self.nvars is GENERIC:
-            return N_PARAM
-        return Fraction(self.nvars)
-
 
 def expect_jack_c(spec, kappa):
     """E[C_kappa] over the ensemble."""
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
     alpha = spec.alpha
-    m = spec._m_scalar()
+    m = orthopoly._m_scalar(spec.nvars)
     if spec.nvars is not GENERIC and len(kappa) > spec.nvars:
         return alpha * 0
     if spec.family == "hermite":

@@ -1,14 +1,24 @@
 """Hypergeometric functions of matrix argument and eigenvalue statistics.
 
-The series  pFq(a; b; x) = sum_k sum_{kappa of k, l(kappa) <= m}
-prod (a_i)_kappa / (k! prod (b_j)_kappa) C_kappa(x)  is summed layer by
-layer in total degree.  A negative-integer upper parameter truncates the
-partition widths and the series terminates; otherwise an explicit degree
-limit or a relative tolerance must be supplied (and p >= q+2 is refused
-without a limit).  Scalar-identity arguments x I_m use the closed form of
-C_kappa at the identity, so no monomial expansions are built.
+One series engine, ``_series_layers``, serves every function here.  It
+walks  pFq(a; b; x) = sum_k sum_kappa prod (a_i)_kappa / (k! prod (b_j)_kappa)
+C_kappa(x)  layer by layer in total degree k and yields each layer's
+partitions with their exact coefficients.  Only the partitions that can
+contribute are enumerated: at most m parts (C_kappa vanishes on m
+variables otherwise) and, when an upper parameter is a negative integer
+-p, parts of at most p (its Pochhammer symbol vanishes beyond), which also
+makes the series terminate at degree p m.  The callers differ only in how
+they fold the layers and when they stop:
+
+- ``ghypergeom`` sums C_kappa at the point, stopping at termination, an
+  explicit degree limit or a relative tolerance (p >= q+2 is refused
+  without a limit).  Scalar-identity arguments x I_m use the closed form
+  of C_kappa at the identity, so no monomial expansions are built.
+- ``smallest_eig_terms`` is the terminating 2F0(-p, m/alpha+1; ; I_{m-1}).
+- ``largest_eig_cdf`` sums 1F1(a; b; I_m) against powers of -x/2.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -38,10 +48,41 @@ def _negative_integer_bound(values):
     return best
 
 
-def _layer_partitions(k, m, width=None):
-    for kappa in partitions.partitions_of(k, max_part=width):
-        if len(kappa) <= m:
-            yield kappa
+def _series_layers(alpha, upper, lower, m, width=None):
+    """Yield the layers k = 0, 1, 2, ... of a pFq series on m variables.
+
+    A layer lists (kappa, coefficient) for every partition kappa of k with
+    at most m parts and parts at most ``width`` (None: unbounded), in
+    decreasing lexicographic order; the coefficient is the exact
+    prod (a_i)_kappa / (k! prod (b_j)_kappa), starting from alpha**0 so it
+    stays in alpha's field.  With a width the generator ends after degree
+    width * m, the last layer that can be non-empty.
+    """
+    one = alpha**0
+    for k in itertools.count() if width is None else range(width * m + 1):
+        fact = math.factorial(k)
+        layer = []
+        for kappa in partitions.partitions_of(k, max_part=width, max_len=m):
+            coeff = one / fact
+            for a_i in upper:
+                coeff = coeff * binom.gsfact(alpha, a_i, kappa)
+            for b_j in lower:
+                denom = binom.gsfact(alpha, b_j, kappa)
+                if denom == 0:
+                    raise PoleError(
+                        "lower parameter %s hits a pole at kappa=%r" % (b_j, kappa)
+                    )
+                coeff = coeff / denom
+            layer.append((kappa, coeff))
+        yield layer
+
+
+def _at_identity(alpha, terms, m):
+    """A layer's sum of coefficient * C_kappa(I_m), as an exact Fraction."""
+    total = Fraction(0)
+    for kappa, coeff in terms:
+        total += coeff * jack.jack_identity_value(alpha, kappa, "C", m)
+    return total
 
 
 def classify(upper, lower):
@@ -117,20 +158,10 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
         raise DomainError("non-terminating series needs a degree limit or tolerance")
 
     total = None
-    for k in range(0, max_degree + 1):
+    layers = _series_layers(alpha, upper, lower, m, width)
+    for k, terms in zip(range(max_degree + 1), layers):
         layer = None
-        fact = math.factorial(k)
-        for kappa in _layer_partitions(k, m, width):
-            coeff = (alpha**0) / fact
-            for a_i in upper:
-                coeff = coeff * binom.gsfact(alpha, a_i, kappa)
-            for b_j in lower:
-                denom = binom.gsfact(alpha, b_j, kappa)
-                if denom == 0:
-                    raise PoleError(
-                        "lower parameter %s hits a pole at kappa=%r" % (b_j, kappa)
-                    )
-                coeff = coeff / denom
+        for kappa, coeff in terms:
             if kind == "xid":
                 value = coeff * jack.jack_identity_value(alpha, kappa, "C", m) * x**k
             else:
@@ -169,19 +200,8 @@ def smallest_eig_terms(alpha, p, m):
         raise DomainError("need m >= 1")
     a1 = Fraction(-p)
     a2 = Fraction(m) / alpha + 1
-    terms = []
-    for k in range(0, p * (m - 1) + 1):
-        fact = math.factorial(k)
-        c_k = Fraction(0)
-        for kappa in _layer_partitions(k, m - 1, width=p):
-            c_k += (
-                binom.gsfact(alpha, a1, kappa)
-                * binom.gsfact(alpha, a2, kappa)
-                * jack.jack_identity_value(alpha, kappa, "C", m - 1)
-                / fact
-            )
-        terms.append(c_k)
-    return terms
+    layers = _series_layers(alpha, [a1, a2], [], m - 1, width=p)
+    return [_at_identity(alpha, terms, m - 1) for terms in layers]
 
 
 def smallest_eig_density(alpha, p, m, x, _terms=None):
@@ -244,16 +264,9 @@ def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     u = 1.0
     converged = False
     small_run = 0
-    for k in range(0, DEGREE_CAP + 1):
-        fact = math.factorial(k)
-        c_k = Fraction(0)
-        for kappa in _layer_partitions(k, m):
-            c_k += (
-                binom.gsfact(alpha, a1, kappa)
-                / binom.gsfact(alpha, b1, kappa)
-                * jack.jack_identity_value(alpha, kappa, "C", m)
-                / fact
-            )
+    layers = _series_layers(alpha, [a1], [b1], m)
+    for k, terms in zip(range(DEGREE_CAP + 1), layers):
+        c_k = _at_identity(alpha, terms, m)
         layer = float(c_k) * u
         total += layer
         u *= -x / 2.0

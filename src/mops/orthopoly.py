@@ -17,7 +17,7 @@ from . import binom, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
 from .rational import RationalFunction
-from .symfun import GENERIC, SymExpr
+from .symfun import GENERIC, SymExpr, eval_numeric
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
 
@@ -445,23 +445,6 @@ def eval_at_scalar_identity(expansion, x, m):
     return total
 
 
-def _eval_monomials_float(expr, point):
-    from .symfun import _distinct_rearrangements
-
-    total = 0.0
-    for part, coeff in expr.terms.items():
-        c = coeff.to_float() if isinstance(coeff, RationalFunction) else float(coeff)
-        acc = 0.0
-        for vec in _distinct_rearrangements(part, len(point)):
-            term = 1.0
-            for xval, e in zip(point, vec):
-                if e:
-                    term *= xval**e
-            acc += term
-        total += c * acc
-    return total
-
-
 def laguerre_hermite_limit_check(alpha, kappa, n, gamma_grid, xs):
     """Deviation of the scaled Laguerre polynomials from the Hermite limit.
 
@@ -476,13 +459,13 @@ def laguerre_hermite_limit_check(alpha, kappa, n, gamma_grid, xs):
     if len(xs) != n:
         raise DomainError("point has %d coordinates, expected %d" % (len(xs), n))
     herm = hermite(alpha, kappa, n).to_monomials(alpha)
-    target = (-1) ** k * _eval_monomials_float(herm, xs)
+    target = (-1) ** k * eval_numeric(herm, xs)
     deviations = []
     for gamma in gamma_grid:
         gamma = Fraction(gamma)
         lag = laguerre(alpha, kappa, gamma, n).to_monomials(alpha)
         root = float(gamma) ** 0.5
         point = [float(gamma) + root * x for x in xs]
-        scaled = _eval_monomials_float(lag, point) / float(gamma) ** (k / 2.0)
+        scaled = eval_numeric(lag, point) / float(gamma) ** (k / 2.0)
         deviations.append(abs(scaled - target))
     return deviations

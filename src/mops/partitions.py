@@ -34,27 +34,32 @@ def weight(kappa):
     return sum(kappa)
 
 
-def partitions_of(k, max_part=None):
+def partitions_of(k, max_part=None, max_len=None):
     """All partitions of k in strictly decreasing lexicographic order.
 
     Starts with [k] and ends with [1^k]; k = 0 yields the empty partition.
-    ``max_part`` restricts the first (largest) part.
+    ``max_part`` restricts the first (largest) part and ``max_len`` the
+    number of parts; a branch stops as soon as its remainder cannot fit.
     """
     if k < 0:
         raise DomainError("cannot partition a negative integer: %d" % k)
+    if max_len is not None and max_len < 0:
+        raise DomainError("negative bound on the number of parts: %d" % max_len)
     bound = k if max_part is None else min(max_part, k)
     result = []
 
-    def descend(remaining, largest, prefix):
+    def descend(remaining, largest, slots, prefix):
         if remaining == 0:
             result.append(tuple(prefix))
             return
         for part in range(min(largest, remaining), 0, -1):
+            if part * slots < remaining:
+                break
             prefix.append(part)
-            descend(remaining - part, part, prefix)
+            descend(remaining - part, part, slots - 1, prefix)
             prefix.pop()
 
-    descend(k, bound, [])
+    descend(k, bound, k if max_len is None else max_len, [])
     return result
 
 

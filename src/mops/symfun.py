@@ -231,6 +231,37 @@ def _length_bound(node):
     return _length_bound(node.base) * node.exponent
 
 
+def _fold_tree(tree, basis, nvars, leaf, mul):
+    """Evaluate a product tree into a SymExpr in ``basis``.
+
+    ``leaf`` maps a Leaf to a SymExpr and ``mul`` multiplies two SymExprs;
+    scalars, sums, products and powers are folded here.
+    """
+
+    def ev(node):
+        if isinstance(node, Scalar):
+            return SymExpr(basis, {(): node.value}, nvars)
+        if isinstance(node, Leaf):
+            return leaf(node)
+        if isinstance(node, Sum):
+            acc = SymExpr(basis, {}, nvars)
+            for item in node.items:
+                acc = acc.add(ev(item))
+            return acc
+        if isinstance(node, Prod):
+            factors = map(ev, node.items)
+        elif isinstance(node, Pow):
+            factors = [ev(node.base)] * node.exponent
+        else:
+            raise DomainError("unknown expression node %r" % (node,))
+        acc = SymExpr(basis, {(): 1}, nvars)
+        for factor in factors:
+            acc = mul(acc, factor)
+        return acc
+
+    return ev(tree)
+
+
 # ---------------------------------------------------------------------------
 # monomial products
 
@@ -308,32 +339,12 @@ def m2m(expr, nvars=GENERIC):
         return SymExpr("m", expr.terms, nvars)
     n_eff = nvars if nvars is not GENERIC else max(_length_bound(expr), 1)
 
-    def ev(node):
-        if isinstance(node, Scalar):
-            return SymExpr("m", {(): node.value}, nvars)
-        if isinstance(node, Leaf):
-            if node.basis != "m":
-                raise DomainError("m2m expects monomial leaves, found %s" % node.basis)
-            return SymExpr("m", {node.partition: 1}, nvars)
-        if isinstance(node, Sum):
-            acc = SymExpr("m", {}, nvars)
-            for item in node.items:
-                acc = acc.add(ev(item))
-            return acc
-        if isinstance(node, Prod):
-            acc = SymExpr("m", {(): 1}, nvars)
-            for item in node.items:
-                acc = _mul_m(acc, ev(item), n_eff)
-            return acc
-        if isinstance(node, Pow):
-            acc = SymExpr("m", {(): 1}, nvars)
-            base = ev(node.base)
-            for _ in range(node.exponent):
-                acc = _mul_m(acc, base, n_eff)
-            return acc
-        raise DomainError("unknown expression node %r" % (node,))
+    def leaf(node):
+        if node.basis != "m":
+            raise DomainError("m2m expects monomial leaves, found %s" % node.basis)
+        return SymExpr("m", {node.partition: 1}, nvars)
 
-    return ev(expr)
+    return _fold_tree(expr, "m", nvars, leaf, lambda e1, e2: _mul_m(e1, e2, n_eff))
 
 
 # ---------------------------------------------------------------------------
@@ -384,32 +395,12 @@ def p2m(expr, nvars=GENERIC):
         flat = expr
     else:
 
-        def ev(node):
-            if isinstance(node, Scalar):
-                return SymExpr("p", {(): node.value})
-            if isinstance(node, Leaf):
-                if node.basis != "p":
-                    raise DomainError("p2m expects power-sum leaves")
-                return SymExpr("p", {node.partition: 1})
-            if isinstance(node, Sum):
-                acc = SymExpr("p", {})
-                for item in node.items:
-                    acc = acc.add(ev(item))
-                return acc
-            if isinstance(node, Prod):
-                acc = SymExpr("p", {(): 1})
-                for item in node.items:
-                    acc = _mul_p(acc, ev(item))
-                return acc
-            if isinstance(node, Pow):
-                acc = SymExpr("p", {(): 1})
-                base = ev(node.base)
-                for _ in range(node.exponent):
-                    acc = _mul_p(acc, base)
-                return acc
-            raise DomainError("unknown expression node %r" % (node,))
+        def leaf(node):
+            if node.basis != "p":
+                raise DomainError("p2m expects power-sum leaves")
+            return SymExpr("p", {node.partition: 1})
 
-        flat = ev(expr)
+        flat = _fold_tree(expr, "p", GENERIC, leaf, _mul_p)
     terms = {}
     for lam, coeff in flat.terms.items():
         n_eff = nvars if nvars is not GENERIC else max(partitions.weight(lam), 1)
@@ -543,36 +534,16 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
         expr = Sum([Prod([Scalar(c), Leaf(expr.basis, p)]) for p, c in expr.sorted_terms()])
     n_eff = nvars if nvars is not GENERIC else max(_length_bound(expr), 1)
 
-    def ev(node):
-        if isinstance(node, Scalar):
-            return SymExpr("m", {(): node.value}, nvars)
-        if isinstance(node, Leaf):
-            if node.basis == "m":
-                return SymExpr("m", {node.partition: 1}, nvars)
-            if node.basis == "p":
-                return p2m(SymExpr("p", {node.partition: 1}), nvars)
-            if alpha is None:
-                raise DomainError("Jack-basis leaves need alpha")
-            return jack.jack_expand(alpha, node.partition, node.basis, nvars)
-        if isinstance(node, Sum):
-            acc = SymExpr("m", {}, nvars)
-            for item in node.items:
-                acc = acc.add(ev(item))
-            return acc
-        if isinstance(node, Prod):
-            acc = SymExpr("m", {(): 1}, nvars)
-            for item in node.items:
-                acc = _mul_m(acc, ev(item), n_eff)
-            return acc
-        if isinstance(node, Pow):
-            acc = SymExpr("m", {(): 1}, nvars)
-            base = ev(node.base)
-            for _ in range(node.exponent):
-                acc = _mul_m(acc, base, n_eff)
-            return acc
-        raise DomainError("unknown expression node %r" % (node,))
+    def leaf(node):
+        if node.basis == "m":
+            return SymExpr("m", {node.partition: 1}, nvars)
+        if node.basis == "p":
+            return p2m(SymExpr("p", {node.partition: 1}), nvars)
+        if alpha is None:
+            raise DomainError("Jack-basis leaves need alpha")
+        return jack.jack_expand(alpha, node.partition, node.basis, nvars)
 
-    return ev(expr)
+    return _fold_tree(expr, "m", nvars, leaf, lambda e1, e2: _mul_m(e1, e2, n_eff))
 
 
 def jack2jack(alpha, expr, nvars=GENERIC):

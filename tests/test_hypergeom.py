@@ -74,6 +74,40 @@ def test_degree_layer_identity():
             assert total == Fraction(m) ** k
 
 
+def test_series_layers_coefficients_stay_fractions():
+    # the 1F1 behind largest_eig_cdf: exact Fraction inputs give Fraction
+    # coefficients in every layer, the empty partition at k = 0 included
+    for alpha, gamma, m in ((Fraction(1), Fraction(1), 2), (Fraction(2), Fraction(1, 2), 3)):
+        a1 = gamma + Fraction(m - 1) / alpha + 1
+        b1 = gamma + 2 * Fraction(m - 1) / alpha + 2
+        layers = hg._series_layers(alpha, [a1], [b1], m)
+        for k, terms in zip(range(8), layers):
+            assert terms
+            for kappa, coeff in terms:
+                assert type(coeff) is Fraction, (k, kappa, coeff)
+                if k == 0:
+                    assert (kappa, coeff) == ((), Fraction(1))
+
+
+def test_series_layers_enumerate_only_contributing_partitions():
+    # at most m parts, parts at most the width, and no layer past width * m
+    alpha, m, width = Fraction(1, 2), 3, 2
+    from mops.binom import gsfact
+
+    layers = list(hg._series_layers(alpha, [Fraction(-width), Fraction(3)], [Fraction(5, 2)], m, width))
+    assert len(layers) == width * m + 1
+    for k, terms in enumerate(layers):
+        want = [kap for kap in partitions_of(k) if len(kap) <= m and (not kap or kap[0] <= width)]
+        assert [kappa for kappa, _ in terms] == want
+        for kappa, coeff in terms:
+            assert coeff == (
+                gsfact(alpha, Fraction(-width), kappa)
+                * gsfact(alpha, Fraction(3), kappa)
+                / gsfact(alpha, Fraction(5, 2), kappa)
+                / math.factorial(k)
+            )
+
+
 def test_nonterminating_needs_limit():
     with pytest.raises(DomainError):
         hg.ghypergeom(Fraction(1), [rf(Fraction(1, 2)), rf(2)], [], ("xid", Fraction(1), 2))

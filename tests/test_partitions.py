@@ -34,6 +34,20 @@ def test_partition_counts():
 def test_partitions_of_negative_rejected():
     with pytest.raises(DomainError):
         pt.partitions_of(-1)
+    with pytest.raises(DomainError):
+        pt.partitions_of(3, max_len=-1)
+
+
+def test_partitions_of_max_len_filters_in_order():
+    for k in range(14):
+        for max_part in (None, 1, 2, 3):
+            full = pt.partitions_of(k, max_part)
+            for max_len in range(5):
+                want = [kap for kap in full if len(kap) <= max_len]
+                assert pt.partitions_of(k, max_part, max_len) == want, (k, max_part, max_len)
+    # no parts at all: only the empty partition of 0
+    assert pt.partitions_of(0, max_len=0) == [()]
+    assert pt.partitions_of(5, max_len=0) == []
 
 
 def test_subpartitions_examples():
