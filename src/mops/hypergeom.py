@@ -22,8 +22,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from scipy import integrate
-
 from . import binom, jack, orthopoly, partitions
 from .errors import ConvergenceError, DomainError, PoleError
 from .rational import RationalFunction
@@ -219,17 +217,20 @@ def smallest_eig_density(alpha, p, m, x, _terms=None):
 
 
 def smallest_eig_mass(alpha, p, m):
-    """Total mass of the unnormalized density, by adaptive quadrature."""
+    """Total mass of the unnormalized density, exactly; returns (mass, 0, terms).
+
+    The density is sum_k c_k (-2)^k x^(p m - k) exp(-m x / 2) and
+    int_0^inf x^e exp(-m x / 2) dx = e! (2/m)^(e+1); since k <= p (m-1),
+    every exponent e = p m - k is at least p, so the mass is an exact
+    Fraction with no error.
+    """
     terms = smallest_eig_terms(alpha, p, m)
-    mass, err = integrate.quad(
-        lambda t: smallest_eig_density(alpha, p, m, t, _terms=terms),
-        0.0,
-        math.inf,
-        epsabs=1e-10,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return mass, err, terms
+    scale = Fraction(2, m)
+    mass = Fraction(0)
+    for k, c in enumerate(terms):
+        e = p * m - k
+        mass += c * (-2) ** k * math.factorial(e) * scale ** (e + 1)
+    return mass, 0, terms
 
 
 def smallest_eig_density_normalized(alpha, p, m, xs):

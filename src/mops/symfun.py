@@ -228,7 +228,9 @@ def _length_bound(node):
         return max((_length_bound(x) for x in node.items), default=0)
     if isinstance(node, Prod):
         return sum(_length_bound(x) for x in node.items)
-    return _length_bound(node.base) * node.exponent
+    if isinstance(node, Pow):
+        return _length_bound(node.base) * node.exponent
+    raise DomainError("unknown expression node %r" % (node,))
 
 
 def _fold_tree(tree, basis, nvars, leaf, mul):

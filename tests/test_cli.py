@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -173,6 +176,24 @@ def test_density_smallest_masses(capsys):
     )
     assert code == 0
     assert "normalizing mass" in err
+
+
+def test_import_and_density_load_no_scipy_or_numpy():
+    # a fresh interpreter: the library and the density command stay light
+    code = (
+        "import sys, mops, mops.cli\n"
+        "rc = mops.cli.main(['density', 'smallest', '--alpha', '1', '--p', '3',"
+        " '--m', '3', '--grid', '0.5:4:3'])\n"
+        "heavy = sorted(m for m in ('scipy', 'numpy') if m in sys.modules)\n"
+        "print('rc=%d heavy=%s' % (rc, ','.join(heavy)), file=sys.stderr)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.startswith("x,density\n")
+    assert "rc=0 heavy=\n" in proc.stderr
 
 
 def test_eval_cli(capsys):

@@ -137,6 +137,41 @@ def test_smallest_eig_normalization():
     assert abs(total - 1.0) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "alpha, p, m",
+    [
+        (Fraction(1), 3, 3),
+        (Fraction(1), 8, 2),
+        (Fraction(2), 3, 3),
+        (Fraction(1, 2), 2, 3),
+        (Fraction(3, 2), 3, 4),
+        (Fraction(1), 1, 1),
+    ],
+)
+def test_smallest_eig_mass_exact(alpha, p, m):
+    mass, err, terms = hg.smallest_eig_mass(alpha, p, m)
+    assert type(mass) is Fraction
+    assert err == 0
+    # quadrature is an independent oracle for the closed form
+    quad, _ = si.quad(
+        lambda t: hg.smallest_eig_density(alpha, p, m, t, _terms=terms),
+        0,
+        math.inf,
+        epsabs=1e-10,
+        epsrel=1e-12,
+        limit=200,
+    )
+    assert abs(quad - mass) <= 1e-10 * mass
+
+
+def test_smallest_eig_mass_known_value():
+    # complex Wishart 3x6: p = 3, m = 3
+    assert hg.smallest_eig_mass(Fraction(1), 3, 3)[0] == 2949120
+    # one eigenvalue: int_0^inf x^p e^(-x/2) dx = p! 2^(p+1)
+    for p in range(1, 6):
+        assert hg.smallest_eig_mass(Fraction(1), p, 1)[0] == math.factorial(p) * 2 ** (p + 1)
+
+
 def test_smallest_eig_krishnaiah_chang_shape():
     # at alpha=2 the density is the classical real-Wishart form up to a
     # constant: the ratio to a reference point is scale-free

@@ -16,6 +16,7 @@ from mops.symfun import (
     SymExpr,
     alpha_inner_product,
     eval_numeric,
+    expand_to_monomials,
     jack2jack,
     m2jack,
     m2m,
@@ -209,3 +210,17 @@ def test_jack_product_tree_shapes_agree():
     right = jack2jack(a, Prod([Leaf("C", (2,)), Prod([Leaf("C", (1,)), Leaf("P", (1,))])]), n)
     flat = jack2jack(a, Prod([Leaf("C", (2,)), Leaf("C", (1,)), Leaf("P", (1,))]), n)
     assert left.terms == right.terms == flat.terms
+
+
+def test_unknown_node_raises_domain_error():
+    # the generic-n length bound and the fold reject a foreign node alike
+    convert = [
+        (m_(1), m2m),
+        (p_(1), p2m),
+        (Leaf("C", (1,)), lambda tree, n: expand_to_monomials(a, tree, n)),
+    ]
+    for leaf, fn in convert:
+        for tree in ("x", Prod([leaf, "x"]), Pow(Sum([leaf, 3]), 2)):
+            for nvars in (GENERIC, 2):
+                with pytest.raises(DomainError, match="unknown expression node"):
+                    fn(tree, nvars)
