@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import cache, partitions
 from .errors import DomainError
-from .rational import RationalFunction
+from .rational import RationalFunction, as_exact
 
 
 def sfact(r, k):
@@ -29,8 +29,7 @@ def sfact(r, k):
 
 def gsfact(alpha, r, kappa):
     """Generalized Pochhammer symbol prod_i (r - (i-1)/alpha)_{kappa_i}."""
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
+    alpha = as_exact(alpha)
     kappa = partitions.as_partition(kappa)
     out = 1
     for i0, part in enumerate(kappa):
@@ -40,8 +39,7 @@ def gsfact(alpha, r, kappa):
 
 def gsfact_skew(alpha, r, kappa, sigma):
     """Exact ratio (r)_kappa / (r)_sigma for sigma inside kappa."""
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
+    alpha = as_exact(alpha)
     kappa = partitions.as_partition(kappa)
     sigma = partitions.as_partition(sigma)
     if not partitions.is_subpartition(sigma, kappa):
@@ -61,8 +59,7 @@ def poch_ratio_rpoly(alpha, c0, kappa, sigma):
     r is a formal variable; the coefficients live in the scalar field of
     alpha and c0.  Index t holds the coefficient of r^t.
     """
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
+    alpha = as_exact(alpha)
     kappa = partitions.as_partition(kappa)
     sigma = partitions.as_partition(sigma)
     if not partitions.is_subpartition(sigma, kappa):
@@ -122,8 +119,7 @@ def contiguous(alpha, sigma, i):
     The product formula distinguishes squares lying in the column that
     receives the new box (column sigma_i + 1) from the rest.
     """
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
+    alpha = as_exact(alpha)
     sigma = partitions.as_partition(sigma)
     key = (alpha, sigma, i)
     hit = _contiguous_cache.get(key)
@@ -154,8 +150,7 @@ _gbinom_cache = cache.register({})
 
 def gbinomial_table(alpha, kappa):
     """All (kappa choose sigma) for sigma inside kappa, keyed by sigma."""
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
+    alpha = as_exact(alpha)
     kappa = partitions.as_partition(kappa)
     key = (alpha, kappa)
     hit = _gbinom_cache.get(key)

@@ -3,17 +3,27 @@
 One series engine, ``_series_layers``, serves every function here.  It
 walks  pFq(a; b; x) = sum_k sum_kappa prod (a_i)_kappa / (k! prod (b_j)_kappa)
 C_kappa(x)  layer by layer in total degree k and yields each layer's
-partitions with their exact coefficients.  Only the partitions that can
-contribute are enumerated: at most m parts (C_kappa vanishes on m
-variables otherwise) and, when an upper parameter is a negative integer
--p, parts of at most p (its Pochhammer symbol vanishes beyond), which also
-makes the series terminate at degree p m.  The callers differ only in how
+partitions with their exact coefficients, or with the coefficients times
+C_kappa(I_m).  Only the partitions that can contribute are enumerated: at
+most m parts (C_kappa vanishes on m variables otherwise) and, when an
+upper parameter is a negative integer -p, parts of at most p (its
+Pochhammer symbol vanishes beyond), which also makes the series terminate
+at degree p m.
+
+Every term is updated from its parent, the partition less its last box,
+in the previous layer (after Koev and Edelman, *The efficient evaluation
+of the hypergeometric function of a matrix argument*, Math. Comp. 2006):
+the box (l, c) multiplies each Pochhammer symbol (a)_kappa by
+a + c - 1 - (l-1)/alpha, and changes only the hooks of row l and column c,
+so a partition costs O(m + p + q) field operations instead of O(|kappa|).
+``_series_layers`` states both ratios.  The callers differ only in how
 they fold the layers and when they stop:
 
 - ``ghypergeom`` sums C_kappa at the point, stopping at termination, an
   explicit degree limit or a relative tolerance (p >= q+2 is refused
-  without a limit).  Scalar-identity arguments x I_m use the closed form
-  of C_kappa at the identity, so no monomial expansions are built.
+  without a limit).  Scalar-identity arguments x I_m take the terms at
+  the identity and multiply each layer's sum by x^k, so no monomial
+  expansions are built.
 - ``smallest_eig_terms`` is the terminating 2F0(-p, m/alpha+1; ; I_{m-1}).
 - ``largest_eig_cdf`` sums 1F1(a; b; I_m) against powers of -x/2.
 """
@@ -24,7 +34,7 @@ from fractions import Fraction
 
 from . import binom, jack, orthopoly, partitions
 from .errors import ConvergenceError, DomainError, PoleError
-from .rational import RationalFunction
+from .rational import RationalFunction, as_exact
 from .symfun import eval_numeric
 
 DEGREE_CAP = 400
@@ -38,48 +48,89 @@ def _negative_integer_bound(values):
             if not v.is_constant:
                 continue
             v = v.to_fraction()
-        if isinstance(v, int):
-            v = Fraction(v)
+        v = as_exact(v)
         if isinstance(v, Fraction) and v <= -1 and v.denominator == 1:
             p = -int(v)
             best = p if best is None else min(best, p)
     return best
 
 
-def _series_layers(alpha, upper, lower, m, width=None):
+def _series_layers(alpha, upper, lower, m, width=None, at_identity=False):
     """Yield the layers k = 0, 1, 2, ... of a pFq series on m variables.
 
-    A layer lists (kappa, coefficient) for every partition kappa of k with
-    at most m parts and parts at most ``width`` (None: unbounded), in
-    decreasing lexicographic order; the coefficient is the exact
-    prod (a_i)_kappa / (k! prod (b_j)_kappa), starting from alpha**0 so it
-    stays in alpha's field.  With a width the generator ends after degree
-    width * m, the last layer that can be non-empty.
+    A layer lists (kappa, term) for every partition kappa of k with at most
+    m parts and parts at most ``width`` (None: unbounded), in decreasing
+    lexicographic order.  The term is the exact coefficient
+    coeff_kappa = prod (a_i)_kappa / (k! prod (b_j)_kappa) or, with
+    ``at_identity``, coeff_kappa * C_kappa(I_m).  Both start from alpha**0,
+    so they stay in alpha's field.  With a width the generator ends after
+    degree width * m, the last layer that can be non-empty.
+
+    Each term comes from the previous layer's term of its parent pi, kappa
+    less its last box (l, c): l = len(kappa), c = kappa_l.  With
+    s = c - 1 - (l-1)/alpha, the box adds the factor a + s to every
+    Pochhammer symbol (a)_kappa, so
+
+        coeff_kappa / coeff_pi = prod (a_i + s) / (k prod (b_j + s)),
+
+    and PoleError is raised when some b_j + s is 0.  At the identity,
+    C_kappa(I_m) = alpha^(2k) k! (m/alpha)_kappa / j_kappa gives
+
+        term_kappa / term_pi = alpha (m - l + 1 + alpha (c-1))
+            prod (a_i + s) / prod (b_j + s) * j_pi / j_kappa,
+
+    where only the hooks of row l and of column c change:
+
+        j_kappa / j_pi = alpha c (1 + alpha (c-1)) prod_{r<l}
+            (h + alpha (1+a_r)) (h + 1 + alpha a_r)
+            / ((h - 1 + alpha (1+a_r)) (h + alpha a_r)),
+
+    with h = l - r and a_r = kappa_r - c.  A partition thus costs
+    O(m + p + q) field operations.
     """
     one = alpha**0
-    for k in itertools.count() if width is None else range(width * m + 1):
-        fact = math.factorial(k)
-        layer = []
+    row_shift = [i / alpha for i in range(m)]
+    prev = {(): one}
+    yield [((), one)]
+    for k in itertools.count(1) if width is None else range(1, width * m + 1):
+        layer = {}
         for kappa in partitions.partitions_of(k, max_part=width, max_len=m):
-            coeff = one / fact
+            l = len(kappa)
+            c = kappa[-1]
+            parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
+            s = c - 1 - row_shift[l - 1]
+            num = one
             for a_i in upper:
-                coeff = coeff * binom.gsfact(alpha, a_i, kappa)
+                num = num * (a_i + s)
+            # at the identity k! cancels, and so does the alpha of the
+            # new box's factor against that of its row's hooks
+            den = c if at_identity else k
             for b_j in lower:
-                denom = binom.gsfact(alpha, b_j, kappa)
-                if denom == 0:
+                factor = b_j + s
+                if factor == 0:
                     raise PoleError(
                         "lower parameter %s hits a pole at kappa=%r" % (b_j, kappa)
                     )
-                coeff = coeff / denom
-            layer.append((kappa, coeff))
-        yield layer
+                den = den * factor
+            if at_identity:
+                lift = alpha * (c - 1)
+                num = num * (m - l + 1 + lift)
+                den = den * (1 + lift)
+                for r0 in range(l - 1):
+                    h = l - 1 - r0
+                    arm = alpha * (kappa[r0] - c)
+                    num = num * ((h - 1 + alpha + arm) * (h + arm))
+                    den = den * ((h + alpha + arm) * (h + 1 + arm))
+            layer[kappa] = prev[parent] * (num / den)
+        yield list(layer.items())
+        prev = layer
 
 
-def _at_identity(alpha, terms, m):
-    """A layer's sum of coefficient * C_kappa(I_m), as an exact Fraction."""
-    total = Fraction(0)
-    for kappa, coeff in terms:
-        total += coeff * jack.jack_identity_value(alpha, kappa, "C", m)
+def _sum(values):
+    """Sum in the values' own field, or None when there are none."""
+    total = None
+    for value in values:
+        total = value if total is None else total + value
     return total
 
 
@@ -114,8 +165,7 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     kind, payload = arg[0], arg[1:]
     if kind == "xid":
         x, m = payload
-        if isinstance(x, int):
-            x = Fraction(x)
+        x = as_exact(x)
     elif kind == "vec":
         (xs,) = payload
         xs = list(xs)
@@ -156,16 +206,17 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
         raise DomainError("non-terminating series needs a degree limit or tolerance")
 
     total = None
-    layers = _series_layers(alpha, upper, lower, m, width)
+    layers = _series_layers(alpha, upper, lower, m, width, at_identity=kind == "xid")
     for k, terms in zip(range(max_degree + 1), layers):
-        layer = None
-        for kappa, coeff in terms:
-            if kind == "xid":
-                value = coeff * jack.jack_identity_value(alpha, kappa, "C", m) * x**k
-            else:
-                cexp = jack.jack_expand(alpha, kappa, "C", m)
-                value = coeff * eval_numeric(cexp, xs)
-            layer = value if layer is None else layer + value
+        if kind == "xid":
+            layer = _sum(term for _, term in terms)
+            if layer is not None:
+                layer = layer * x**k
+        else:
+            layer = _sum(
+                coeff * eval_numeric(jack.jack_expand(alpha, kappa, "C", m), xs)
+                for kappa, coeff in terms
+            )
         if layer is None:
             continue
         total = layer if total is None else total + layer
@@ -198,8 +249,8 @@ def smallest_eig_terms(alpha, p, m):
         raise DomainError("need m >= 1")
     a1 = Fraction(-p)
     a2 = Fraction(m) / alpha + 1
-    layers = _series_layers(alpha, [a1, a2], [], m - 1, width=p)
-    return [_at_identity(alpha, terms, m - 1) for terms in layers]
+    layers = _series_layers(alpha, [a1, a2], [], m - 1, width=p, at_identity=True)
+    return [_sum(term for _, term in terms) for terms in layers]
 
 
 def smallest_eig_density(alpha, p, m, x, _terms=None):
@@ -265,9 +316,9 @@ def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     u = 1.0
     converged = False
     small_run = 0
-    layers = _series_layers(alpha, [a1], [b1], m)
+    layers = _series_layers(alpha, [a1], [b1], m, at_identity=True)
     for k, terms in zip(range(DEGREE_CAP + 1), layers):
-        c_k = _at_identity(alpha, terms, m)
+        c_k = _sum(term for _, term in terms)
         layer = float(c_k) * u
         total += layer
         u *= -x / 2.0
@@ -305,7 +356,7 @@ def level_density_polynomial(beta, n):
     alpha = Fraction(2, beta)
     kappa = (beta,) * (n - 1)
     k = beta * (n - 1)
-    h = orthopoly.hermite2(alpha, kappa, n)
+    h = orthopoly.hermite(alpha, kappa, n)
     ck_ident = jack.jack_identity_value(alpha, kappa, "C", n)
     gamma_ratio = Fraction(
         math.factorial(beta // 2), math.factorial(n * beta // 2)

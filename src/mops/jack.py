@@ -19,15 +19,14 @@ from fractions import Fraction
 
 from . import cache, operators, partitions
 from .errors import DomainError, PoleError
-from .rational import RationalFunction
+from .rational import RationalFunction, as_exact
 from .symfun import GENERIC, SymExpr
 
 NORMALIZATIONS = ("C", "J", "P")
 
 
 def _as_alpha(alpha):
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
+    alpha = as_exact(alpha)
     if isinstance(alpha, Fraction):
         if alpha == 0:
             raise DomainError("alpha = 0 is outside the Jack parameter domain")
@@ -140,8 +139,7 @@ def jack_identity_value(alpha, kappa, norm, m):
     alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
-    if isinstance(m, int):
-        m = Fraction(m)
+    m = as_exact(m)
     poch = binom.gsfact(alpha, m / alpha, kappa)
     c_upper, c_lower, j_full = partitions.hook_products(alpha, kappa)
     if norm == "C":

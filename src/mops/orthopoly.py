@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import binom, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
-from .rational import RationalFunction
+from .rational import RationalFunction, as_exact
 from .symfun import GENERIC, SymExpr, eval_numeric
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
@@ -95,8 +95,7 @@ def _check_nvars(kappa, nvars):
 
 def _check_weight_param(value, name):
     """Numeric Laguerre/Jacobi exponents must exceed -1."""
-    if isinstance(value, int):
-        value = Fraction(value)
+    value = as_exact(value)
     if isinstance(value, Fraction) and value <= -1:
         raise DomainError("%s must be > -1, got %s" % (name, value))
     return value

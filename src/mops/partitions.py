@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from . import cache
 from .errors import DomainError
+from .rational import as_exact
 
 LESS = "less"
 EQUAL = "equal"
@@ -185,8 +186,7 @@ def hook_products(alpha, kappa):
 
     Empty partition gives (1, 1, 1).
     """
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
+    alpha = as_exact(alpha)
     kappa = as_partition(kappa)
     key = (alpha, kappa)
     hit = _hook_cache.get(key)
@@ -209,8 +209,7 @@ def hook_products(alpha, kappa):
 
 def rho(alpha, kappa):
     """sum_i kappa_i * (kappa_i - 1 - (2/alpha)(i-1))."""
-    if isinstance(alpha, int):
-        alpha = Fraction(alpha)
+    alpha = as_exact(alpha)
     kappa = as_partition(kappa)
     if isinstance(alpha, Fraction) and alpha == 0:
         raise DomainError("rho undefined at alpha = 0")

@@ -678,6 +678,15 @@ def _canonicalize(num, den):
     return num, den
 
 
+def as_exact(x):
+    """Scalar coercion for exact arithmetic: an int becomes a Fraction.
+
+    Fractions, RationalFunctions and anything else pass through unchanged,
+    so ``1 / as_exact(alpha)`` is exact whenever alpha is.
+    """
+    return Fraction(x) if isinstance(x, int) else x
+
+
 def rf(x):
     """Coerce ints, Fractions and RationalFunctions into the field."""
     if isinstance(x, RationalFunction):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -360,3 +361,96 @@ def test_largest_eig_cdf_three_eigenvalues():
     num, _ = si.tplquad(weight, 0, x, 0, x, 0, x, epsabs=1e-9, epsrel=1e-9)
     got = hg.largest_eig_cdf(Fraction(1), Fraction(1), 3, x, tol=1e-12)
     assert abs(got - num / Z) < 1e-5
+
+
+def _closed_form_layers(alpha, upper, lower, m, degree, width=None):
+    # the engine's two kinds of term from the definitions, partition by partition
+    from mops.binom import gsfact
+
+    for k in range(degree + 1):
+        rows = []
+        for kappa in partitions_of(k, max_part=width, max_len=m):
+            coeff = alpha**0 / math.factorial(k)
+            for a_i in upper:
+                coeff = coeff * gsfact(alpha, a_i, kappa)
+            for b_j in lower:
+                coeff = coeff / gsfact(alpha, b_j, kappa)
+            rows.append((kappa, coeff, coeff * jack_identity_value(alpha, kappa, "C", m)))
+        yield rows
+
+
+@pytest.mark.parametrize(
+    "alpha, upper, lower",
+    [
+        (Fraction(1), [Fraction(1, 2), Fraction(7, 3)], [Fraction(5, 2)]),
+        (Fraction(2), [Fraction(3, 4)], [Fraction(1, 3), Fraction(9, 2)]),
+        (Fraction(1, 2), [Fraction(5, 2), Fraction(-1, 3)], []),
+        (Fraction(3, 2), [], [Fraction(7, 5)]),
+        (a, [a + 1, rf(Fraction(1, 2))], [rf(3) + a]),
+    ],
+)
+def test_series_layers_per_box_terms_match_closed_forms(alpha, upper, lower):
+    # each term is updated from its parent partition; it must equal the
+    # product of Pochhammer symbols (times C_kappa(I_m)) built from scratch
+    degree = 8
+    for m in range(1, 5):
+        plain = hg._series_layers(alpha, upper, lower, m)
+        ident = hg._series_layers(alpha, upper, lower, m, at_identity=True)
+        want = _closed_form_layers(alpha, upper, lower, m, degree)
+        for k, p_terms, i_terms, rows in zip(range(degree + 1), plain, ident, want):
+            assert [kappa for kappa, _ in p_terms] == [kappa for kappa, _, _ in rows]
+            assert [kappa for kappa, _ in i_terms] == [kappa for kappa, _, _ in rows]
+            for (kappa, coeff), (_, term), (_, c_want, t_want) in zip(p_terms, i_terms, rows):
+                assert coeff == c_want, (m, kappa)
+                assert term == t_want, (m, kappa)
+
+
+def test_series_layers_per_box_terms_terminating():
+    # width-bounded: the upper parameter -2 ends the series at degree 2 m
+    alpha, upper, lower, m, width = Fraction(3, 2), [Fraction(-2), Fraction(5, 3)], [Fraction(7, 2)], 3, 2
+    got = list(hg._series_layers(alpha, upper, lower, m, width, at_identity=True))
+    want = list(_closed_form_layers(alpha, upper, lower, m, width * m, width))
+    assert len(got) == len(want) == width * m + 1
+    for terms, rows in zip(got, want):
+        assert terms == [(kappa, term) for kappa, _, term in rows]
+
+
+@pytest.mark.parametrize(
+    "alpha, lower, m, kappa",
+    [
+        (Fraction(1), [1], 2, "(1, 1)"),
+        (Fraction(2), [Fraction(1, 2)], 3, "(1, 1)"),
+        (Fraction(1), [Fraction(-1)], 3, "(2,)"),
+        (Fraction(1, 2), [Fraction(3), Fraction(-3)], 2, "(4,)"),
+    ],
+)
+def test_lower_parameter_pole_names_first_partition(alpha, lower, m, kappa):
+    # poles off the first row sit at the corner of a rectangle; both the
+    # identity and the plain coefficient walk name the first one reached
+    from mops.errors import PoleError
+
+    pattern = r"kappa=%s$" % re.escape(kappa)
+    with pytest.raises(PoleError, match=pattern):
+        hg.ghypergeom(alpha, [], lower, ("xid", 1, m), limit=6)
+    with pytest.raises(PoleError, match=pattern):
+        hg.ghypergeom(alpha, [], lower, ("vec", [0.1] * m), limit=6)
+
+
+def test_level_density_matches_hermite2_construction(monkeypatch):
+    # the density is built from the recurrence Hermite; the limiting-process
+    # construction must give the same polynomial
+    from mops import orthopoly
+
+    for beta, n in [(2, 3), (4, 3), (6, 2), (4, 4)]:
+        got = hg.level_density_polynomial(beta, n)
+        calls = []
+
+        def hermite2(alpha, kappa, nvars):
+            calls.append(kappa)
+            return orthopoly.hermite2(alpha, kappa, nvars)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(orthopoly, "hermite", hermite2)
+            want = hg.level_density_polynomial(beta, n)
+        assert calls == [(beta,) * (n - 1)]
+        assert got == want, (beta, n)
