@@ -6,10 +6,19 @@ parameter, n the symbolic variable count, g / g1 / g2 the Laguerre and
 Jacobi weight exponents, r an internal formal variable).  Polynomials are
 dicts mapping exponent 6-tuples to nonzero ints.
 
-Every RationalFunction is canonical: gcd(num, den) is a unit (polynomial
-gcd computed by content-primitive recursion on the fixed variable order),
-and the denominator's leading coefficient under graded lex order is
-positive.  Equality and hashing are therefore structural.
+Every RationalFunction is canonical: gcd(num, den) is a unit and the
+denominator's leading coefficient under graded lex order is positive.
+Equality and hashing are therefore structural.
+
+The polynomial gcd is the heuristic GCDHEU (Char, Geddes & Gonnet 1989):
+evaluate one variable at a large integer, take the gcd of the images
+recursively, rebuild a candidate from its digits and accept it when it
+divides both inputs, which the evaluation bound makes sufficient.  When no
+candidate divides, a primitive pseudo-remainder sequence (PRS) computes
+it.  Sums and products are reduced by Henrici's method (Knuth, TAOCP 2,
+4.5.1), as `fractions.Fraction` does: a product cancels each numerator
+against the other denominator first, and a sum needs the gcd of the
+denominators and, when that is not 1, one more gcd with the new numerator.
 """
 
 from fractions import Fraction
@@ -113,6 +122,8 @@ def _p_divexact(p, d):
         return {}
     if _p_is_const(d):
         c = d[_ZEXP]
+        if c == 1:
+            return p
         out = {}
         for exp, v in p.items():
             q, rem = divmod(v, c)
@@ -178,7 +189,7 @@ def _v_content(p, v):
     parts = _v_decompose(p, v)
     g = {}
     for coeff in parts.values():
-        g = _p_gcd(g, coeff)
+        g = _prs_gcd(g, coeff)
         if _p_is_const(g) and g.get(_ZEXP) == 1:
             return g
     return g
@@ -233,18 +244,6 @@ def _p_eval_var(p, v, xi):
     return out
 
 
-def _p_eval_int(p, point):
-    """Evaluate at an all-integer point; point maps var index -> int."""
-    total = 0
-    for exp, c in p.items():
-        term = c
-        for i, e in enumerate(exp):
-            if e:
-                term *= point[i] ** e
-        total += term
-    return total
-
-
 def _balanced_digit(p, xi):
     """Balanced remainder of every coefficient mod xi; returns (digit, rest)."""
     digit = {}
@@ -271,7 +270,9 @@ def _heugcd(p, q, depth=0):
     bound = 2 * min(_p_maxnorm(p), _p_maxnorm(q)) + 29
     xi = bound
     for _ in range(6):
-        if xi.bit_length() > 4000:
+        # xi grows about degree-fold per variable: inputs of degree 7 in
+        # each of four parameters need some 7000 bits at the last one
+        if xi.bit_length() > 40000:
             return None
         pe = _p_eval_var(p, v, xi)
         qe = _p_eval_var(q, v, xi)
@@ -297,29 +298,20 @@ def _heugcd(p, q, depth=0):
             content = _p_content(cand)
             if content > 1:
                 cand = _p_divexact_int(cand, content)
-            cof_p = _p_quotient(p, cand)
-            cof_q = _p_quotient(q, cand) if cof_p is not None else None
-            if cof_p is not None and cof_q is not None:
-                # guard against accepting a proper divisor of the gcd: a
-                # shared cofactor factor would show up as a large common
-                # integer divisor at an evaluation point
-                suspicious = False
-                for base in (3, 5):
-                    point = {i: xi if i == v else base + 2 * i for i in range(NPARAMS)}
-                    vp = _p_eval_int(cof_p, point)
-                    vq = _p_eval_int(cof_q, point)
-                    if vp and vq:
-                        suspicious = _int_gcd(abs(vp), abs(vq)) > max(2, xi // 2)
-                        break
-                if not suspicious:
-                    ig = _int_gcd(_p_content(p), _p_content(q))
-                    return _p_positive(_p_scale(cand, ig))
+            # the division check that makes the candidate the gcd
+            if _p_quotient(p, cand) is not None and _p_quotient(q, cand) is not None:
+                ig = _int_gcd(_p_content(p), _p_content(q))
+                return _p_positive(_p_scale(cand, ig))
         xi = xi * 3 + 17
     return None
 
 
-def _p_gcd(p, q):
-    """Polynomial gcd over Z, positive leading coefficient, content included."""
+def _prs_gcd(p, q):
+    """Polynomial gcd by the primitive pseudo-remainder sequence.
+
+    The fallback of `_p_gcd` and the reference it is tested against: the
+    content gcds recurse into this function only, never into `_heugcd`.
+    """
     if not p:
         return _p_positive(dict(q))
     if not q:
@@ -328,14 +320,10 @@ def _p_gcd(p, q):
         return _p_const(_int_gcd(_p_content(p), _p_content(q)))
     if p == q:
         return _p_positive(dict(p))
-    heur = _heugcd(p, q)
-    if heur is not None:
-        return heur
-    active = _p_active_vars(p) | _p_active_vars(q)
-    v = min(active)
+    v = min(_p_active_vars(p) | _p_active_vars(q))
     cp = _v_content(p, v)
     cq = _v_content(q, v)
-    gcont = _p_gcd(cp, cq)
+    gcont = _prs_gcd(cp, cq)
     A = _p_divexact(p, cp)
     B = _p_divexact(q, cq)
     if _v_deg(A, v) < _v_deg(B, v):
@@ -347,6 +335,24 @@ def _p_gcd(p, q):
         A, B = B, R
     A = _p_divexact(A, _p_const(_p_content(A)))
     return _p_positive(_p_mul(gcont, A))
+
+
+def _p_gcd(p, q):
+    """Polynomial gcd over Z, positive leading coefficient, content included.
+
+    `_heugcd` (GCDHEU, Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989)
+    substitutes an integer xi >= 2*min(|p|, |q|) + 29 (|.| the largest
+    absolute coefficient) for one variable, takes the gcd of the images
+    recursively and rebuilds a candidate from its balanced base-xi digits.
+    For xi >= 2*min(|p|, |q|) + 2 the primitive candidate is the primitive
+    gcd as soon as it divides both p and q, so the two trial divisions are
+    the whole verification.  When no candidate divides, `_prs_gcd` runs.
+    """
+    if p and q and p != q and not (_p_is_const(p) or _p_is_const(q)):
+        heur = _heugcd(p, q)
+        if heur is not None:
+            return heur
+    return _prs_gcd(p, q)
 
 
 def _p_substitute(p, vals):
@@ -483,14 +489,35 @@ class RationalFunction:
 
     # -- arithmetic ---------------------------------------------------
 
+    # Sums and products are reduced by Henrici's method (Knuth, TAOCP 2,
+    # 4.5.1): only the factors the canonical operands can share are
+    # cancelled, and the result is canonical without a gcd of its whole
+    # numerator and denominator.  Its denominator is a product of exact
+    # quotients of positive-leading denominators by positive-leading gcds,
+    # and leading coefficients multiply under graded lex, so the sign rule
+    # holds without a check.
+
     def __add__(self, other):
         other = rf(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == other.den:
-            return RationalFunction(_p_add(self.num, other.num), dict(self.den))
-        num = _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den))
-        return RationalFunction(num, _p_mul(self.den, other.den))
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        d1, d2 = self.den, other.den
+        g = _p_gcd(d1, d2)
+        d1g, d2g = _p_divexact(d1, g), _p_divexact(d2, g)
+        num = _p_add(_p_mul(self.num, d2g), _p_mul(other.num, d1g))
+        if not num:
+            return ZERO
+        if g == _P_ONE:
+            return RationalFunction(num, _p_mul(d1, d2), _canonical=True)
+        # only the gcd of the new numerator with g is left to cancel
+        e = _p_gcd(num, g)
+        return RationalFunction(
+            _p_divexact(num, e), _p_mul(d1g, _p_divexact(d2, e)), _canonical=True
+        )
 
     __radd__ = __add__
 
@@ -510,16 +537,20 @@ class RationalFunction:
         other = rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(
-            _p_mul(self.num, other.num), _p_mul(self.den, other.den)
-        )
+        if not self.num or not other.num:
+            return ZERO
+        n1, d2 = _p_cancel(self.num, other.den)
+        n2, d1 = _p_cancel(other.num, self.den)
+        return RationalFunction(_p_mul(n1, n2), _p_mul(d1, d2), _canonical=True)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self.num:
             raise DomainError("division by the zero rational function")
-        return RationalFunction(dict(self.den), dict(self.num))
+        # num and den are already coprime
+        num, den = _sign_rule(self.den, self.num)
+        return RationalFunction(num, den, _canonical=True)
 
     def __truediv__(self, other):
         other = rf(other)
@@ -668,13 +699,19 @@ def _canonicalize(num, den):
         raise DomainError("zero denominator")
     if not num:
         return {}, dict(_P_ONE)
-    g = _p_gcd(num, den)
-    if not (_p_is_const(g) and g.get(_ZEXP) == 1):
-        num = _p_divexact(num, g)
-        den = _p_divexact(den, g)
+    return _sign_rule(*_p_cancel(num, den))
+
+
+def _p_cancel(p, q):
+    """p and q divided by their gcd."""
+    g = _p_gcd(p, q)
+    return _p_divexact(p, g), _p_divexact(q, g)
+
+
+def _sign_rule(num, den):
+    """Make the denominator's graded-lex leading coefficient positive."""
     if _p_lead_coeff(den) < 0:
-        num = _p_neg(num)
-        den = _p_neg(den)
+        return _p_neg(num), _p_neg(den)
     return num, den
 
 

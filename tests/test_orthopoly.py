@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -118,6 +120,44 @@ def test_jacobi_table_values():
         * (1 + a)
     )
     assert jac.coefficient(()) == expected
+
+
+@contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError("over %g s" % seconds)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "family, kappa, names",
+    [("laguerre", (2, 2), ("g",)), ("laguerre", (3, 2), ("g",)), ("jacobi", (3, 1), ("g1", "g2"))],
+)
+def test_generic_n_specialises_to_numeric(family, kappa, names):
+    # each takes well under a second; they ran for minutes when the field
+    # computed a full gcd on every operation
+    build = getattr(op, family)
+    symbols = {"g": GAMMA, "g1": G1, "g2": G2}
+    with _deadline(20):
+        generic = build(a, kappa, *(symbols[name] for name in names), GENERIC)
+    points = [
+        (Fraction(2, 3), 2, (Fraction(1, 2), Fraction(3, 4))),
+        (Fraction(5, 2), 4, (Fraction(-1, 3), Fraction(7, 5))),
+    ]
+    for alpha, nvars, weights in points:
+        weights = weights[: len(names)]
+        numeric = build(alpha, kappa, *weights, nvars)
+        bindings = {"a": alpha, "n": nvars, **dict(zip(names, weights))}
+        assert set(numeric.coeffs) <= set(generic.coeffs)
+        for sigma, coeff in generic.coeffs.items():
+            assert coeff.substitute(bindings).to_fraction() == numeric.coefficient(sigma)
 
 
 def test_hermite_constructions_agree():

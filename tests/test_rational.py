@@ -4,8 +4,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mops import cache, orthopoly, rational
 from mops.errors import DomainError, PoleError
-from mops.rational import ALPHA, G1, G2, GAMMA, N, R, Infinity, param, rf
+from mops.rational import (
+    ALPHA,
+    G1,
+    G2,
+    GAMMA,
+    N,
+    NPARAMS,
+    PARAMS,
+    R,
+    Infinity,
+    _canonicalize,
+    _p_add,
+    _p_mul,
+    _p_neg,
+    _p_positive,
+    param,
+    rf,
+)
+from mops.symfun import GENERIC
 
 a = ALPHA
 n = N
@@ -80,6 +99,10 @@ def test_unknown_parameter():
 _scalars = st.one_of(
     st.integers(min_value=-4, max_value=4),
     st.sampled_from([a, n, 1 + a, a - n, 2 * a + 1, n**2, a * n]),
+    # integer content, equal denominators, denominators sharing a factor
+    st.sampled_from(
+        [a / (2 + 2 * n), 6 / (4 + 4 * a), (1 - a) / (2 + 2 * n), n / (1 + a), 1 / (a * n), (a - n) / (a + a * n)]
+    ),
 )
 
 
@@ -120,8 +143,6 @@ def test_substitute_is_a_homomorphism(xs, ys):
 def test_canonical_form_unique(xs, ys):
     f, g = _build(xs), _build(ys)
     # f == g iff cross-multiplied polynomials agree
-    from mops.rational import _p_add, _p_mul, _p_neg
-
     cross = _p_add(_p_mul(f.num, g.den), _p_neg(_p_mul(g.num, f.den)))
     assert (f == g) == (not cross)
     assert (f - g == 0) == (not cross)
@@ -148,3 +169,106 @@ def test_polynomial_gcd_white_box():
     assert _p_gcd((1 + a).num, (2 + n).num) == {(0,) * 6: 1}
     # integer content
     assert _p_gcd((4 + 4 * a).num, (6 + 6 * a).num) == (2 + 2 * a).num
+
+
+def _assert_henrici_canonical(f, g):
+    """+, -, * and / give the canonical form of the unreduced cross products."""
+    n1, d1, n2, d2 = f.num, f.den, g.num, g.den
+    cases = [
+        (f + g, _p_add(_p_mul(n1, d2), _p_mul(n2, d1)), _p_mul(d1, d2)),
+        (f - g, _p_add(_p_mul(n1, d2), _p_neg(_p_mul(n2, d1))), _p_mul(d1, d2)),
+        (f * g, _p_mul(n1, n2), _p_mul(d1, d2)),
+    ]
+    if g:
+        cases.append((f / g, _p_mul(n1, d2), _p_mul(d1, n2)))
+    for got, num, den in cases:
+        assert (got.num, got.den) == _canonicalize(num, den)
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        (a / (2 + 2 * n), 6 / (4 + 4 * a)),
+        (a / (2 + 2 * n), (1 - a) / (2 + 2 * n)),
+        (a / (2 + 2 * n), (2 - a) / (2 + 2 * n)),
+        (a / (1 + a), 1 / (1 + a)),
+        ((1 + a) / (a * n), (a - n) / (a + a * n)),
+        (n / (1 + a), -n / (1 + a)),
+        (6 / (4 + 4 * a), rf(3)),
+        (a, -a),
+        (rf(0), a / (2 + 2 * n)),
+    ],
+)
+def test_henrici_examples_are_canonical(f, g):
+    _assert_henrici_canonical(f, g)
+    _assert_henrici_canonical(g, f)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_scalars, min_size=1, max_size=4), st.lists(_scalars, min_size=1, max_size=4))
+def test_henrici_paths_are_canonical(xs, ys):
+    f, g = _build(xs), _build(ys)
+    _assert_henrici_canonical(f, g)
+    assert f - f == 0 and (f + (-f)).den == {(0,) * 6: 1}
+
+
+def test_inverse_keeps_the_canonical_form():
+    inv = ((1 - a) / (2 + 2 * n)).inverse()
+    assert (inv.num, inv.den) == _canonicalize((2 + 2 * n).num, (1 - a).num)
+    assert (inv.num, inv.den) == ((-2 - 2 * n).num, (a - 1).num)
+    with pytest.raises(DomainError):
+        rf(0).inverse()
+
+
+@st.composite
+def _gcd_triples(draw):
+    """Integer polynomials g, u, v in up to 4 parameters, degree <= 3 each."""
+    active = draw(st.lists(st.integers(0, NPARAMS - 1), min_size=1, max_size=4, unique=True))
+
+    def monomial(picks):
+        return tuple(picks.count(i) for i in range(NPARAMS))
+
+    poly = st.dictionaries(
+        st.lists(st.sampled_from(active), max_size=3).map(monomial),
+        st.integers(-(10**4), 10**4).filter(bool),
+        min_size=1,
+        max_size=4,
+    )
+    return draw(poly), draw(poly), draw(poly)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_triples())
+def test_gcd_matches_sympy(triple):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(PARAMS)
+    g, u, v = (sympy.Poly.from_dict(p, *syms) for p in triple)
+    p, q = (dict((e, int(c)) for e, c in (g * w).as_dict().items()) for w in (u, v))
+    want = {e: int(c) for e, c in sympy.gcd(g * u, g * v).as_dict().items()}
+    assert rational._p_gcd(p, q) == _p_positive(want)
+
+
+def test_generic_laguerre_gcds_match_prs(monkeypatch):
+    gcd = rational._p_gcd
+    calls = []
+
+    def checked(p, q):
+        got = gcd(p, q)
+        assert got == rational._prs_gcd(p, q), (p, q)
+        calls.append(got)
+        return got
+
+    monkeypatch.setattr(rational, "_p_gcd", checked)
+    cache.clear_all()
+    orthopoly.laguerre(ALPHA, (3,), GAMMA, GENERIC)
+    assert len(calls) > 100
+
+
+def test_heuristic_gcd_in_four_parameters():
+    # the images of degree-7 inputs need an evaluation point of about 7000
+    # bits at the fourth parameter; the heuristic must not give up there,
+    # as the pseudo-remainder fallback takes minutes on such a pair
+    g = (1 + a + 2 * n + 3 * G1 + 5 * G2) ** 5
+    u = (a * n * G1 * G2 + 3) ** 2 + a**3
+    v = (a * n * G1 - G2 + 7) ** 2 + n
+    assert rational._heugcd((g * u).num, (g * v).num) == g.num
