@@ -110,21 +110,17 @@ def _row_increment(sigma, i):
     return tuple(p for p in out if p)
 
 
-_contiguous_cache = cache.register({})
-
-
 def contiguous(alpha, sigma, i):
     """(sigma^(i) choose sigma), the one-box binomial coefficient.
 
     The product formula distinguishes squares lying in the column that
     receives the new box (column sigma_i + 1) from the rest.
     """
-    alpha = as_exact(alpha)
-    sigma = partitions.as_partition(sigma)
-    key = (alpha, sigma, i)
-    hit = _contiguous_cache.get(key)
-    if hit is not None:
-        return hit
+    return _contiguous(as_exact(alpha), partitions.as_partition(sigma), i)
+
+
+@cache.memo
+def _contiguous(alpha, sigma, i):
     upper = _row_increment(sigma, i)
     if upper is None:
         raise DomainError("row %d of %r cannot be incremented" % (i, sigma))
@@ -140,47 +136,44 @@ def contiguous(alpha, sigma, i):
                 num = num * partitions.lower_hook(alpha, sigma, r0 + 1, c0 + 1)
                 num = num * partitions.upper_hook(alpha, upper, r0 + 1, c0 + 1)
     j_sigma = partitions.hook_products(alpha, sigma)[2]
-    value = num / j_sigma
-    _contiguous_cache[key] = value
-    return value
+    return num / j_sigma
 
 
-_gbinom_cache = cache.register({})
+def one_box_recurrence(alpha, kappa, divide):
+    """Solve a downward one-box recurrence over the subpartitions of kappa.
+
+    v_kappa = 1; then, going down in weight,
+    v_sigma = divide(sigma, sum_i (sigma^(i) choose sigma) v_{sigma^(i)}),
+    the sum running over the row increments sigma^(i) that have a value.
+    Returns {sigma: v_sigma}, kappa first and then by decreasing weight.
+    """
+    table = {kappa: alpha**0}
+    # by decreasing weight, so every sigma^(i) comes before sigma; kappa
+    # has no row increment inside kappa and keeps its seed
+    for sigma in sorted(partitions.subpartitions_of(kappa), key=partitions.weight, reverse=True):
+        total = None
+        for i in range(1, len(sigma) + 2):
+            up_val = table.get(_row_increment(sigma, i))
+            if up_val is None:
+                continue
+            term = contiguous(alpha, sigma, i) * up_val
+            total = term if total is None else total + term
+        if total is not None:
+            table[sigma] = divide(sigma, total)
+    return table
 
 
 def gbinomial_table(alpha, kappa):
     """All (kappa choose sigma) for sigma inside kappa, keyed by sigma."""
-    alpha = as_exact(alpha)
-    kappa = partitions.as_partition(kappa)
-    key = (alpha, kappa)
-    hit = _gbinom_cache.get(key)
-    if hit is not None:
-        return hit
+    return _gbinomial_table(as_exact(alpha), partitions.as_partition(kappa))
+
+
+@cache.memo
+def _gbinomial_table(alpha, kappa):
     k = partitions.weight(kappa)
-    subs = partitions.subpartitions_of(kappa)
-    sub_set = set(subs)
-    by_weight = {}
-    for sigma in subs:
-        by_weight.setdefault(partitions.weight(sigma), []).append(sigma)
-    one = alpha**0
-    table = {kappa: one}
-    for s in range(k - 1, -1, -1):
-        for sigma in by_weight.get(s, ()):
-            total = None
-            for i in range(1, len(sigma) + 2):
-                upper = _row_increment(sigma, i)
-                if upper is None or upper not in sub_set:
-                    continue
-                up_val = table.get(upper)
-                if up_val is None:
-                    continue
-                term = contiguous(alpha, sigma, i) * up_val
-                total = term if total is None else total + term
-            if total is not None:
-                table[sigma] = total / (k - s)
-    cache.enforce_budget()
-    _gbinom_cache[key] = table
-    return table
+    return one_box_recurrence(
+        alpha, kappa, lambda sigma, total: total / (k - partitions.weight(sigma))
+    )
 
 
 def gbinomial(alpha, kappa, sigma):

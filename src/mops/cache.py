@@ -1,47 +1,36 @@
 """Process-wide memo tables.
 
-All cached values are immutable and recomputable, so the usual dict races
-under concurrent writers are benign: two threads may compute the same entry
-and one insert wins.  Correctness never depends on a cache hit.
+``memo`` gives a function one dict, keyed by its positional arguments.  The
+tables live for the whole process; ``clear_all`` empties every one of them
+and so frees their memory.
 
-The memory cap is approximate.  ``MOPS_CACHE_MB`` (or a config file handled
-by the CLI) limits the total number of cached entries via a crude
-bytes-per-entry estimate; when exceeded, all registered caches are cleared.
+Cached values are never modified after they are stored and can always be
+recomputed, so the usual dict races under concurrent writers are benign:
+two threads may compute the same entry and one insert wins.  Correctness
+never depends on a cache hit.
 """
 
-import os
+import functools
 
 _REGISTRY = []
 
-_BYTES_PER_ENTRY = 512  # coarse estimate, keys and rational coefficients
 
-
-def register(table):
-    """Register a dict used as a memo table; returns the dict."""
+def memo(fn):
+    """Memoize fn on its positional arguments, which must be hashable."""
+    table = {}
     _REGISTRY.append(table)
-    return table
+
+    @functools.wraps(fn)
+    def cached(*args):
+        value = table.get(args)
+        if value is None:
+            value = table[args] = fn(*args)
+        return value
+
+    return cached
 
 
 def clear_all():
+    """Empty every memo table."""
     for table in _REGISTRY:
         table.clear()
-
-
-def _entry_budget():
-    mb = os.environ.get("MOPS_CACHE_MB")
-    if not mb:
-        return None
-    try:
-        return max(1, int(float(mb) * 1024 * 1024) // _BYTES_PER_ENTRY)
-    except ValueError:
-        return None
-
-
-def enforce_budget():
-    """Clear every cache if the configured budget is exceeded."""
-    budget = _entry_budget()
-    if budget is None:
-        return
-    total = sum(len(t) for t in _REGISTRY)
-    if total > budget:
-        clear_all()

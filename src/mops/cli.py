@@ -8,7 +8,6 @@ diagnostics to stderr.
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -233,16 +232,27 @@ def cmd_density(args):
 
 
 def _load_config(path):
+    """Settings of a key=value file; default_limit is the only key."""
+    try:
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+    except OSError as exc:
+        raise DomainError("cannot read config file %s: %s" % (path, exc.strerror))
     settings = {}
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError("config lines must be key=value: %r" % line)
-            key, value = line.split("=", 1)
-            settings[key.strip()] = value.strip()
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep:
+            raise DomainError("config lines must be key=value: %r" % line)
+        if key != "default_limit":
+            raise DomainError("unknown config key %r; the only key is default_limit" % key)
+        try:
+            settings[key] = int(value)
+        except ValueError:
+            raise DomainError("default_limit must be an integer, got %r" % value)
     return settings
 
 
@@ -253,7 +263,10 @@ def build_parser():
         "hypergeometric functions of matrix argument, and beta-ensemble "
         "eigenvalue statistics, computed exactly.",
     )
-    ap.add_argument("--config", help="key=value file: cache_mb, default_limit")
+    ap.add_argument(
+        "--config",
+        help="key=value file; default_limit=N sets the series limit when --limit is absent",
+    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     fmt = {"choices": ("text", "json"), "default": "text"}
@@ -351,14 +364,11 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.config:
-        settings = _load_config(args.config)
-        if "cache_mb" in settings and "MOPS_CACHE_MB" not in os.environ:
-            os.environ["MOPS_CACHE_MB"] = settings["cache_mb"]
-        if "default_limit" in settings and getattr(args, "limit", None) is None:
-            if hasattr(args, "limit"):
-                args.limit = int(settings["default_limit"])
     try:
+        if args.config:
+            settings = _load_config(args.config)
+            if hasattr(args, "limit") and args.limit is None:
+                args.limit = settings.get("default_limit")
         args.func(args)
     except (PoleError, ConvergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -38,17 +38,13 @@ def _as_alpha(alpha):
     raise DomainError("alpha must be a rational number or a rational function")
 
 
-_jack_cache = cache.register({})
-
-
 def jack_monomial_coefficients(alpha, kappa):
     """Full table lambda -> c_{kappa,lambda} for C_kappa, all lengths kept."""
-    alpha = _as_alpha(alpha)
-    kappa = partitions.as_partition(kappa)
-    key = (alpha, kappa)
-    hit = _jack_cache.get(key)
-    if hit is not None:
-        return hit
+    return _jack_monomial_coefficients(_as_alpha(alpha), partitions.as_partition(kappa))
+
+
+@cache.memo
+def _jack_monomial_coefficients(alpha, kappa):
     k = partitions.weight(kappa)
     c_upper = partitions.hook_products(alpha, kappa)[0]
     seed = alpha**k * math.factorial(k) / c_upper
@@ -83,8 +79,6 @@ def jack_monomial_coefficients(alpha, kappa):
                 "alpha = %s is a pole of the Jack coefficient recurrence" % (alpha,)
             )
         table[lam] = two_over_alpha * total / denom
-    cache.enforce_budget()
-    _jack_cache[key] = table
     return table
 
 

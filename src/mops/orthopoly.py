@@ -116,6 +116,23 @@ def _by_weight(kappa):
     return out
 
 
+def _binomial_expansion(alpha, kappa, c1, m, values):
+    """Coefficients (-1)^|sigma| v_sigma (c1)_kappa/(c1)_sigma C_kappa(I)/C_sigma(I)."""
+    ident = _identity_values(alpha, kappa, m)
+    ck_ident = ident[kappa]
+    coeffs = {}
+    for sigma, val in values.items():
+        sign = -1 if partitions.weight(sigma) % 2 else 1
+        coeffs[sigma] = (
+            sign
+            * val
+            * binom.gsfact_skew(alpha, c1, kappa, sigma)
+            * ck_ident
+            / ident[sigma]
+        )
+    return coeffs
+
+
 # ---------------------------------------------------------------------------
 # Laguerre
 
@@ -128,21 +145,7 @@ def laguerre(alpha, kappa, gamma, nvars=GENERIC):
     _check_nvars(kappa, nvars)
     m = _m_scalar(nvars)
     c1 = gamma + (m - 1) / alpha + 1
-    ident = _identity_values(alpha, kappa, m)
-    btable = binom.gbinomial_table(alpha, kappa)
-    ck_ident = ident[kappa]
-    coeffs = {}
-    for sigma, b in btable.items():
-        s = partitions.weight(sigma)
-        sign = -1 if s % 2 else 1
-        value = (
-            sign
-            * b
-            * binom.gsfact_skew(alpha, c1, kappa, sigma)
-            * ck_ident
-            / ident[sigma]
-        )
-        coeffs[sigma] = value
+    coeffs = _binomial_expansion(alpha, kappa, c1, m, binom.gbinomial_table(alpha, kappa))
     return OrthoExpansion("laguerre", kappa, {"alpha": alpha, "g": gamma}, nvars, coeffs)
 
 
@@ -167,41 +170,16 @@ def jacobi(alpha, kappa, g1, g2, nvars=GENERIC):
     k = partitions.weight(kappa)
     big_g = g1 + g2 + (2 / alpha) * (m - 1) + 2
     rho_kappa = partitions.rho(alpha, kappa)
-    btable = binom.gbinomial_table(alpha, kappa)
-    by_weight = _by_weight(kappa)
-    inner = {kappa: alpha**0}
-    for s in range(k - 1, -1, -1):
-        for sigma in by_weight.get(s, ()):
-            total = None
-            for i in range(1, len(sigma) + 2):
-                upper = binom._row_increment(sigma, i)
-                if upper is None or upper not in btable:
-                    continue
-                up = inner.get(upper)
-                if up is None:
-                    continue
-                term = binom.contiguous(alpha, sigma, i) * up
-                total = term if total is None else total + term
-            if total is None:
-                continue
-            denom = big_g * (k - s) + rho_kappa - partitions.rho(alpha, sigma)
-            if isinstance(denom, Fraction) and denom == 0:
-                raise PoleError("Jacobi recurrence denominator vanished at sigma=%r" % (sigma,))
-            inner[sigma] = total / denom
+
+    def divide(sigma, total):
+        denom = big_g * (k - partitions.weight(sigma)) + rho_kappa - partitions.rho(alpha, sigma)
+        if isinstance(denom, Fraction) and denom == 0:
+            raise PoleError("Jacobi recurrence denominator vanished at sigma=%r" % (sigma,))
+        return total / denom
+
+    inner = binom.one_box_recurrence(alpha, kappa, divide)
     c1 = g1 + (m - 1) / alpha + 1
-    ident = _identity_values(alpha, kappa, m)
-    ck_ident = ident[kappa]
-    coeffs = {}
-    for sigma, val in inner.items():
-        s = partitions.weight(sigma)
-        sign = -1 if s % 2 else 1
-        coeffs[sigma] = (
-            sign
-            * val
-            * binom.gsfact_skew(alpha, c1, kappa, sigma)
-            * ck_ident
-            / ident[sigma]
-        )
+    coeffs = _binomial_expansion(alpha, kappa, c1, m, inner)
     return OrthoExpansion("jacobi", kappa, {"alpha": alpha, "g1": g1, "g2": g2}, nvars, coeffs)
 
 

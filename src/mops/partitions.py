@@ -64,15 +64,13 @@ def partitions_of(k, max_part=None, max_len=None):
     return result
 
 
-_subpar_cache = cache.register({})
-
-
 def subpartitions_of(kappa):
     """All sigma with sigma_i <= kappa_i for every i, kappa included."""
-    kappa = as_partition(kappa)
-    hit = _subpar_cache.get(kappa)
-    if hit is not None:
-        return hit
+    return _subpartitions_of(as_partition(kappa))
+
+
+@cache.memo
+def _subpartitions_of(kappa):
     result = []
 
     def descend(i, prev, prefix):
@@ -86,7 +84,6 @@ def subpartitions_of(kappa):
 
     descend(0, kappa[0] if kappa else 0, [])
     result.sort()
-    _subpar_cache[kappa] = result
     return result
 
 
@@ -178,20 +175,16 @@ def lower_hook(alpha, kappa, i, j):
     return leg(kappa, i, j) + 1 + alpha * arm(kappa, i, j)
 
 
-_hook_cache = cache.register({})
-
-
 def hook_products(alpha, kappa):
     """(c, c', j): products of upper hooks, lower hooks, and their product.
 
     Empty partition gives (1, 1, 1).
     """
-    alpha = as_exact(alpha)
-    kappa = as_partition(kappa)
-    key = (alpha, kappa)
-    hit = _hook_cache.get(key)
-    if hit is not None:
-        return hit
+    return _hook_products(as_exact(alpha), as_partition(kappa))
+
+
+@cache.memo
+def _hook_products(alpha, kappa):
     conj = conjugate(kappa)
     c = 1
     cprime = 1
@@ -201,10 +194,7 @@ def hook_products(alpha, kappa):
             l = conj[j0] - i0 - 1
             c = c * (l + alpha * (1 + a))
             cprime = cprime * (l + 1 + alpha * a)
-    j = c * cprime
-    value = (c, cprime, j)
-    _hook_cache[key] = value
-    return value
+    return c, cprime, c * cprime
 
 
 def rho(alpha, kappa):

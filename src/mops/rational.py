@@ -177,14 +177,6 @@ def _v_decompose(p, v):
     return out
 
 
-def _v_compose(parts, v):
-    out = {}
-    for d, coeff in parts.items():
-        for exp, c in coeff.items():
-            out[exp[:v] + (d,) + exp[v + 1 :]] = c
-    return out
-
-
 def _v_content(p, v):
     parts = _v_decompose(p, v)
     g = {}

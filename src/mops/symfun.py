@@ -267,9 +267,6 @@ def _fold_tree(tree, basis, nvars, leaf, mul):
 # ---------------------------------------------------------------------------
 # monomial products
 
-_mono_prod_cache = cache.register({})
-
-
 def _sort_desc(vec):
     return tuple(sorted(vec, reverse=True))
 
@@ -302,10 +299,11 @@ def mono_product(lam, mu, n):
         return {}
     if partitions.weight(lam) < partitions.weight(mu):
         lam, mu = mu, lam
-    key = (lam, mu, n)
-    hit = _mono_prod_cache.get(key)
-    if hit is not None:
-        return hit
+    return _mono_product(lam, mu, n)
+
+
+@cache.memo
+def _mono_product(lam, mu, n):
     lam_vec = lam + (0,) * (n - len(lam))
     rearr = _distinct_rearrangements(mu, n)
     candidates = {_sort_desc(a + b for a, b in zip(lam_vec, bvec)) for bvec in rearr}
@@ -319,7 +317,6 @@ def mono_product(lam, mu, n):
                 count += 1
         if count:
             out[tuple(p for p in nu if p)] = count
-    _mono_prod_cache[key] = out
     return out
 
 
@@ -352,16 +349,9 @@ def m2m(expr, nvars=GENERIC):
 # ---------------------------------------------------------------------------
 # power sums
 
-_p2m_cache = cache.register({})
-
-
+@cache.memo
 def _power_sum_monomials(lam, n):
-    """Monomial expansion of p_lam in n variables: dict nu -> int."""
-    lam = partitions.as_partition(lam)
-    key = (lam, n)
-    hit = _p2m_cache.get(key)
-    if hit is not None:
-        return hit
+    """Monomial expansion of p_lam (a partition tuple) in n variables: dict nu -> int."""
     cur = {(0,) * n: 1}
     for r in lam:
         candidates = set()
@@ -384,9 +374,7 @@ def _power_sum_monomials(lam, n):
             if total:
                 new[w] = total
         cur = new
-    out = {tuple(p for p in vec if p): c for vec, c in cur.items()}
-    _p2m_cache[key] = out
-    return out
+    return {tuple(p for p in vec if p): c for vec, c in cur.items()}
 
 
 def p2m(expr, nvars=GENERIC):
@@ -426,14 +414,9 @@ def _mul_p(e1, e2):
     return SymExpr("p", terms)
 
 
-_m2p_cache = cache.register({})
-
-
+@cache.memo
 def _m_to_p_table(k):
     """Power-sum expansions of every m_lam with |lam| = k."""
-    hit = _m2p_cache.get(k)
-    if hit is not None:
-        return hit
     parts = partitions.partitions_of(k)  # decreasing lex
     table = {}
     for lam in parts:
@@ -458,7 +441,6 @@ def _m_to_p_table(k):
                 else:
                     expansion.pop(pmu, None)
         table[lam] = expansion
-    _m2p_cache[k] = table
     return table
 
 

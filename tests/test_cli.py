@@ -215,6 +215,28 @@ def test_config_file(tmp_path, capsys):
     assert parser.parse_scalar(out.strip()) == want
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("default_limit 8\n", "key=value"),
+        ("default_limit=abc\n", "integer"),
+        ("defualt_limit=3\n", "unknown config key"),
+        ("cache_mb=64\n", "unknown config key"),
+        (None, "cannot read config file"),
+    ],
+)
+def test_config_errors_exit_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "mops.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    code, out, err = run(
+        ["--config", str(cfg), "gbinomial", "--alpha", "1", "--kappa", "2", "--sigma", "1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_largest_cdf_cli(capsys):
     code, out, _ = run(
         ["density", "largest-cdf", "--alpha", "2", "--g", "1/2", "--m", "1", "--x", "4"],
