@@ -3,9 +3,12 @@ binomial coefficients.
 
 The binomial coefficients (kappa choose sigma) are rational functions of
 alpha alone (no variable count, no normalization).  They are produced a
-whole table at a time: the contiguous coefficients (sigma+box choose
-sigma) come from a hook-product formula, and the rest follow from the
-recurrence  sum_i (sigma^(i) choose sigma)(kappa choose sigma^(i)) =
+whole table at a time.  The contiguous coefficients (sigma^(i) choose
+sigma), sigma^(i) being sigma with one more box in row i, are ratios of
+hook products in which only the hooks of that box's row and column
+change, so ``contiguous`` takes a product over those i - 1 + sigma_i
+boxes alone.  The rest follow from the recurrence
+sum_i (sigma^(i) choose sigma)(kappa choose sigma^(i)) =
 (k - s)(kappa choose sigma)  solved top-down from (kappa choose kappa)=1.
 """
 
@@ -113,30 +116,42 @@ def _row_increment(sigma, i):
 def contiguous(alpha, sigma, i):
     """(sigma^(i) choose sigma), the one-box binomial coefficient.
 
-    The product formula distinguishes squares lying in the column that
-    receives the new box (column sigma_i + 1) from the rest.
+    The new box (i, c), c = sigma_i + 1, changes only the hooks of column c
+    above row i and of row i left of c.  With leg l and arm a taken in
+    sigma, the coefficient is
+
+        prod_{r<i} (l_r + 2 + alpha a_r) / (l_r + 1 + alpha a_r)
+        * prod_{j<=sigma_i} (l_j + alpha (2 + a_j)) / (l_j + alpha (1 + a_j)),
+
+    r running over the boxes (r, c) and j over the boxes (i, j): the
+    lower hooks of column c and the upper hooks of row i grow by one.
+    A coefficient costs O(i + sigma_i + len(sigma)) field operations.
     """
     return _contiguous(as_exact(alpha), partitions.as_partition(sigma), i)
 
 
 @cache.memo
 def _contiguous(alpha, sigma, i):
-    upper = _row_increment(sigma, i)
-    if upper is None:
+    if _row_increment(sigma, i) is None:
         raise DomainError("row %d of %r cannot be incremented" % (i, sigma))
-    new_col = (sigma[i - 1] if i - 1 < len(sigma) else 0) + 1
-    num = alpha**0
-    for r0, part in enumerate(sigma):
-        for c0 in range(part):
-            on_column = c0 + 1 == new_col
-            if on_column:
-                num = num * partitions.upper_hook(alpha, sigma, r0 + 1, c0 + 1)
-                num = num * partitions.lower_hook(alpha, upper, r0 + 1, c0 + 1)
-            else:
-                num = num * partitions.lower_hook(alpha, sigma, r0 + 1, c0 + 1)
-                num = num * partitions.upper_hook(alpha, upper, r0 + 1, c0 + 1)
-    j_sigma = partitions.hook_products(alpha, sigma)[2]
-    return num / j_sigma
+    row = sigma[i - 1] if i - 1 < len(sigma) else 0
+    num = den = alpha**0
+    # column c holds rows 1..i-1 of sigma, so (r, c) has leg i - 1 - r
+    for r0 in range(i - 1):
+        leg = i - 2 - r0
+        arm = alpha * (sigma[r0] - row - 1)
+        num = num * (leg + 2 + arm)
+        den = den * (leg + 1 + arm)
+    # (i, j) has leg #{t > i: sigma_t >= j}, which grows as j falls
+    below = i
+    for j in range(row, 0, -1):
+        while below < len(sigma) and sigma[below] >= j:
+            below += 1
+        leg = below - i
+        arm = row - j
+        num = num * (leg + alpha * (2 + arm))
+        den = den * (leg + alpha * (1 + arm))
+    return num / den
 
 
 def one_box_recurrence(alpha, kappa, divide):

@@ -16,8 +16,9 @@ of the hypergeometric function of a matrix argument*, Math. Comp. 2006):
 the box (l, c) multiplies each Pochhammer symbol (a)_kappa by
 a + c - 1 - (l-1)/alpha, and changes only the hooks of row l and column c,
 so a partition costs O(m + p + q) field operations instead of O(|kappa|).
-``_series_layers`` states both ratios.  The callers differ only in how
-they fold the layers and when they stop:
+``_series_layers`` states the Pochhammer ratio and
+``partitions._box_hook_ratio`` the hook ratio.  The callers differ only in
+how they fold the layers and when they stop:
 
 - ``ghypergeom`` sums C_kappa at the point, stopping at termination, an
   explicit degree limit or a relative tolerance (p >= q+2 is refused
@@ -73,20 +74,14 @@ def _series_layers(alpha, upper, lower, m, width=None, at_identity=False):
 
         coeff_kappa / coeff_pi = prod (a_i + s) / (k prod (b_j + s)),
 
-    and PoleError is raised when some b_j + s is 0.  At the identity,
-    C_kappa(I_m) = alpha^(2k) k! (m/alpha)_kappa / j_kappa gives
+    and PoleError is raised when some b_j + s is 0.  At the identity the
+    k of k! cancels against C_kappa(I_m) / C_pi(I_m) = k num / den, with
+    (num, den) from ``partitions._box_hook_ratio`` (only the hooks of row
+    l and of column c change), so
 
-        term_kappa / term_pi = alpha (m - l + 1 + alpha (c-1))
-            prod (a_i + s) / prod (b_j + s) * j_pi / j_kappa,
+        term_kappa / term_pi = num prod (a_i + s) / (den prod (b_j + s)).
 
-    where only the hooks of row l and of column c change:
-
-        j_kappa / j_pi = alpha c (1 + alpha (c-1)) prod_{r<l}
-            (h + alpha (1+a_r)) (h + 1 + alpha a_r)
-            / ((h - 1 + alpha (1+a_r)) (h + alpha a_r)),
-
-    with h = l - r and a_r = kappa_r - c.  A partition thus costs
-    O(m + p + q) field operations.
+    A partition thus costs O(m + p + q) field operations.
     """
     one = alpha**0
     row_shift = [i / alpha for i in range(m)]
@@ -99,12 +94,12 @@ def _series_layers(alpha, upper, lower, m, width=None, at_identity=False):
             c = kappa[-1]
             parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
             s = c - 1 - row_shift[l - 1]
-            num = one
+            if at_identity:
+                num, den = partitions._box_hook_ratio(alpha, kappa, m)
+            else:
+                num, den = one, k
             for a_i in upper:
                 num = num * (a_i + s)
-            # at the identity k! cancels, and so does the alpha of the
-            # new box's factor against that of its row's hooks
-            den = c if at_identity else k
             for b_j in lower:
                 factor = b_j + s
                 if factor == 0:
@@ -112,15 +107,6 @@ def _series_layers(alpha, upper, lower, m, width=None, at_identity=False):
                         "lower parameter %s hits a pole at kappa=%r" % (b_j, kappa)
                     )
                 den = den * factor
-            if at_identity:
-                lift = alpha * (c - 1)
-                num = num * (m - l + 1 + lift)
-                den = den * (1 + lift)
-                for r0 in range(l - 1):
-                    h = l - 1 - r0
-                    arm = alpha * (kappa[r0] - c)
-                    num = num * ((h - 1 + alpha + arm) * (h + arm))
-                    den = den * ((h + alpha + arm) * (h + 1 + arm))
             layer[kappa] = prev[parent] * (num / den)
         yield list(layer.items())
         prev = layer
@@ -357,7 +343,8 @@ def level_density_polynomial(beta, n):
     kappa = (beta,) * (n - 1)
     k = beta * (n - 1)
     h = orthopoly.hermite(alpha, kappa, n)
-    ck_ident = jack.jack_identity_value(alpha, kappa, "C", n)
+    ident = orthopoly._identity_values(alpha, kappa, Fraction(n))
+    ck_ident = ident[kappa]
     gamma_ratio = Fraction(
         math.factorial(beta // 2), math.factorial(n * beta // 2)
     )
@@ -365,8 +352,7 @@ def level_density_polynomial(beta, n):
     for sigma, c in h.coeffs.items():
         s = partitions.weight(sigma)
         sign = -1 if ((k - s) // 2) % 2 else 1
-        ident = jack.jack_identity_value(alpha, sigma, "C", n)
-        coeffs[s] += sign * c * ident / ck_ident
+        coeffs[s] += sign * c * ident[sigma] / ck_ident
     return [gamma_ratio * q for q in coeffs]
 
 

@@ -13,7 +13,7 @@ polynomials at n = 1.
 
 from fractions import Fraction
 
-from . import binom, jack, operators, partitions
+from . import binom, cache, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
 from .rational import RationalFunction, as_exact
@@ -101,12 +101,37 @@ def _check_weight_param(value, name):
     return value
 
 
-def _identity_values(alpha, kappa, m_scalar):
-    """C_sigma(I_m) for every subpartition sigma of kappa."""
-    return {
-        sigma: jack.jack_identity_value(alpha, sigma, "C", m_scalar)
-        for sigma in partitions.subpartitions_of(kappa)
-    }
+@cache.memo
+def _identity_values(alpha, kappa, m):
+    """C_sigma(I_m) for every subpartition sigma of kappa, keyed by sigma.
+
+    Sorted, the subpartitions list every sigma after its parent pi, sigma
+    less its last box (l, c), and only the hooks of row l and of column c
+    differ between the two, so
+
+        C_sigma(I_m) = |sigma| C_pi(I_m) num / den,
+
+    with (num, den) from ``partitions._box_hook_ratio``:
+
+        num = (m - l + 1 + alpha (c-1))
+            prod_{r<l} (h - 1 + alpha (1+a_r)) (h + alpha a_r),
+        den = c (1 + alpha (c-1))
+            prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r),
+
+    h = l - r, a_r = sigma_r - c.  A subpartition costs O(l) field
+    operations.  The dict is the memo table's own: callers must not
+    change it.
+    """
+    values = {}
+    for sigma in partitions.subpartitions_of(kappa):
+        if not sigma:
+            values[sigma] = alpha**0
+            continue
+        c = sigma[-1]
+        parent = sigma[:-1] + (c - 1,) if c > 1 else sigma[:-1]
+        num, den = partitions._box_hook_ratio(alpha, sigma, m)
+        values[sigma] = values[parent] * (partitions.weight(sigma) * num / den)
+    return values
 
 
 def _by_weight(kappa):
@@ -413,12 +438,10 @@ def eval_at_scalar_identity(expansion, x, m):
         raise DomainError(
             "expansion was built for %r variables, not %d" % (expansion.nvars, m)
         )
-    alpha = expansion.params["alpha"]
+    ident = _identity_values(expansion.params["alpha"], expansion.kappa, Fraction(m))
     total = 0
     for sigma, c in expansion.coeffs.items():
-        s = partitions.weight(sigma)
-        ident = jack.jack_identity_value(alpha, sigma, "C", Fraction(m))
-        total = total + c * x**s * ident
+        total = total + c * x ** partitions.weight(sigma) * ident[sigma]
     return total
 
 

@@ -197,6 +197,40 @@ def _hook_products(alpha, kappa):
     return c, cprime, c * cprime
 
 
+def _box_hook_ratio(alpha, kappa, m):
+    """(num, den) with num / den = C_kappa(I_m) / (|kappa| C_pi(I_m)).
+
+    pi is kappa less its last box (l, c): l = len(kappa), c = kappa_l.
+    C_kappa(I_m) = alpha^(2k) k! (m/alpha)_kappa / j_kappa, and the box
+    multiplies (m/alpha)_kappa by m/alpha + c - 1 - (l-1)/alpha.  It
+    changes only the hooks of row l and of column c:
+
+        j_kappa / j_pi = alpha c (1 + alpha (c-1)) prod_{r<l}
+            (h + alpha (1+a_r)) (h + 1 + alpha a_r)
+            / ((h - 1 + alpha (1+a_r)) (h + alpha a_r)),
+
+    with h = l - r and a_r = kappa_r - c, so
+
+        num = (m - l + 1 + alpha (c-1))
+            prod_{r<l} (h - 1 + alpha (1+a_r)) (h + alpha a_r),
+        den = c (1 + alpha (c-1))
+            prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r).
+
+    kappa must be non-empty; num and den are in the field of alpha and m.
+    """
+    l = len(kappa)
+    c = kappa[-1]
+    lift = alpha * (c - 1)
+    num = m - l + 1 + lift
+    den = c * (1 + lift)
+    for r0 in range(l - 1):
+        h = l - 1 - r0
+        arm = alpha * (kappa[r0] - c)
+        num = num * ((h - 1 + alpha + arm) * (h + arm))
+        den = den * ((h + alpha + arm) * (h + 1 + arm))
+    return num, den
+
+
 def rho(alpha, kappa):
     """sum_i kappa_i * (kappa_i - 1 - (2/alpha)(i-1))."""
     alpha = as_exact(alpha)

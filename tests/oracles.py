@@ -3,8 +3,9 @@
 These deliberately avoid the library's own algorithms: univariate
 orthogonal polynomials come from exact moment Gram-Schmidt, generalized
 binomial coefficients from the shifted-argument definition, Hermite
-ensemble expectations from the two-variable rotation reduction, and
-subpartition enumeration from brute force over tuples.
+ensemble expectations from the two-variable rotation reduction,
+subpartition enumeration from brute force over tuples, and contiguous
+binomial coefficients from hook products over the whole diagram.
 """
 
 import itertools
@@ -80,6 +81,38 @@ def jacobi_moments(count):
     return [rf(1)] + [
         sfact(G1 + 1, j) / sfact(G1 + G2 + 2, j) for j in range(1, count)
     ]
+
+
+def _hooks(alpha, kappa, r0, c0):
+    """(upper, lower) hooks of the square (r0+1, c0+1), read off the diagram."""
+    arm = kappa[r0] - c0 - 1
+    leg = sum(1 for part in kappa[r0 + 1 :] if part > c0)
+    return leg + alpha * (1 + arm), leg + 1 + alpha * arm
+
+
+def contiguous_all_boxes(alpha, sigma, i):
+    """(sigma^(i) choose sigma) as a product over every square of sigma.
+
+    A square in the column of the new box contributes its upper hook in
+    sigma times its lower hook in sigma^(i); any other square its lower
+    hook in sigma times its upper hook in sigma^(i).  The product is
+    divided by j_sigma, the product of all upper and lower hooks of sigma.
+    """
+    grown = list(sigma) + [0] * (i - len(sigma))
+    grown[i - 1] += 1
+    grown = tuple(p for p in grown if p)
+    new_col = grown[i - 1]
+    num = j_sigma = alpha**0
+    for r0, part in enumerate(sigma):
+        for c0 in range(part):
+            up_s, low_s = _hooks(alpha, sigma, r0, c0)
+            up_g, low_g = _hooks(alpha, grown, r0, c0)
+            if c0 + 1 == new_col:
+                num = num * up_s * low_g
+            else:
+                num = num * low_s * up_g
+            j_sigma = j_sigma * up_s * low_s
+    return num / j_sigma
 
 
 def gbinomial_from_definition(alpha, kappa, sigma, m):

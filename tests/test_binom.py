@@ -8,7 +8,7 @@ from mops.errors import DomainError
 from mops.partitions import is_subpartition, partitions_of, subpartitions_of, weight
 from mops.rational import ALPHA, GAMMA, N, R
 
-from oracles import gbinomial_from_definition
+from oracles import contiguous_all_boxes, gbinomial_from_definition
 
 a = ALPHA
 
@@ -55,6 +55,26 @@ def test_contiguous_examples():
         binom.contiguous(a, (1, 1), 2)  # (1,2) is not a partition
     with pytest.raises(DomainError):
         binom.contiguous(a, (2, 2), 4)
+
+
+def test_contiguous_matches_all_boxes_formula():
+    # the row-and-column product against the product over every square,
+    # exactly and in the same canonical form
+    numeric = [Fraction(1), Fraction(2), Fraction(1, 4), Fraction(3, 2)]
+    for k in range(12):
+        alphas = numeric + [a] if k <= 8 else numeric
+        for sigma in partitions_of(k):
+            padded = sigma + (0,)
+            for i in range(1, len(sigma) + 3):
+                if i > len(padded) or (i > 1 and padded[i - 2] == padded[i - 1]):
+                    for alpha in alphas:
+                        with pytest.raises(DomainError):
+                            binom.contiguous(alpha, sigma, i)
+                    continue
+                for alpha in alphas:
+                    got = binom.contiguous(alpha, sigma, i)
+                    want = contiguous_all_boxes(alpha, sigma, i)
+                    assert got == want and repr(got) == repr(want), (alpha, sigma, i)
 
 
 def test_gbinomial_examples():

@@ -265,6 +265,28 @@ def test_level_density_scaled_mass():
     assert abs(total - 1.0) < 1e-8
 
 
+def test_level_density_takes_no_whole_diagram_hooks(monkeypatch):
+    # identity values and contiguous coefficients come from row-and-column
+    # box updates; none of the per-diagram hook computations may run
+    from mops import cache, jack, partitions
+
+    want = hg.level_density_polynomial(4, 4)
+
+    def refuse(*args):
+        raise AssertionError("whole-diagram hook computation called")
+
+    for module, name in [
+        (jack, "jack_identity_value"),
+        (partitions, "hook_products"),
+        (partitions, "upper_hook"),
+        (partitions, "lower_hook"),
+        (partitions, "leg"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    cache.clear_all()
+    assert hg.level_density_polynomial(4, 4) == want
+
+
 def test_level_density_rejects_odd_beta():
     with pytest.raises(DomainError):
         hg.level_density_polynomial(3, 2)

@@ -6,7 +6,7 @@ import pytest
 
 from mops import jack, orthopoly as op
 from mops.errors import DomainError
-from mops.partitions import partitions_of, weight
+from mops.partitions import partitions_of, subpartitions_of, weight
 from mops.rational import ALPHA, G1, G2, GAMMA, N, rf
 from mops.symfun import GENERIC
 
@@ -208,6 +208,25 @@ def test_eval_at_scalar_identity():
     assert op.eval_at_scalar_identity(jac, Fraction(1), 3) == total
     with pytest.raises(DomainError):
         op.eval_at_scalar_identity(h, rf(1), 2)
+
+
+def test_identity_values_match_jack():
+    # the box-by-box table against the hook-product value of each sigma
+    for alpha in (one, Fraction(1, 4), Fraction(3, 2), a):
+        kappas = [(4, 3, 1), (3, 3, 2, 1), (2, 2, 2, 2, 2)]
+        if alpha is not a:
+            kappas.append((8, 8, 8, 8))
+        for m in (Fraction(3), Fraction(5), N):
+            for kappa in kappas:
+                table = op._identity_values(alpha, kappa, m)
+                assert sorted(table) == subpartitions_of(kappa)
+                for sigma, value in table.items():
+                    assert value == jack.jack_identity_value(alpha, sigma, "C", m), (
+                        alpha, sigma, m,
+                    )
+                snapshot = dict(table)
+                again = op._identity_values(alpha, kappa, m)
+                assert again is table and again == snapshot
 
 
 def test_orthogonality_to_constants():
