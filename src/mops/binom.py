@@ -100,17 +100,17 @@ def log_mv_gamma(alpha, a, m):
 
 
 def _row_increment(sigma, i):
-    """sigma with row i (1-based) incremented, or None if not a partition."""
-    sigma = partitions.as_partition(sigma)
+    """sigma with row i (1-based) incremented, or None if not a partition.
+
+    sigma must be a canonical partition tuple; i may be any integer.
+    """
     l = len(sigma)
     if i < 1 or i > l + 1:
         return None
     row = sigma[i - 1] if i <= l else 0
-    if i >= 2 and (sigma[i - 2] if i - 2 < l else 0) < row + 1:
+    if i >= 2 and sigma[i - 2] <= row:
         return None
-    out = list(sigma) + [0] * (i - l)
-    out[i - 1] += 1
-    return tuple(p for p in out if p)
+    return sigma[: i - 1] + (row + 1,) + sigma[i:]
 
 
 def contiguous(alpha, sigma, i):
@@ -161,6 +161,8 @@ def one_box_recurrence(alpha, kappa, divide):
     v_sigma = divide(sigma, sum_i (sigma^(i) choose sigma) v_{sigma^(i)}),
     the sum running over the row increments sigma^(i) that have a value.
     Returns {sigma: v_sigma}, kappa first and then by decreasing weight.
+    alpha and kappa must be canonical, as ``as_exact`` and
+    ``partitions.as_partition`` leave them.
     """
     table = {kappa: alpha**0}
     # by decreasing weight, so every sigma^(i) comes before sigma; kappa
@@ -171,7 +173,7 @@ def one_box_recurrence(alpha, kappa, divide):
             up_val = table.get(_row_increment(sigma, i))
             if up_val is None:
                 continue
-            term = contiguous(alpha, sigma, i) * up_val
+            term = _contiguous(alpha, sigma, i) * up_val
             total = term if total is None else total + term
         if total is not None:
             table[sigma] = divide(sigma, total)

@@ -51,16 +51,6 @@ def _parse_grid(text):
     return [start + i * step for i in range(count)]
 
 
-def _scalar_json(value):
-    value = rf(value) if not isinstance(value, RationalFunction) else value
-    return value.to_json()
-
-
-def _scalar_text(value):
-    value = rf(value) if not isinstance(value, RationalFunction) else value
-    return value.text()
-
-
 def _emit_symexpr(e, fmt):
     if fmt == "json":
         print(json.dumps(e.to_json(), sort_keys=True))
@@ -69,10 +59,11 @@ def _emit_symexpr(e, fmt):
 
 
 def _emit_scalar(value, fmt):
+    value = rf(value)
     if fmt == "json":
-        print(json.dumps(_scalar_json(value), sort_keys=True))
+        print(json.dumps(value.to_json(), sort_keys=True))
     else:
-        print(_scalar_text(value))
+        print(value.text())
 
 
 def _emit_csv(xs, ys):

@@ -2,10 +2,11 @@
 
 Everything reduces to the expectation of a single Jack polynomial C_kappa:
 a generalized-Pochhammer closed form for Laguerre and Jacobi, and the
-constant term of the Hermite polynomial (computed through the
-limiting-process construction, which only needs the empty-partition
-coefficient) for Hermite.  Expressions are first flattened to the Jack C
-basis and expectation is applied by linearity.
+constant term of the Hermite polynomial for Hermite.  That term is read
+off the whole limiting-process expansion (``orthopoly.hermite2``), which
+is built for every subpartition; its C_() coefficient is the one used.
+Expressions are first flattened to the Jack C basis and expectation is
+applied by linearity.
 """
 
 from fractions import Fraction

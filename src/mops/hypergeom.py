@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from . import binom, jack, orthopoly, partitions
 from .errors import ConvergenceError, DomainError, PoleError
-from .rational import RationalFunction, as_exact
+from .rational import RationalFunction, as_exact, rf
 from .symfun import eval_numeric
 
 DEGREE_CAP = 400
@@ -221,6 +221,14 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
 # smallest eigenvalue of the 2/alpha-Laguerre ensemble
 
 
+def _numeric_alpha(alpha):
+    """alpha as a positive Fraction; the eigenvalue curves are numeric."""
+    alpha = jack._as_alpha(alpha)
+    if not (isinstance(alpha, Fraction) and alpha > 0):
+        raise DomainError("eigenvalue distributions need a numeric alpha > 0, got %s" % rf(alpha).text())
+    return alpha
+
+
 def smallest_eig_terms(alpha, p, m):
     """Exact coefficients c_k of the terminating 2F0 factor.
 
@@ -228,7 +236,7 @@ def smallest_eig_terms(alpha, p, m):
     c_k = sum over kappa of k inside the p x (m-1) box of
     (-p)_kappa (m/alpha + 1)_kappa C_kappa(I_{m-1}) / k!.
     """
-    alpha = Fraction(alpha)
+    alpha = _numeric_alpha(alpha)
     if not (isinstance(p, int) and p >= 1):
         raise DomainError("smallest-eigenvalue density needs integer p >= 1")
     if m < 1:
@@ -286,12 +294,12 @@ def smallest_eig_density_normalized(alpha, p, m, xs):
 
 def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     """P[largest eigenvalue < x] for the 2/alpha-Laguerre ensemble."""
-    alpha = Fraction(alpha)
+    alpha = _numeric_alpha(alpha)
     gamma = Fraction(gamma)
-    if x <= 0:
-        return 0.0
     if gamma <= -1:
         raise DomainError("gamma must be > -1")
+    if x <= 0:
+        return 0.0
     a1 = gamma + Fraction(m - 1) / alpha + 1
     b1 = gamma + 2 * Fraction(m - 1) / alpha + 2
     log_pref = binom.log_mv_gamma(alpha, Fraction(m - 1) / alpha + 1, m)

@@ -2,9 +2,14 @@
 
 Each polynomial is stored as an OrthoExpansion: a map from subpartitions
 sigma of kappa to the exact coefficient of the plain Jack polynomial
-C_sigma.  Two independent Hermite constructions are provided (a
-coefficient recurrence and a limiting-process formula); they must agree
-exactly, which is enforced by the test suite.
+C_sigma.  Two independent Hermite constructions are provided; they must
+agree exactly, which is enforced by the test suite.  ``hermite`` walks the
+two-box paths sigma -> sigma^(i) -> sigma^(i)(j) inside kappa, each
+weighted by the content of its first box less the content of its second,
+the content of box (row, col) being col - 1 - (row - 1)/alpha.
+``hermite2`` takes the Laguerre limit: a sum over the pairs
+sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma) times one
+coefficient of a Pochhammer ratio.
 
 Sign conventions follow the explicit expansion formulas and the
 eigenfunction equations, cross-checked against the univariate classical
@@ -16,7 +21,7 @@ from fractions import Fraction
 from . import binom, cache, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
-from .rational import RationalFunction, as_exact
+from .rational import as_exact, rf
 from .symfun import GENERIC, SymExpr, eval_numeric
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
@@ -56,18 +61,12 @@ class OrthoExpansion:
         return out
 
     def to_json(self):
-        from .rational import rf
-
-        terms = []
-        for part, coeff in self.sorted_terms():
-            coeff = rf(coeff) if not isinstance(coeff, RationalFunction) else coeff
-            terms.append({"partition": list(part), "coeff": coeff.to_json()})
+        terms = [
+            {"partition": list(part), "coeff": rf(coeff).to_json()}
+            for part, coeff in self.sorted_terms()
+        ]
         mode = "generic" if self.nvars is GENERIC else self.nvars
-        params = {}
-        for name in sorted(self.params):
-            value = self.params[name]
-            value = rf(value) if not isinstance(value, RationalFunction) else value
-            params[name] = value.to_json()
+        params = {name: rf(value).to_json() for name, value in sorted(self.params.items())}
         return {
             "family": self.family,
             "kappa": list(self.kappa),
@@ -132,13 +131,6 @@ def _identity_values(alpha, kappa, m):
         num, den = partitions._box_hook_ratio(alpha, sigma, m)
         values[sigma] = values[parent] * (partitions.weight(sigma) * num / den)
     return values
-
-
-def _by_weight(kappa):
-    out = {}
-    for sigma in partitions.subpartitions_of(kappa):
-        out.setdefault(partitions.weight(sigma), []).append(sigma)
-    return out
 
 
 def _binomial_expansion(alpha, kappa, c1, m, values):
@@ -215,10 +207,13 @@ def jacobi(alpha, kappa, g1, g2, nvars=GENERIC):
 def hermite2(alpha, kappa, nvars=GENERIC):
     """Hermite polynomial from the Laguerre limit formula.
 
-    The coefficient of C_sigma is (C_kappa(I)/C_sigma(I)) *
-    sum_j (-1)^j sum_{sigma <= mu <= kappa, |mu| = j}
-    (kappa choose mu)(mu choose sigma) [r^((k+s)/2 - j)]
-    (r + 1 + (m-1)/alpha)_kappa / (r + 1 + (m-1)/alpha)_mu.
+    With k = |kappa|, s = |sigma| and c0 = 1 + (m-1)/alpha, the
+    coefficient of C_sigma is (C_kappa(I)/C_sigma(I)) times the sum over
+    the pairs (mu, sigma) with sigma <= mu <= kappa of
+    (-1)^(k-|mu|) (kappa choose mu)(mu choose sigma)
+    [r^((k+s)/2 - |mu|)] (r + c0)_kappa / (r + c0)_mu,
+    zero when k - s is odd.  The walk takes mu from the table of kappa and
+    sigma from the table of mu.
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
@@ -226,119 +221,86 @@ def hermite2(alpha, kappa, nvars=GENERIC):
     m = _m_scalar(nvars)
     k = partitions.weight(kappa)
     c0 = 1 + (m - 1) / alpha
-    btable = binom.gbinomial_table(alpha, kappa)
-    by_weight = _by_weight(kappa)
-    rpolys = {
-        mu: binom.poch_ratio_rpoly(alpha, c0, kappa, mu)
-        for mu in btable
-    }
-    ident = _identity_values(alpha, kappa, m)
-    ck_ident = ident[kappa]
-    coeffs = {}
-    for sigma in btable:
-        s = partitions.weight(sigma)
-        if (k - s) % 2:
-            continue
-        total = None
-        for j in range(s, (k + s) // 2 + 1):
-            idx = (k + s) // 2 - j
-            layer = None
-            for mu in by_weight.get(j, ()):
-                if not partitions.is_subpartition(sigma, mu):
-                    continue
-                term = (
-                    btable[mu]
-                    * binom.gbinomial_table(alpha, mu)[sigma]
-                    * rpolys[mu][idx]
-                )
-                layer = term if layer is None else layer + term
-            if layer is None:
+    totals = {}
+    for mu, kappa_mu in binom.gbinomial_table(alpha, kappa).items():
+        j = partitions.weight(mu)
+        if (k - j) % 2:
+            kappa_mu = -kappa_mu
+        rpoly = binom.poch_ratio_rpoly(alpha, c0, kappa, mu)
+        for sigma, mu_sigma in binom.gbinomial_table(alpha, mu).items():
+            s = partitions.weight(sigma)
+            if (k - s) % 2 or 2 * j > k + s:
                 continue
-            if (k - j) % 2:
-                layer = -layer
-            total = layer if total is None else total + layer
-        if total is None:
-            continue
-        coeffs[sigma] = total * ck_ident / ident[sigma]
+            term = kappa_mu * mu_sigma * rpoly[(k + s) // 2 - j]
+            total = totals.get(sigma)
+            totals[sigma] = term if total is None else total + term
+    ident = _identity_values(alpha, kappa, m)
+    coeffs = {sigma: total * ident[kappa] / ident[sigma] for sigma, total in totals.items()}
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 
 
 # ---------------------------------------------------------------------------
 # Hermite, coefficient recurrence
 
+
 def hermite(alpha, kappa, nvars=GENERIC):
     """Hermite polynomial via the two-box coefficient recurrence.
 
-    Walking the eigenfunction equation down two units of weight at a time:
-    the diagonal step adds two boxes to one row with weight
-    -(sigma^(i)(i) choose sigma^(i))(sigma^(i) choose sigma); the
-    off-diagonal step adds one box to each of rows i < j with scalar
-    weight sigma_i - sigma_j - (i-j)/alpha times the DIFFERENCE of the
-    two one-box chains, (via row i) - (via row j), a chain counting 0
-    when its intermediate shape is not a partition.  This is the variant
-    that agrees exactly with the limiting-process construction.
+    Walking the eigenfunction equation down two units of weight at a time,
+
+        v_sigma = sum (c_1 - c_2) (sigma^(i) choose sigma)
+                  (sigma^(i)(j) choose sigma^(i)) v_{sigma^(i)(j)} / (k - s),
+
+    the sum running over the two-box paths sigma -> sigma^(i) ->
+    sigma^(i)(j) inside kappa, from v_kappa = C_kappa(I).  c_1 and c_2 are
+    the contents of the path's first and second boxes, the content of box
+    (row, col) being col - 1 - (row - 1)/alpha: two boxes in one row weigh
+    -1, and boxes in rows i != j weigh sigma_i - sigma_j - (i - j)/alpha,
+    the opposite order the negative, so the two chains ending at one
+    partition are subtracted before the weight multiplies them.  The
+    coefficient of C_sigma is v_sigma / C_sigma(I).
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     _check_nvars(kappa, nvars)
-    m = _m_scalar(nvars)
     k = partitions.weight(kappa)
-    ident = _identity_values(alpha, kappa, m)
-    sub_set = set(partitions.subpartitions_of(kappa))
-    by_weight = _by_weight(kappa)
+    ident = _identity_values(alpha, kappa, _m_scalar(nvars))
     inner = {kappa: ident[kappa]}
-    for s in range(k - 2, -1, -2):
-        for sigma in by_weight.get(s, ()):
-            total = None
-            rows = len(sigma) + 1
-            # two boxes in one row
-            for i in range(1, rows + 1):
-                step1 = binom._row_increment(sigma, i)
-                if step1 is None:
-                    continue
-                step2 = binom._row_increment(step1, i)
-                if step2 is None or step2 not in sub_set:
-                    continue
-                up = inner.get(step2)
-                if up is None:
-                    continue
-                term = (
-                    binom.contiguous(alpha, step1, i)
-                    * binom.contiguous(alpha, sigma, i)
-                    * up
-                )
-                total = -term if total is None else total - term
-            # one box in each of two rows i < j
-            for i in range(1, rows + 1):
-                step_i = binom._row_increment(sigma, i)
-                if step_i is None:
-                    continue
-                si = sigma[i - 1] if i - 1 < len(sigma) else 0
-                for j in range(i + 1, rows + 2):
-                    mu = binom._row_increment(step_i, j)
-                    if mu is None or mu not in sub_set:
-                        continue
-                    up = inner.get(mu)
-                    if up is None:
-                        continue
-                    sj = sigma[j - 1] if j - 1 < len(sigma) else 0
-                    chain = binom.contiguous(alpha, step_i, j) * binom.contiguous(
-                        alpha, sigma, i
-                    )
-                    step_j = binom._row_increment(sigma, j)
-                    if step_j is not None:
-                        chain = chain - binom.contiguous(
-                            alpha, step_j, i
-                        ) * binom.contiguous(alpha, sigma, j)
-                    weight = si - sj - (i - j) / alpha
-                    term = weight * chain * up
-                    total = term if total is None else total + term
-            if total is None:
+    # reversed lexicographic order puts every sigma^(i)(j) before sigma
+    for sigma in reversed(partitions.subpartitions_of(kappa)):
+        s = partitions.weight(sigma)
+        if s == k or (k - s) % 2:
+            continue
+        # end partition -> [weight of the order met first, chain difference]
+        paths = {}
+        for i in range(1, len(sigma) + 2):
+            step = binom._row_increment(sigma, i)
+            if step is None:
                 continue
+            first = binom._contiguous(alpha, sigma, i)
+            for j in range(1, len(step) + 2):
+                end = binom._row_increment(step, j)
+                if end not in inner:
+                    continue
+                chain = first * binom._contiguous(alpha, step, j)
+                pair = paths.get(end)
+                if pair is not None:
+                    pair[1] = pair[1] - chain
+                    continue
+                # content sigma_i - (i-1)/alpha of the first box less
+                # step_j - (j-1)/alpha of the second; -1 in one row
+                si = sigma[i - 1] if i <= len(sigma) else 0
+                weight = si - (step[j - 1] if j <= len(step) else 0)
+                if i != j:
+                    weight = weight - (i - j) / alpha
+                paths[end] = [weight, chain]
+        total = None
+        for end, (weight, chain) in paths.items():
+            term = weight * chain * inner[end]
+            total = term if total is None else total + term
+        if total is not None:
             inner[sigma] = total / (k - s)
-    coeffs = {}
-    for sigma, val in inner.items():
-        coeffs[sigma] = val / ident[sigma]
+    coeffs = {sigma: val / ident[sigma] for sigma, val in inner.items()}
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 
 

@@ -106,7 +106,7 @@ class SymExpr:
         chunks = []
         for part, coeff in self.sorted_terms():
             body = "%s[%s]" % (self.basis, ",".join(str(x) for x in part))
-            coeff = rf(coeff) if not isinstance(coeff, RationalFunction) else coeff
+            coeff = rf(coeff)
             if not part:
                 piece = coeff.text()
             elif coeff == 1:
@@ -124,10 +124,10 @@ class SymExpr:
         return "".join(chunks)
 
     def to_json(self):
-        items = []
-        for part, coeff in self.sorted_terms():
-            coeff = rf(coeff) if not isinstance(coeff, RationalFunction) else coeff
-            items.append({"partition": list(part), "coeff": coeff.to_json()})
+        items = [
+            {"partition": list(part), "coeff": rf(coeff).to_json()}
+            for part, coeff in self.sorted_terms()
+        ]
         mode = "generic" if self.nvars is GENERIC else self.nvars
         return {"basis": self.basis, "varMode": mode, "terms": items}
 

@@ -248,6 +248,20 @@ def test_largest_cdf_cli(capsys):
     assert abs(float(out) - gammainc(1.5, 2.0)) < 1e-9
 
 
+@pytest.mark.parametrize("alpha", [[], ["--alpha", "a"], ["--alpha", "0"], ["--alpha", "-1"]])
+@pytest.mark.parametrize(
+    "which",
+    [
+        ["smallest", "--p", "3", "--m", "3", "--grid", "0.1:2:3"],
+        ["largest-cdf", "--g", "1", "--m", "2", "--x", "1"],
+    ],
+)
+def test_density_needs_numeric_alpha(capsys, which, alpha):
+    code, out, err = run(["density"] + which + alpha, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "alpha" in err
+
+
 def test_eval_power_sum_cli(capsys):
     code, out, _ = run(["eval", "--expr", "p[2]*p[1]", "--at", "1,2"], capsys)
     assert code == 0 and abs(float(out) - (1 + 4) * 3) < 1e-12

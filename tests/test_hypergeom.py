@@ -223,6 +223,13 @@ def test_largest_eig_cdf_chi2():
             assert abs(got - want) < 1e-10
 
 
+def test_largest_eig_cdf_checks_gamma_before_x():
+    for x in (-1.0, 0.0, 1.0):
+        with pytest.raises(DomainError):
+            hg.largest_eig_cdf(1, -3, 2, x)
+    assert hg.largest_eig_cdf(1, 1, 2, -1.0) == 0.0
+
+
 def test_largest_eig_cdf_properties():
     assert hg.largest_eig_cdf(Fraction(1), Fraction(1), 2, 1e-9) < 1e-12
     grid = [0.5, 1.0, 2.0, 4.0, 8.0, 16.0]

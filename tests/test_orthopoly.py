@@ -164,6 +164,11 @@ def test_hermite_constructions_agree():
     for k in range(1, 5):
         for kap in partitions_of(k):
             assert op.hermite(a, kap, GENERIC).coeffs == op.hermite2(a, kap, GENERIC).coeffs
+    for alpha in (one, Fraction(1, 4), Fraction(3, 2)):
+        for n in (2, 3, 5):
+            for k in range(1, 8):
+                for kap in partitions_of(k, max_len=n):
+                    assert op.hermite(alpha, kap, n).coeffs == op.hermite2(alpha, kap, n).coeffs
 
 
 def test_hermite2_examples():
