@@ -151,7 +151,7 @@ def _contiguous(alpha, sigma, i):
         arm = row - j
         num = num * (leg + alpha * (2 + arm))
         den = den * (leg + alpha * (1 + arm))
-    return num / den
+    return num / partitions._hook_divisor(den, alpha, sigma)
 
 
 def one_box_recurrence(alpha, kappa, divide):

@@ -36,12 +36,15 @@ def _parse_vars(text):
 
 
 def _parse_point(text):
-    return [float(x) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [float(x) for x in text.split(",") if x.strip() != ""]
+    except ValueError:
+        raise DomainError("a point is comma-separated numbers, got %r" % text)
 
 
 def _parse_grid(text):
     try:
-        start, stop, count = text.split(":")
+        start, stop, count = (text or "").split(":")
         start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise DomainError("--grid expects start:stop:count")
@@ -127,7 +130,9 @@ def cmd_hypergeom(args):
     upper = [parse_scalar(t) for t in args.upper.split(",") if t.strip()] if args.upper else []
     lower = [parse_scalar(t) for t in args.lower.split(",") if t.strip()] if args.lower else []
     if args.xid:
-        xtext, m = args.xid.rsplit(":", 1)
+        xtext, _, m = args.xid.rpartition(":")
+        if not m.strip().isdigit():
+            raise DomainError("--xid expects x:m with an integer m, got %r" % args.xid)
         # "x" is accepted as a spelling of the formal series variable
         x = R_PARAM if xtext.strip() == "x" else parse_scalar(xtext)
         arg = ("xid", x, int(m))
@@ -211,8 +216,10 @@ def cmd_density(args):
     elif args.which == "largest-cdf":
         if args.g is None or args.m is None:
             raise DomainError("density largest-cdf needs --g and --m")
+        xs = _parse_grid(args.grid) if args.grid else _parse_point(args.x or "")
+        if not args.grid and len(xs) != 1:
+            raise DomainError("density largest-cdf needs one number --x or a --grid")
         gamma = parse_scalar(args.g).to_fraction()
-        xs = _parse_grid(args.grid) if args.grid else [float(args.x)]
         values = [hypergeom.largest_eig_cdf(alpha, gamma, args.m, x, tol=args.tol or 1e-10) for x in xs]
         if len(xs) == 1 and not args.grid:
             print(values[0])

@@ -61,14 +61,18 @@ def expect_jack_c(spec, kappa):
     return binom.gsfact(alpha, c1, kappa) / binom.gsfact(alpha, c2, kappa) * ident
 
 
-def expect_jack_expr(spec, expr):
-    """E of an expression over Jack-basis leaves."""
-    flat = symfun.jack2jack(spec.alpha, expr, spec.nvars)
+def _expect_c_basis(spec, cexp):
+    """E of a Jack C-basis SymExpr, by linearity."""
     total = None
-    for kappa, coeff in flat.terms.items():
+    for kappa, coeff in cexp.terms.items():
         term = coeff * expect_jack_c(spec, kappa)
         total = term if total is None else total + term
     return total if total is not None else spec.alpha * 0
+
+
+def expect_jack_expr(spec, expr):
+    """E of an expression over Jack-basis leaves."""
+    return _expect_c_basis(spec, symfun.jack2jack(spec.alpha, expr, spec.nvars))
 
 
 def expect_monomial_expr(spec, expr):
@@ -79,12 +83,7 @@ def expect_monomial_expr(spec, expr):
                 "products of monomials need a numeric variable count for expectations"
             )
     flat = symfun.m2m(expr, spec.nvars)
-    cexp = symfun.m2jack(spec.alpha, flat, spec.nvars)
-    total = None
-    for kappa, coeff in cexp.terms.items():
-        term = coeff * expect_jack_c(spec, kappa)
-        total = term if total is None else total + term
-    return total if total is not None else spec.alpha * 0
+    return _expect_c_basis(spec, symfun.m2jack(spec.alpha, flat, spec.nvars))
 
 
 def conjecture_coefficients(alpha, k, cap=8):

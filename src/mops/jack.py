@@ -47,7 +47,7 @@ def jack_monomial_coefficients(alpha, kappa):
 def _jack_monomial_coefficients(alpha, kappa):
     k = partitions.weight(kappa)
     c_upper = partitions.hook_products(alpha, kappa)[0]
-    seed = alpha**k * math.factorial(k) / c_upper
+    seed = alpha**k * math.factorial(k) / partitions._hook_divisor(c_upper, alpha, kappa)
     table = {kappa: seed}
     rho_kappa = partitions.rho(alpha, kappa)
     two_over_alpha = 2 / alpha
@@ -105,7 +105,7 @@ def normalization_factor(frm, to, alpha, kappa):
         return alpha**0
     f_from = _c_to_norm_factor(alpha, kappa, frm)
     f_to = _c_to_norm_factor(alpha, kappa, to)
-    return f_from / f_to
+    return f_from / partitions._hook_divisor(f_to, alpha, kappa)
 
 
 def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
@@ -133,16 +133,10 @@ def jack_identity_value(alpha, kappa, norm, m):
     alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
-    m = as_exact(m)
-    poch = binom.gsfact(alpha, m / alpha, kappa)
-    c_upper, c_lower, j_full = partitions.hook_products(alpha, kappa)
-    if norm == "C":
-        return alpha ** (2 * k) * math.factorial(k) * poch / j_full
-    if norm == "J":
-        return alpha**k * poch
-    if norm == "P":
-        return alpha**k * poch / c_lower
-    raise DomainError("unknown normalization %r" % (norm,))
+    poch = binom.gsfact(alpha, as_exact(m) / alpha, kappa)
+    j_full = partitions._hook_divisor(partitions.hook_products(alpha, kappa)[2], alpha, kappa)
+    value = alpha ** (2 * k) * math.factorial(k) * poch / j_full
+    return value * _c_to_norm_factor(alpha, kappa, norm)
 
 
 def apply_dstar(expr, alpha, nvars):
@@ -157,7 +151,7 @@ def apply_dstar(expr, alpha, nvars):
         raise DomainError("apply_dstar needs a numeric variable count")
     if nvars > 6:
         raise DomainError("apply_dstar is capped at 6 variables")
-    return operators.apply_to_symexpr(expr, "dstar", alpha, nvars)
+    return operators.apply_to_symexpr(expr, [(1, "dstar")], alpha, nvars)
 
 
 def dstar_eigenvalue(alpha, kappa, nvars):

@@ -1,10 +1,15 @@
 """Exact application of the ensemble differential operators.
 
 Symmetric polynomials are expanded into explicit exponent vectors over a
-fixed number of variables; the singular pair terms sum_{i != j}
-x_i^w / (x_i - x_j) * d/dx_i collapse to polynomial contributions via the
-divided-difference identity (x^a y^b - x^b y^a) / (x - y) =
-sum_{r=b..a-1} x^r y^{a+b-1-r}, so no rational-function division is ever
+fixed number of variables.  The singular pair terms
+sum_{i != j} x_i^w / (x_i - x_j) d/dx_i (w in {0, 1, 2}) collapse to
+polynomials by one rule: on a pair x_i^u x_j^v + x_i^v x_j^u they give
+u D(u+w-1, v) + v D(v+w-1, u), with the divided difference
+
+    D(A, B) = (x_i^A x_j^B - x_i^B x_j^A) / (x_i - x_j)
+            = +-sum_{r=min(A,B)}^{max(A,B)-1} x_i^r x_j^{A+B-1-r},
+
+the sign being that of A - B; so no rational-function division is ever
 performed.  Coefficients are exact scalars (Fractions or rational
 functions), exponents machine ints.
 """
@@ -52,53 +57,31 @@ def _add(poly, vec, coeff):
         del poly[vec]
 
 
-def _apply_pairs(poly, weight_exp, out, factor):
-    """Pair terms of the operator with x_i^weight_exp numerator.
+def _apply_pairs(poly, w, out, factor):
+    """factor * sum_{i != j} x_i^w / (x_i - x_j) d/dx_i, by the D(A, B) rule.
 
-    weight_exp = 2 gives sum x_i^2/(x_i - x_j) d_i, weight_exp = 1 the
-    x_i variant, weight_exp = 0 the bare 1/(x_i - x_j) variant.  Each
-    unordered monomial pair {v, swap_ij(v)} is processed once, from the
-    representative with v_i >= v_j.
+    Each unordered monomial pair {vec, swap_ij(vec)} is processed once,
+    from the representative with u = vec_i >= v = vec_j: it gives
+    u D(u+w-1, v) + v D(v+w-1, u), or u D(u+w-1, u) alone when u = v.
     """
     for vec, c in poly.items():
-        n = len(vec)
         fc = factor * c
-        for i in range(n):
-            u = vec[i]
-            for j in range(i + 1, n):
+        for i, u in enumerate(vec):
+            for j in range(i + 1, len(vec)):
                 v = vec[j]
                 if u < v:
                     continue
-                pre = list(vec)
-                if weight_exp == 2:
-                    if u == v:
-                        _add(out, vec, fc * u)
+                terms = [(u, u + w - 1, v)]
+                if u > v:
+                    terms.append((v, v + w - 1, u))
+                for mult, a, b in terms:
+                    if not mult or a == b:
                         continue
-                    _add(out, vec, fc * u)
-                    pre[i], pre[j] = v, u
-                    _add(out, tuple(pre), fc * u)
-                    for rexp in range(v + 1, u):
-                        pre[i], pre[j] = rexp, u + v - rexp
-                        _add(out, tuple(pre), fc * (u - v))
-                elif weight_exp == 1:
-                    if u == v:
-                        continue
-                    for rexp in range(v, u):
-                        pre[i], pre[j] = rexp, u + v - 1 - rexp
-                        _add(out, tuple(pre), fc * (u - v))
-                else:
-                    if u == v:
-                        if u >= 1:
-                            pre[i], pre[j] = u - 1, u - 1
-                            _add(out, tuple(pre), -fc * u)
-                        continue
-                    for rexp in range(v, u - 1):
-                        pre[i], pre[j] = rexp, u + v - 2 - rexp
-                        _add(out, tuple(pre), fc * u)
-                    if v >= 1:
-                        for rexp in range(v - 1, u):
-                            pre[i], pre[j] = rexp, u + v - 2 - rexp
-                            _add(out, tuple(pre), -fc * v)
+                    coeff = fc * (mult if a > b else -mult)
+                    pre = list(vec)
+                    for r in range(min(a, b), max(a, b)):
+                        pre[i], pre[j] = r, a + b - 1 - r
+                        _add(out, tuple(pre), coeff)
 
 
 def _apply_second_derivative(poly, weight_exp, out):
@@ -117,20 +100,12 @@ def _apply_second_derivative(poly, weight_exp, out):
                 _add(out, tuple(lst), coeff)
 
 
-def apply_operator(poly, kind, alpha=None):
-    """Apply one operator to an exponent-vector polynomial.
-
-    kind: 'dstar'        x^2 second derivatives + (2/a) x^2 pair terms
-          'deltastar'    x   second derivatives + (2/a) x   pair terms
-          'deltastarstar'     second derivatives + (2/a)    pair terms
-          'E'            sum x_i d_i (degree operator)
-          'eps'          sum d_i
-    """
-    out = {}
+def _apply(poly, kind, alpha, out):
+    """Add one operator applied to an exponent-vector polynomial into out."""
     if kind == "E":
         for vec, c in poly.items():
             _add(out, vec, c * sum(vec))
-        return out
+        return
     if kind == "eps":
         for vec, c in poly.items():
             for i, u in enumerate(vec):
@@ -138,7 +113,7 @@ def apply_operator(poly, kind, alpha=None):
                     lst = list(vec)
                     lst[i] = u - 1
                     _add(out, tuple(lst), c * u)
-        return out
+        return
     weight_exp = {"dstar": 2, "deltastar": 1, "deltastarstar": 0}.get(kind)
     if weight_exp is None:
         raise DomainError("unknown operator %r" % kind)
@@ -146,11 +121,22 @@ def apply_operator(poly, kind, alpha=None):
         raise DomainError("operator %s requires alpha" % kind)
     _apply_second_derivative(poly, weight_exp, out)
     _apply_pairs(poly, weight_exp, out, 2 / alpha)
-    return out
 
 
-def apply_to_symexpr(expr, kind, alpha=None, nvars=None):
-    if nvars is GENERIC or nvars is None:
+def apply_to_symexpr(expr, terms, alpha, nvars):
+    """Apply sum scalar * operator over the (scalar, kind) pairs of terms.
+
+    kind: 'dstar'        x^2 second derivatives + (2/a) x^2 pair terms
+          'deltastar'    x   second derivatives + (2/a) x   pair terms
+          'deltastarstar'     second derivatives + (2/a)    pair terms
+          'E'            sum x_i d_i (degree operator)
+          'eps'          sum d_i
+    expr is a monomial SymExpr on nvars variables, and so is the result.
+    """
+    if nvars is GENERIC:
         raise DomainError("operator application needs a numeric variable count")
     poly = expand_to_vectors(expr, nvars)
-    return collect_to_symexpr(apply_operator(poly, kind, alpha), nvars)
+    out = {}
+    for scalar, kind in terms:
+        _apply({vec: scalar * c for vec, c in poly.items()}, kind, alpha, out)
+    return collect_to_symexpr(out, nvars)

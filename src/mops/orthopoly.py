@@ -22,7 +22,7 @@ from . import binom, cache, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
 from .rational import as_exact, rf
-from .symfun import GENERIC, SymExpr, eval_numeric
+from .symfun import GENERIC, SymExpr, eval_numeric, expand_to_monomials
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
 
@@ -53,12 +53,9 @@ class OrthoExpansion:
         return SymExpr("C", self.coeffs, self.nvars)
 
     def to_monomials(self, alpha):
-        out = SymExpr("m", {}, self.nvars)
         if self.nvars is GENERIC:
             raise DomainError("monomial expansion needs a numeric variable count")
-        for sigma, c in self.coeffs.items():
-            out = out.add(jack.jack_expand(alpha, sigma, "C", self.nvars).scale(c))
-        return out
+        return expand_to_monomials(alpha, self.as_symexpr(), self.nvars)
 
     def to_json(self):
         terms = [
@@ -308,22 +305,6 @@ def hermite(alpha, kappa, nvars=GENERIC):
 # evaluation helpers
 
 
-def _poly_combine(parts):
-    """Sum scalar * polynomial dicts."""
-    out = {}
-    for scalar, poly in parts:
-        if not scalar:
-            continue
-        for vec, c in poly.items():
-            cur = out.get(vec)
-            new = scalar * c if cur is None else cur + scalar * c
-            if new:
-                out[vec] = new
-            else:
-                del out[vec]
-    return out
-
-
 def family_operator(expansion):
     """Apply the family's defining differential operator.
 
@@ -335,40 +316,20 @@ def family_operator(expansion):
     """
     if expansion.nvars is GENERIC:
         raise DomainError("operator check needs a numeric variable count")
-    n = expansion.nvars
     alpha = expansion.params["alpha"]
-    mono = expansion.to_monomials(alpha)
-    poly = operators.expand_to_vectors(mono, n)
     if expansion.family == "hermite":
-        out = _poly_combine(
-            [
-                (1, operators.apply_operator(poly, "deltastarstar", alpha)),
-                (-1, operators.apply_operator(poly, "E")),
-            ]
-        )
+        terms = [(1, "deltastarstar"), (-1, "E")]
     elif expansion.family == "laguerre":
-        gamma = expansion.params["g"]
-        out = _poly_combine(
-            [
-                (1, operators.apply_operator(poly, "deltastar", alpha)),
-                (-1, operators.apply_operator(poly, "E")),
-                (gamma + 1, operators.apply_operator(poly, "eps")),
-            ]
-        )
+        terms = [(1, "deltastar"), (-1, "E"), (expansion.params["g"] + 1, "eps")]
     elif expansion.family == "jacobi":
         g1 = expansion.params["g1"]
         g2 = expansion.params["g2"]
-        out = _poly_combine(
-            [
-                (1, operators.apply_operator(poly, "dstar", alpha)),
-                (g1 + g2 + 2, operators.apply_operator(poly, "E")),
-                (-1, operators.apply_operator(poly, "deltastar", alpha)),
-                (-(g1 + 1), operators.apply_operator(poly, "eps")),
-            ]
-        )
+        terms = [(1, "dstar"), (g1 + g2 + 2, "E"), (-1, "deltastar"), (-(g1 + 1), "eps")]
     else:
         raise DomainError("unknown family %r" % expansion.family)
-    return operators.collect_to_symexpr(out, n)
+    return operators.apply_to_symexpr(
+        expansion.to_monomials(alpha), terms, alpha, expansion.nvars
+    )
 
 
 def family_eigenvalue(expansion):

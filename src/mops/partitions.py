@@ -9,7 +9,7 @@ operations pad logically.  Squares of the diagram are addressed with
 from fractions import Fraction
 
 from . import cache
-from .errors import DomainError
+from .errors import DomainError, PoleError
 from .rational import as_exact
 
 LESS = "less"
@@ -197,6 +197,13 @@ def _hook_products(alpha, kappa):
     return c, cprime, c * cprime
 
 
+def _hook_divisor(value, alpha, kappa):
+    """value, a product of hooks of kappa about to divide; PoleError if it is 0."""
+    if not value:
+        raise PoleError("alpha = %s is a pole of the hook products of %r" % (alpha, kappa))
+    return value
+
+
 def _box_hook_ratio(alpha, kappa, m):
     """(num, den) with num / den = C_kappa(I_m) / (|kappa| C_pi(I_m)).
 
@@ -217,6 +224,7 @@ def _box_hook_ratio(alpha, kappa, m):
             prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r).
 
     kappa must be non-empty; num and den are in the field of alpha and m.
+    PoleError is raised when den is 0.
     """
     l = len(kappa)
     c = kappa[-1]
@@ -228,7 +236,7 @@ def _box_hook_ratio(alpha, kappa, m):
         arm = alpha * (kappa[r0] - c)
         num = num * ((h - 1 + alpha + arm) * (h + arm))
         den = den * ((h + alpha + arm) * (h + 1 + arm))
-    return num, den
+    return num, _hook_divisor(den, alpha, kappa)
 
 
 def rho(alpha, kappa):
@@ -268,5 +276,8 @@ def deserialize(text):
     text = text.strip()
     if text in ("", "[]"):
         return ()
-    text = text.strip("[]")
-    return as_partition(int(p) for p in text.split(","))
+    try:
+        parts = [int(p) for p in text.strip("[]").split(",")]
+    except ValueError:
+        raise DomainError("partition parts must be integers: %r" % text)
+    return as_partition(parts)

@@ -332,18 +332,10 @@ def _mul_m(e1, e2, n):
 
 def m2m(expr, nvars=GENERIC):
     """Flatten a product tree over monomials into a monomial SymExpr."""
-    if isinstance(expr, SymExpr):
-        if expr.basis != "m":
-            raise DomainError("m2m expects monomial input")
-        return SymExpr("m", expr.terms, nvars)
-    n_eff = nvars if nvars is not GENERIC else max(_length_bound(expr), 1)
-
-    def leaf(node):
+    for node in [expr] if isinstance(expr, SymExpr) else leaves(expr):
         if node.basis != "m":
-            raise DomainError("m2m expects monomial leaves, found %s" % node.basis)
-        return SymExpr("m", {node.partition: 1}, nvars)
-
-    return _fold_tree(expr, "m", nvars, leaf, lambda e1, e2: _mul_m(e1, e2, n_eff))
+            raise DomainError("m2m expects monomial input, found %s" % node.basis)
+    return expand_to_monomials(None, expr, nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -506,17 +498,16 @@ def m2jack(alpha, expr, nvars=GENERIC):
 
 
 def expand_to_monomials(alpha, expr, nvars=GENERIC):
-    """Expand a mixed-basis expression tree into the monomial basis.
+    """Expand a mixed-basis expression tree or SymExpr into the monomial basis.
 
+    This is the one conversion of any basis into monomials: ``m2m``,
+    ``eval_numeric`` and ``OrthoExpansion.to_monomials`` all come here.
     Jack leaves need alpha; power-sum leaves expand through their cached
-    monomial tables.  Products with a generic variable count use the
-    stabilized coefficients (valid for all sufficiently large n).
+    monomial tables.  A SymExpr adds its scaled leaves term by term.
+    Products with a generic variable count use the stabilized
+    coefficients (valid for all sufficiently large n).
     """
     from . import jack
-
-    if isinstance(expr, SymExpr):
-        expr = Sum([Prod([Scalar(c), Leaf(expr.basis, p)]) for p, c in expr.sorted_terms()])
-    n_eff = nvars if nvars is not GENERIC else max(_length_bound(expr), 1)
 
     def leaf(node):
         if node.basis == "m":
@@ -527,6 +518,12 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
             raise DomainError("Jack-basis leaves need alpha")
         return jack.jack_expand(alpha, node.partition, node.basis, nvars)
 
+    if isinstance(expr, SymExpr):
+        out = SymExpr("m", {}, nvars)
+        for part, coeff in expr.terms.items():
+            out = out.add(leaf(Leaf(expr.basis, part)).scale(coeff))
+        return out
+    n_eff = nvars if nvars is not GENERIC else max(_length_bound(expr), 1)
     return _fold_tree(expr, "m", nvars, leaf, lambda e1, e2: _mul_m(e1, e2, n_eff))
 
 
@@ -553,24 +550,16 @@ def jack2jack(alpha, expr, nvars=GENERIC):
 def eval_numeric(expr, xs, alpha=None):
     """Value of the symmetric polynomial at the point xs.
 
-    Coefficients must be fully bound; Jack bases additionally need the
-    numeric alpha that defines them.
+    Coefficients must be fully bound.  Every basis other than m goes
+    through ``expand_to_monomials`` first; Jack bases additionally need
+    the numeric alpha that defines them.
     """
-    from . import jack
-
     xs = list(xs)
     n = len(xs)
     if expr.nvars is not GENERIC and expr.nvars != n:
         raise DomainError("expression uses %r variables, point has %d" % (expr.nvars, n))
-    if expr.basis in JACK_BASES:
-        if alpha is None:
-            raise DomainError("numeric Jack evaluation needs alpha")
-        mono = SymExpr("m", {}, n)
-        for part, coeff in expr.terms.items():
-            mono = mono.add(jack.jack_expand(alpha, part, expr.basis, n).scale(coeff))
-        expr = mono
-    elif expr.basis == "p":
-        expr = p2m(expr, n)
+    if expr.basis != "m":
+        expr = expand_to_monomials(alpha, expr, n)
     total = 0
     for part, coeff in expr.terms.items():
         if isinstance(coeff, RationalFunction):

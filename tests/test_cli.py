@@ -262,6 +262,46 @@ def test_density_needs_numeric_alpha(capsys, which, alpha):
     assert err.startswith("error: ") and "alpha" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hermite", "--alpha", "-1", "--partition", "2", "--vars", "2"],
+        ["hermite2", "--alpha", "-1", "--partition", "2", "--vars", "2"],
+        ["laguerre", "--alpha", "-1", "--partition", "2", "--vars", "2", "--g", "1"],
+        ["jacobi", "--alpha", "-1", "--partition", "2", "--vars", "2", "--g1", "1", "--g2", "1"],
+        ["jack", "--alpha", "-1", "--partition", "1,1"],
+        ["gbinomial", "--alpha", "-1", "--kappa", "2,1", "--sigma", "1"],
+        ["hypergeom", "--alpha", "-1", "--upper", "1", "--lower", "3", "--xid", "1/2:2", "--limit", "4"],
+    ],
+)
+def test_hook_product_pole_exits_3(capsys, argv):
+    # a numeric alpha that zeroes a hook product is a pole, not a crash
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "pole" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["jack", "--alpha", "1", "--partition", "2", "--at", "1,x"], "point"),
+        (["eval", "--expr", "m[1]", "--at", "y"], "point"),
+        (["hypergeom", "--alpha", "1", "--upper", "1", "--lower", "3", "--x", "1,z", "--limit", "4"], "point"),
+        (["hypergeom", "--alpha", "1", "--upper", "1", "--lower", "3", "--xid", "1/2", "--limit", "4"], "x:m"),
+        (["hypergeom", "--alpha", "1", "--upper", "1", "--lower", "3", "--xid", "1/2:q", "--limit", "4"], "x:m"),
+        (["jack", "--alpha", "1", "--partition", "2,x"], "integers"),
+        (["gbinomial", "--alpha", "1", "--kappa", "2.5", "--sigma", "1"], "integers"),
+        (["density", "largest-cdf", "--alpha", "1", "--g", "1", "--m", "2"], "--x or a --grid"),
+        (["density", "largest-cdf", "--alpha", "1", "--g", "1", "--m", "2", "--x", "q"], "point"),
+        (["density", "level", "--beta", "2", "--n", "3"], "--grid"),
+    ],
+)
+def test_malformed_input_exits_2(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_eval_power_sum_cli(capsys):
     code, out, _ = run(["eval", "--expr", "p[2]*p[1]", "--at", "1,2"], capsys)
     assert code == 0 and abs(float(out) - (1 + 4) * 3) < 1e-12

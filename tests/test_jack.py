@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mops import jack
+from mops import hypergeom, jack
 from mops.errors import DomainError, PoleError
 from mops.partitions import partitions_of, rho
 from mops.rational import ALPHA, N, rf
@@ -174,6 +174,21 @@ def test_numeric_alpha_pole():
     # alpha = -1/2 makes rho([2]) - rho([1,1]) vanish: 2 - (-2/a) = 2 + 2a... at a=-1 it is 0
     with pytest.raises(PoleError):
         jack.jack_expand(Fraction(-1), (2,), "C", GENERIC)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: jack.jack_identity_value(-1, (2,), "C", 2),
+        lambda: jack.normalization_factor("C", "J", -1, (2,)),
+        lambda: hypergeom.ghypergeom(Fraction(-1), [1], [3], ("xid", Fraction(1, 2), 2), limit=4),
+    ],
+    ids=["identity_value", "normalization_factor", "ghypergeom_xid"],
+)
+def test_hook_product_pole_is_a_pole_error(call):
+    # alpha = -1 zeroes the hook products of (2); no bare ZeroDivisionError
+    with pytest.raises(PoleError):
+        call()
 
 
 def test_dstar_nvars_cap():

@@ -1,8 +1,10 @@
+import ast
+import pathlib
 from fractions import Fraction
 
 import pytest
 
-from mops import jack
+from mops import jack, symfun
 from mops.errors import DomainError, UnsupportedModeError
 from mops.partitions import partitions_of
 from mops.rational import ALPHA, rf
@@ -178,6 +180,40 @@ def test_eval_numeric_unbound_parameters():
     with pytest.raises(DomainError) as err:
         eval_numeric(e, [2.0])
     assert "a" in str(err.value)
+
+
+def test_conversions_refuse_foreign_bases():
+    with pytest.raises(DomainError, match="monomial"):
+        m2m(Prod([m_(1), p_(1)]), 2)
+    with pytest.raises(DomainError, match="monomial"):
+        m2m(SymExpr("p", {(1,): 1}, 2), 2)
+    with pytest.raises(DomainError, match="alpha"):
+        eval_numeric(SymExpr("C", {(2,): 1}, 2), [1.0, 2.0])
+
+
+def _jack_expand_callers(source, module):
+    """module.function names whose body refers to jack_expand."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        defs = [stmt] if not isinstance(stmt, ast.ClassDef) else stmt.body
+        for node in defs:
+            name = "%s.%s" % (module, getattr(node, "name", "<module>"))
+            for sub in ast.walk(node):
+                if "jack_expand" in (getattr(sub, "id", None), getattr(sub, "attr", None)):
+                    found.add(name)
+    return found
+
+
+def test_monomial_expansions_go_through_expand_to_monomials():
+    # one place turns a basis into monomials; the Jack-at-a-point series
+    # and the CLI's jack command are the only other callers of jack_expand
+    assert _jack_expand_callers("def f():\n    return jack.jack_expand(1, (1,))\n", "m") == {"m.f"}
+    assert _jack_expand_callers("class K:\n    def g(self):\n        jack_expand()\n", "m") == {"m.g"}
+    src = pathlib.Path(symfun.__file__).parent
+    callers = set()
+    for path in sorted(src.glob("*.py")):
+        callers |= _jack_expand_callers(path.read_text(), path.stem)
+    assert callers == {"symfun.expand_to_monomials", "hypergeom.ghypergeom", "cli.cmd_jack"}
 
 
 def test_m2jack_numeric_mode_roundtrip():
