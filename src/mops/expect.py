@@ -2,11 +2,12 @@
 
 Everything reduces to the expectation of a single Jack polynomial C_kappa:
 a generalized-Pochhammer closed form for Laguerre and Jacobi, and the
-constant term of the Hermite polynomial for Hermite.  That term is read
-off the whole limiting-process expansion (``orthopoly.hermite2``), which
-is built for every subpartition; its C_() coefficient is the one used.
-Expressions are first flattened to the Jack C basis and expectation is
-applied by linearity.
+constant term of the Hermite polynomial for Hermite.  That term is the
+sigma = () case of the limiting-process formula of ``orthopoly.hermite2``,
+summed on its own (``orthopoly._hermite_constant_term``) from the one
+binomial table of kappa, without building the expansion.  Expressions are
+first flattened to the Jack C basis and expectation is applied by
+linearity.
 """
 
 from fractions import Fraction
@@ -40,7 +41,20 @@ class EnsembleSpec:
 
 
 def expect_jack_c(spec, kappa):
-    """E[C_kappa] over the ensemble."""
+    """E[C_kappa] over the ensemble.
+
+    Hermite: zero for odd k = |kappa|; for even k, with h = k/2,
+
+        E[C_kappa] = (-1)^h C_kappa(I_m) sum_{mu <= kappa, |mu| <= h}
+                     (-1)^(k-|mu|) (kappa choose mu) e_h(b_mu),
+
+    the sum being the constant term of the Hermite polynomial over
+    C_kappa(I_m), and b_mu holding (alpha j + m - 1 - (i-1))/alpha for each
+    box (i, j) of kappa/mu.  Laguerre: (g + (m-1)/alpha + 1)_kappa
+    C_kappa(I_m).  Jacobi: (c1)_kappa / (c2)_kappa C_kappa(I_m) with
+    c1 = g1 + (m-1)/alpha + 1 and c2 = g1 + g2 + 2(m-1)/alpha + 2.  A
+    Hermite zero, and the zero for kappa longer than m, is ``alpha * 0``.
+    """
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
     alpha = spec.alpha
@@ -48,9 +62,9 @@ def expect_jack_c(spec, kappa):
     if spec.nvars is not GENERIC and len(kappa) > spec.nvars:
         return alpha * 0
     if spec.family == "hermite":
-        if k % 2:
+        h0 = orthopoly._hermite_constant_term(alpha, kappa, m) if k % 2 == 0 else 0
+        if not h0:
             return alpha * 0
-        h0 = orthopoly.eval_at_zero(orthopoly.hermite2(alpha, kappa, spec.nvars))
         return h0 if (k // 2) % 2 == 0 else -h0
     ident = jack.jack_identity_value(alpha, kappa, "C", m)
     if spec.family == "laguerre":

@@ -123,7 +123,7 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
         if nvars is not GENERIC and len(lam) > nvars:
             continue
         terms[lam] = coeff * factor if factor != 1 else coeff
-    return SymExpr("m", terms, nvars)
+    return SymExpr._of_canonical("m", terms, nvars)
 
 
 def jack_identity_value(alpha, kappa, norm, m):

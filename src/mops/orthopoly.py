@@ -9,7 +9,8 @@ weighted by the content of its first box less the content of its second,
 the content of box (row, col) being col - 1 - (row - 1)/alpha.
 ``hermite2`` takes the Laguerre limit: a sum over the pairs
 sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma) times one
-coefficient of a Pochhammer ratio.
+coefficient of a Pochhammer ratio; ``_hermite_constant_term`` sums its
+sigma = () case alone, for the Hermite expectations.
 
 Sign conventions follow the explicit expansion formulas and the
 eigenfunction equations, cross-checked against the univariate classical
@@ -234,6 +235,45 @@ def hermite2(alpha, kappa, nvars=GENERIC):
     ident = _identity_values(alpha, kappa, m)
     coeffs = {sigma: total * ident[kappa] / ident[sigma] for sigma, total in totals.items()}
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
+
+
+def _hermite_constant_term(alpha, kappa, m):
+    """The coefficient of C_() in ``hermite2(alpha, kappa, m)``.
+
+    alpha and kappa must be canonical, k = |kappa| even and m the scalar
+    of ``_m_scalar``.  For sigma = () the formula of ``hermite2`` needs
+    only (kappa choose mu): with h = k/2 the term is
+
+        C_kappa(I_m) sum_{mu <= kappa, |mu| <= h}
+            (-1)^(k-|mu|) (kappa choose mu) e_h(b_mu),
+
+    b_mu holding (alpha j + m - 1 - (i-1))/alpha for each box (i, j) of
+    kappa/mu: (r + c0)_kappa/(r + c0)_mu is the product of the k - |mu|
+    factors r + b, so its coefficient of r^(h-|mu|) is e_h(b_mu).  e_h is
+    built over the numerators alone, and alpha^h divides the sum once.
+    """
+    k = partitions.weight(kappa)
+    h = k // 2
+    total = None
+    for mu, kappa_mu in binom.gbinomial_table(alpha, kappa).items():
+        j = partitions.weight(mu)
+        if 2 * j > k:
+            continue
+        # e[t] = e_t of the numerators of the boxes seen so far, t <= h
+        e = [1] + [0] * h
+        seen = 0
+        for i0, part in enumerate(kappa):
+            low = mu[i0] if i0 < len(mu) else 0
+            for col in range(low + 1, part + 1):
+                x = alpha * col + m - 1 - i0
+                seen += 1
+                for t in range(min(seen, h), 0, -1):
+                    e[t] = e[t] + e[t - 1] * x
+        term = kappa_mu * e[h]
+        if (k - j) % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total / alpha**h * jack.jack_identity_value(alpha, kappa, "C", m)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,19 @@ class SymExpr:
         self.terms = {p: c for p, c in clean.items() if c}
         self.nvars = nvars
 
+    @classmethod
+    def _of_canonical(cls, basis, terms, nvars):
+        """A SymExpr whose keys are canonical partitions within nvars.
+
+        Skips the checks of ``__init__``; zero coefficients are dropped and
+        the terms keep their order.
+        """
+        self = object.__new__(cls)
+        self.basis = basis
+        self.terms = {p: c for p, c in terms.items() if c}
+        self.nvars = nvars
+        return self
+
     def __bool__(self):
         return bool(self.terms)
 
@@ -65,10 +78,10 @@ class SymExpr:
         terms = dict(self.terms)
         for part, coeff in other.terms.items():
             terms[part] = terms[part] + coeff if part in terms else coeff
-        return SymExpr(self.basis, terms, self.nvars)
+        return SymExpr._of_canonical(self.basis, terms, self.nvars)
 
     def scale(self, scalar):
-        return SymExpr(
+        return SymExpr._of_canonical(
             self.basis, {p: c * scalar for p, c in self.terms.items()}, self.nvars
         )
 
@@ -503,8 +516,8 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
     This is the one conversion of any basis into monomials: ``m2m``,
     ``eval_numeric`` and ``OrthoExpansion.to_monomials`` all come here.
     Jack leaves need alpha; power-sum leaves expand through their cached
-    monomial tables.  A SymExpr adds its scaled leaves term by term.
-    Products with a generic variable count use the stabilized
+    monomial tables.  A SymExpr adds its scaled leaves into one dict of
+    terms.  Products with a generic variable count use the stabilized
     coefficients (valid for all sufficiently large n).
     """
     from . import jack
@@ -519,10 +532,20 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
         return jack.jack_expand(alpha, node.partition, node.basis, nvars)
 
     if isinstance(expr, SymExpr):
-        out = SymExpr("m", {}, nvars)
+        # a key whose sum cancels leaves the dict at once and re-enters at
+        # the end, the order of a sum taken term by term, which the float
+        # sum of eval_numeric follows
+        terms = {}
         for part, coeff in expr.terms.items():
-            out = out.add(leaf(Leaf(expr.basis, part)).scale(coeff))
-        return out
+            for nu, c in leaf(Leaf(expr.basis, part)).terms.items():
+                c = c * coeff
+                if nu in terms:
+                    c = terms[nu] + c
+                if c:
+                    terms[nu] = c
+                else:
+                    terms.pop(nu, None)
+        return SymExpr._of_canonical("m", terms, nvars)
     n_eff = nvars if nvars is not GENERIC else max(_length_bound(expr), 1)
     return _fold_tree(expr, "m", nvars, leaf, lambda e1, e2: _mul_m(e1, e2, n_eff))
 

@@ -185,6 +185,42 @@ def test_expect_consistency_both_hermite_constructions():
             assert ex.expect_jack_c(spec, kap) == sign * e1 == sign * e2
 
 
+def test_hermite_expectation_builds_no_expansion(monkeypatch):
+    from mops import binom
+    from mops import orthopoly as op
+
+    def refuse(*args):
+        raise AssertionError("whole Hermite expansion built")
+
+    for module, name in ((op, "hermite"), (op, "hermite2"), (binom, "poch_ratio_rpoly")):
+        monkeypatch.setattr(module, name, refuse)
+    spec = ex.EnsembleSpec("hermite", a, GENERIC)
+    assert ex.expect_jack_c(spec, (2,)) == N * (N + a) / (1 + a)
+    spec = ex.EnsembleSpec("hermite", a, 5)
+    val = ex.expect_jack_c(spec, (2,) * 5) / jack.jack_identity_value(a, (2,) * 5, "C", 5)
+    assert val == (a**4 + 10 * a**3 + 45 * a**2 + 80 * a + 89) / a**4
+
+
+def test_hermite_zero_is_typed():
+    for nvars in (GENERIC, 3):
+        spec = ex.EnsembleSpec("hermite", 1, nvars)
+        for kap in ((3, 2, 1), (2, 1)):
+            val = ex.expect_jack_c(spec, kap)
+            assert val == 0 and repr(val) == repr(Fraction(0))
+
+
+def test_gue_trace_moments_harer_zagier():
+    # at alpha = 1, E[tr X^(2p)] = b_p with b_0 = n, b_1 = n^2 and
+    # (p+1) b_p = (4p-2) n b_(p-1) + (p-1)(2p-1)(2p-3) b_(p-2)
+    b = [N, N**2]
+    for p in range(2, 6):
+        b.append(((4 * p - 2) * N * b[p - 1] + (p - 1) * (2 * p - 1) * (2 * p - 3) * b[p - 2]) / (p + 1))
+    assert b[5] == 42 * N**6 + 420 * N**4 + 483 * N**2
+    spec = ex.EnsembleSpec("hermite", 1, GENERIC)
+    for p in range(1, 6):
+        assert ex.expect_monomial_expr(spec, SymExpr("m", {(2 * p,): 1})) == b[p]
+
+
 def test_conjecture_report():
     rep = ex.conjecture_coefficients(a, 1)
     assert rep == [

@@ -171,6 +171,22 @@ def test_hermite_constructions_agree():
                     assert op.hermite(alpha, kap, n).coeffs == op.hermite2(alpha, kap, n).coeffs
 
 
+def test_hermite_constant_term_matches_both_constructions():
+    # the weight cap falls by 2 for each symbolic parameter (alpha, n)
+    for alpha in (a, one, Fraction(2), Fraction(1, 3), Fraction(3, 2)):
+        for n in (GENERIC, 1, 2, 3, 5):
+            cap = 8 - 2 * ((alpha is a) + (n is GENERIC))
+            m = op._m_scalar(n)
+            for k in range(0, cap + 1, 2):
+                for kap in partitions_of(k, max_len=n):
+                    got = op._hermite_constant_term(alpha, kap, m)
+                    for build in (op.hermite, op.hermite2):
+                        want = op.eval_at_zero(build(alpha, kap, n))
+                        assert got == want, (alpha, n, kap, build.__name__)
+                        if want:
+                            assert repr(got) == repr(want)
+
+
 def test_hermite2_examples():
     h = op.hermite2(a, (1, 1), GENERIC)
     assert h.coeffs == op.hermite(a, (1, 1), GENERIC).coeffs

@@ -260,3 +260,26 @@ def test_unknown_node_raises_domain_error():
             for nvars in (GENERIC, 2):
                 with pytest.raises(DomainError, match="unknown expression node"):
                     fn(tree, nvars)
+
+
+def test_monomial_expansion_validates_each_key_once(monkeypatch):
+    # canonical keys skip re-validation as the expansion accumulates: each
+    # C term is checked by the few public calls it passes (SymExpr, Leaf,
+    # jack_expand, the Jack table), no monomial key is checked again
+    from mops import orthopoly, partitions
+
+    h = Fraction(1, 2)
+    expansion = orthopoly.hermite(h, (6, 4, 2), 6)
+    want = expansion.to_monomials(h)
+    calls = []
+    checked = partitions.as_partition
+
+    def counted(parts):
+        calls.append(parts)
+        return checked(parts)
+
+    monkeypatch.setattr(partitions, "as_partition", counted)
+    got = expansion.to_monomials(h)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert len(expansion.coeffs) == 29 and len(got.terms) == 101
+    assert len(calls) <= 4 * len(expansion.coeffs)
