@@ -13,17 +13,17 @@ sum_i (sigma^(i) choose sigma)(kappa choose sigma^(i)) =
 """
 
 import math
-from fractions import Fraction
 
 from . import cache, partitions
 from .errors import DomainError
-from .rational import RationalFunction, as_exact
+from .rational import as_exact
 
 
 def sfact(r, k):
     """Shifted factorial r (r+1) ... (r+k-1); empty product is 1."""
     if k < 0:
         raise DomainError("sfact needs a non-negative integer order")
+    r = as_exact(r, "r")
     out = 1
     for i in range(k):
         out = out * (r + i)
@@ -32,7 +32,8 @@ def sfact(r, k):
 
 def gsfact(alpha, r, kappa):
     """Generalized Pochhammer symbol prod_i (r - (i-1)/alpha)_{kappa_i}."""
-    alpha = as_exact(alpha)
+    alpha = as_exact(alpha, "alpha")
+    r = as_exact(r, "r")
     kappa = partitions.as_partition(kappa)
     out = 1
     for i0, part in enumerate(kappa):
@@ -42,7 +43,8 @@ def gsfact(alpha, r, kappa):
 
 def gsfact_skew(alpha, r, kappa, sigma):
     """Exact ratio (r)_kappa / (r)_sigma for sigma inside kappa."""
-    alpha = as_exact(alpha)
+    alpha = as_exact(alpha, "alpha")
+    r = as_exact(r, "r")
     kappa = partitions.as_partition(kappa)
     sigma = partitions.as_partition(sigma)
     if not partitions.is_subpartition(sigma, kappa):
@@ -62,7 +64,8 @@ def poch_ratio_rpoly(alpha, c0, kappa, sigma):
     r is a formal variable; the coefficients live in the scalar field of
     alpha and c0.  Index t holds the coefficient of r^t.
     """
-    alpha = as_exact(alpha)
+    alpha = as_exact(alpha, "alpha")
+    c0 = as_exact(c0, "c0")
     kappa = partitions.as_partition(kappa)
     sigma = partitions.as_partition(sigma)
     if not partitions.is_subpartition(sigma, kappa):
@@ -127,7 +130,7 @@ def contiguous(alpha, sigma, i):
     lower hooks of column c and the upper hooks of row i grow by one.
     A coefficient costs O(i + sigma_i + len(sigma)) field operations.
     """
-    return _contiguous(as_exact(alpha), partitions.as_partition(sigma), i)
+    return _contiguous(as_exact(alpha, "alpha"), partitions.as_partition(sigma), i)
 
 
 @cache.memo
@@ -182,7 +185,7 @@ def one_box_recurrence(alpha, kappa, divide):
 
 def gbinomial_table(alpha, kappa):
     """All (kappa choose sigma) for sigma inside kappa, keyed by sigma."""
-    return _gbinomial_table(as_exact(alpha), partitions.as_partition(kappa))
+    return _gbinomial_table(as_exact(alpha, "alpha"), partitions.as_partition(kappa))
 
 
 @cache.memo
@@ -198,7 +201,5 @@ def gbinomial(alpha, kappa, sigma):
     kappa = partitions.as_partition(kappa)
     sigma = partitions.as_partition(sigma)
     if not partitions.is_subpartition(sigma, kappa):
-        if isinstance(alpha, RationalFunction):
-            return alpha * 0
-        return Fraction(0)
+        return as_exact(alpha, "alpha") * 0
     return gbinomial_table(alpha, kappa)[sigma]

@@ -19,13 +19,6 @@ from .rational import RationalFunction, rf
 from .symfun import GENERIC
 
 
-def _parse_alpha(text):
-    value = parse_scalar(text)
-    if value.is_constant:
-        return value.to_fraction()
-    return value
-
-
 def _parse_vars(text):
     if text in ("generic", "n"):
         return GENERIC
@@ -83,7 +76,7 @@ def _ortho_output(expansion, args):
 
 
 def cmd_jack(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_scalar(args.alpha)
     kappa = partitions.deserialize(args.partition)
     nvars = _parse_vars(args.vars)
     e = jack.jack_expand(alpha, kappa, args.norm, nvars)
@@ -95,7 +88,7 @@ def cmd_jack(args):
 
 
 def cmd_ortho(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_scalar(args.alpha)
     kappa = partitions.deserialize(args.partition)
     nvars = _parse_vars(args.vars)
     if args.family == "hermite":
@@ -112,7 +105,7 @@ def cmd_ortho(args):
 
 
 def cmd_gbinomial(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_scalar(args.alpha)
     value = binom.gbinomial(
         alpha, partitions.deserialize(args.kappa), partitions.deserialize(args.sigma)
     )
@@ -120,13 +113,13 @@ def cmd_gbinomial(args):
 
 
 def cmd_gsfact(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_scalar(args.alpha)
     value = binom.gsfact(alpha, parse_scalar(args.r), partitions.deserialize(args.partition))
     _emit_scalar(value, args.format)
 
 
 def cmd_hypergeom(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_scalar(args.alpha)
     upper = [parse_scalar(t) for t in args.upper.split(",") if t.strip()] if args.upper else []
     lower = [parse_scalar(t) for t in args.lower.split(",") if t.strip()] if args.lower else []
     if args.xid:
@@ -148,7 +141,7 @@ def cmd_hypergeom(args):
 
 
 def cmd_convert(args):
-    alpha = _parse_alpha(args.alpha) if args.alpha else None
+    alpha = parse_scalar(args.alpha) if args.alpha else None
     nvars = _parse_vars(args.vars)
     tree = parse_expression(args.expr)
     what = args.what
@@ -168,7 +161,7 @@ def cmd_convert(args):
 
 
 def cmd_expect(args):
-    alpha = _parse_alpha(args.alpha)
+    alpha = parse_scalar(args.alpha)
     nvars = _parse_vars(args.vars)
     kwargs = {}
     if args.ensemble == "laguerre":
@@ -186,7 +179,7 @@ def cmd_expect(args):
 
 
 def cmd_eval(args):
-    alpha = _parse_alpha(args.alpha) if args.alpha else None
+    alpha = parse_scalar(args.alpha) if args.alpha else None
     xs = _parse_point(args.at)
     tree = parse_expression(args.expr)
     mono = symfun.expand_to_monomials(alpha, tree, len(xs))
@@ -195,7 +188,7 @@ def cmd_eval(args):
 
 
 def cmd_density(args):
-    alpha = _parse_alpha(args.alpha) if args.alpha else None
+    alpha = parse_scalar(args.alpha) if args.alpha else None
     if args.which == "smallest":
         if args.p is None or args.m is None:
             raise DomainError("density smallest needs --p and --m")
@@ -219,7 +212,7 @@ def cmd_density(args):
         xs = _parse_grid(args.grid) if args.grid else _parse_point(args.x or "")
         if not args.grid and len(xs) != 1:
             raise DomainError("density largest-cdf needs one number --x or a --grid")
-        gamma = parse_scalar(args.g).to_fraction()
+        gamma = parse_scalar(args.g)
         values = [hypergeom.largest_eig_cdf(alpha, gamma, args.m, x, tol=args.tol or 1e-10) for x in xs]
         if len(xs) == 1 and not args.grid:
             print(values[0])

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import binom, jack, orthopoly, partitions, symfun
 from .errors import DomainError, UnsupportedModeError
-from .rational import RationalFunction
+from .rational import as_exact
 from .symfun import GENERIC
 
 
@@ -123,14 +123,8 @@ def conjecture_coefficients(alpha, k, cap=8):
             product = product * binom.sfact(-(i0 / alpha), lam[i0])
         entry = {"partition": lam, "coefficient": f_lam, "n": None, "conforming": False}
         if product != 0:
-            ratio = f_lam / product
-            if isinstance(ratio, RationalFunction):
-                constant = ratio.is_constant
-                value = ratio.to_fraction() if constant else None
-            else:
-                constant = True
-                value = Fraction(ratio)
-            if constant and value != 0 and abs(value.numerator) == 1:
+            value = as_exact(f_lam / product)
+            if isinstance(value, Fraction) and value != 0 and abs(value.numerator) == 1:
                 entry["n"] = value.denominator * (1 if value.numerator > 0 else -1)
                 entry["conforming"] = True
         report.append(entry)

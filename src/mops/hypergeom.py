@@ -45,11 +45,7 @@ def _negative_integer_bound(values):
     """Smallest p with some upper parameter equal to -p, else None."""
     best = None
     for v in values:
-        if isinstance(v, RationalFunction):
-            if not v.is_constant:
-                continue
-            v = v.to_fraction()
-        v = as_exact(v)
+        v = as_exact(v, "an upper parameter")
         if isinstance(v, Fraction) and v <= -1 and v.denominator == 1:
             p = -int(v)
             best = p if best is None else min(best, p)
@@ -143,35 +139,29 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     arg is ('xid', x, m) for the scalar-identity point x I_m (x may be a
     number or a rational function, kept exact), or ('vec', xs) for an
     explicit numeric point.  Exactly one of termination, limit, or tol
-    must make the sum finite.
+    must make the sum finite.  A numeric point or a tolerance needs alpha,
+    the parameters and x to be numbers.
     """
     alpha = jack._as_alpha(alpha)
-    upper = list(upper)
-    lower = list(lower)
+    upper = [as_exact(v, "an upper parameter") for v in upper]
+    lower = [as_exact(v, "a lower parameter") for v in lower]
+    scalars = [alpha] + upper + lower
     kind, payload = arg[0], arg[1:]
     if kind == "xid":
         x, m = payload
-        x = as_exact(x)
+        x = as_exact(x, "the point x")
+        scalars.append(x)
     elif kind == "vec":
         (xs,) = payload
         xs = list(xs)
         m = len(xs)
-        # a numeric point needs fully numeric parameters
-        norm = []
-        for v in upper + lower + [alpha]:
-            if isinstance(v, RationalFunction):
-                if not v.is_constant:
-                    raise DomainError(
-                        "numeric-point evaluation needs numeric parameters, got %s"
-                        % v.text()
-                    )
-                v = v.to_fraction()
-            norm.append(v)
-        upper = norm[: len(upper)]
-        lower = norm[len(upper) : len(upper) + len(lower)]
-        alpha = norm[-1]
     else:
         raise DomainError("argument must be ('xid', x, m) or ('vec', xs)")
+    # a numeric point and a tolerance test take floats of every term
+    if kind == "vec" or tol is not None:
+        for v in scalars:
+            if isinstance(v, RationalFunction):
+                raise DomainError("numeric evaluation needs numeric parameters, got %s" % v.text())
     if m < 0:
         raise DomainError("negative variable count")
     width = _negative_integer_bound(upper)
@@ -295,9 +285,9 @@ def smallest_eig_density_normalized(alpha, p, m, xs):
 def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     """P[largest eigenvalue < x] for the 2/alpha-Laguerre ensemble."""
     alpha = _numeric_alpha(alpha)
-    gamma = Fraction(gamma)
-    if gamma <= -1:
-        raise DomainError("gamma must be > -1")
+    gamma = as_exact(gamma, "gamma")
+    if not (isinstance(gamma, Fraction) and gamma > -1):
+        raise DomainError("gamma must be a number > -1, got %s" % rf(gamma).text())
     if x <= 0:
         return 0.0
     a1 = gamma + Fraction(m - 1) / alpha + 1

@@ -19,23 +19,17 @@ from fractions import Fraction
 
 from . import cache, operators, partitions
 from .errors import DomainError, PoleError
-from .rational import RationalFunction, as_exact
+from .rational import as_exact
 from .symfun import GENERIC, SymExpr
 
 NORMALIZATIONS = ("C", "J", "P")
 
 
 def _as_alpha(alpha):
-    alpha = as_exact(alpha)
-    if isinstance(alpha, Fraction):
-        if alpha == 0:
-            raise DomainError("alpha = 0 is outside the Jack parameter domain")
-        return alpha
-    if isinstance(alpha, RationalFunction):
-        if not alpha:
-            raise DomainError("alpha = 0 is outside the Jack parameter domain")
-        return alpha
-    raise DomainError("alpha must be a rational number or a rational function")
+    alpha = as_exact(alpha, "alpha")
+    if not alpha:
+        raise DomainError("alpha = 0 is outside the Jack parameter domain")
+    return alpha
 
 
 def jack_monomial_coefficients(alpha, kappa):
@@ -133,7 +127,7 @@ def jack_identity_value(alpha, kappa, norm, m):
     alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
-    poch = binom.gsfact(alpha, as_exact(m) / alpha, kappa)
+    poch = binom.gsfact(alpha, as_exact(m, "m") / alpha, kappa)
     j_full = partitions._hook_divisor(partitions.hook_products(alpha, kappa)[2], alpha, kappa)
     value = alpha ** (2 * k) * math.factorial(k) * poch / j_full
     return value * _c_to_norm_factor(alpha, kappa, norm)

@@ -15,6 +15,7 @@ functions), exponents machine ints.
 """
 
 from .errors import DomainError
+from .rational import as_exact
 from .symfun import GENERIC, SymExpr, _distinct_rearrangements
 
 
@@ -120,7 +121,7 @@ def _apply(poly, kind, alpha, out):
     if alpha is None:
         raise DomainError("operator %s requires alpha" % kind)
     _apply_second_derivative(poly, weight_exp, out)
-    _apply_pairs(poly, weight_exp, out, 2 / alpha)
+    _apply_pairs(poly, weight_exp, out, 2 / as_exact(alpha, "alpha"))
 
 
 def apply_to_symexpr(expr, terms, alpha, nvars):
@@ -138,5 +139,6 @@ def apply_to_symexpr(expr, terms, alpha, nvars):
     poly = expand_to_vectors(expr, nvars)
     out = {}
     for scalar, kind in terms:
+        scalar = as_exact(scalar, "an operator weight")
         _apply({vec: scalar * c for vec, c in poly.items()}, kind, alpha, out)
     return collect_to_symexpr(out, nvars)

@@ -92,7 +92,7 @@ def _check_nvars(kappa, nvars):
 
 def _check_weight_param(value, name):
     """Numeric Laguerre/Jacobi exponents must exceed -1."""
-    value = as_exact(value)
+    value = as_exact(value, name)
     if isinstance(value, Fraction) and value <= -1:
         raise DomainError("%s must be > -1, got %s" % (name, value))
     return value
@@ -401,6 +401,7 @@ def eval_at_scalar_identity(expansion, x, m):
         raise DomainError(
             "expansion was built for %r variables, not %d" % (expansion.nvars, m)
         )
+    x = as_exact(x, "x")
     ident = _identity_values(expansion.params["alpha"], expansion.kappa, Fraction(m))
     total = 0
     for sigma, c in expansion.coeffs.items():
@@ -415,7 +416,7 @@ def laguerre_hermite_limit_check(alpha, kappa, n, gamma_grid, xs):
     the point xs for each gamma on an increasing grid; returns the list of
     absolute deviations, which should decrease along the grid.
     """
-    alpha = Fraction(alpha)
+    alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
     xs = [float(x) for x in xs]
@@ -425,7 +426,7 @@ def laguerre_hermite_limit_check(alpha, kappa, n, gamma_grid, xs):
     target = (-1) ** k * eval_numeric(herm, xs)
     deviations = []
     for gamma in gamma_grid:
-        gamma = Fraction(gamma)
+        gamma = as_exact(gamma, "gamma")
         lag = laguerre(alpha, kappa, gamma, n).to_monomials(alpha)
         root = float(gamma) ** 0.5
         point = [float(gamma) + root * x for x in xs]

@@ -6,8 +6,6 @@ operations pad logically.  Squares of the diagram are addressed with
 1-based (row, column) indices.
 """
 
-from fractions import Fraction
-
 from . import cache
 from .errors import DomainError, PoleError
 from .rational import as_exact
@@ -180,7 +178,7 @@ def hook_products(alpha, kappa):
 
     Empty partition gives (1, 1, 1).
     """
-    return _hook_products(as_exact(alpha), as_partition(kappa))
+    return _hook_products(as_exact(alpha, "alpha"), as_partition(kappa))
 
 
 @cache.memo
@@ -241,9 +239,9 @@ def _box_hook_ratio(alpha, kappa, m):
 
 def rho(alpha, kappa):
     """sum_i kappa_i * (kappa_i - 1 - (2/alpha)(i-1))."""
-    alpha = as_exact(alpha)
+    alpha = as_exact(alpha, "alpha")
     kappa = as_partition(kappa)
-    if isinstance(alpha, Fraction) and alpha == 0:
+    if not alpha:
         raise DomainError("rho undefined at alpha = 0")
     two_over = 2 / alpha
     total = 0

@@ -8,7 +8,8 @@ dicts mapping exponent 6-tuples to nonzero ints.
 
 Every RationalFunction is canonical: gcd(num, den) is a unit and the
 denominator's leading coefficient under graded lex order is positive.
-Equality and hashing are therefore structural.
+Equality is therefore structural, and a constant hashes like the Fraction
+it equals.
 
 The polynomial gcd is the heuristic GCDHEU (Char, Geddes & Gonnet 1989):
 evaluate one variable at a large integer, take the gcd of the images
@@ -576,10 +577,14 @@ class RationalFunction:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant equals its Fraction, so it must hash like it too
         if self._hash is None:
-            self._hash = hash(
-                (tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
-            )
+            if self.is_constant:
+                self._hash = hash(self.to_fraction())
+            else:
+                self._hash = hash(
+                    (tuple(sorted(self.num.items())), tuple(sorted(self.den.items())))
+                )
         return self._hash
 
     def __repr__(self):
@@ -614,10 +619,6 @@ class RationalFunction:
 
     def __call__(self, **bindings):
         return self.substitute(bindings)
-
-    def to_float(self, **bindings):
-        value = self.substitute(bindings) if bindings else self
-        return float(value.to_fraction())
 
     # -- structure ----------------------------------------------------
 
@@ -707,13 +708,24 @@ def _sign_rule(num, den):
     return num, den
 
 
-def as_exact(x):
-    """Scalar coercion for exact arithmetic: an int becomes a Fraction.
+def as_exact(x, name="a scalar"):
+    """The one way a scalar enters the field.
 
-    Fractions, RationalFunctions and anything else pass through unchanged,
-    so ``1 / as_exact(alpha)`` is exact whenever alpha is.
+    An int or a Fraction becomes a Fraction, and so does a constant
+    RationalFunction, so one value is one Fraction however it is written.
+    A RationalFunction with a free parameter is returned unchanged.  Any
+    other value (a float, a bool, a str, None) raises DomainError naming
+    ``name``: no inexact number reaches exact arithmetic.
     """
-    return Fraction(x) if isinstance(x, int) else x
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, RationalFunction):
+        return x.to_fraction() if x.is_constant else x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise DomainError(
+        "%s must be a rational number or a rational function, got %r" % (name, x)
+    )
 
 
 def rf(x):

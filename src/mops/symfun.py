@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import cache, partitions
 from .errors import DomainError, UnsupportedModeError
-from .rational import RationalFunction, rf
+from .rational import RationalFunction, as_exact, rf
 
 GENERIC = None
 
@@ -469,6 +469,7 @@ def alpha_inner_product(f, g, alpha):
     """Jack inner product on power sums: <p_lam, p_mu> = delta * alpha^l * z."""
     if f.basis != "p" or g.basis != "p":
         raise DomainError("inner product is defined on power-sum expressions")
+    alpha = as_exact(alpha, "alpha")
     total = 0
     for lam, cf in f.terms.items():
         cg = g.terms.get(lam)
@@ -585,11 +586,9 @@ def eval_numeric(expr, xs, alpha=None):
         expr = expand_to_monomials(alpha, expr, n)
     total = 0
     for part, coeff in expr.terms.items():
+        coeff = as_exact(coeff, "a coefficient")
         if isinstance(coeff, RationalFunction):
-            free = coeff.free_parameters()
-            if free:
-                raise DomainError("unbound parameters: %s" % ", ".join(free))
-            coeff = coeff.to_fraction()
+            raise DomainError("unbound parameters: %s" % ", ".join(coeff.free_parameters()))
         value = 0
         for vec in _distinct_rearrangements(part, n):
             term = 1

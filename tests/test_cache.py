@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from mops import binom, cache, jack, orthopoly, symfun
 from mops.parser import parse_expression
-from mops.rational import ALPHA
+from mops.rational import ALPHA, rf
 
 SRC = pathlib.Path(cache.__file__).parent
 
@@ -38,6 +38,14 @@ def test_normalised_arguments_share_one_entry():
     assert binom.gbinomial_table(2, [3, 2, 1, 0]) is table
     lam_mu = symfun.mono_product((2, 1), (1,), 3)
     assert symfun.mono_product([1], [2, 1], 3) is lam_mu
+
+
+def test_constant_alpha_shares_the_numeric_entry():
+    cache.clear_all()
+    want = jack.jack_expand(2, (4, 3, 1))
+    entries = sum(len(t) for t in cache._REGISTRY)
+    assert jack.jack_expand(rf(2), (4, 3, 1)).terms == want.terms
+    assert sum(len(t) for t in cache._REGISTRY) == entries
 
 
 def _memo_smells(source):

@@ -316,6 +316,27 @@ def test_hypergeom_symbolic_xid_cli(capsys):
     assert out.strip() == "1-2*r-2*n*r+n*r^2+n^2*r^2"
 
 
+def test_hypergeom_tolerance_prints_the_exact_value(capsys):
+    code, out, _ = run(
+        ["hypergeom", "--alpha", "2", "--upper", "1/2", "--lower", "3/2", "--xid", "1/2:3", "--tol", "1e-12"],
+        capsys,
+    )
+    assert (code, out.strip()) == (0, "3234775558633/(1961990553600)")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "a", "--upper", "1", "--lower", "1", "--xid", "1:1", "--tol", "1e-8"],
+        ["--alpha", "1", "--upper", "1", "--lower", "1", "--xid", "x:1", "--tol", "1e-8"],
+    ],
+)
+def test_hypergeom_tolerance_needs_numeric_scalars(capsys, argv):
+    code, out, err = run(["hypergeom"] + argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "numeric" in err
+
+
 def test_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mops import cache, orthopoly, rational
+from mops import binom, cache, hypergeom, jack, operators, orthopoly, rational
 from mops.errors import DomainError, PoleError
 from mops.rational import (
     ALPHA,
@@ -156,6 +156,53 @@ def test_pow_and_hash():
     assert hash(f) == hash((1 + a) / n)
     d = {f: 1}
     assert d[(1 + a) / n] == 1
+
+
+def test_constant_hashes_like_its_fraction():
+    assert hash(rf(2)) == hash(Fraction(2)) == hash(2)
+    assert hash(rf(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    assert Fraction(2) in {rf(2): 1}
+    # arithmetic can still produce constants
+    f = (1 + a) / n
+    assert {f / f: "one"}[Fraction(1)] == "one"
+
+
+def test_as_exact_accepts_numbers_and_rational_functions():
+    for value in (2, Fraction(2), rf(2), (1 + a) / (1 + a) * 2):
+        got = rational.as_exact(value)
+        assert type(got) is Fraction and got == 2
+    f = (1 + a) / n
+    assert rational.as_exact(f) is f
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, True, "2", None])
+def test_as_exact_rejects_everything_else(value):
+    with pytest.raises(DomainError, match="alpha"):
+        rational.as_exact(value, "alpha")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: binom.gsfact(1, 0.5, (2,)),
+        lambda: orthopoly.laguerre(1, (2,), 0.5, 2),
+        lambda: hypergeom.ghypergeom(1, [], [], ("xid", 0.5, 2), limit=5),
+        lambda: jack.jack_identity_value(1, (2,), "C", 2.5),
+        lambda: jack.jack_expand(True, (2,)),
+        lambda: binom.sfact(0.5, 2),
+        lambda: operators.apply_to_symexpr(jack.jack_expand(1, (2,), "C", 2), [(0.5, "E")], 1, 2),
+    ],
+    ids=["gsfact", "laguerre", "ghypergeom", "jack_identity_value", "jack_expand", "sfact", "operator"],
+)
+def test_no_float_or_bool_enters_the_field(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_constant_rational_functions_are_plain_numbers():
+    for x in (0.5, 3.0):
+        assert hypergeom.largest_eig_cdf(rf(1), rf(1), 2, x) == hypergeom.largest_eig_cdf(1, 1, 2, x)
+    assert hypergeom.smallest_eig_mass(rf(1), 2, 2) == hypergeom.smallest_eig_mass(1, 2, 2)
 
 
 def test_polynomial_gcd_white_box():
