@@ -58,31 +58,6 @@ def gsfact_skew(alpha, r, kappa, sigma):
     return out
 
 
-def poch_ratio_rpoly(alpha, c0, kappa, sigma):
-    """Coefficient list of (r + c0)_kappa / (r + c0)_sigma as a poly in r.
-
-    r is a formal variable; the coefficients live in the scalar field of
-    alpha and c0.  Index t holds the coefficient of r^t.
-    """
-    alpha = as_exact(alpha, "alpha")
-    c0 = as_exact(c0, "c0")
-    kappa = partitions.as_partition(kappa)
-    sigma = partitions.as_partition(sigma)
-    if not partitions.is_subpartition(sigma, kappa):
-        raise DomainError("ratio is polynomial only for sigma inside kappa")
-    coeffs = [1]
-    for i0, part in enumerate(kappa):
-        low = sigma[i0] if i0 < len(sigma) else 0
-        for j in range(low, part):
-            const = c0 - i0 / alpha + j
-            new = [0] * (len(coeffs) + 1)
-            for t, c in enumerate(coeffs):
-                new[t] = new[t] + c * const
-                new[t + 1] = new[t + 1] + c
-            coeffs = new
-    return coeffs
-
-
 def mv_gamma(alpha, a, m):
     """Multivariate Gamma: pi^(m(m-1)/(2 alpha)) prod Gamma(a - (i-1)/alpha)."""
     return math.exp(log_mv_gamma(alpha, a, m))

@@ -152,7 +152,7 @@ def cmd_convert(args):
     elif what == "p2m":
         out = symfun.p2m(tree, nvars)
     elif what == "m2jack":
-        out = symfun.m2jack(alpha, symfun.m2m(tree, nvars), nvars)
+        out = symfun.m2jack(alpha, tree, nvars)
     elif what == "jack2jack":
         out = symfun.jack2jack(alpha, tree, nvars)
     else:

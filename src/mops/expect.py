@@ -91,13 +91,11 @@ def expect_jack_expr(spec, expr):
 
 def expect_monomial_expr(spec, expr):
     """E of an expression over monomial leaves."""
-    if spec.nvars is GENERIC and not isinstance(expr, symfun.SymExpr):
-        if symfun.has_true_product(expr):
-            raise UnsupportedModeError(
-                "products of monomials need a numeric variable count for expectations"
-            )
-    flat = symfun.m2m(expr, spec.nvars)
-    return _expect_c_basis(spec, symfun.m2jack(spec.alpha, flat, spec.nvars))
+    if spec.nvars is GENERIC and symfun.has_true_product(expr):
+        raise UnsupportedModeError(
+            "products of monomials need a numeric variable count for expectations"
+        )
+    return _expect_c_basis(spec, symfun.m2jack(spec.alpha, expr, spec.nvars))
 
 
 def conjecture_coefficients(alpha, k, cap=8):

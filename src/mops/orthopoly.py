@@ -10,7 +10,8 @@ the content of box (row, col) being col - 1 - (row - 1)/alpha.
 ``hermite2`` takes the Laguerre limit: a sum over the pairs
 sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma) times one
 coefficient of a Pochhammer ratio; ``_hermite_constant_term`` sums its
-sigma = () case alone, for the Hermite expectations.
+sigma = () case alone, for the Hermite expectations.  Both read those
+coefficients from one walk over mu, ``_hermite_mu_walk``.
 
 Sign conventions follow the explicit expansion formulas and the
 eigenfunction equations, cross-checked against the univariate classical
@@ -205,61 +206,54 @@ def jacobi(alpha, kappa, g1, g2, nvars=GENERIC):
 def hermite2(alpha, kappa, nvars=GENERIC):
     """Hermite polynomial from the Laguerre limit formula.
 
-    With k = |kappa|, s = |sigma| and c0 = 1 + (m-1)/alpha, the
-    coefficient of C_sigma is (C_kappa(I)/C_sigma(I)) times the sum over
-    the pairs (mu, sigma) with sigma <= mu <= kappa of
-    (-1)^(k-|mu|) (kappa choose mu)(mu choose sigma)
-    [r^((k+s)/2 - |mu|)] (r + c0)_kappa / (r + c0)_mu,
-    zero when k - s is odd.  The walk takes mu from the table of kappa and
-    sigma from the table of mu.
+    With k = |kappa|, s = |sigma| and d = (k-s)/2, the coefficient of
+    C_sigma is C_kappa(I)/(C_sigma(I) alpha^d) times the sum over the pairs
+    (mu, sigma) with sigma <= mu <= kappa and 2|mu| <= k + s of
+    (-1)^(k-|mu|) (kappa choose mu)(mu choose sigma) e_d(kappa/mu), zero
+    when k - s is odd.  e_d(kappa/mu)/alpha^d is the coefficient of
+    r^((k+s)/2 - |mu|) in (r + c0)_kappa / (r + c0)_mu, c0 = 1 + (m-1)/alpha
+    (see ``_hermite_mu_walk``).  The walk takes mu from the table of kappa
+    and sigma from the table of mu.
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     _check_nvars(kappa, nvars)
     m = _m_scalar(nvars)
     k = partitions.weight(kappa)
-    c0 = 1 + (m - 1) / alpha
     totals = {}
-    for mu, kappa_mu in binom.gbinomial_table(alpha, kappa).items():
+    for mu, kappa_mu, e in _hermite_mu_walk(alpha, kappa, m, k):
         j = partitions.weight(mu)
-        if (k - j) % 2:
-            kappa_mu = -kappa_mu
-        rpoly = binom.poch_ratio_rpoly(alpha, c0, kappa, mu)
         for sigma, mu_sigma in binom.gbinomial_table(alpha, mu).items():
             s = partitions.weight(sigma)
             if (k - s) % 2 or 2 * j > k + s:
                 continue
-            term = kappa_mu * mu_sigma * rpoly[(k + s) // 2 - j]
+            term = kappa_mu * mu_sigma * e[(k - s) // 2]
             total = totals.get(sigma)
             totals[sigma] = term if total is None else total + term
     ident = _identity_values(alpha, kappa, m)
-    coeffs = {sigma: total * ident[kappa] / ident[sigma] for sigma, total in totals.items()}
+    coeffs = {
+        sigma: total / alpha ** ((k - partitions.weight(sigma)) // 2) * ident[kappa] / ident[sigma]
+        for sigma, total in totals.items()
+    }
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 
 
-def _hermite_constant_term(alpha, kappa, m):
-    """The coefficient of C_() in ``hermite2(alpha, kappa, m)``.
+def _hermite_mu_walk(alpha, kappa, m, top):
+    """(mu, (-1)^(k-|mu|) (kappa choose mu), e) for each mu <= kappa, |mu| <= top.
 
-    alpha and kappa must be canonical, k = |kappa| even and m the scalar
-    of ``_m_scalar``.  For sigma = () the formula of ``hermite2`` needs
-    only (kappa choose mu): with h = k/2 the term is
-
-        C_kappa(I_m) sum_{mu <= kappa, |mu| <= h}
-            (-1)^(k-|mu|) (kappa choose mu) e_h(b_mu),
-
-    b_mu holding (alpha j + m - 1 - (i-1))/alpha for each box (i, j) of
-    kappa/mu: (r + c0)_kappa/(r + c0)_mu is the product of the k - |mu|
-    factors r + b, so its coefficient of r^(h-|mu|) is e_h(b_mu).  e_h is
-    built over the numerators alone, and alpha^h divides the sum once.
+    alpha and kappa must be canonical and m the scalar of ``_m_scalar``.
+    e[t], t <= h = k/2 rounded down, is the elementary symmetric polynomial
+    e_t(kappa/mu) of the numerators alpha j + m - 1 - (i-1) over the boxes
+    (i, j) of kappa/mu.  (r + c0)_kappa/(r + c0)_mu is the product of the
+    k - |mu| factors r + numerator/alpha, so its coefficient of
+    r^(k-|mu|-t) is e_t(kappa/mu)/alpha^t.
     """
     k = partitions.weight(kappa)
     h = k // 2
-    total = None
     for mu, kappa_mu in binom.gbinomial_table(alpha, kappa).items():
         j = partitions.weight(mu)
-        if 2 * j > k:
+        if j > top:
             continue
-        # e[t] = e_t of the numerators of the boxes seen so far, t <= h
         e = [1] + [0] * h
         seen = 0
         for i0, part in enumerate(kappa):
@@ -269,9 +263,23 @@ def _hermite_constant_term(alpha, kappa, m):
                 seen += 1
                 for t in range(min(seen, h), 0, -1):
                     e[t] = e[t] + e[t - 1] * x
+        yield mu, -kappa_mu if (k - j) % 2 else kappa_mu, e
+
+
+def _hermite_constant_term(alpha, kappa, m):
+    """The coefficient of C_() in ``hermite2(alpha, kappa, m)``.
+
+    alpha and kappa must be canonical, k = |kappa| even and m the scalar
+    of ``_m_scalar``.  For sigma = () the formula of ``hermite2`` needs
+    only (kappa choose mu): with h = k/2 the term is
+
+        C_kappa(I_m) / alpha^h sum_{mu <= kappa, |mu| <= h}
+            (-1)^(k-|mu|) (kappa choose mu) e_h(kappa/mu).
+    """
+    h = partitions.weight(kappa) // 2
+    total = None
+    for _, kappa_mu, e in _hermite_mu_walk(alpha, kappa, m, h):
         term = kappa_mu * e[h]
-        if (k - j) % 2:
-            term = -term
         total = term if total is None else total + term
     return total / alpha**h * jack.jack_identity_value(alpha, kappa, "C", m)
 

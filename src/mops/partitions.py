@@ -128,11 +128,6 @@ def compare(lam, kappa, order="lexicographic"):
     return INCOMPARABLE
 
 
-def dominates(kappa, lam):
-    """True iff kappa dominates lam (weakly), same weight required."""
-    return compare(lam, kappa, "dominance") in (LESS, EQUAL)
-
-
 def conjugate(kappa):
     kappa = as_partition(kappa)
     if not kappa:
@@ -263,11 +258,6 @@ def z_aut(lam):
             fact *= t
         z *= fact * v**m
     return z
-
-
-def serialize(kappa):
-    """CLI form: comma-separated parts, empty string for the empty partition."""
-    return ",".join(str(p) for p in kappa)
 
 
 def deserialize(text):

@@ -3,16 +3,24 @@
 A SymExpr is a linear combination of basis elements (monomial m, power-sum
 p, or Jack C/J/P) indexed by partitions, with exact scalar coefficients
 (Fractions in numeric-alpha mode, RationalFunctions in symbolic mode).
-Input expressions with products and powers are ProductExpr trees; the
-conversion routines flatten them into single-basis linear combinations.
+Input expressions with products and powers are product trees (Scalar,
+Leaf, Sum, Prod, Pow).  ``_fold`` is the one walk over an expression: it
+takes a tree or a SymExpr, a SymExpr counting as the sum of its terms.
+Every conversion is a set of callbacks to it (the basis checks, the
+generic-product test, and the folds that build a power-sum or monomial
+SymExpr), so a tree and a SymExpr follow the same rules.
 
 Variable-count modes: an int fixes the number of variables n (basis
 elements indexed by partitions longer than n are zero); GENERIC (None)
 means a symbolic number of variables, where products of monomials take
 the stabilized coefficients valid for every sufficiently large n.
+Products of Jack polynomials, and expectations of products, need a
+numeric count.
 """
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from . import cache, partitions
 from .errors import DomainError, UnsupportedModeError
@@ -37,6 +45,7 @@ class SymExpr:
         clean = {}
         for part, coeff in terms.items():
             part = partitions.as_partition(part)
+            as_exact(coeff, "a coefficient")
             if nvars is not GENERIC and len(part) > nvars:
                 continue
             if coeff:
@@ -205,76 +214,72 @@ class Pow:
         return "Pow(%r, %d)" % (self.base, self.exponent)
 
 
-def leaves(node):
-    if isinstance(node, Leaf):
-        yield node
-    elif isinstance(node, (Sum, Prod)):
-        for item in node.items:
-            yield from leaves(item)
-    elif isinstance(node, Pow):
-        yield from leaves(node.base)
+def _fold(node, scalar, leaf, add, mul):
+    """The one walk over an expression: a product tree or a SymExpr.
 
-
-def has_true_product(node):
-    """True when evaluating the tree multiplies two basis elements."""
-    if isinstance(node, (Leaf, Scalar)):
-        return False
-    if isinstance(node, Sum):
-        return any(has_true_product(x) for x in node.items)
-    if isinstance(node, Pow):
-        if isinstance(node.base, Leaf) and node.exponent > 1:
-            return True
-        return has_true_product(node.base)
-    nontrivial = [x for x in node.items if not isinstance(x, Scalar)]
-    if len(nontrivial) > 1:
-        return True
-    return any(has_true_product(x) for x in node.items)
-
-
-def _length_bound(node):
-    """Upper bound on the length of any partition in the expansion."""
-    if isinstance(node, Scalar):
-        return 0
-    if isinstance(node, Leaf):
-        return len(node.partition)
-    if isinstance(node, Sum):
-        return max((_length_bound(x) for x in node.items), default=0)
-    if isinstance(node, Prod):
-        return sum(_length_bound(x) for x in node.items)
-    if isinstance(node, Pow):
-        return _length_bound(node.base) * node.exponent
-    raise DomainError("unknown expression node %r" % (node,))
-
-
-def _fold_tree(tree, basis, nvars, leaf, mul):
-    """Evaluate a product tree into a SymExpr in ``basis``.
-
-    ``leaf`` maps a Leaf to a SymExpr and ``mul`` multiplies two SymExprs;
-    scalars, sums, products and powers are folded here.
+    A Scalar is ``scalar(value)``, a Leaf ``leaf(basis, partition, 1)`` and
+    a SymExpr the sum of its terms ``leaf(basis, partition, coeff)``.  Sums
+    fold with ``add`` from ``scalar(0)``, products with ``mul`` from
+    ``scalar(1)``, and a Pow takes its base's value once and multiplies it
+    in ``exponent`` times.  The left operand of ``add`` is always that
+    fresh accumulator, so ``add`` may update it in place.
     """
 
     def ev(node):
         if isinstance(node, Scalar):
-            return SymExpr(basis, {(): node.value}, nvars)
+            return scalar(node.value)
         if isinstance(node, Leaf):
-            return leaf(node)
+            return leaf(node.basis, node.partition, 1)
+        if isinstance(node, SymExpr):
+            terms = (leaf(node.basis, p, c) for p, c in node.terms.items())
+            return reduce(add, terms, scalar(0))
         if isinstance(node, Sum):
-            acc = SymExpr(basis, {}, nvars)
-            for item in node.items:
-                acc = acc.add(ev(item))
-            return acc
+            return reduce(add, map(ev, node.items), scalar(0))
         if isinstance(node, Prod):
             factors = map(ev, node.items)
         elif isinstance(node, Pow):
             factors = [ev(node.base)] * node.exponent
         else:
             raise DomainError("unknown expression node %r" % (node,))
-        acc = SymExpr(basis, {(): 1}, nvars)
-        for factor in factors:
-            acc = mul(acc, factor)
-        return acc
+        return reduce(mul, factors, scalar(1))
 
-    return ev(tree)
+    return ev(node)
+
+
+def _require_bases(expr, bases, message):
+    """Raise DomainError(message % basis) for a basis element outside bases."""
+
+    def leaf(basis, part, coeff):
+        if basis not in bases:
+            raise DomainError(message % basis)
+
+    _fold(expr, lambda value: None, leaf, lambda x, y: None, lambda x, y: None)
+
+
+def has_true_product(expr):
+    """True when evaluating the expression multiplies two basis elements.
+
+    The fold counts the basis elements in the longest product it forms.
+    """
+    return _fold(expr, lambda value: 0, lambda basis, part, coeff: 1, max, operator.add) > 1
+
+
+def _add_into(acc, other):
+    """Add other's terms to the SymExpr acc in place.
+
+    A key whose sum cancels leaves the dict at once and re-enters at the
+    end, the order of a sum taken term by term, which the float sum of
+    eval_numeric follows.
+    """
+    terms = acc.terms
+    for part, coeff in other.terms.items():
+        if part in terms:
+            coeff = terms[part] + coeff
+        if coeff:
+            terms[part] = coeff
+        else:
+            terms.pop(part, None)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +338,26 @@ def _mono_product(lam, mu, n):
     return out
 
 
-def _mul_m(e1, e2, n):
+def _mul_m(e1, e2, nvars):
+    """e1 * e2 in the monomial basis.
+
+    With a generic count each pair of terms is multiplied in
+    max(len(lam) + len(mu), 1) variables, where the coefficients are
+    already the stabilized ones.
+    """
     terms = {}
     for p1, c1 in e1.terms.items():
         for p2, c2 in e2.terms.items():
+            n = nvars if nvars is not GENERIC else max(len(p1) + len(p2), 1)
             c = c1 * c2
             for nu, mult in mono_product(p1, p2, n).items():
                 terms[nu] = terms[nu] + c * mult if nu in terms else c * mult
-    return SymExpr("m", terms, e1.nvars)
+    return SymExpr("m", terms, nvars)
 
 
 def m2m(expr, nvars=GENERIC):
-    """Flatten a product tree over monomials into a monomial SymExpr."""
-    for node in [expr] if isinstance(expr, SymExpr) else leaves(expr):
-        if node.basis != "m":
-            raise DomainError("m2m expects monomial input, found %s" % node.basis)
+    """Flatten an expression over monomials into a monomial SymExpr."""
+    _require_bases(expr, ("m",), "m2m expects monomial input, found %s")
     return expand_to_monomials(None, expr, nvars)
 
 
@@ -383,19 +393,15 @@ def _power_sum_monomials(lam, n):
 
 
 def p2m(expr, nvars=GENERIC):
-    """Expand a product tree over power sums into monomials."""
-    if isinstance(expr, SymExpr):
-        if expr.basis != "p":
-            raise DomainError("p2m expects power-sum input")
-        flat = expr
-    else:
-
-        def leaf(node):
-            if node.basis != "p":
-                raise DomainError("p2m expects power-sum leaves")
-            return SymExpr("p", {node.partition: 1})
-
-        flat = _fold_tree(expr, "p", GENERIC, leaf, _mul_p)
+    """Expand an expression over power sums into monomials."""
+    _require_bases(expr, ("p",), "p2m expects power-sum input, found %s")
+    flat = _fold(
+        expr,
+        lambda value: SymExpr("p", {(): value}),
+        lambda basis, part, coeff: SymExpr("p", {part: coeff}),
+        _add_into,
+        _mul_p,
+    )
     terms = {}
     for lam, coeff in flat.terms.items():
         n_eff = nvars if nvars is not GENERIC else max(partitions.weight(lam), 1)
@@ -451,9 +457,7 @@ def _m_to_p_table(k):
 
 def m2p(expr):
     """Exact power-sum expansion of an expression over monomials."""
-    flat = m2m(expr, GENERIC) if not isinstance(expr, SymExpr) else expr
-    if flat.basis != "m":
-        raise DomainError("m2p expects monomial input")
+    flat = m2m(expr, GENERIC)
     terms = {}
     for lam, coeff in flat.terms.items():
         if not lam:
@@ -486,9 +490,7 @@ def m2jack(alpha, expr, nvars=GENERIC):
     """Rewrite a monomial expression in the Jack C basis by triangular sweep."""
     from . import jack
 
-    flat = expr if isinstance(expr, SymExpr) else m2m(expr, nvars)
-    if flat.basis != "m":
-        raise DomainError("m2jack expects monomial input")
+    flat = m2m(expr, nvars)
     out = {}
     for k in flat.weights():
         rest = dict(flat.weight_component(k).terms)
@@ -517,53 +519,35 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
     This is the one conversion of any basis into monomials: ``m2m``,
     ``eval_numeric`` and ``OrthoExpansion.to_monomials`` all come here.
     Jack leaves need alpha; power-sum leaves expand through their cached
-    monomial tables.  A SymExpr adds its scaled leaves into one dict of
-    terms.  Products with a generic variable count use the stabilized
-    coefficients (valid for all sufficiently large n).
+    monomial tables.  Each term's expansion, scaled by its coefficient,
+    is added into one dict of terms.
     """
     from . import jack
 
-    def leaf(node):
-        if node.basis == "m":
-            return SymExpr("m", {node.partition: 1}, nvars)
-        if node.basis == "p":
-            return p2m(SymExpr("p", {node.partition: 1}), nvars)
+    def leaf(basis, part, coeff):
+        if basis == "m":
+            return SymExpr("m", {part: coeff}, nvars)
+        if basis == "p":
+            return p2m(SymExpr("p", {part: coeff}), nvars)
         if alpha is None:
             raise DomainError("Jack-basis leaves need alpha")
-        return jack.jack_expand(alpha, node.partition, node.basis, nvars)
+        return jack.jack_expand(alpha, part, basis, nvars).scale(coeff)
 
-    if isinstance(expr, SymExpr):
-        # a key whose sum cancels leaves the dict at once and re-enters at
-        # the end, the order of a sum taken term by term, which the float
-        # sum of eval_numeric follows
-        terms = {}
-        for part, coeff in expr.terms.items():
-            for nu, c in leaf(Leaf(expr.basis, part)).terms.items():
-                c = c * coeff
-                if nu in terms:
-                    c = terms[nu] + c
-                if c:
-                    terms[nu] = c
-                else:
-                    terms.pop(nu, None)
-        return SymExpr._of_canonical("m", terms, nvars)
-    n_eff = nvars if nvars is not GENERIC else max(_length_bound(expr), 1)
-    return _fold_tree(expr, "m", nvars, leaf, lambda e1, e2: _mul_m(e1, e2, n_eff))
+    return _fold(
+        expr,
+        lambda value: SymExpr("m", {(): value}, nvars),
+        leaf,
+        _add_into,
+        lambda e1, e2: _mul_m(e1, e2, nvars),
+    )
 
 
 def jack2jack(alpha, expr, nvars=GENERIC):
-    """Flatten an expression over Jack leaves into the Jack C basis."""
-    if isinstance(expr, SymExpr):
-        if expr.basis not in JACK_BASES:
-            raise DomainError("jack2jack expects Jack-basis input")
-    else:
-        for leaf in leaves(expr):
-            if leaf.basis == "p":
-                raise DomainError("jack2jack expects Jack or monomial leaves")
-        if nvars is GENERIC and has_true_product(expr):
-            raise UnsupportedModeError(
-                "products of Jack polynomials need a numeric variable count"
-            )
+    """Flatten an expression over Jack and monomial leaves into the Jack C basis."""
+    message = "jack2jack expects Jack or monomial leaves, found %s"
+    _require_bases(expr, ("m",) + JACK_BASES, message)
+    if nvars is GENERIC and has_true_product(expr):
+        raise UnsupportedModeError("products of Jack polynomials need a numeric variable count")
     return m2jack(alpha, expand_to_monomials(alpha, expr, nvars), nvars)
 
 

@@ -147,5 +147,6 @@ def test_rho_separates_dominated_pairs():
 
 
 def test_serialize_roundtrip():
-    for kap in [(), (1,), (3, 2, 1)]:
-        assert pt.deserialize(pt.serialize(kap)) == kap
+    # the CLI's comma form of a partition reads back as its tuple
+    for text, kap in [("", ()), ("[]", ()), ("1", (1,)), ("3,2,1", (3, 2, 1)), (" [3, 2, 1] ", (3, 2, 1))]:
+        assert pt.deserialize(text) == kap

@@ -52,6 +52,8 @@ def test_m2m_generic_matches_large_numeric():
         (Prod([m_(2, 1), m_(1, 1)]), 5),
         (Prod([m_(1, 1), m_(1, 1)]), 4),
         (Prod([m_(3), m_(2, 1)]), 4),
+        (Pow(Sum([m_(2, 1), m_(1)]), 2), 4),
+        (Prod([m_(1), m_(1, 1), m_(1)]), 4),
     ]
     for tree, lensum in cases:
         gen = m2m(tree, GENERIC)
@@ -142,9 +144,36 @@ def test_jack2jack_product_composition():
 def test_jack2jack_generic_product_rejected():
     with pytest.raises(UnsupportedModeError):
         jack2jack(a, Prod([Leaf("C", (1,)), Leaf("C", (1,))]), GENERIC)
+    square = Pow(Sum([Leaf("C", (1,)), Leaf("C", (2,))]), 2)
+    with pytest.raises(UnsupportedModeError):
+        jack2jack(a, square, GENERIC)
+    expanded = Sum([Prod([Leaf("C", (i,)), Leaf("C", (j,))]) for i in (1, 2) for j in (1, 2)])
+    assert jack2jack(a, square, 3) == jack2jack(a, expanded, 3)
     # linear combinations stay allowed
     e = jack2jack(a, Sum([Leaf("C", (2,)), Prod([Scalar(rf(2)), Leaf("J", (1, 1))])]), GENERIC)
     assert e.coefficient((1, 1)) == 2 * jack.normalization_factor("J", "C", a, (1, 1))
+
+
+def test_symexpr_and_tree_follow_one_basis_rule():
+    # a SymExpr is the sum of its terms: the conversions take it as they
+    # take the tree of the same sum
+    for nvars in (GENERIC, 2):
+        tree = jack2jack(a, Leaf("m", (2,)), nvars)
+        assert jack2jack(a, SymExpr("m", {(2,): 1}, nvars), nvars) == tree
+        assert tree.terms == {(2,): rf(1), (1, 1): -1 / a}
+    with pytest.raises(DomainError, match="found p"):
+        jack2jack(a, SymExpr("p", {(1,): 1}), 2)
+    with pytest.raises(DomainError, match="found m"):
+        p2m(SymExpr("m", {(1,): 1}), 2)
+
+
+def test_symexpr_coefficients_are_exact():
+    with pytest.raises(DomainError, match="coefficient"):
+        SymExpr("m", {(1,): 0.5}, 2)
+    # the check stores nothing: a constant rational function stays one, and
+    # str() of it keeps its own form ("-1/(2)", not the Fraction's "-1/2")
+    half = rf(-1) / 2
+    assert SymExpr("m", {(1,): half}, 2).terms[(1,)] is half
 
 
 def test_inner_product():
@@ -214,6 +243,41 @@ def test_monomial_expansions_go_through_expand_to_monomials():
     for path in sorted(src.glob("*.py")):
         callers |= _jack_expand_callers(path.read_text(), path.stem)
     assert callers == {"symfun.expand_to_monomials", "hypergeom.ghypergeom", "cli.cmd_jack"}
+
+
+NODE_TYPES = {"Scalar", "Leaf", "Sum", "Prod", "Pow", "SymExpr"}
+
+
+def _node_type_tests(source, module):
+    """module.function names that call isinstance with an expression node type."""
+    found = set()
+    for stmt in ast.parse(source).body:
+        defs = [stmt] if not isinstance(stmt, ast.ClassDef) else stmt.body
+        for node in defs:
+            prefix = module if stmt is node else "%s.%s" % (module, stmt.name)
+            name = "%s.%s" % (prefix, getattr(node, "name", "<module>"))
+            for sub in ast.walk(node):
+                if not (isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "isinstance"):
+                    continue
+                for arg in ast.walk(sub.args[1]):
+                    if {getattr(arg, "id", None), getattr(arg, "attr", None)} & NODE_TYPES:
+                        found.add(name)
+    return found
+
+
+def test_only_the_fold_walks_expressions():
+    # _fold is the one place that tells expression nodes apart; besides it
+    # only SymExpr equality and the parser's scalar folding look at a type
+    sample = "def f(x):\n    return isinstance(x, (int, symfun.Pow))\ndef g(x):\n    isinstance(x, int)\n"
+    assert _node_type_tests(sample, "m") == {"m.f"}
+    sample = "class K:\n    def h(self, x):\n        def inner():\n            isinstance(x, Leaf)\n"
+    assert _node_type_tests(sample, "m") == {"m.K.h"}
+    src = pathlib.Path(symfun.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= _node_type_tests(path.read_text(), path.stem)
+    allowed = {"symfun._fold", "symfun.SymExpr.__eq__", "parser._is_scalar", "parser.parse_scalar"}
+    assert found == allowed
 
 
 def test_m2jack_numeric_mode_roundtrip():
