@@ -5,10 +5,14 @@ p, or Jack C/J/P) indexed by partitions, with exact scalar coefficients
 (Fractions in numeric-alpha mode, RationalFunctions in symbolic mode).
 Input expressions with products and powers are product trees (Scalar,
 Leaf, Sum, Prod, Pow).  ``_fold`` is the one walk over an expression: it
-takes a tree or a SymExpr, a SymExpr counting as the sum of its terms.
-Every conversion is a set of callbacks to it (the basis checks, the
-generic-product test, and the folds that build a power-sum or monomial
-SymExpr), so a tree and a SymExpr follow the same rules.
+takes a tree or a SymExpr, a SymExpr counting as the sum of its terms, so
+a tree and a SymExpr follow the same rules.
+
+Every conversion goes through the monomial basis.  The one way in is
+``expand_to_monomials``, a fold that expands each leaf and multiplies
+monomials; the one way out is ``_sweep``, a triangular solve against the
+monomial expansions of the target basis (Jack C for m2jack and jack2jack,
+power sums for m2p).
 
 Variable-count modes: an int fixes the number of variables n (basis
 elements indexed by partitions longer than n are zero); GENERIC (None)
@@ -20,7 +24,7 @@ numeric count.
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 
 from . import cache, partitions
 from .errors import DomainError, UnsupportedModeError
@@ -84,31 +88,16 @@ class SymExpr:
     def add(self, other):
         if other.basis != self.basis or other.nvars != self.nvars:
             raise DomainError("cannot add expressions in different bases/modes")
-        terms = dict(self.terms)
-        for part, coeff in other.terms.items():
-            terms[part] = terms[part] + coeff if part in terms else coeff
-        return SymExpr._of_canonical(self.basis, terms, self.nvars)
+        return _add_into(SymExpr._of_canonical(self.basis, self.terms, self.nvars), other)
 
     def scale(self, scalar):
+        as_exact(scalar, "a scalar")
         return SymExpr._of_canonical(
             self.basis, {p: c * scalar for p, c in self.terms.items()}, self.nvars
         )
 
     def coefficient(self, part):
-        part = partitions.as_partition(part)
-        if part in self.terms:
-            return self.terms[part]
-        return 0
-
-    def weights(self):
-        return sorted({partitions.weight(p) for p in self.terms})
-
-    def weight_component(self, k):
-        return SymExpr(
-            self.basis,
-            {p: c for p, c in self.terms.items() if partitions.weight(p) == k},
-            self.nvars,
-        )
+        return self.terms.get(partitions.as_partition(part), 0)
 
     def substitute(self, bindings):
         terms = {}
@@ -331,7 +320,7 @@ def _mono_product(lam, mu, n):
         count = 0
         for bvec in rearr:
             diff = tuple(a - b for a, b in zip(nu, bvec))
-            if min(diff) >= 0 and _sort_desc(diff) == lam_sorted:
+            if min(diff, default=0) >= 0 and _sort_desc(diff) == lam_sorted:
                 count += 1
         if count:
             out[tuple(p for p in nu if p)] = count
@@ -395,78 +384,21 @@ def _power_sum_monomials(lam, n):
 def p2m(expr, nvars=GENERIC):
     """Expand an expression over power sums into monomials."""
     _require_bases(expr, ("p",), "p2m expects power-sum input, found %s")
-    flat = _fold(
-        expr,
-        lambda value: SymExpr("p", {(): value}),
-        lambda basis, part, coeff: SymExpr("p", {part: coeff}),
-        _add_into,
-        _mul_p,
-    )
-    terms = {}
-    for lam, coeff in flat.terms.items():
-        n_eff = nvars if nvars is not GENERIC else max(partitions.weight(lam), 1)
-        if nvars is not GENERIC and len(lam) > 0 and n_eff == 0:
-            continue
-        for nu, mult in _power_sum_monomials(lam, n_eff).items():
-            if nvars is not GENERIC and len(nu) > nvars:
-                continue
-            c = coeff * mult
-            terms[nu] = terms[nu] + c if nu in terms else c
-    return SymExpr("m", terms, nvars)
-
-
-def _mul_p(e1, e2):
-    terms = {}
-    for p1, c1 in e1.terms.items():
-        for p2, c2 in e2.terms.items():
-            nu = _sort_desc(p1 + p2)
-            c = c1 * c2
-            terms[nu] = terms[nu] + c if nu in terms else c
-    return SymExpr("p", terms)
-
-
-@cache.memo
-def _m_to_p_table(k):
-    """Power-sum expansions of every m_lam with |lam| = k."""
-    parts = partitions.partitions_of(k)  # decreasing lex
-    table = {}
-    for lam in parts:
-        mono = _power_sum_monomials(lam, max(k, 1))
-        aut = 1
-        mult = {}
-        for v in lam:
-            mult[v] = mult.get(v, 0) + 1
-        for m in mult.values():
-            for t in range(2, m + 1):
-                aut *= t
-        # p_lam = aut * m_lam + sum over lex-greater nu of mono[nu] * m_nu
-        expansion = {lam: Fraction(1, aut)}
-        for nu, c in mono.items():
-            if nu == lam:
-                continue
-            sub = table[nu]  # nu is lex-greater, already solved
-            for pmu, pc in sub.items():
-                val = expansion.get(pmu, 0) - Fraction(c, aut) * pc
-                if val:
-                    expansion[pmu] = val
-                else:
-                    expansion.pop(pmu, None)
-        table[lam] = expansion
-    return table
+    return expand_to_monomials(None, expr, nvars)
 
 
 def m2p(expr):
-    """Exact power-sum expansion of an expression over monomials."""
-    flat = m2m(expr, GENERIC)
-    terms = {}
-    for lam, coeff in flat.terms.items():
-        if not lam:
-            terms[()] = terms.get((), 0) + coeff
-            continue
-        for pmu, pc in _m_to_p_table(partitions.weight(lam))[lam].items():
-            c = coeff * pc
-            terms[pmu] = terms[pmu] + c if pmu in terms else c
-    return SymExpr("p", terms, GENERIC)
+    """Exact power-sum expansion of an expression over monomials.
+
+    p_lam = aut(lam)*m_lam + lex-greater terms of its weight (aut: the
+    product of its multiplicities' factorials), so min is solved first.
+    """
+
+    def column(lam):
+        n = max(partitions.weight(lam), 1)
+        return {nu: Fraction(c) for nu, c in _power_sum_monomials(lam, n).items()}
+
+    return _sweep(m2m(expr, GENERIC), "p", min, column)
 
 
 def alpha_inner_product(f, g, alpha):
@@ -483,44 +415,51 @@ def alpha_inner_product(f, g, alpha):
 
 
 # ---------------------------------------------------------------------------
-# Jack conversions
+# the triangular sweep and Jack conversions
+
+
+def _sweep(flat, basis, pick, column):
+    """The one triangular solve out of a monomial SymExpr.
+
+    column(lam), the monomial expansion of the target basis element at lam,
+    has its other terms beyond lam in the order pick walks, so the term
+    pick takes is solved: its coefficient over the diagonal is the answer's.
+    """
+    nvars = flat.nvars
+    rest = dict(flat.terms)
+    out = {}
+    while rest:
+        lam = pick(rest)
+        col = column(lam)
+        scale = out[lam] = rest.pop(lam) / col[lam]
+        for nu, c in col.items():
+            if nu == lam or (nvars is not GENERIC and len(nu) > nvars):
+                continue
+            val = rest.get(nu, 0) - scale * c
+            if val:
+                rest[nu] = val
+            else:
+                rest.pop(nu, None)
+    return SymExpr._of_canonical(basis, out, nvars)
 
 
 def m2jack(alpha, expr, nvars=GENERIC):
-    """Rewrite a monomial expression in the Jack C basis by triangular sweep."""
+    """Rewrite a monomial expression in the Jack C basis.
+
+    C_lam = c_lam*m_lam + terms dominated by lam, hence lex-less, so max
+    is solved first.
+    """
     from . import jack
 
-    flat = m2m(expr, nvars)
-    out = {}
-    for k in flat.weights():
-        rest = dict(flat.weight_component(k).terms)
-        while rest:
-            lam = max(rest)
-            coeff = rest.pop(lam)
-            expansion = jack.jack_monomial_coefficients(alpha, lam)
-            scale = coeff / expansion[lam]
-            out[lam] = scale
-            for nu, c in expansion.items():
-                if nu == lam:
-                    continue
-                if nvars is not GENERIC and len(nu) > nvars:
-                    continue
-                val = rest.get(nu, 0) - scale * c
-                if val:
-                    rest[nu] = val
-                else:
-                    rest.pop(nu, None)
-    return SymExpr("C", out, nvars)
+    return _sweep(m2m(expr, nvars), "C", max, partial(jack.jack_monomial_coefficients, alpha))
 
 
 def expand_to_monomials(alpha, expr, nvars=GENERIC):
     """Expand a mixed-basis expression tree or SymExpr into the monomial basis.
 
-    This is the one conversion of any basis into monomials: ``m2m``,
-    ``eval_numeric`` and ``OrthoExpansion.to_monomials`` all come here.
-    Jack leaves need alpha; power-sum leaves expand through their cached
-    monomial tables.  Each term's expansion, scaled by its coefficient,
-    is added into one dict of terms.
+    The one way into monomials: ``m2m``, ``p2m``, ``eval_numeric`` and
+    ``OrthoExpansion.to_monomials`` all come here.  Jack leaves need alpha;
+    a p leaf reads its table in nvars variables (|part| when generic).
     """
     from . import jack
 
@@ -528,7 +467,9 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
         if basis == "m":
             return SymExpr("m", {part: coeff}, nvars)
         if basis == "p":
-            return p2m(SymExpr("p", {part: coeff}), nvars)
+            n = nvars if nvars is not GENERIC else max(partitions.weight(part), 1)
+            terms = _power_sum_monomials(part, n)
+            return SymExpr._of_canonical("m", {nu: coeff * c for nu, c in terms.items()}, nvars)
         if alpha is None:
             raise DomainError("Jack-basis leaves need alpha")
         return jack.jack_expand(alpha, part, basis, nvars).scale(coeff)
@@ -544,11 +485,14 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
 
 def jack2jack(alpha, expr, nvars=GENERIC):
     """Flatten an expression over Jack and monomial leaves into the Jack C basis."""
+    from . import jack
+
     message = "jack2jack expects Jack or monomial leaves, found %s"
     _require_bases(expr, ("m",) + JACK_BASES, message)
     if nvars is GENERIC and has_true_product(expr):
         raise UnsupportedModeError("products of Jack polynomials need a numeric variable count")
-    return m2jack(alpha, expand_to_monomials(alpha, expr, nvars), nvars)
+    flat = expand_to_monomials(alpha, expr, nvars)
+    return _sweep(flat, "C", max, partial(jack.jack_monomial_coefficients, alpha))
 
 
 # ---------------------------------------------------------------------------

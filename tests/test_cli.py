@@ -156,6 +156,18 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+def test_convert_in_zero_variables(capsys):
+    # in 0 variables every m_lam with lam nonempty is zero, and m_() * m_() = m_()
+    for what, expr, want in [
+        ("m2m", "2*m[1]", "0"),
+        ("m2m", "2*m[1] + 3", "3"),
+        ("p2m", "2*p[1]", "0"),
+        ("p2m", "(2 + p[1])^2", "4"),
+    ]:
+        code, out, _ = run(["convert", "--what", what, "--expr", expr, "--vars", "0"], capsys)
+        assert (code, out) == (0, want + "\n"), (what, expr)
+
+
 def test_density_csv(capsys):
     code, out, err = run(
         ["density", "level", "--beta", "2", "--n", "2", "--grid", "0:1:3"], capsys

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from mops import jack, symfun
+from mops import jack, parser, symfun
 from mops.errors import DomainError, UnsupportedModeError
 from mops.partitions import partitions_of
 from mops.rational import ALPHA, rf
@@ -62,6 +62,28 @@ def test_m2m_generic_matches_large_numeric():
             assert num.terms == gen.terms
 
 
+def test_p2m_generic_matches_large_numeric():
+    # one path for trees and leaves: generic p2m multiplies stabilized
+    # monomials, and equals p2m at every n >= the total weight
+    cases = [
+        (Prod([p_(2, 1), p_(1)]), 4),
+        (Pow(Sum([p_(1), p_(2)]), 3), 6),
+        (Prod([p_(3, 2, 1), p_(2, 2)]), 10),
+    ]
+    for tree, weight in cases:
+        gen = p2m(tree, GENERIC)
+        for extra in range(0, 2):
+            assert p2m(tree, weight + extra).terms == gen.terms
+
+
+def test_zero_variables():
+    # only m_() survives in 0 variables, and m_() * m_() = m_()
+    assert symfun.mono_product((), (), 0) == {(): 1}
+    assert m2m(parser.parse_expression("2*m[1]"), 0).terms == {}
+    assert m2m(parser.parse_expression("(3 + m[2])^2"), 0).terms == {(): 9}
+    assert p2m(parser.parse_expression("2*p[1] + 5"), 0).terms == {(): 5}
+
+
 def test_m2m_numeric_truncates():
     e = m2m(Prod([m_(1, 1), m_(1, 1)]), 2)
     assert all(len(p) <= 2 for p in e.terms)
@@ -89,6 +111,14 @@ def test_roundtrip_p_and_m():
         for lam in partitions_of(k):
             back = p2m(m2p(SymExpr("m", {lam: 1})), k)
             assert back.terms == {lam: 1}
+    # a product of power sums is the power sum of the concatenated partition
+    for tree, lam in [
+        (Prod([p_(2, 1), p_(1)]), (2, 1, 1)),
+        (Prod([p_(3, 2, 1), p_(2, 2)]), (3, 2, 2, 2, 1)),
+        (Pow(p_(2), 3), (2, 2, 2)),
+        (Prod([p_(1), p_(3, 1), Pow(p_(1), 2)]), (3, 1, 1, 1, 1)),
+    ]:
+        assert m2p(p2m(tree)).terms == {lam: 1}
 
 
 def test_m2jack_examples():
@@ -170,10 +200,13 @@ def test_symexpr_and_tree_follow_one_basis_rule():
 def test_symexpr_coefficients_are_exact():
     with pytest.raises(DomainError, match="coefficient"):
         SymExpr("m", {(1,): 0.5}, 2)
+    with pytest.raises(DomainError, match="scalar"):
+        SymExpr("m", {(1,): 1}, 2).scale(0.5)
     # the check stores nothing: a constant rational function stays one, and
     # str() of it keeps its own form ("-1/(2)", not the Fraction's "-1/2")
     half = rf(-1) / 2
     assert SymExpr("m", {(1,): half}, 2).terms[(1,)] is half
+    assert SymExpr("m", {(1,): 1}, 2).scale(half).text() == "-1/(2)*m[1]"
 
 
 def test_inner_product():
@@ -220,15 +253,15 @@ def test_conversions_refuse_foreign_bases():
         eval_numeric(SymExpr("C", {(2,): 1}, 2), [1.0, 2.0])
 
 
-def _jack_expand_callers(source, module):
-    """module.function names whose body refers to jack_expand."""
+def _referrers(source, module, target="jack_expand"):
+    """module.function names whose body refers to target."""
     found = set()
     for stmt in ast.parse(source).body:
         defs = [stmt] if not isinstance(stmt, ast.ClassDef) else stmt.body
         for node in defs:
             name = "%s.%s" % (module, getattr(node, "name", "<module>"))
             for sub in ast.walk(node):
-                if "jack_expand" in (getattr(sub, "id", None), getattr(sub, "attr", None)):
+                if target in (getattr(sub, "id", None), getattr(sub, "attr", None)):
                     found.add(name)
     return found
 
@@ -236,13 +269,25 @@ def _jack_expand_callers(source, module):
 def test_monomial_expansions_go_through_expand_to_monomials():
     # one place turns a basis into monomials; the Jack-at-a-point series
     # and the CLI's jack command are the only other callers of jack_expand
-    assert _jack_expand_callers("def f():\n    return jack.jack_expand(1, (1,))\n", "m") == {"m.f"}
-    assert _jack_expand_callers("class K:\n    def g(self):\n        jack_expand()\n", "m") == {"m.g"}
+    assert _referrers("def f():\n    return jack.jack_expand(1, (1,))\n", "m") == {"m.f"}
+    assert _referrers("class K:\n    def g(self):\n        jack_expand()\n", "m") == {"m.g"}
     src = pathlib.Path(symfun.__file__).parent
     callers = set()
     for path in sorted(src.glob("*.py")):
-        callers |= _jack_expand_callers(path.read_text(), path.stem)
+        callers |= _referrers(path.read_text(), path.stem)
     assert callers == {"symfun.expand_to_monomials", "hypergeom.ghypergeom", "cli.cmd_jack"}
+
+
+def test_power_sum_tables_are_read_in_two_places():
+    # power sums enter monomials through expand_to_monomials, and m2p's
+    # sweep reads the same tables as its columns
+    sample = "def f():\n    def column(lam):\n        return _power_sum_monomials(lam, 2)\n"
+    assert _referrers(sample, "m", "_power_sum_monomials") == {"m.f"}
+    src = pathlib.Path(symfun.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= _referrers(path.read_text(), path.stem, "_power_sum_monomials")
+    assert found == {"symfun.expand_to_monomials", "symfun.m2p"}
 
 
 NODE_TYPES = {"Scalar", "Leaf", "Sum", "Prod", "Pow", "SymExpr"}
