@@ -68,13 +68,6 @@ def _emit_csv(xs, ys):
         print("%.17g,%.17g" % (x, y))
 
 
-def _ortho_output(expansion, args):
-    if args.format == "json":
-        print(json.dumps(expansion.to_json(), sort_keys=True))
-    else:
-        print(expansion.as_symexpr().text())
-
-
 def cmd_jack(args):
     alpha = parse_scalar(args.alpha)
     kappa = partitions.deserialize(args.partition)
@@ -101,7 +94,7 @@ def cmd_ortho(args):
         e = orthopoly.jacobi(
             alpha, kappa, parse_scalar(args.g1), parse_scalar(args.g2), nvars
         )
-    _ortho_output(e, args)
+    _emit_symexpr(e, args.format)
 
 
 def cmd_gbinomial(args):
@@ -148,6 +141,8 @@ def cmd_convert(args):
     if what == "m2m":
         out = symfun.m2m(tree, nvars)
     elif what == "m2p":
+        if nvars is not GENERIC:
+            raise DomainError("m2p works for a generic variable count; --vars must be generic or n")
         out = symfun.m2p(tree)
     elif what == "p2m":
         out = symfun.p2m(tree, nvars)

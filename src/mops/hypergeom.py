@@ -36,7 +36,7 @@ from fractions import Fraction
 from . import binom, jack, orthopoly, partitions
 from .errors import ConvergenceError, DomainError, PoleError
 from .rational import RationalFunction, as_exact, rf
-from .symfun import eval_numeric
+from .symfun import SymExpr, eval_numeric
 
 DEGREE_CAP = 400
 
@@ -188,12 +188,9 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
             layer = _sum(term for _, term in terms)
             if layer is not None:
                 layer = layer * x**k
+        elif terms:
+            layer = eval_numeric(SymExpr._of_canonical("C", dict(terms), m), xs, alpha)
         else:
-            layer = _sum(
-                coeff * eval_numeric(jack.jack_expand(alpha, kappa, "C", m), xs)
-                for kappa, coeff in terms
-            )
-        if layer is None:
             continue
         total = layer if total is None else total + layer
         if tol is not None and k > 0:
@@ -347,7 +344,7 @@ def level_density_polynomial(beta, n):
         math.factorial(beta // 2), math.factorial(n * beta // 2)
     )
     coeffs = [Fraction(0)] * (k + 1)
-    for sigma, c in h.coeffs.items():
+    for sigma, c in h.terms.items():
         s = partitions.weight(sigma)
         sign = -1 if ((k - s) // 2) % 2 else 1
         coeffs[s] += sign * c * ident[sigma] / ck_ident

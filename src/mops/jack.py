@@ -17,7 +17,7 @@ produce the same mu.
 import math
 from fractions import Fraction
 
-from . import cache, operators, partitions
+from . import binom, cache, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import as_exact
 from .symfun import GENERIC, SymExpr
@@ -122,8 +122,6 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
 
 def jack_identity_value(alpha, kappa, norm, m):
     """Value at x_1 = ... = x_m = 1; m may be numeric or a symbolic scalar."""
-    from . import binom
-
     alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)

@@ -1,9 +1,10 @@
 """Multivariate Hermite, Laguerre and Jacobi polynomials.
 
-Each polynomial is stored as an OrthoExpansion: a map from subpartitions
-sigma of kappa to the exact coefficient of the plain Jack polynomial
-C_sigma.  Two independent Hermite constructions are provided; they must
-agree exactly, which is enforced by the test suite.  ``hermite`` walks the
+Each polynomial is an OrthoExpansion, a SymExpr in the Jack C basis whose
+terms map the subpartitions sigma of kappa to the exact coefficient of the
+plain Jack polynomial C_sigma (``coeffs`` is another name for ``terms``).
+Two independent Hermite constructions are provided; they must agree
+exactly, which is enforced by the test suite.  ``hermite`` walks the
 two-box paths sigma -> sigma^(i) -> sigma^(i)(j) inside kappa, each
 weighted by the content of its first box less the content of its second,
 the content of box (row, col) being col - 1 - (row - 1)/alpha.
@@ -29,50 +30,40 @@ from .symfun import GENERIC, SymExpr, eval_numeric, expand_to_monomials
 FAMILIES = ("hermite", "laguerre", "jacobi")
 
 
-class OrthoExpansion:
-    """Expansion sum_sigma coeffs[sigma] * C_sigma in the plain C basis."""
+class OrthoExpansion(SymExpr):
+    """sum_sigma c_sigma C_sigma: a C-basis SymExpr that names its polynomial.
 
-    __slots__ = ("family", "kappa", "params", "nvars", "coeffs")
+    family, kappa and params (alpha and the weight exponents) say which
+    polynomial the terms expand; ``coeffs`` is another name for ``terms``.
+    """
+
+    __slots__ = ("family", "kappa", "params")
 
     def __init__(self, family, kappa, params, nvars, coeffs):
+        SymExpr.__init__(self, "C", coeffs, nvars)
         self.family = family
         self.kappa = kappa
         self.params = dict(params)
-        self.nvars = nvars
-        self.coeffs = {p: c for p, c in coeffs.items() if c}
 
-    def __repr__(self):
-        return "OrthoExpansion(%s, %r)" % (self.family, list(self.kappa))
-
-    def coefficient(self, sigma):
-        sigma = partitions.as_partition(sigma)
-        return self.coeffs.get(sigma, 0)
-
-    def sorted_terms(self):
-        return [(p, self.coeffs[p]) for p in sorted(self.coeffs, reverse=True)]
+    @property
+    def coeffs(self):
+        return self.terms
 
     def as_symexpr(self):
-        return SymExpr("C", self.coeffs, self.nvars)
+        return SymExpr._of_canonical("C", self.terms, self.nvars)
 
     def to_monomials(self, alpha):
         if self.nvars is GENERIC:
             raise DomainError("monomial expansion needs a numeric variable count")
-        return expand_to_monomials(alpha, self.as_symexpr(), self.nvars)
+        return expand_to_monomials(alpha, self, self.nvars)
 
     def to_json(self):
-        terms = [
-            {"partition": list(part), "coeff": rf(coeff).to_json()}
-            for part, coeff in self.sorted_terms()
-        ]
-        mode = "generic" if self.nvars is GENERIC else self.nvars
-        params = {name: rf(value).to_json() for name, value in sorted(self.params.items())}
-        return {
-            "family": self.family,
-            "kappa": list(self.kappa),
-            "params": params,
-            "varMode": mode,
-            "terms": terms,
-        }
+        out = SymExpr.to_json(self)
+        del out["basis"]
+        out["family"] = self.family
+        out["kappa"] = list(self.kappa)
+        out["params"] = {name: rf(value).to_json() for name, value in sorted(self.params.items())}
+        return out
 
 
 def _m_scalar(nvars):
@@ -400,7 +391,7 @@ def family_eigenvalue(expansion):
 
 def eval_at_zero(expansion):
     """Constant term (the coefficient of C of the empty partition)."""
-    return expansion.coeffs.get((), 0)
+    return expansion.terms.get((), 0)
 
 
 def eval_at_scalar_identity(expansion, x, m):
@@ -412,7 +403,7 @@ def eval_at_scalar_identity(expansion, x, m):
     x = as_exact(x, "x")
     ident = _identity_values(expansion.params["alpha"], expansion.kappa, Fraction(m))
     total = 0
-    for sigma, c in expansion.coeffs.items():
+    for sigma, c in expansion.terms.items():
         total = total + c * x ** partitions.weight(sigma) * ident[sigma]
     return total
 
@@ -430,14 +421,13 @@ def laguerre_hermite_limit_check(alpha, kappa, n, gamma_grid, xs):
     xs = [float(x) for x in xs]
     if len(xs) != n:
         raise DomainError("point has %d coordinates, expected %d" % (len(xs), n))
-    herm = hermite(alpha, kappa, n).to_monomials(alpha)
-    target = (-1) ** k * eval_numeric(herm, xs)
+    target = (-1) ** k * eval_numeric(hermite(alpha, kappa, n), xs, alpha)
     deviations = []
     for gamma in gamma_grid:
         gamma = as_exact(gamma, "gamma")
-        lag = laguerre(alpha, kappa, gamma, n).to_monomials(alpha)
         root = float(gamma) ** 0.5
         point = [float(gamma) + root * x for x in xs]
-        scaled = eval_numeric(lag, point) / float(gamma) ** (k / 2.0)
+        lag = eval_numeric(laguerre(alpha, kappa, gamma, n), point, alpha)
+        scaled = lag / float(gamma) ** (k / 2.0)
         deviations.append(abs(scaled - target))
     return deviations

@@ -63,7 +63,11 @@ def partitions_of(k, max_part=None, max_len=None):
 
 
 def subpartitions_of(kappa):
-    """All sigma with sigma_i <= kappa_i for every i, kappa included."""
+    """All sigma with sigma_i <= kappa_i for every i, kappa included.
+
+    The list is in increasing lexicographic order: the walk lists each
+    prefix before its extensions and tries the next part in ascending order.
+    """
     return _subpartitions_of(as_partition(kappa))
 
 
@@ -81,7 +85,6 @@ def _subpartitions_of(kappa):
             prefix.pop()
 
     descend(0, kappa[0] if kappa else 0, [])
-    result.sort()
     return result
 
 

@@ -83,7 +83,7 @@ class SymExpr:
         )
 
     def __repr__(self):
-        return "SymExpr(%s)" % self.text()
+        return "%s(%s)" % (type(self).__name__, self.text())
 
     def add(self, other):
         if other.basis != self.basis or other.nvars != self.nvars:
@@ -457,9 +457,9 @@ def m2jack(alpha, expr, nvars=GENERIC):
 def expand_to_monomials(alpha, expr, nvars=GENERIC):
     """Expand a mixed-basis expression tree or SymExpr into the monomial basis.
 
-    The one way into monomials: ``m2m``, ``p2m``, ``eval_numeric`` and
-    ``OrthoExpansion.to_monomials`` all come here.  Jack leaves need alpha;
-    a p leaf reads its table in nvars variables (|part| when generic).
+    The one way into monomials: ``m2m``, ``p2m`` and ``eval_numeric`` all
+    come here.  Jack leaves need alpha; a p leaf reads its table in nvars
+    variables (|part| when generic).
     """
     from . import jack
 

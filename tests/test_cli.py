@@ -168,6 +168,18 @@ def test_convert_in_zero_variables(capsys):
         assert (code, out) == (0, want + "\n"), (what, expr)
 
 
+def test_m2p_refuses_a_numeric_variable_count(capsys):
+    # m2p solves in the generic ring; a numeric --vars would be ignored
+    for vars_ in ("1", "3"):
+        argv = ["convert", "--what", "m2p", "--expr", "m[1,1]", "--vars", vars_]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "") and "--vars" in err
+    want = "-1/(2)*p[2] + 1/(2)*p[1,1]\n"
+    for extra in ([], ["--vars", "generic"], ["--vars", "n"]):
+        code, out, _ = run(["convert", "--what", "m2p", "--expr", "m[1,1]"] + extra, capsys)
+        assert (code, out) == (0, want)
+
+
 def test_density_csv(capsys):
     code, out, err = run(
         ["density", "level", "--beta", "2", "--n", "2", "--grid", "0:1:3"], capsys

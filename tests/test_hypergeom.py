@@ -57,6 +57,22 @@ def test_2f0_terminates():
     assert hg.ghypergeom(a, [rf(-1), rf(5)], [], ("xid", R, m), limit=11) == val
 
 
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(1, 2), Fraction(3)])
+@pytest.mark.parametrize(
+    "upper, lower",
+    [([], []), ([Fraction(1, 2)], [Fraction(3, 2)]), ([Fraction(-2), Fraction(1, 3)], [Fraction(5, 2)])],
+    ids=["0F0", "1F1", "2F1"],
+)
+def test_vec_point_matches_scalar_identity_exactly(alpha, upper, lower):
+    # the vec side evaluates Jack tables at the point, the xid side sums
+    # box-update identity values: at (x, ..., x) they agree exactly
+    x = Fraction(2, 7)
+    for m in (1, 2, 3):
+        vec = hg.ghypergeom(alpha, upper, lower, ("vec", [x] * m), limit=8)
+        xid = hg.ghypergeom(alpha, upper, lower, ("xid", x, m), limit=8)
+        assert isinstance(vec, Fraction) and vec == xid, m
+
+
 def test_terminating_series_ignore_higher_limits():
     for limit in (None, 10, 30):
         v = hg.ghypergeom(Fraction(2), [rf(-2), rf(3)], [], ("xid", Fraction(1, 5), 2), limit=limit)

@@ -8,7 +8,7 @@ from mops import jack, orthopoly as op
 from mops.errors import DomainError
 from mops.partitions import partitions_of, subpartitions_of, weight
 from mops.rational import ALPHA, G1, G2, GAMMA, N, rf
-from mops.symfun import GENERIC
+from mops.symfun import GENERIC, SymExpr, eval_numeric, expand_to_monomials, jack2jack
 
 from oracles import (
     hermite_expect_2vars,
@@ -327,3 +327,30 @@ def test_symbolic_substitution_matches_numeric_path():
             if isinstance(want, RationalFunction):
                 want = want.to_fraction()
             assert coeff.substitute({"a": Fraction(2, 3)}).to_fraction() == want
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        op.hermite,
+        op.hermite2,
+        lambda alpha, kappa, n: op.laguerre(alpha, kappa, Fraction(1, 2), n),
+        lambda alpha, kappa, n: op.jacobi(alpha, kappa, Fraction(0), Fraction(1, 3), n),
+    ],
+    ids=["hermite", "hermite2", "laguerre", "jacobi"],
+)
+def test_expansion_is_a_jack_symexpr(build):
+    # an expansion goes wherever a C-basis SymExpr goes, with the same result
+    alpha = Fraction(2, 3)
+    for n in (GENERIC, 2, 3):
+        e = build(alpha, (2, 1), n)
+        assert isinstance(e, SymExpr) and e.basis == "C"
+        assert e == e.as_symexpr() and e.coeffs is e.terms
+        assert jack2jack(alpha, e, n) == e.as_symexpr()
+        if n is GENERIC:
+            continue
+        mono = e.to_monomials(alpha)
+        assert expand_to_monomials(alpha, e, n) == mono
+        xs = [Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4)][:n]
+        value = eval_numeric(e, xs, alpha)
+        assert isinstance(value, Fraction) and value == eval_numeric(mono, xs)
