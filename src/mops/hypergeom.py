@@ -140,7 +140,8 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     number or a rational function, kept exact), or ('vec', xs) for an
     explicit numeric point.  Exactly one of termination, limit, or tol
     must make the sum finite.  A numeric point or a tolerance needs alpha,
-    the parameters and x to be numbers.
+    the parameters and x to be numbers.  A point with a float coordinate
+    gives a float; an exact or empty point gives an exact value.
     """
     alpha = jack._as_alpha(alpha)
     upper = [as_exact(v, "an upper parameter") for v in upper]
@@ -195,13 +196,17 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
         total = layer if total is None else total + layer
         if tol is not None and k > 0:
             if abs(float(layer)) <= tol * max(abs(float(total)), 1e-300):
-                return total
-    if tol is not None and not terminating and limit is None:
-        raise ConvergenceError(
-            "series did not reach tolerance %g by degree %d" % (tol, max_degree),
-            partial=total,
-        )
-    return total if total is not None else 0
+                break
+    else:
+        if tol is not None and not terminating and limit is None:
+            raise ConvergenceError(
+                "series did not reach tolerance %g by degree %d" % (tol, max_degree),
+                partial=total,
+            )
+    total = total if total is not None else 0
+    if kind == "vec" and any(isinstance(v, float) for v in xs):
+        return float(total)
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,37 @@
-"""Jack polynomials via the Laplace-Beltrami recurrence.
+"""Jack polynomials via the Laplace-Beltrami recurrence, over Z[alpha].
 
-Everything is computed in the C normalization (the one whose partitions of
+Everything is returned in the C normalization (the one whose partitions of
 k sum to (x_1 + ... + x_n)^k); J and P are scalar multiples.  The monomial
 coefficients c_{kappa,lambda} do not depend on the number of variables, so
-one memo table per (alpha, kappa) serves every variable count; a numeric
-count only drops partitions longer than n.
+one table per kappa serves every variable count; a numeric count only
+drops partitions longer than n.
 
-The recurrence walks partitions of |kappa| downward in lexicographic
-order.  For each lambda it enumerates the moves (i < j, 1 <= t <=
-lambda_j) sending lambda to mu = sort(lambda + t e_i - t e_j); every move
-whose mu is dominated by kappa contributes (lambda_i - lambda_j + 2t) *
-c_{kappa,mu}, and distinct moves contribute separately even when they
-produce the same mu.
+The recurrence runs in the J normalization, whose monomial coefficients
+are polynomials in alpha with non-negative integer coefficients (Knop &
+Sahi, "A recursion and a combinatorial formula for Jack polynomials",
+Invent. Math. 128, 1997).  It walks the partitions of |kappa| downward in
+lexicographic order.  For each lambda dominated by kappa it enumerates the
+moves (i < j, 1 <= t <= lambda_j) sending lambda to mu = sort(lambda +
+t e_i - t e_j); every move whose mu is already in the table adds
+(lambda_i - lambda_j + 2t) to the weight of J_mu, and distinct moves add
+separately even when they produce the same mu.  The weighted sum times
+2/alpha is divided by rho_kappa - rho_lambda; times alpha that divisor is
+the integer linear polynomial p alpha - q with p = A_kappa - A_lambda > 0
+and q = 2 (B_kappa - B_lambda), where A = sum kappa_i (kappa_i - 1) and
+B = sum (i-1) kappa_i.  So every step is an exact synthetic division of
+an int list by a linear factor, and no gcd is taken.
+
+The integer table is free of alpha and memoized per kappa.  The C table
+at a given alpha evaluates each entry once by Horner's rule and multiplies
+it by alpha^k k! / j_kappa(alpha); alpha is a pole exactly when the hook
+product j_kappa vanishes there.
 """
 
 import math
-from fractions import Fraction
+from itertools import zip_longest
 
 from . import binom, cache, operators, partitions
-from .errors import DomainError, PoleError
+from .errors import DomainError
 from .rational import as_exact
 from .symfun import GENERIC, SymExpr
 
@@ -37,43 +50,79 @@ def jack_monomial_coefficients(alpha, kappa):
     return _jack_monomial_coefficients(_as_alpha(alpha), partitions.as_partition(kappa))
 
 
+def _a_b(lam):
+    """(A, B) = (sum lam_i (lam_i - 1), sum (i-1) lam_i)."""
+    return sum(p * (p - 1) for p in lam), sum(i * p for i, p in enumerate(lam))
+
+
+def _divide_linear(poly, p, q):
+    """poly / (p alpha - q) in Z[alpha], by synthetic division from the top."""
+    quotient = [0] * (len(poly) - 1)
+    carry = rem = 0
+    for i in range(len(poly) - 1, 0, -1):
+        carry, rem = divmod(poly[i] + q * carry, p)
+        if rem:
+            break
+        quotient[i - 1] = carry
+    if rem or poly[0] + q * carry:
+        raise ArithmeticError("Jack J coefficient is not divisible by %d*a - %d" % (p, q))
+    return quotient
+
+
 @cache.memo
-def _jack_monomial_coefficients(alpha, kappa):
-    k = partitions.weight(kappa)
-    c_upper = partitions.hook_products(alpha, kappa)[0]
-    seed = alpha**k * math.factorial(k) / partitions._hook_divisor(c_upper, alpha, kappa)
+def _jack_j_table(kappa):
+    """lambda -> J_{kappa,lambda} as a dense int list in alpha (index = power)."""
+    conj = partitions.conjugate(kappa)
+    seed = [1]
+    for i0, part in enumerate(kappa):
+        for j0 in range(part):
+            # times alpha * arm + leg + 1
+            arm, leg1 = part - j0 - 1, conj[j0] - i0
+            seed = [leg1 * c + arm * b for c, b in zip(seed + [0], [0] + seed)]
+            if not arm:
+                seed.pop()
     table = {kappa: seed}
-    rho_kappa = partitions.rho(alpha, kappa)
-    two_over_alpha = 2 / alpha
-    for lam in partitions.partitions_of(k):
-        if lam == kappa or lam > kappa:
+    a_kappa, b_kappa = _a_b(kappa)
+    for lam in partitions.partitions_of(partitions.weight(kappa)):
+        if lam >= kappa or partitions.compare(lam, kappa, "dominance") != partitions.LESS:
             continue
-        if partitions.compare(lam, kappa, "dominance") != partitions.LESS:
-            continue
-        total = None
-        llen = len(lam)
-        for j in range(1, llen):
+        weights = {}
+        for j in range(1, len(lam)):
             for i in range(j):
                 diff = lam[i] - lam[j]
-                for t in range(1, lam[j] + 1):
+                # a part above kappa_1 leaves the dominance interval
+                for t in range(1, min(lam[j], kappa[0] - lam[i]) + 1):
                     moved = list(lam)
                     moved[i] += t
                     moved[j] -= t
-                    mu = tuple(sorted((p for p in moved if p), reverse=True))
-                    c_mu = table.get(mu)
-                    if c_mu is None:
-                        continue
-                    term = (diff + 2 * t) * c_mu
-                    total = term if total is None else total + term
-        if total is None:
+                    mu = tuple(sorted(moved, reverse=True))
+                    if not moved[j]:
+                        mu = mu[:-1]
+                    if mu in table:
+                        weights[mu] = weights.get(mu, 0) + 2 * (diff + 2 * t)
+        if not weights:
             continue
-        denom = rho_kappa - partitions.rho(alpha, lam)
-        if isinstance(denom, Fraction) and denom == 0:
-            raise PoleError(
-                "alpha = %s is a pole of the Jack coefficient recurrence" % (alpha,)
-            )
-        table[lam] = two_over_alpha * total / denom
+        total = []
+        for mu, weight in weights.items():
+            total = [c + weight * d for c, d in zip_longest(total, table[mu], fillvalue=0)]
+        a_lam, b_lam = _a_b(lam)
+        table[lam] = _divide_linear(total, a_kappa - a_lam, 2 * (b_kappa - b_lam))
     return table
+
+
+def _horner(coeffs, alpha):
+    value = 0
+    for c in reversed(coeffs):
+        value = value * alpha + c
+    return value
+
+
+@cache.memo
+def _jack_monomial_coefficients(alpha, kappa):
+    k = partitions.weight(kappa)
+    j_full = partitions.hook_products(alpha, kappa)[2]
+    factor = alpha**k * math.factorial(k) / partitions._hook_divisor(j_full, alpha, kappa)
+    return {lam: _horner(coeffs, alpha) * factor for lam, coeffs in _jack_j_table(kappa).items()}
 
 
 def _c_to_norm_factor(alpha, kappa, norm):

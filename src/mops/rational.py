@@ -340,7 +340,10 @@ def _p_gcd(p, q):
     For xi >= 2*min(|p|, |q|) + 2 the primitive candidate is the primitive
     gcd as soon as it divides both p and q, so the two trial divisions are
     the whole verification.  When no candidate divides, `_prs_gcd` runs.
+    A unit operand gives the unit at once.
     """
+    if p == _P_ONE or q == _P_ONE:
+        return _P_ONE
     if p and q and p != q and not (_p_is_const(p) or _p_is_const(q)):
         heur = _heugcd(p, q)
         if heur is not None:
@@ -698,6 +701,8 @@ def _canonicalize(num, den):
 def _p_cancel(p, q):
     """p and q divided by their gcd."""
     g = _p_gcd(p, q)
+    if g == _P_ONE:
+        return p, q
     return _p_divexact(p, g), _p_divexact(q, g)
 
 

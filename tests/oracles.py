@@ -4,14 +4,20 @@ These deliberately avoid the library's own algorithms: univariate
 orthogonal polynomials come from exact moment Gram-Schmidt, generalized
 binomial coefficients from the shifted-argument definition, Hermite
 ensemble expectations from the two-variable rotation reduction,
-subpartition enumeration from brute force over tuples, and contiguous
-binomial coefficients from hook products over the whole diagram.
+subpartition enumeration from brute force over tuples, contiguous
+binomial coefficients from hook products over the whole diagram, and Jack
+tables at alpha = 1 from Kostka numbers counted over semistandard
+tableaux.  ``jack_c_recurrence`` is the Laplace-Beltrami recurrence run in
+the coefficient field itself, the reference for the library's integer
+tables.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
-from mops import jack, m2jack
+from mops import jack, m2jack, partitions
+from mops.errors import PoleError
 from mops.rational import GAMMA, G1, G2, rf
 from mops.binom import sfact
 from mops.symfun import SymExpr, _distinct_rearrangements
@@ -200,3 +206,80 @@ def hermite_expect_2vars(mono_terms, alpha):
                         continue
                     total = total + coeff * scale * sign * bi * bj * mu * mv
     return total
+
+
+def jack_c_recurrence(alpha, kappa):
+    """lambda -> c_{kappa,lambda} for C_kappa, by the recurrence in the field.
+
+    The Laplace-Beltrami recurrence of ``jack`` run on Fractions or
+    RationalFunctions: every step divides by rho_kappa - rho_lambda, so
+    it raises PoleError wherever one of those differences vanishes, even
+    where the table itself is finite.
+    """
+    k = partitions.weight(kappa)
+    c_upper = partitions.hook_products(alpha, kappa)[0]
+    seed = alpha**k * math.factorial(k) / partitions._hook_divisor(c_upper, alpha, kappa)
+    table = {kappa: seed}
+    rho_kappa = partitions.rho(alpha, kappa)
+    two_over_alpha = 2 / alpha
+    for lam in partitions.partitions_of(k):
+        if lam >= kappa or partitions.compare(lam, kappa, "dominance") != partitions.LESS:
+            continue
+        total = None
+        for j in range(1, len(lam)):
+            for i in range(j):
+                diff = lam[i] - lam[j]
+                for t in range(1, lam[j] + 1):
+                    moved = list(lam)
+                    moved[i] += t
+                    moved[j] -= t
+                    mu = tuple(sorted((p for p in moved if p), reverse=True))
+                    c_mu = table.get(mu)
+                    if c_mu is None:
+                        continue
+                    term = (diff + 2 * t) * c_mu
+                    total = term if total is None else total + term
+        if total is None:
+            continue
+        denom = rho_kappa - partitions.rho(alpha, lam)
+        if isinstance(denom, Fraction) and denom == 0:
+            raise PoleError("alpha = %s zeroes rho_kappa - rho_lambda" % (alpha,))
+        table[lam] = two_over_alpha * total / denom
+    return table
+
+
+def kostka(shape, content):
+    """Number of semistandard tableaux of the shape with the content.
+
+    Fills the squares in reading order with entries 1..len(content), rows
+    weakly increasing and columns strictly increasing.
+    """
+    squares = [(r, c) for r, part in enumerate(shape) for c in range(part)]
+    left = list(content)
+    filling = {}
+
+    def count(index):
+        if index == len(squares):
+            return 1
+        r, c = squares[index]
+        low = max(filling.get((r, c - 1), 1), filling.get((r - 1, c), 0) + 1)
+        total = 0
+        for v in range(low, len(content) + 1):
+            if left[v - 1]:
+                left[v - 1] -= 1
+                filling[(r, c)] = v
+                total += count(index + 1)
+                left[v - 1] += 1
+        filling.pop((r, c), None)
+        return total
+
+    return count(0)
+
+
+def hook_length_product(shape):
+    """Product of the hook lengths arm + leg + 1 over the diagram."""
+    out = 1
+    for r0, part in enumerate(shape):
+        for c0 in range(part):
+            out *= _hooks(1, shape, r0, c0)[1]
+    return out

@@ -340,6 +340,15 @@ def test_hypergeom_symbolic_xid_cli(capsys):
     assert out.strip() == "1-2*r-2*n*r+n*r^2+n^2*r^2"
 
 
+@pytest.mark.parametrize("upper", ["0", "1/2"])
+def test_hypergeom_float_point_prints_a_float(capsys, upper):
+    code, out, _ = run(
+        ["hypergeom", "--alpha", "1", "--upper", upper, "--lower", "3/2", "--x", "0.3,0.2", "--limit", "4"],
+        capsys,
+    )
+    assert code == 0 and isinstance(float(out), float) and "." in out
+
+
 def test_hypergeom_tolerance_prints_the_exact_value(capsys):
     code, out, _ = run(
         ["hypergeom", "--alpha", "2", "--upper", "1/2", "--lower", "3/2", "--xid", "1/2:3", "--tol", "1e-12"],

@@ -24,6 +24,17 @@ def test_0f0_exponential_partial_sums():
     assert exact == sum(Fraction(1, math.factorial(k)) for k in range(9))
 
 
+@pytest.mark.parametrize("upper", [[Fraction(0)], [Fraction(1, 2)]], ids=["upper0", "upper1/2"])
+def test_float_point_gives_a_float(upper):
+    # a point with a float coordinate gives a float even when only the
+    # exact layer 0 contributes; an empty or exact point stays exact
+    lower = [Fraction(3, 2)]
+    assert type(hg.ghypergeom(Fraction(1), upper, lower, ("vec", [0.3, 0.2]), limit=4)) is float
+    assert type(hg.ghypergeom(Fraction(1), upper, lower, ("vec", [0.3, Fraction(1, 5)]), limit=4)) is float
+    assert hg.ghypergeom(Fraction(1), upper, lower, ("vec", []), limit=4) == Fraction(1)
+    assert type(hg.ghypergeom(Fraction(1), upper, lower, ("vec", [Fraction(3, 10)]), limit=4)) is Fraction
+
+
 def test_1f0_binomial_series():
     # (1-x)^(-a) partial sums at the scalar-identity point, one variable
     x = Fraction(1, 3)

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import hook_length_product, jack_c_recurrence, kostka
+
 from mops import hypergeom, jack
 from mops.errors import DomainError, PoleError
-from mops.partitions import partitions_of, rho
+from mops.partitions import LESS, compare, hook_products, partitions_of, rho
 from mops.rational import ALPHA, N, rf
 from mops.symfun import GENERIC, SymExpr
 
@@ -67,8 +69,6 @@ def test_triangularity_and_positivity():
     # P normalization: monic leading coefficient, dominated partitions only,
     # positive coefficients at sampled alpha
     samples = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
-    from mops.partitions import LESS, compare
-
     for k in range(1, 7):
         for kap in partitions_of(k):
             e = jack.jack_expand(a, kap, "P", GENERIC)
@@ -171,7 +171,8 @@ def test_dstar_eigenfunctions():
 def test_numeric_alpha_pole():
     with pytest.raises(DomainError):
         jack.jack_expand(Fraction(0), (2,), "C", GENERIC)
-    # alpha = -1/2 makes rho([2]) - rho([1,1]) vanish: 2 - (-2/a) = 2 + 2a... at a=-1 it is 0
+    # j_(2) = 2a^2 (1 + a): alpha = -1 zeroes the lower hook 1 + a of the
+    # first square (and rho([2]) - rho([1,1]) = 2 + 2/a with it)
     with pytest.raises(PoleError):
         jack.jack_expand(Fraction(-1), (2,), "C", GENERIC)
 
@@ -234,3 +235,85 @@ def test_symbolic_substitution_matches_numeric_path():
             assert set(sym) == set(num)
             for lam, coeff in sym.items():
                 assert coeff.substitute({"a": alpha_val}).to_fraction() == num[lam]
+
+
+KAPPAS_TO_7 = [kap for k in range(1, 8) for kap in partitions_of(k)]
+
+
+def _substituted(kappa, alpha):
+    sym = jack.jack_monomial_coefficients(a, kappa)
+    return {lam: coeff.substitute({"a": alpha}).to_fraction() for lam, coeff in sym.items()}
+
+
+@pytest.mark.parametrize("alpha", [a, Fraction(1, 2), Fraction(3), Fraction(5, 7)], ids=str)
+def test_table_matches_field_recurrence(alpha):
+    for kap in KAPPAS_TO_7:
+        got = jack.jack_monomial_coefficients(alpha, kap)
+        assert got == jack_c_recurrence(alpha, kap), kap
+
+
+def test_j_table_has_nonnegative_integer_coefficients():
+    # Knop & Sahi: J_kappa's monomial coefficients lie in N[alpha]
+    for kap in KAPPAS_TO_7:
+        for lam, coeffs in jack._jack_j_table(kap).items():
+            assert coeffs[-1] and all(type(c) is int and c >= 0 for c in coeffs), (kap, lam)
+
+
+def test_j_table_at_alpha_one_is_hook_lengths_times_kostka():
+    # at alpha = 1, J_kappa = H_kappa s_kappa and s_kappa = sum K_{kappa,lambda} m_lambda
+    for kap in KAPPAS_TO_7:
+        hooks = hook_length_product(kap)
+        expected = {}
+        for lam in partitions_of(sum(kap)):
+            count = kostka(kap, lam)
+            if count:
+                expected[lam] = hooks * count
+        got = {lam: sum(coeffs) for lam, coeffs in jack._jack_j_table(kap).items()}
+        assert got == expected, kap
+
+
+def _recurrence_zeros(kappa):
+    """Every alpha != 0 at which rho_kappa - rho_lambda = 0 for some lambda < kappa."""
+
+    def a_b(lam):
+        return sum(p * (p - 1) for p in lam), sum(i * p for i, p in enumerate(lam))
+
+    a_kap, b_kap = a_b(kappa)
+    zeros = set()
+    for lam in partitions_of(sum(kappa)):
+        if compare(lam, kappa, "dominance") == LESS:
+            a_lam, b_lam = a_b(lam)
+            if b_kap != b_lam:
+                zeros.add(Fraction(2 * (b_kap - b_lam), a_kap - a_lam))
+    return sorted(zeros)
+
+
+def test_pole_exactly_where_the_hook_product_vanishes():
+    poles = finite = 0
+    for kap in KAPPAS_TO_7:
+        for alpha in _recurrence_zeros(kap):
+            if hook_products(alpha, kap)[2] == 0:
+                poles += 1
+                with pytest.raises(PoleError):
+                    jack.jack_monomial_coefficients(alpha, kap)
+            else:
+                finite += 1
+                assert jack.jack_monomial_coefficients(alpha, kap) == _substituted(kap, alpha), (kap, alpha)
+    assert poles and finite
+
+
+@pytest.mark.parametrize("kappa, alpha", [((4,), Fraction(-3, 5)), ((3, 1), Fraction(-5, 3))], ids=str)
+def test_recurrence_zero_off_the_hook_poles_is_finite(kappa, alpha):
+    # rho_kappa - rho_lambda vanishes here, but no hook of kappa does
+    assert hook_products(alpha, kappa)[2] != 0
+    with pytest.raises(PoleError):
+        jack_c_recurrence(alpha, kappa)
+    assert jack.jack_monomial_coefficients(alpha, kappa) == _substituted(kappa, alpha)
+
+
+def test_inexact_linear_division_is_an_error():
+    assert jack._divide_linear([2, 5, 3], 3, -2) == [1, 1]
+    with pytest.raises(ArithmeticError):
+        jack._divide_linear([1, 1], 2, 0)
+    with pytest.raises(ArithmeticError):
+        jack._divide_linear([1, 2], 1, 0)

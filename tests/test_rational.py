@@ -218,6 +218,13 @@ def test_polynomial_gcd_white_box():
     assert _p_gcd((4 + 4 * a).num, (6 + 6 * a).num) == (2 + 2 * a).num
 
 
+@pytest.mark.parametrize("p", [rf(1), rf(-6), rf(0), 3 + a * n, (2 + 2 * a) * (1 - n)], ids=repr)
+def test_gcd_with_the_unit_is_the_unit(p):
+    one = rf(1).num
+    assert rational._p_gcd(p.num, one) == rational._p_gcd(one, p.num) == one
+    assert rational._prs_gcd(p.num, one) == rational._prs_gcd(one, p.num) == one
+
+
 def _assert_henrici_canonical(f, g):
     """+, -, * and / give the canonical form of the unreduced cross products."""
     n1, d1, n2, d2 = f.num, f.den, g.num, g.den
