@@ -8,6 +8,12 @@ Cached values are never modified after they are stored and can always be
 recomputed, so the usual dict races under concurrent writers are benign:
 two threads may compute the same entry and one insert wins.  Correctness
 never depends on a cache hit.
+
+One kind of entry grows: ``hypergeom._held_prefix`` stores a holder whose
+state, the exact layer sums of one series up to some degree plus the layer
+needed to resume, is replaced whole, in one assignment, by a longer prefix
+of the same sequence.  Two racing extenders compute equal states and one
+assignment wins, as with an insert.
 """
 
 import functools

@@ -1,8 +1,8 @@
 """Hypergeometric functions of matrix argument and eigenvalue statistics.
 
-One series engine, ``_series_layers``, serves every function here.  It
+One series engine, ``_next_layer``, serves every function here.  It
 walks  pFq(a; b; x) = sum_k sum_kappa prod (a_i)_kappa / (k! prod (b_j)_kappa)
-C_kappa(x)  layer by layer in total degree k and yields each layer's
+C_kappa(x)  layer by layer in total degree k and gives each layer's
 partitions with their exact coefficients, or with the coefficients times
 C_kappa(I_m).  Only the partitions that can contribute are enumerated: at
 most m parts (C_kappa vanishes on m variables otherwise) and, when an
@@ -16,24 +16,33 @@ of the hypergeometric function of a matrix argument*, Math. Comp. 2006):
 the box (l, c) multiplies each Pochhammer symbol (a)_kappa by
 a + c - 1 - (l-1)/alpha, and changes only the hooks of row l and column c,
 so a partition costs O(m + p + q) field operations instead of O(|kappa|).
-``_series_layers`` states the Pochhammer ratio and
-``partitions._box_hook_ratio`` the hook ratio.  The callers differ only in
-how they fold the layers and when they stop:
+``_next_layer`` states the Pochhammer ratio and
+``partitions._box_hook_ratio`` the hook ratio.
+
+At the identity only the layer sums c_k = sum_kappa coeff_kappa C_kappa(I_m)
+matter, and they depend on (alpha, a, b, m) alone, not on the point.  So
+``_identity_sums`` holds one exact prefix c_0..c_K per series in a
+``cache.memo`` table, together with the layer of degree K to resume from
+(never more than that one layer of terms), and a later call extends it
+only past K.  The points of a curve thus share their sums, and a point
+below the degree already held costs no series work.  The callers differ
+only in how they fold the sums and when they stop:
 
 - ``ghypergeom`` sums C_kappa at the point, stopping at termination, an
   explicit degree limit or a relative tolerance (p >= q+2 is refused
-  without a limit).  Scalar-identity arguments x I_m take the terms at
-  the identity and multiply each layer's sum by x^k, so no monomial
-  expansions are built.
+  without a limit).  Scalar-identity arguments x I_m read the held sums
+  and multiply each by x^k; an explicit point folds the plain layers of
+  ``_series_layers`` through monomial expansions.
 - ``smallest_eig_terms`` is the terminating 2F0(-p, m/alpha+1; ; I_{m-1}).
-- ``largest_eig_cdf`` sums 1F1(a; b; I_m) against powers of -x/2.
+- ``largest_eig_cdf`` is the Kummer form e^(-m x/2) 1F1(b-a; b; x/2 I_m)
+  of 1F1(a; b; -x/2 I_m), whose terms are all positive.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from . import binom, jack, orthopoly, partitions
+from . import binom, cache, jack, orthopoly, partitions
 from .errors import ConvergenceError, DomainError, PoleError
 from .rational import RationalFunction, as_exact, rf
 from .symfun import SymExpr, eval_numeric
@@ -52,16 +61,15 @@ def _negative_integer_bound(values):
     return best
 
 
-def _series_layers(alpha, upper, lower, m, width=None, at_identity=False):
-    """Yield the layers k = 0, 1, 2, ... of a pFq series on m variables.
+def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
+    """The layer of degree k >= 1 of a pFq series on m variables, from prev.
 
-    A layer lists (kappa, term) for every partition kappa of k with at most
-    m parts and parts at most ``width`` (None: unbounded), in decreasing
-    lexicographic order.  The term is the exact coefficient
+    A layer maps every partition kappa of k with at most m parts and parts
+    at most ``width`` (None: unbounded), in decreasing lexicographic order,
+    to its term: the exact coefficient
     coeff_kappa = prod (a_i)_kappa / (k! prod (b_j)_kappa) or, with
-    ``at_identity``, coeff_kappa * C_kappa(I_m).  Both start from alpha**0,
-    so they stay in alpha's field.  With a width the generator ends after
-    degree width * m, the last layer that can be non-empty.
+    ``at_identity``, coeff_kappa * C_kappa(I_m).  prev is the layer of
+    degree k - 1.
 
     Each term comes from the previous layer's term of its parent pi, kappa
     less its last box (l, c): l = len(kappa), c = kappa_l.  With
@@ -81,31 +89,79 @@ def _series_layers(alpha, upper, lower, m, width=None, at_identity=False):
     """
     one = alpha**0
     row_shift = [i / alpha for i in range(m)]
-    prev = {(): one}
-    yield [((), one)]
+    layer = {}
+    for kappa in partitions.partitions_of(k, max_part=width, max_len=m):
+        l = len(kappa)
+        c = kappa[-1]
+        parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
+        s = c - 1 - row_shift[l - 1]
+        if at_identity:
+            num, den = partitions._box_hook_ratio(alpha, kappa, m)
+        else:
+            num, den = one, k
+        for a_i in upper:
+            num = num * (a_i + s)
+        for b_j in lower:
+            factor = b_j + s
+            if factor == 0:
+                raise PoleError(
+                    "lower parameter %s hits a pole at kappa=%r" % (b_j, kappa)
+                )
+            den = den * factor
+        layer[kappa] = prev[parent] * (num / den)
+    return layer
+
+
+def _series_layers(alpha, upper, lower, m, width=None):
+    """Yield the layers k = 0, 1, 2, ... of a pFq series on m variables.
+
+    Each layer is the list of (kappa, coeff_kappa) pairs of ``_next_layer``;
+    the coefficients start from alpha**0 at k = 0, so they stay in alpha's
+    field.  With a width the generator ends after degree width * m, the
+    last layer that can be non-empty.
+    """
+    layer = {(): alpha**0}
+    yield list(layer.items())
     for k in itertools.count(1) if width is None else range(1, width * m + 1):
-        layer = {}
-        for kappa in partitions.partitions_of(k, max_part=width, max_len=m):
-            l = len(kappa)
-            c = kappa[-1]
-            parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
-            s = c - 1 - row_shift[l - 1]
-            if at_identity:
-                num, den = partitions._box_hook_ratio(alpha, kappa, m)
-            else:
-                num, den = one, k
-            for a_i in upper:
-                num = num * (a_i + s)
-            for b_j in lower:
-                factor = b_j + s
-                if factor == 0:
-                    raise PoleError(
-                        "lower parameter %s hits a pole at kappa=%r" % (b_j, kappa)
-                    )
-                den = den * factor
-            layer[kappa] = prev[parent] * (num / den)
+        layer = _next_layer(alpha, upper, lower, m, width, k, layer, at_identity=False)
         yield list(layer.items())
-        prev = layer
+
+
+class _HeldPrefix:
+    """The held part of one at-identity series: ``state = (sums, frontier)``.
+
+    sums is the tuple c_0..c_K of layer sums and frontier the layer of
+    degree K, the one needed to resume.  The state is only ever replaced
+    whole, by a longer prefix of the same sequence.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, one):
+        self.state = ((one,), {(): one})
+
+
+@cache.memo
+def _held_prefix(alpha, upper, lower, m, width):
+    return _HeldPrefix(alpha**0)
+
+
+def _identity_sums(alpha, upper, lower, m, width=None):
+    """Yield c_k = sum over kappa of k of coeff_kappa C_kappa(I_m), k = 0, 1, ...
+
+    None stands for an empty layer.  The sums come from the prefix held for
+    (alpha, upper, lower, m, width), which is extended layer by layer, and
+    kept, only past the highest degree already held.  With a width the
+    generator ends after degree width * m.
+    """
+    held = _held_prefix(alpha, tuple(upper), tuple(lower), m, width)
+    for k in itertools.count() if width is None else range(width * m + 1):
+        sums, frontier = held.state
+        while k >= len(sums):
+            frontier = _next_layer(alpha, upper, lower, m, width, len(sums), frontier, at_identity=True)
+            sums += (_sum(frontier.values()),)
+            held.state = (sums, frontier)
+        yield sums[k]
 
 
 def _sum(values):
@@ -182,17 +238,20 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     else:
         raise DomainError("non-terminating series needs a degree limit or tolerance")
 
+    if kind == "xid":
+        layers = (
+            None if c_k is None else c_k * x**k
+            for k, c_k in enumerate(_identity_sums(alpha, upper, lower, m, width))
+        )
+    else:
+        layers = (
+            eval_numeric(SymExpr._of_canonical("C", dict(terms), m), xs, alpha) if terms else None
+            for terms in _series_layers(alpha, upper, lower, m, width)
+        )
     total = None
-    layers = _series_layers(alpha, upper, lower, m, width, at_identity=kind == "xid")
-    for k, terms in zip(range(max_degree + 1), layers):
-        if kind == "xid":
-            layer = _sum(term for _, term in terms)
-            if layer is not None:
-                layer = layer * x**k
-        elif terms:
-            layer = eval_numeric(SymExpr._of_canonical("C", dict(terms), m), xs, alpha)
-        else:
-            continue
+    for k, layer in zip(range(max_degree + 1), layers):
+        if layer is None:  # no partition of k >= 1 fits in m = 0 parts
+            break
         total = layer if total is None else total + layer
         if tol is not None and k > 0:
             if abs(float(layer)) <= tol * max(abs(float(total)), 1e-300):
@@ -235,15 +294,17 @@ def smallest_eig_terms(alpha, p, m):
         raise DomainError("need m >= 1")
     a1 = Fraction(-p)
     a2 = Fraction(m) / alpha + 1
-    layers = _series_layers(alpha, [a1, a2], [], m - 1, width=p, at_identity=True)
-    return [_sum(term for _, term in terms) for terms in layers]
+    return list(_identity_sums(alpha, (a1, a2), (), m - 1, p))
 
 
-def smallest_eig_density(alpha, p, m, x, _terms=None):
+def smallest_eig_density(alpha, p, m, x):
     """Unnormalized smallest-eigenvalue density at x > 0."""
     if x <= 0:
         raise DomainError("density is supported on x > 0")
-    terms = smallest_eig_terms(alpha, p, m) if _terms is None else _terms
+    return _smallest_eig_density_at(smallest_eig_terms(alpha, p, m), p, m, x)
+
+
+def _smallest_eig_density_at(terms, p, m, x):
     x = float(x)
     f = 0.0
     u = 1.0
@@ -273,10 +334,7 @@ def smallest_eig_mass(alpha, p, m):
 def smallest_eig_density_normalized(alpha, p, m, xs):
     """Normalized density on a grid; returns (values, mass_used)."""
     mass, _, terms = smallest_eig_mass(alpha, p, m)
-    values = [
-        smallest_eig_density(alpha, p, m, x, _terms=terms) / mass if x > 0 else 0.0
-        for x in xs
-    ]
+    values = [_smallest_eig_density_at(terms, p, m, x) / mass if x > 0 else 0.0 for x in xs]
     return values, mass
 
 
@@ -284,44 +342,70 @@ def smallest_eig_density_normalized(alpha, p, m, xs):
 # largest eigenvalue distribution
 
 
+def _frexp(c):
+    """(mantissa, exponent) with c = mantissa * 2**exponent for a Fraction c > 0.
+
+    The mantissa is c scaled into [1/2, 2) and rounded once, so it neither
+    overflows nor underflows however far c is from 1.
+    """
+    n, d = c.numerator, c.denominator
+    e = n.bit_length() - d.bit_length()
+    return (n << max(-e, 0)) / (d << max(e, 0)), e
+
+
 def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
-    """P[largest eigenvalue < x] for the 2/alpha-Laguerre ensemble."""
+    """P[largest eigenvalue < x] for the 2/alpha-Laguerre ensemble.
+
+    The CDF is pref(x) 1F1(a; b; -x/2 I_m) with a = gamma + (m-1)/alpha + 1
+    and b = gamma + 2 (m-1)/alpha + 2.  Kummer's relation 1F1(a; b; -X) =
+    etr(-X) 1F1(b - a; b; X) (Kaneko, SIAM J. Math. Anal. 1993) turns it
+    into e^(-m x / 2) pref(x) sum_k c_k (x/2)^k, where c_k are the layer
+    sums of 1F1(b - a; b; I_m).  As b - a = (m-1)/alpha + 1 > 0, every term
+    is positive and nothing cancels.  Terms are formed from binary mantissas
+    and exponents, so c_k may lie far below the float range, and (x/2)^k
+    and the partial sums far above it; the series stops once three terms in
+    a row fall below tol times the sum.  DEGREE_CAP reaches x of about 290
+    at m = 2; beyond it ConvergenceError carries the partial sum.
+    """
     alpha = _numeric_alpha(alpha)
     gamma = as_exact(gamma, "gamma")
     if not (isinstance(gamma, Fraction) and gamma > -1):
         raise DomainError("gamma must be a number > -1, got %s" % rf(gamma).text())
     if x <= 0:
         return 0.0
-    a1 = gamma + Fraction(m - 1) / alpha + 1
-    b1 = gamma + 2 * Fraction(m - 1) / alpha + 2
-    log_pref = binom.log_mv_gamma(alpha, Fraction(m - 1) / alpha + 1, m)
-    log_pref -= binom.log_mv_gamma(alpha, b1, m)
-    log_pref += float(m * a1) * math.log(x / 2.0)
-    # 1F1 layer coefficients are exact; the argument enters as (-x/2)^k
-    total = 0.0
-    u = 1.0
-    converged = False
+    b_minus_a = Fraction(m - 1) / alpha + 1
+    b = gamma + 2 * Fraction(m - 1) / alpha + 2
+    log_pref = binom.log_mv_gamma(alpha, b_minus_a, m) - binom.log_mv_gamma(alpha, b, m)
+    log_pref += float(m * (gamma + b_minus_a)) * math.log(x / 2.0) - m * x / 2.0
+    shift = math.floor(log_pref / math.log(2.0))
+    pref = math.exp(log_pref - shift * math.log(2.0))  # e^log_pref = pref * 2**shift
+    half = x / 2.0
+    power, power_exp = 1.0, 0  # (x/2)^k = power * 2**power_exp
+    total, base = 0.0, 0  # the CDF so far is total * 2**(base + shift)
     small_run = 0
-    layers = _series_layers(alpha, [a1], [b1], m, at_identity=True)
-    for k, terms in zip(range(DEGREE_CAP + 1), layers):
-        c_k = _sum(term for _, term in terms)
-        layer = float(c_k) * u
+    sums = _identity_sums(alpha, [b_minus_a], [b], m)
+    for k, c_k in zip(range(DEGREE_CAP + 1), sums):
+        mantissa, exponent = _frexp(c_k)
+        scale = exponent + power_exp
+        if scale - base > 512:  # rebase before the growing terms overflow
+            total, base = math.ldexp(total, base - scale), scale
+        layer = math.ldexp(pref * mantissa * power, scale - base)
         total += layer
-        u *= -x / 2.0
-        if abs(layer) <= tol * max(abs(total), 1e-300):
+        power, carry = math.frexp(power * half)
+        power_exp += carry
+        if layer <= tol * total:
             small_run += 1
             if k > 2 and small_run >= 3:
-                converged = True
                 break
         else:
             small_run = 0
-    value = math.exp(log_pref) * total
-    if not converged:
+    else:
         raise ConvergenceError(
             "1F1 did not reach tolerance %g by degree %d" % (tol, DEGREE_CAP),
-            partial=min(max(value, 0.0), 1.0),
+            partial=math.ldexp(total, base + shift),
         )
-    return min(max(value, 0.0), 1.0)
+    # the terms are positive; only rounding can carry the sum past 1
+    return min(math.ldexp(total, base + shift), 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Jack polynomials via the Laplace-Beltrami recurrence, over Z[alpha].
 
-Everything is returned in the C normalization (the one whose partitions of
-k sum to (x_1 + ... + x_n)^k); J and P are scalar multiples.  The monomial
+C is the working normalization (the one whose partitions of k sum to
+(x_1 + ... + x_n)^k); J and P are scalar multiples.  The monomial
 coefficients c_{kappa,lambda} do not depend on the number of variables, so
 one table per kappa serves every variable count; a numeric count only
 drops partitions longer than n.
@@ -24,7 +24,9 @@ an int list by a linear factor, and no gcd is taken.
 The integer table is free of alpha and memoized per kappa.  The C table
 at a given alpha evaluates each entry once by Horner's rule and multiplies
 it by alpha^k k! / j_kappa(alpha); alpha is a pole exactly when the hook
-product j_kappa vanishes there.
+product j_kappa vanishes there.  The J expansion is the Horner values
+themselves, with no pole, and P is J divided by its leading coefficient
+J_{kappa,kappa}, the product of lower hooks.
 """
 
 import math
@@ -159,14 +161,18 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
         raise DomainError("unknown normalization %r" % (norm,))
     if nvars is not GENERIC and len(kappa) > nvars:
         return SymExpr("m", {}, nvars)
-    table = jack_monomial_coefficients(alpha, kappa)
-    factor = _c_to_norm_factor(alpha, kappa, norm)
-    terms = {}
-    for lam, coeff in table.items():
-        if nvars is not GENERIC and len(lam) > nvars:
-            continue
-        terms[lam] = coeff * factor if factor != 1 else coeff
-    return SymExpr._of_canonical("m", terms, nvars)
+    if norm == "C":
+        table = _jack_monomial_coefficients(alpha, kappa)
+    else:
+        # J is the Horner value itself; P = J / J_{kappa,kappa}, the lower hooks
+        table = {lam: _horner(coeffs, alpha) for lam, coeffs in _jack_j_table(kappa).items()}
+        if norm == "P":
+            lower = partitions._hook_divisor(partitions.hook_products(alpha, kappa)[1], alpha, kappa)
+            inverse = 1 / lower
+            table = {lam: coeff * inverse for lam, coeff in table.items()}
+    if nvars is not GENERIC:
+        table = {lam: coeff for lam, coeff in table.items() if len(lam) <= nvars}
+    return SymExpr._of_canonical("m", table, nvars)
 
 
 def jack_identity_value(alpha, kappa, norm, m):

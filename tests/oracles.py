@@ -9,7 +9,8 @@ binomial coefficients from hook products over the whole diagram, and Jack
 tables at alpha = 1 from Kostka numbers counted over semistandard
 tableaux.  ``jack_c_recurrence`` is the Laplace-Beltrami recurrence run in
 the coefficient field itself, the reference for the library's integer
-tables.
+tables.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
+ratio of Hankel determinants of incomplete Gamma functions, in mpmath.
 """
 
 import itertools
@@ -283,3 +284,24 @@ def hook_length_product(shape):
         for c0 in range(part):
             out *= _hooks(1, shape, r0, c0)[1]
     return out
+
+
+def largest_cdf_beta2(gamma, m, x):
+    """P[largest < x] for m eigenvalues with weight t^gamma e^(-t/2), beta = 2.
+
+    By Andreief's identity the CDF is det[g(i+j+gamma+1, x/2)] /
+    det[Gamma(i+j+gamma+1)] over 0 <= i, j < m, with g the lower incomplete
+    Gamma function: two Hankel determinants of moments of the weight.
+    """
+    import mpmath as mp
+
+    with mp.workdps(40):
+        g = mp.mpf(Fraction(gamma).numerator) / Fraction(gamma).denominator
+        half = mp.mpf(x) / 2
+        top = mp.matrix(m, m)
+        full = mp.matrix(m, m)
+        for i in range(m):
+            for j in range(m):
+                top[i, j] = mp.gammainc(i + j + g + 1, 0, half)
+                full[i, j] = mp.gamma(i + j + g + 1)
+        return float(mp.det(top) / mp.det(full))

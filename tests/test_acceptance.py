@@ -259,7 +259,7 @@ def test_12_smallest_eigenvalue_density():
         for p, m in [(3, 3), (8, 2)]:
             mass, err, terms = hypergeom.smallest_eig_mass(Fraction(1), p, m)
             total, _ = si.quad(
-                lambda t: hypergeom.smallest_eig_density(Fraction(1), p, m, t, _terms=terms)
+                lambda t: hypergeom.smallest_eig_density(Fraction(1), p, m, t)
                 / mass,
                 0,
                 math.inf,

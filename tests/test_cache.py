@@ -4,7 +4,7 @@ import ast
 import pathlib
 from fractions import Fraction
 
-from mops import binom, cache, jack, orthopoly, symfun
+from mops import binom, cache, hypergeom, jack, orthopoly, symfun
 from mops.parser import parse_expression
 from mops.rational import ALPHA, rf
 
@@ -15,11 +15,13 @@ def _fill_tables():
     """Results whose computation reaches every memo table."""
     return [
         jack.jack_expand(ALPHA, (3, 1), "J", 3),
+        jack.jack_expand(ALPHA, (3, 1), "C", 3),
         binom.gbinomial_table(Fraction(2), (3, 2, 1)),
         orthopoly.hermite2(ALPHA, (2, 2), 2).coeffs,
         symfun.p2m(parse_expression("p[2,1]*p[1]"), 3),
         symfun.m2p(parse_expression("m[2,1]*m[1]")),
         symfun.m2m(parse_expression("m[2,1]*m[1,1]"), 3),
+        hypergeom.smallest_eig_terms(Fraction(1), 2, 3),
     ]
 
 

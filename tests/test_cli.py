@@ -272,6 +272,21 @@ def test_largest_cdf_cli(capsys):
     assert abs(float(out) - gammainc(1.5, 2.0)) < 1e-9
 
 
+def test_largest_cdf_grid_equals_library_points(capsys):
+    from mops import cache, hypergeom
+
+    cache.clear_all()
+    code, out, _ = run(
+        ["density", "largest-cdf", "--alpha", "1", "--g", "1", "--m", "2", "--grid", "1:33:5"], capsys
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [float(x) for x, _ in rows] == [1.0, 9.0, 17.0, 25.0, 33.0]
+    for x, y in rows:
+        cache.clear_all()
+        assert float(y) == hypergeom.largest_eig_cdf(1, 1, 2, float(x))
+
+
 @pytest.mark.parametrize("alpha", [[], ["--alpha", "a"], ["--alpha", "0"], ["--alpha", "-1"]])
 @pytest.mark.parametrize(
     "which",

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -155,9 +156,8 @@ def test_smallest_eig_m1_reduction():
 
 def test_smallest_eig_normalization():
     vals, mass = hg.smallest_eig_density_normalized(Fraction(1), 1, 2, [0.5, 1.0])
-    terms = hg.smallest_eig_terms(Fraction(1), 1, 2)
     total, err = si.quad(
-        lambda t: hg.smallest_eig_density(Fraction(1), 1, 2, t, _terms=terms) / mass,
+        lambda t: hg.smallest_eig_density(Fraction(1), 1, 2, t) / mass,
         0,
         math.inf,
         limit=200,
@@ -182,7 +182,7 @@ def test_smallest_eig_mass_exact(alpha, p, m):
     assert err == 0
     # quadrature is an independent oracle for the closed form
     quad, _ = si.quad(
-        lambda t: hg.smallest_eig_density(alpha, p, m, t, _terms=terms),
+        lambda t: hg.smallest_eig_density(alpha, p, m, t),
         0,
         math.inf,
         epsabs=1e-10,
@@ -204,8 +204,7 @@ def test_smallest_eig_krishnaiah_chang_shape():
     # at alpha=2 the density is the classical real-Wishart form up to a
     # constant: the ratio to a reference point is scale-free
     p, m = 2, 3
-    terms = hg.smallest_eig_terms(Fraction(2), p, m)
-    ref = hg.smallest_eig_density(Fraction(2), p, m, 1.0, _terms=terms)
+    ref = hg.smallest_eig_density(Fraction(2), p, m, 1.0)
 
     def classical(x):
         # x^{pm} e^{-xm/2} 2F0(-p, (m+2)/2; -2 I_{m-1}/x) with the same
@@ -232,7 +231,7 @@ def test_smallest_eig_krishnaiah_chang_shape():
 
     ref_classical = classical(1.0)
     for x in [0.5, 1.5, 3.0, 6.0]:
-        got = hg.smallest_eig_density(Fraction(2), p, m, x, _terms=terms)
+        got = hg.smallest_eig_density(Fraction(2), p, m, x)
         assert abs(got / ref - classical(x) / ref_classical) < 1e-10
 
 
@@ -263,6 +262,101 @@ def test_largest_eig_cdf_properties():
     values = [hg.largest_eig_cdf(Fraction(1), Fraction(1), 2, x) for x in grid]
     assert all(v2 >= v1 - 1e-12 for v1, v2 in zip(values, values[1:]))
     assert values[-1] <= 1.0
+
+
+@pytest.mark.parametrize(
+    "m, xs",
+    [(2, [0.5, 2.0, 8.0, 16.0, 24.0, 32.0, 48.0, 64.0]), (3, [0.5, 2.0, 8.0, 12.0, 16.0])],
+    ids=["m2", "m3"],
+)
+@pytest.mark.parametrize("gamma", [0, 1, 2])
+def test_largest_eig_cdf_matches_hankel_oracle_into_the_tail(m, xs, gamma):
+    # the Kummer form sums positive terms, so nothing cancels in the tail,
+    # where the CDF is within 1e-9 of 1
+    from oracles import largest_cdf_beta2
+
+    values = [hg.largest_eig_cdf(Fraction(1), Fraction(gamma), m, x) for x in xs]
+    for x, got in zip(xs, values):
+        assert abs(got - largest_cdf_beta2(gamma, m, x)) <= 1e-9, (x, got)
+    assert values == sorted(values)
+    assert values[-1] <= 1.0
+
+
+def test_largest_eig_cdf_range_ends_in_an_error_not_a_clamp():
+    from mops.errors import ConvergenceError
+
+    # far below the float range the CDF rounds to 0; nothing overflows
+    assert hg.largest_eig_cdf(Fraction(1), Fraction(1), 2, 1e-60) == 0.0
+    # past DEGREE_CAP the error carries the partial sum as it is
+    with pytest.raises(ConvergenceError) as info:
+        hg.largest_eig_cdf(Fraction(2), Fraction(1, 2), 1, 2000.0)
+    assert 0.0 < info.value.partial < 1e-100
+
+
+def test_largest_eig_cdf_curve_points_equal_cold_calls():
+    # a curve drawn largest x first, then in shuffled order, reads one held
+    # prefix; every point must equal the same call from cleared tables
+    from mops import cache
+
+    alpha, gamma, m = Fraction(2), Fraction(1, 2), 3
+    xs = [9.75, 2.5, 6.0, 0.25, 8.5, 4.0, 1.0]
+    cache.clear_all()
+    curve = [hg.largest_eig_cdf(alpha, gamma, m, x) for x in xs]
+    # the Kummer series 1F1(b - a; b; x/2 I_3) with b - a = 2, b = 9/2
+    held = hg._held_prefix(alpha, (Fraction(2),), (Fraction(9, 2),), m, None)
+    degree = len(held.state[0]) - 1
+    assert degree > 20
+    # a loose tolerance stops below the degree already held
+    loose = hg.largest_eig_cdf(alpha, gamma, m, 3.0, tol=1e-4)
+    assert len(held.state[0]) - 1 == degree
+    for x, got in zip(xs + [3.0], curve + [loose]):
+        cache.clear_all()
+        tol = 1e-4 if x == 3.0 else 1e-10
+        assert hg.largest_eig_cdf(alpha, gamma, m, x, tol=tol) == got, x
+
+
+def test_identity_callers_share_prefix_with_cold_results():
+    # ghypergeom at x I_m and smallest_eig_terms read the same held sums
+    from mops import cache
+
+    upper, lower = [Fraction(1, 2)], [Fraction(3, 2)]
+    calls = [
+        lambda: hg.ghypergeom(Fraction(2), upper, lower, ("xid", Fraction(1, 2), 3), limit=12),
+        lambda: hg.ghypergeom(Fraction(2), upper, lower, ("xid", Fraction(1, 3), 3), limit=5),
+        lambda: hg.ghypergeom(Fraction(2), upper, lower, ("xid", Fraction(1, 2), 3), tol=1e-12),
+        lambda: hg.ghypergeom(a, [a + 1], [rf(3) + a], ("xid", rf(Fraction(1, 2)), 2), limit=6),
+        lambda: hg.smallest_eig_terms(Fraction(1), 3, 3),
+        lambda: hg.smallest_eig_terms(Fraction(1), 2, 3),
+    ]
+    cache.clear_all()
+    warm = [call() for call in calls]
+    for call, got in zip(calls, warm):
+        cache.clear_all()
+        assert call() == got
+
+
+def test_held_prefix_keeps_one_layer_of_terms():
+    # a degree-100 series holds its 101 sums and only the layer of degree 100
+    from mops import cache
+    from mops.partitions import weight
+
+    alpha, upper, lower, m = Fraction(1), (Fraction(1, 2),), (Fraction(3, 2),), 2
+    cache.clear_all()
+    hg.ghypergeom(alpha, list(upper), list(lower), ("xid", Fraction(1, 3), m), limit=100)
+    held = hg._held_prefix(alpha, upper, lower, m, None)
+    assert held.__slots__ == ("state",)
+    sums, frontier = held.state
+    assert len(sums) == 101
+    assert {weight(kappa) for kappa in frontier} == {100}
+    assert len(frontier) == 51
+
+
+def test_ghypergeom_on_zero_variables_is_one():
+    # every layer past k = 0 is empty on 0 variables, so the series ends there
+    upper, lower = [Fraction(1)], [Fraction(2)]
+    assert hg.ghypergeom(Fraction(1), upper, lower, ("xid", Fraction(1, 2), 0), limit=3) == 1
+    assert hg.ghypergeom(Fraction(1), upper, lower, ("xid", Fraction(1, 2), 0), tol=1e-9) == 1
+    assert hg.ghypergeom(Fraction(1), upper, lower, ("vec", []), tol=1e-9) == 1
 
 
 def test_level_density_gaussian_base_case():
@@ -368,11 +462,10 @@ def test_smallest_eig_density_matches_survival_derivative():
         num, _ = si.dblquad(weight, x, 70, lambda t: x, lambda t: 70)
         return num / Z
 
-    terms = hg.smallest_eig_terms(Fraction(1), p, m)
     mass, _, _ = hg.smallest_eig_mass(Fraction(1), p, m)
     h = 1e-4
     for x in (0.5, 1.0, 2.5):
-        got = hg.smallest_eig_density(Fraction(1), p, m, x, _terms=terms) / mass
+        got = hg.smallest_eig_density(Fraction(1), p, m, x) / mass
         want = (survival(x - h) - survival(x + h)) / (2 * h)
         assert abs(got - want) < 1e-6
 
@@ -435,6 +528,15 @@ def _closed_form_layers(alpha, upper, lower, m, degree, width=None):
         yield rows
 
 
+def _identity_layers(alpha, upper, lower, m, width=None):
+    """The layers of coeff_kappa C_kappa(I_m), walked with the engine's own step."""
+    layer = {(): alpha**0}
+    yield list(layer.items())
+    for k in range(1, width * m + 1) if width is not None else itertools.count(1):
+        layer = hg._next_layer(alpha, upper, lower, m, width, k, layer, at_identity=True)
+        yield list(layer.items())
+
+
 @pytest.mark.parametrize(
     "alpha, upper, lower",
     [
@@ -451,7 +553,7 @@ def test_series_layers_per_box_terms_match_closed_forms(alpha, upper, lower):
     degree = 8
     for m in range(1, 5):
         plain = hg._series_layers(alpha, upper, lower, m)
-        ident = hg._series_layers(alpha, upper, lower, m, at_identity=True)
+        ident = _identity_layers(alpha, upper, lower, m)
         want = _closed_form_layers(alpha, upper, lower, m, degree)
         for k, p_terms, i_terms, rows in zip(range(degree + 1), plain, ident, want):
             assert [kappa for kappa, _ in p_terms] == [kappa for kappa, _, _ in rows]
@@ -464,7 +566,7 @@ def test_series_layers_per_box_terms_match_closed_forms(alpha, upper, lower):
 def test_series_layers_per_box_terms_terminating():
     # width-bounded: the upper parameter -2 ends the series at degree 2 m
     alpha, upper, lower, m, width = Fraction(3, 2), [Fraction(-2), Fraction(5, 3)], [Fraction(7, 2)], 3, 2
-    got = list(hg._series_layers(alpha, upper, lower, m, width, at_identity=True))
+    got = list(_identity_layers(alpha, upper, lower, m, width))
     want = list(_closed_form_layers(alpha, upper, lower, m, width * m, width))
     assert len(got) == len(want) == width * m + 1
     for terms, rows in zip(got, want):

@@ -177,6 +177,18 @@ def test_numeric_alpha_pole():
         jack.jack_expand(Fraction(-1), (2,), "C", GENERIC)
 
 
+def test_j_and_p_are_finite_where_c_has_a_pole():
+    # alpha = -2/3 zeroes an upper hook of (3,2,1), a pole of C; J is a
+    # polynomial in alpha, and P = J / J_{kappa,kappa} divides by lower hooks
+    kap, alpha = (3, 2, 1), Fraction(-2, 3)
+    with pytest.raises(PoleError):
+        jack.jack_expand(alpha, kap, "C")
+    for norm in ("J", "P"):
+        sym = jack.jack_expand(a, kap, norm).terms
+        want = {lam: coeff.substitute({"a": alpha}).to_fraction() for lam, coeff in sym.items()}
+        assert jack.jack_expand(alpha, kap, norm).terms == {lam: c for lam, c in want.items() if c}
+
+
 @pytest.mark.parametrize(
     "call",
     [
