@@ -195,11 +195,8 @@ def cmd_density(args):
         if args.beta is None or args.n is None:
             raise DomainError("density level needs --beta and --n")
         xs = _parse_grid(args.grid)
-        coeffs = hypergeom.level_density_polynomial(args.beta, args.n)
-        if args.scaled:
-            values = [hypergeom.level_density_scaled(args.beta, args.n, x, _coeffs=coeffs) for x in xs]
-        else:
-            values = [hypergeom.level_density(args.beta, args.n, x, _coeffs=coeffs) for x in xs]
+        density = hypergeom.level_density_scaled if args.scaled else hypergeom.level_density
+        values = [density(args.beta, args.n, x) for x in xs]
         _emit_csv(xs, values)
     elif args.which == "largest-cdf":
         if args.g is None or args.m is None:

@@ -29,10 +29,11 @@ below the degree already held costs no series work.  The callers differ
 only in how they fold the sums and when they stop:
 
 - ``ghypergeom`` sums C_kappa at the point, stopping at termination, an
-  explicit degree limit or a relative tolerance (p >= q+2 is refused
-  without a limit).  Scalar-identity arguments x I_m read the held sums
-  and multiply each by x^k; an explicit point folds the plain layers of
-  ``_series_layers`` through monomial expansions.
+  explicit degree limit or a relative tolerance (p >= q+2, and p = q+1
+  at a point with some |x_i| > 1, are refused without a limit).
+  Scalar-identity arguments x I_m read the held sums and multiply each by
+  x^k; an explicit point folds the plain layers of ``_series_layers``
+  through monomial expansions.
 - ``smallest_eig_terms`` is the terminating 2F0(-p, m/alpha+1; ; I_{m-1}).
 - ``largest_eig_cdf`` is the Kummer form e^(-m x/2) 1F1(b-a; b; x/2 I_m)
   of 1F1(a; b; -x/2 I_m), whose terms are all positive.
@@ -159,17 +160,9 @@ def _identity_sums(alpha, upper, lower, m, width=None):
         sums, frontier = held.state
         while k >= len(sums):
             frontier = _next_layer(alpha, upper, lower, m, width, len(sums), frontier, at_identity=True)
-            sums += (_sum(frontier.values()),)
+            sums += (sum(frontier.values()) if frontier else None,)
             held.state = (sums, frontier)
         yield sums[k]
-
-
-def _sum(values):
-    """Sum in the values' own field, or None when there are none."""
-    total = None
-    for value in values:
-        total = value if total is None else total + value
-    return total
 
 
 def classify(upper, lower):
@@ -230,10 +223,10 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     elif limit is not None:
         max_degree = limit
     elif tol is not None:
-        if len(upper) >= len(lower) + 2:
-            raise DomainError(
-                "series with p >= q+2 diverges; give an explicit degree limit"
-            )
+        # p = q+1 converges only where every |x_i| <= 1, p >= q+2 nowhere
+        radius = max(map(abs, xs), default=0) if kind == "vec" else abs(x) if m else 0
+        if len(upper) > len(lower) + (radius <= 1):
+            raise DomainError("%dF%d diverges at this point; give a degree limit" % (len(upper), len(lower)))
         max_degree = DEGREE_CAP
     else:
         raise DomainError("non-terminating series needs a degree limit or tolerance")
@@ -419,10 +412,16 @@ def level_density_polynomial(beta, n):
     rho(x) = exp(-x^2/2) / sqrt(2 pi) * sum_s q[s] x^s,
     normalized so the density has total mass 1 (one eigenvalue).
     """
+    # checked before the memo key is formed: beta = 2.0 hashes as 2
     if not (isinstance(beta, int) and beta >= 2 and beta % 2 == 0):
         raise DomainError("level density needs an even integer beta >= 2")
     if n < 1:
         raise DomainError("need n >= 1")
+    return list(_level_density_coeffs(beta, n))
+
+
+@cache.memo
+def _level_density_coeffs(beta, n):
     alpha = Fraction(2, beta)
     kappa = (beta,) * (n - 1)
     k = beta * (n - 1)
@@ -437,12 +436,12 @@ def level_density_polynomial(beta, n):
         s = partitions.weight(sigma)
         sign = -1 if ((k - s) // 2) % 2 else 1
         coeffs[s] += sign * c * ident[sigma] / ck_ident
-    return [gamma_ratio * q for q in coeffs]
+    return tuple(gamma_ratio * q for q in coeffs)
 
 
-def level_density(beta, n, x, _coeffs=None):
+def level_density(beta, n, x):
     """Marginal density of one eigenvalue of the n x n ensemble at x."""
-    coeffs = level_density_polynomial(beta, n) if _coeffs is None else _coeffs
+    coeffs = level_density_polynomial(beta, n)
     x = float(x)
     poly = 0.0
     for s in range(len(coeffs) - 1, -1, -1):
@@ -450,10 +449,10 @@ def level_density(beta, n, x, _coeffs=None):
     return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi) * poly
 
 
-def level_density_scaled(beta, n, x, _coeffs=None):
+def level_density_scaled(beta, n, x):
     """Density rescaled by sqrt(2 n beta), keeping the spectrum near [-1,1]."""
     c = math.sqrt(2.0 * n * beta)
-    return c * level_density(beta, n, c * x, _coeffs=_coeffs)
+    return c * level_density(beta, n, c * x)
 
 
 def level_density_scaled_polynomial(beta, n):

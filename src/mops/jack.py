@@ -3,30 +3,31 @@
 C is the working normalization (the one whose partitions of k sum to
 (x_1 + ... + x_n)^k); J and P are scalar multiples.  The monomial
 coefficients c_{kappa,lambda} do not depend on the number of variables, so
-one table per kappa serves every variable count; a numeric count only
-drops partitions longer than n.
+for a numeric count n the table is built over at most n parts, and every
+n >= |kappa| shares the generic table.
 
 The recurrence runs in the J normalization, whose monomial coefficients
 are polynomials in alpha with non-negative integer coefficients (Knop &
 Sahi, "A recursion and a combinatorial formula for Jack polynomials",
-Invent. Math. 128, 1997).  It walks the partitions of |kappa| downward in
-lexicographic order.  For each lambda dominated by kappa it enumerates the
-moves (i < j, 1 <= t <= lambda_j) sending lambda to mu = sort(lambda +
-t e_i - t e_j); every move whose mu is already in the table adds
-(lambda_i - lambda_j + 2t) to the weight of J_mu, and distinct moves add
-separately even when they produce the same mu.  The weighted sum times
-2/alpha is divided by rho_kappa - rho_lambda; times alpha that divisor is
-the integer linear polynomial p alpha - q with p = A_kappa - A_lambda > 0
-and q = 2 (B_kappa - B_lambda), where A = sum kappa_i (kappa_i - 1) and
-B = sum (i-1) kappa_i.  So every step is an exact synthetic division of
-an int list by a linear factor, and no gcd is taken.
+Invent. Math. 128, 1997).  It walks the partitions of |kappa| with parts
+at most kappa_1 and at most ``length`` parts downward in lexicographic
+order.  Each lambda has the moves (i < j, 1 <= t <= lambda_j) to mu =
+sort(lambda + t e_i - t e_j); a move adds no part and raises lambda in
+dominance order, so only lambda below kappa reach the table.  Every move
+whose mu is in the table adds (lambda_i - lambda_j + 2t) to the weight
+of J_mu, distinct moves separately even when their mu agree.  The
+weighted sum times 2/alpha is divided by rho_kappa - rho_lambda; times
+alpha that divisor is the integer linear polynomial p alpha - q with
+p = A_kappa - A_lambda > 0 and q = 2 (B_kappa - B_lambda), where
+A = sum kappa_i (kappa_i - 1) and B = sum (i-1) kappa_i.  So every step
+is an exact synthetic division of an int list by a linear factor; no gcd.
 
-The integer table is free of alpha and memoized per kappa.  The C table
-at a given alpha evaluates each entry once by Horner's rule and multiplies
-it by alpha^k k! / j_kappa(alpha); alpha is a pole exactly when the hook
-product j_kappa vanishes there.  The J expansion is the Horner values
-themselves, with no pole, and P is J divided by its leading coefficient
-J_{kappa,kappa}, the product of lower hooks.
+The integer table is free of alpha and memoized per (kappa, length).  The
+C table at a given alpha evaluates each entry once by Horner's rule and
+multiplies it by alpha^k k! / j_kappa(alpha); alpha is a pole exactly
+when the hook product j_kappa vanishes there.  The J expansion is the
+Horner values themselves, with no pole, and P is J divided by its leading
+coefficient J_{kappa,kappa}, the product of lower hooks.
 """
 
 import math
@@ -49,7 +50,17 @@ def _as_alpha(alpha):
 
 def jack_monomial_coefficients(alpha, kappa):
     """Full table lambda -> c_{kappa,lambda} for C_kappa, all lengths kept."""
-    return _jack_monomial_coefficients(_as_alpha(alpha), partitions.as_partition(kappa))
+    return _c_table(alpha, GENERIC, partitions.as_partition(kappa))
+
+
+def _length(kappa, nvars):
+    """The most parts a partition of |kappa| keeps in nvars variables."""
+    return partitions.weight(kappa) if nvars is GENERIC else min(nvars, partitions.weight(kappa))
+
+
+def _c_table(alpha, nvars, kappa):
+    """The C table of kappa over the partitions with at most nvars parts."""
+    return _jack_monomial_coefficients(_as_alpha(alpha), kappa, _length(kappa, nvars))
 
 
 def _a_b(lam):
@@ -72,8 +83,8 @@ def _divide_linear(poly, p, q):
 
 
 @cache.memo
-def _jack_j_table(kappa):
-    """lambda -> J_{kappa,lambda} as a dense int list in alpha (index = power)."""
+def _jack_j_table(kappa, length):
+    """lambda -> J_{kappa,lambda} as an int list in alpha (index = power), at most length parts."""
     conj = partitions.conjugate(kappa)
     seed = [1]
     for i0, part in enumerate(kappa):
@@ -85,9 +96,7 @@ def _jack_j_table(kappa):
                 seed.pop()
     table = {kappa: seed}
     a_kappa, b_kappa = _a_b(kappa)
-    for lam in partitions.partitions_of(partitions.weight(kappa)):
-        if lam >= kappa or partitions.compare(lam, kappa, "dominance") != partitions.LESS:
-            continue
+    for lam in partitions.partitions_of(partitions.weight(kappa), max(kappa, default=0), length):
         weights = {}
         for j in range(1, len(lam)):
             for i in range(j):
@@ -120,11 +129,11 @@ def _horner(coeffs, alpha):
 
 
 @cache.memo
-def _jack_monomial_coefficients(alpha, kappa):
+def _jack_monomial_coefficients(alpha, kappa, length):
     k = partitions.weight(kappa)
     j_full = partitions.hook_products(alpha, kappa)[2]
     factor = alpha**k * math.factorial(k) / partitions._hook_divisor(j_full, alpha, kappa)
-    return {lam: _horner(coeffs, alpha) * factor for lam, coeffs in _jack_j_table(kappa).items()}
+    return {lam: _horner(coeffs, alpha) * factor for lam, coeffs in _jack_j_table(kappa, length).items()}
 
 
 def _c_to_norm_factor(alpha, kappa, norm):
@@ -161,17 +170,16 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
         raise DomainError("unknown normalization %r" % (norm,))
     if nvars is not GENERIC and len(kappa) > nvars:
         return SymExpr("m", {}, nvars)
+    length = _length(kappa, nvars)
     if norm == "C":
-        table = _jack_monomial_coefficients(alpha, kappa)
+        table = _jack_monomial_coefficients(alpha, kappa, length)
     else:
         # J is the Horner value itself; P = J / J_{kappa,kappa}, the lower hooks
-        table = {lam: _horner(coeffs, alpha) for lam, coeffs in _jack_j_table(kappa).items()}
+        table = {lam: _horner(coeffs, alpha) for lam, coeffs in _jack_j_table(kappa, length).items()}
         if norm == "P":
             lower = partitions._hook_divisor(partitions.hook_products(alpha, kappa)[1], alpha, kappa)
             inverse = 1 / lower
             table = {lam: coeff * inverse for lam, coeff in table.items()}
-    if nvars is not GENERIC:
-        table = {lam: coeff for lam, coeff in table.items() if len(lam) <= nvars}
     return SymExpr._of_canonical("m", table, nvars)
 
 

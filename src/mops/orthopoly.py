@@ -2,17 +2,16 @@
 
 Each polynomial is an OrthoExpansion, a SymExpr in the Jack C basis whose
 terms map the subpartitions sigma of kappa to the exact coefficient of the
-plain Jack polynomial C_sigma (``coeffs`` is another name for ``terms``).
-Two independent Hermite constructions are provided; they must agree
-exactly, which is enforced by the test suite.  ``hermite`` walks the
-two-box paths sigma -> sigma^(i) -> sigma^(i)(j) inside kappa, each
-weighted by the content of its first box less the content of its second,
-the content of box (row, col) being col - 1 - (row - 1)/alpha.
-``hermite2`` takes the Laguerre limit: a sum over the pairs
-sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma) times one
-coefficient of a Pochhammer ratio; ``_hermite_constant_term`` sums its
-sigma = () case alone, for the Hermite expectations.  Both read those
-coefficients from one walk over mu, ``_hermite_mu_walk``.
+plain Jack polynomial C_sigma.  Two independent Hermite constructions are
+provided; they must agree exactly, which is enforced by the test suite.
+``hermite`` walks the two-box paths sigma -> sigma^(i) -> sigma^(i)(j)
+inside kappa, each weighted by the content of its first box less the
+content of its second, the content of box (row, col) being
+col - 1 - (row - 1)/alpha.  ``hermite2`` takes the Laguerre limit: a sum
+over the pairs sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma)
+times one coefficient of a Pochhammer ratio; ``_hermite_constant_term``
+sums its sigma = () case alone, for the Hermite expectations.  Both read
+those coefficients from one walk over mu, ``_hermite_mu_walk``.
 
 Sign conventions follow the explicit expansion formulas and the
 eigenfunction equations, cross-checked against the univariate classical
@@ -34,20 +33,16 @@ class OrthoExpansion(SymExpr):
     """sum_sigma c_sigma C_sigma: a C-basis SymExpr that names its polynomial.
 
     family, kappa and params (alpha and the weight exponents) say which
-    polynomial the terms expand; ``coeffs`` is another name for ``terms``.
+    polynomial the terms expand.
     """
 
     __slots__ = ("family", "kappa", "params")
 
-    def __init__(self, family, kappa, params, nvars, coeffs):
-        SymExpr.__init__(self, "C", coeffs, nvars)
+    def __init__(self, family, kappa, params, nvars, terms):
+        SymExpr.__init__(self, "C", terms, nvars)
         self.family = family
         self.kappa = kappa
         self.params = dict(params)
-
-    @property
-    def coeffs(self):
-        return self.terms
 
     def as_symexpr(self):
         return SymExpr._of_canonical("C", self.terms, self.nvars)

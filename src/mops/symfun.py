@@ -421,11 +421,11 @@ def alpha_inner_product(f, g, alpha):
 def _sweep(flat, basis, pick, column):
     """The one triangular solve out of a monomial SymExpr.
 
-    column(lam), the monomial expansion of the target basis element at lam,
-    has its other terms beyond lam in the order pick walks, so the term
-    pick takes is solved: its coefficient over the diagonal is the answer's.
+    column(lam), the monomial expansion of the target basis element at lam
+    in flat's variables, has its other terms beyond lam in the order pick
+    walks, so the term pick takes is solved: its coefficient over the
+    diagonal is the answer's.
     """
-    nvars = flat.nvars
     rest = dict(flat.terms)
     out = {}
     while rest:
@@ -433,14 +433,14 @@ def _sweep(flat, basis, pick, column):
         col = column(lam)
         scale = out[lam] = rest.pop(lam) / col[lam]
         for nu, c in col.items():
-            if nu == lam or (nvars is not GENERIC and len(nu) > nvars):
+            if nu == lam:
                 continue
             val = rest.get(nu, 0) - scale * c
             if val:
                 rest[nu] = val
             else:
                 rest.pop(nu, None)
-    return SymExpr._of_canonical(basis, out, nvars)
+    return SymExpr._of_canonical(basis, out, flat.nvars)
 
 
 def m2jack(alpha, expr, nvars=GENERIC):
@@ -451,7 +451,7 @@ def m2jack(alpha, expr, nvars=GENERIC):
     """
     from . import jack
 
-    return _sweep(m2m(expr, nvars), "C", max, partial(jack.jack_monomial_coefficients, alpha))
+    return _sweep(m2m(expr, nvars), "C", max, partial(jack._c_table, alpha, nvars))
 
 
 def expand_to_monomials(alpha, expr, nvars=GENERIC):
@@ -492,7 +492,7 @@ def jack2jack(alpha, expr, nvars=GENERIC):
     if nvars is GENERIC and has_true_product(expr):
         raise UnsupportedModeError("products of Jack polynomials need a numeric variable count")
     flat = expand_to_monomials(alpha, expr, nvars)
-    return _sweep(flat, "C", max, partial(jack.jack_monomial_coefficients, alpha))
+    return _sweep(flat, "C", max, partial(jack._c_table, alpha, nvars))
 
 
 # ---------------------------------------------------------------------------

@@ -160,7 +160,7 @@ def test_09_hermite_constructions_agree():
             for kap in partitions_of(k):
                 h1 = orthopoly.hermite(a, kap, GENERIC)
                 h2 = orthopoly.hermite2(a, kap, GENERIC)
-                assert h1.coeffs == h2.coeffs, kap
+                assert h1.terms == h2.terms, kap
 
 
 def test_10_univariate_reductions():
@@ -244,9 +244,8 @@ def test_11_level_density():
             assert scaled[s] * pref == value, s
         for s in range(1, 33, 2):
             assert scaled[s] == 0
-        coeffs = hypergeom.level_density_polynomial(2, 4)
         total, _ = si.quad(
-            lambda t: hypergeom.level_density(2, 4, t, _coeffs=coeffs),
+            lambda t: hypergeom.level_density(2, 4, t),
             -math.inf,
             math.inf,
         )

@@ -17,11 +17,12 @@ def _fill_tables():
         jack.jack_expand(ALPHA, (3, 1), "J", 3),
         jack.jack_expand(ALPHA, (3, 1), "C", 3),
         binom.gbinomial_table(Fraction(2), (3, 2, 1)),
-        orthopoly.hermite2(ALPHA, (2, 2), 2).coeffs,
+        orthopoly.hermite2(ALPHA, (2, 2), 2).terms,
         symfun.p2m(parse_expression("p[2,1]*p[1]"), 3),
         symfun.m2p(parse_expression("m[2,1]*m[1]")),
         symfun.m2m(parse_expression("m[2,1]*m[1,1]"), 3),
         hypergeom.smallest_eig_terms(Fraction(1), 2, 3),
+        hypergeom.level_density(2, 3, 0.5),
     ]
 
 

@@ -385,6 +385,14 @@ def test_hypergeom_tolerance_needs_numeric_scalars(capsys, argv):
     assert err.startswith("error: ") and "numeric" in err
 
 
+@pytest.mark.parametrize("point", [["--xid", "2:2"], ["--x", "0.5,1.5"]], ids=["xid", "vec"])
+def test_hypergeom_tolerance_refuses_a_divergent_point(capsys, point):
+    argv = ["hypergeom", "--alpha", "1", "--upper", "1,2", "--lower", "7/2", "--tol", "1e-9"]
+    code, out, err = run(argv + point, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "diverges" in err
+
+
 def test_help_lists_subcommands(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,30 @@ def test_nonterminating_needs_limit():
     with pytest.raises(DomainError):
         # p >= q+2 refuses a tolerance-only request
         hg.ghypergeom(Fraction(1), [rf(Fraction(1, 2)), rf(2)], [], ("xid", Fraction(1), 2), tol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "arg",
+    [("xid", 2, 2), ("xid", Fraction(-5, 4), 3), ("vec", [0.5, 1.5]), ("vec", [Fraction(-3, 2)])],
+    ids=str,
+)
+def test_p_equals_q_plus_1_refuses_a_point_outside_the_unit_ball(arg):
+    # a tolerance can never be met there, so the refusal comes before any layer
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="2F1 diverges at this point"):
+        hg.ghypergeom(Fraction(1), [1, 2], [Fraction(7, 2)], arg, tol=1e-9)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 2), Fraction(1), Fraction(2)], ids=str)
+def test_1f0_inside_the_unit_ball_is_the_determinant_power(alpha):
+    # 1F0(a; X) = det(I - X)^(-a) for every alpha
+    xs = [0.2, -0.3]
+    got = hg.ghypergeom(alpha, [Fraction(3, 2)], [], ("vec", xs), tol=1e-12)
+    want = ((1 - xs[0]) * (1 - xs[1])) ** -1.5
+    assert abs(got - want) < 1e-11 * want
+    exact = hg.ghypergeom(alpha, [Fraction(3, 2)], [], ("xid", Fraction(-1, 5), 2), tol=1e-12)
+    assert abs(float(exact) - 1.2**-3) < 1e-11
 
 
 def test_smallest_eig_m1_reduction():
@@ -368,17 +393,21 @@ def test_level_density_gaussian_base_case():
 
 def test_level_density_even_and_normalized():
     for beta, n in [(2, 4), (4, 4)]:
-        coeffs = hg.level_density_polynomial(beta, n)
         for x in (0.35, 1.1):
-            assert hg.level_density(beta, n, x, _coeffs=coeffs) == hg.level_density(
-                beta, n, -x, _coeffs=coeffs
-            )
+            assert hg.level_density(beta, n, x) == hg.level_density(beta, n, -x)
         total, err = si.quad(
-            lambda t: hg.level_density(beta, n, t, _coeffs=coeffs),
+            lambda t: hg.level_density(beta, n, t),
             -math.inf,
             math.inf,
         )
         assert abs(total - 1.0) < 1e-8
+
+
+def test_level_density_polynomial_is_a_fresh_list():
+    # the held coefficients are a tuple; the caller gets a list it may change
+    first = hg.level_density_polynomial(2, 3)
+    first[:] = []
+    assert hg.level_density_polynomial(2, 3) == hg.level_density_polynomial(2, 3) != []
 
 
 def test_level_density_gue2_closed_form():
@@ -388,8 +417,7 @@ def test_level_density_gue2_closed_form():
 
 
 def test_level_density_scaled_mass():
-    coeffs = hg.level_density_polynomial(2, 3)
-    total, err = si.quad(lambda t: hg.level_density_scaled(2, 3, t, _coeffs=coeffs), -3, 3)
+    total, err = si.quad(lambda t: hg.level_density_scaled(2, 3, t), -3, 3)
     assert abs(total - 1.0) < 1e-8
 
 
@@ -418,6 +446,10 @@ def test_level_density_takes_no_whole_diagram_hooks(monkeypatch):
 def test_level_density_rejects_odd_beta():
     with pytest.raises(DomainError):
         hg.level_density_polynomial(3, 2)
+    # a float beta stays an error even with the entry of the int held
+    hg.level_density_polynomial(2, 2)
+    with pytest.raises(DomainError):
+        hg.level_density(2.0, 2, 0.5)
 
 
 def test_vec_mode_rejects_symbolic_parameters():
@@ -487,9 +519,8 @@ def test_lower_parameter_pole():
 
 def test_level_density_masses_more_betas():
     for beta, n in [(4, 3), (6, 2), (8, 2)]:
-        coeffs = hg.level_density_polynomial(beta, n)
         total, _ = si.quad(
-            lambda t: hg.level_density(beta, n, t, _coeffs=coeffs),
+            lambda t: hg.level_density(beta, n, t),
             -math.inf,
             math.inf,
         )
@@ -597,7 +628,7 @@ def test_lower_parameter_pole_names_first_partition(alpha, lower, m, kappa):
 def test_level_density_matches_hermite2_construction(monkeypatch):
     # the density is built from the recurrence Hermite; the limiting-process
     # construction must give the same polynomial
-    from mops import orthopoly
+    from mops import cache, orthopoly
 
     for beta, n in [(2, 3), (4, 3), (6, 2), (4, 4)]:
         got = hg.level_density_polynomial(beta, n)
@@ -609,6 +640,7 @@ def test_level_density_matches_hermite2_construction(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(orthopoly, "hermite", hermite2)
+            cache.clear_all()  # the polynomial is held per (beta, n)
             want = hg.level_density_polynomial(beta, n)
         assert calls == [(beta,) * (n - 1)]
         assert got == want, (beta, n)

@@ -267,7 +267,7 @@ def test_table_matches_field_recurrence(alpha):
 def test_j_table_has_nonnegative_integer_coefficients():
     # Knop & Sahi: J_kappa's monomial coefficients lie in N[alpha]
     for kap in KAPPAS_TO_7:
-        for lam, coeffs in jack._jack_j_table(kap).items():
+        for lam, coeffs in jack._jack_j_table(kap, sum(kap)).items():
             assert coeffs[-1] and all(type(c) is int and c >= 0 for c in coeffs), (kap, lam)
 
 
@@ -280,7 +280,7 @@ def test_j_table_at_alpha_one_is_hook_lengths_times_kostka():
             count = kostka(kap, lam)
             if count:
                 expected[lam] = hooks * count
-        got = {lam: sum(coeffs) for lam, coeffs in jack._jack_j_table(kap).items()}
+        got = {lam: sum(coeffs) for lam, coeffs in jack._jack_j_table(kap, sum(kap)).items()}
         assert got == expected, kap
 
 
@@ -329,3 +329,38 @@ def test_inexact_linear_division_is_an_error():
         jack._divide_linear([1, 1], 2, 0)
     with pytest.raises(ArithmeticError):
         jack._divide_linear([1, 2], 1, 0)
+
+
+def test_table_over_n_parts_is_the_full_table_restricted():
+    # a move of the recurrence never adds a part, so the table built over at
+    # most n parts is exact; the tables are free of alpha, so this holds at
+    # every alpha
+    for k in range(11):
+        for kap in partitions_of(k):
+            full = jack._jack_j_table(kap, k)
+            for n in range(len(kap), 5):
+                want = [(lam, coeffs) for lam, coeffs in full.items() if len(lam) <= n]
+                assert list(jack._jack_j_table(kap, n).items()) == want, (kap, n)
+
+
+@pytest.mark.parametrize("alpha", [a, Fraction(1), Fraction(1, 2), Fraction(3)], ids=str)
+def test_numeric_count_expansion_is_the_generic_one_restricted(alpha):
+    for k in range(1, 7):
+        for kap in partitions_of(k):
+            for norm in ("C", "J", "P"):
+                generic = jack.jack_expand(alpha, kap, norm, GENERIC).terms
+                for n in range(len(kap), 5):
+                    got = jack.jack_expand(alpha, kap, norm, n)
+                    want = [(lam, c) for lam, c in generic.items() if len(lam) <= n]
+                    assert (list(got.terms.items()), got.nvars) == (want, n), (kap, norm, n)
+
+
+def test_hook_pole_is_the_same_at_every_count():
+    # alpha = -1 zeroes the lower hook 1 + a of (2): C and P have a pole
+    # there whatever the count, and J = (1 + a) m[2] + 2 m[1,1] is finite
+    for n in (GENERIC, 1, 2, 3):
+        for norm in ("C", "P"):
+            with pytest.raises(PoleError):
+                jack.jack_expand(Fraction(-1), (2,), norm, n)
+        want = {} if n == 1 else {(1, 1): 2}
+        assert jack.jack_expand(Fraction(-1), (2,), "J", n).terms == want, n

@@ -56,13 +56,13 @@ def test_jacobi_univariate_classical():
 def test_jacobi_univariate_alpha_free():
     # with one variable the repulsion factor is empty, so alpha drops out
     e = op.jacobi(a, (2,), G1, G2, 1)
-    for coeff in e.coeffs.values():
+    for coeff in e.terms.values():
         assert "a" not in coeff.free_parameters()
 
 
 def test_hermite_table_values():
     h = op.hermite(a, (1,), GENERIC)
-    assert h.coeffs == {(1,): rf(1)}
+    assert h.terms == {(1,): rf(1)}
     h = op.hermite(a, (1, 1), GENERIC)
     assert h.coefficient(()) == N * (N - 1) / (1 + a)
     assert h.coefficient((1, 1)) == 1
@@ -155,20 +155,20 @@ def test_generic_n_specialises_to_numeric(family, kappa, names):
         weights = weights[: len(names)]
         numeric = build(alpha, kappa, *weights, nvars)
         bindings = {"a": alpha, "n": nvars, **dict(zip(names, weights))}
-        assert set(numeric.coeffs) <= set(generic.coeffs)
-        for sigma, coeff in generic.coeffs.items():
+        assert set(numeric.terms) <= set(generic.terms)
+        for sigma, coeff in generic.terms.items():
             assert coeff.substitute(bindings).to_fraction() == numeric.coefficient(sigma)
 
 
 def test_hermite_constructions_agree():
     for k in range(1, 5):
         for kap in partitions_of(k):
-            assert op.hermite(a, kap, GENERIC).coeffs == op.hermite2(a, kap, GENERIC).coeffs
+            assert op.hermite(a, kap, GENERIC).terms == op.hermite2(a, kap, GENERIC).terms
     for alpha in (one, Fraction(1, 4), Fraction(3, 2)):
         for n in (2, 3, 5):
             for k in range(1, 8):
                 for kap in partitions_of(k, max_len=n):
-                    assert op.hermite(alpha, kap, n).coeffs == op.hermite2(alpha, kap, n).coeffs
+                    assert op.hermite(alpha, kap, n).terms == op.hermite2(alpha, kap, n).terms
 
 
 def test_hermite_constant_term_matches_both_constructions():
@@ -189,18 +189,18 @@ def test_hermite_constant_term_matches_both_constructions():
 
 def test_hermite2_examples():
     h = op.hermite2(a, (1, 1), GENERIC)
-    assert h.coeffs == op.hermite(a, (1, 1), GENERIC).coeffs
+    assert h.terms == op.hermite(a, (1, 1), GENERIC).terms
     h = op.hermite2(one, (2,), 1)
     assert op.eval_at_zero(h) == -1
     h = op.hermite2(a, (2, 1), GENERIC)
-    assert set(h.coeffs) == {(2, 1), (1,)}
+    assert set(h.terms) == {(2, 1), (1,)}
 
 
 def test_hermite_parity():
     for k in range(1, 7):
         for kap in partitions_of(k):
             h = op.hermite2(a, kap, GENERIC)
-            for sigma in h.coeffs:
+            for sigma in h.terms:
                 assert (weight(sigma) - k) % 2 == 0
 
 
@@ -224,7 +224,7 @@ def test_eval_at_scalar_identity():
     # at x = 1, m = n: sum of coefficients times identity values
     jac = op.jacobi(one, (2, 1), Fraction(1), Fraction(2), 3)
     total = sum(
-        c * jack.jack_identity_value(one, s, "C", 3) for s, c in jac.coeffs.items()
+        c * jack.jack_identity_value(one, s, "C", 3) for s, c in jac.terms.items()
     )
     assert op.eval_at_scalar_identity(jac, Fraction(1), 3) == total
     with pytest.raises(DomainError):
@@ -321,9 +321,9 @@ def test_symbolic_substitution_matches_numeric_path():
     for kap in [(2, 1), (3,), (2, 2)]:
         sym = op.hermite2(a, kap, 3)
         num = op.hermite2(Fraction(2, 3), kap, 3)
-        assert set(sym.coeffs) == set(num.coeffs)
-        for sig, coeff in sym.coeffs.items():
-            want = num.coeffs[sig]
+        assert set(sym.terms) == set(num.terms)
+        for sig, coeff in sym.terms.items():
+            want = num.terms[sig]
             if isinstance(want, RationalFunction):
                 want = want.to_fraction()
             assert coeff.substitute({"a": Fraction(2, 3)}).to_fraction() == want
@@ -345,7 +345,7 @@ def test_expansion_is_a_jack_symexpr(build):
     for n in (GENERIC, 2, 3):
         e = build(alpha, (2, 1), n)
         assert isinstance(e, SymExpr) and e.basis == "C"
-        assert e == e.as_symexpr() and e.coeffs is e.terms
+        assert e == e.as_symexpr() and not hasattr(e, "coeffs")
         assert jack2jack(alpha, e, n) == e.as_symexpr()
         if n is GENERIC:
             continue

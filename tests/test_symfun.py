@@ -278,6 +278,24 @@ def test_monomial_expansions_go_through_expand_to_monomials():
     assert callers == {"symfun.expand_to_monomials", "cli.cmd_jack"}
 
 
+def test_jack_tables_are_read_only_inside_jack():
+    # every Jack table is built to its variable count in jack.py; the sweeps
+    # of m2jack and jack2jack read the cut C table through jack._c_table
+    sample = "def f():\n    return jack._c_table(1, 2, (1,))\n"
+    assert _referrers(sample, "m", "_c_table") == {"m.f"}
+    src = pathlib.Path(symfun.__file__).parent
+    readers = {
+        "_jack_j_table": {"jack._jack_monomial_coefficients", "jack.jack_expand"},
+        "_jack_monomial_coefficients": {"jack._c_table", "jack.jack_expand"},
+        "_c_table": {"jack.jack_monomial_coefficients", "symfun.m2jack", "symfun.jack2jack"},
+    }
+    for target, want in readers.items():
+        found = set()
+        for path in sorted(src.glob("*.py")):
+            found |= _referrers(path.read_text(), path.stem, target)
+        assert found == want, target
+
+
 def test_power_sum_tables_are_read_in_two_places():
     # power sums enter monomials through expand_to_monomials, and m2p's
     # sweep reads the same tables as its columns
@@ -390,5 +408,5 @@ def test_monomial_expansion_validates_each_key_once(monkeypatch):
     monkeypatch.setattr(partitions, "as_partition", counted)
     got = expansion.to_monomials(h)
     assert list(got.terms.items()) == list(want.terms.items())
-    assert len(expansion.coeffs) == 29 and len(got.terms) == 101
-    assert len(calls) <= 4 * len(expansion.coeffs)
+    assert len(expansion.terms) == 29 and len(got.terms) == 101
+    assert len(calls) <= 4 * len(expansion.terms)
