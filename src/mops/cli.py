@@ -205,7 +205,8 @@ def cmd_density(args):
         if not args.grid and len(xs) != 1:
             raise DomainError("density largest-cdf needs one number --x or a --grid")
         gamma = parse_scalar(args.g)
-        values = [hypergeom.largest_eig_cdf(alpha, gamma, args.m, x, tol=args.tol or 1e-10) for x in xs]
+        tol = 1e-10 if args.tol is None else args.tol
+        values = [hypergeom.largest_eig_cdf(alpha, gamma, args.m, x, tol=tol) for x in xs]
         if len(xs) == 1 and not args.grid:
             print(values[0])
         else:

@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from . import binom, cache, jack, orthopoly, partitions
 from .errors import ConvergenceError, DomainError, PoleError
-from .rational import RationalFunction, as_exact, rf
+from .rational import RationalFunction, as_exact, as_finite, as_int, rf
 from .symfun import SymExpr, eval_numeric
 
 DEGREE_CAP = 400
@@ -60,6 +60,12 @@ def _negative_integer_bound(values):
             p = -int(v)
             best = p if best is None else min(best, p)
     return best
+
+
+def _check_tol(tol):
+    """Raise DomainError unless the tolerance is a finite number > 0."""
+    if not as_finite(tol, "tol") > 0:
+        raise DomainError("tol must be > 0, got %r" % (tol,))
 
 
 def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
@@ -188,10 +194,15 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     arg is ('xid', x, m) for the scalar-identity point x I_m (x may be a
     number or a rational function, kept exact), or ('vec', xs) for an
     explicit numeric point.  Exactly one of termination, limit, or tol
-    must make the sum finite.  A numeric point or a tolerance needs alpha,
-    the parameters and x to be numbers.  A point with a float coordinate
-    gives a float; an exact or empty point gives an exact value.
+    must make the sum finite; limit is an int >= 0, tol a finite number > 0.
+    A numeric point or a tolerance needs alpha, the parameters and x to be
+    finite numbers.  A point with a float coordinate gives a float; an
+    exact or empty point gives an exact value.
     """
+    if limit is not None:
+        as_int(limit, "limit")
+    if tol is not None:
+        _check_tol(tol)
     alpha = jack._as_alpha(alpha)
     upper = [as_exact(v, "an upper parameter") for v in upper]
     lower = [as_exact(v, "a lower parameter") for v in lower]
@@ -200,10 +211,11 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     if kind == "xid":
         x, m = payload
         x = as_exact(x, "the point x")
+        m = as_int(m, "m")
         scalars.append(x)
     elif kind == "vec":
         (xs,) = payload
-        xs = list(xs)
+        xs = [as_finite(v, "a coordinate") for v in xs]
         m = len(xs)
     else:
         raise DomainError("argument must be ('xid', x, m) or ('vec', xs)")
@@ -212,8 +224,6 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
         for v in scalars:
             if isinstance(v, RationalFunction):
                 raise DomainError("numeric evaluation needs numeric parameters, got %s" % v.text())
-    if m < 0:
-        raise DomainError("negative variable count")
     width = _negative_integer_bound(upper)
     terminating = width is not None
     if terminating:
@@ -281,10 +291,7 @@ def smallest_eig_terms(alpha, p, m):
     (-p)_kappa (m/alpha + 1)_kappa C_kappa(I_{m-1}) / k!.
     """
     alpha = _numeric_alpha(alpha)
-    if not (isinstance(p, int) and p >= 1):
-        raise DomainError("smallest-eigenvalue density needs integer p >= 1")
-    if m < 1:
-        raise DomainError("need m >= 1")
+    p, m = as_int(p, "p", 1), as_int(m, "m", 1)
     a1 = Fraction(-p)
     a2 = Fraction(m) / alpha + 1
     return list(_identity_sums(alpha, (a1, a2), (), m - 1, p))
@@ -292,7 +299,7 @@ def smallest_eig_terms(alpha, p, m):
 
 def smallest_eig_density(alpha, p, m, x):
     """Unnormalized smallest-eigenvalue density at x > 0."""
-    if x <= 0:
+    if as_finite(x, "x") <= 0:
         raise DomainError("density is supported on x > 0")
     return _smallest_eig_density_at(smallest_eig_terms(alpha, p, m), p, m, x)
 
@@ -327,6 +334,7 @@ def smallest_eig_mass(alpha, p, m):
 def smallest_eig_density_normalized(alpha, p, m, xs):
     """Normalized density on a grid; returns (values, mass_used)."""
     mass, _, terms = smallest_eig_mass(alpha, p, m)
+    xs = [as_finite(x, "a grid point") for x in xs]
     values = [_smallest_eig_density_at(terms, p, m, x) / mass if x > 0 else 0.0 for x in xs]
     return values, mass
 
@@ -364,7 +372,9 @@ def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     gamma = as_exact(gamma, "gamma")
     if not (isinstance(gamma, Fraction) and gamma > -1):
         raise DomainError("gamma must be a number > -1, got %s" % rf(gamma).text())
-    if x <= 0:
+    m = as_int(m, "m", 1)
+    _check_tol(tol)
+    if as_finite(x, "x") <= 0:
         return 0.0
     b_minus_a = Fraction(m - 1) / alpha + 1
     b = gamma + 2 * Fraction(m - 1) / alpha + 2
@@ -415,9 +425,7 @@ def level_density_polynomial(beta, n):
     # checked before the memo key is formed: beta = 2.0 hashes as 2
     if not (isinstance(beta, int) and beta >= 2 and beta % 2 == 0):
         raise DomainError("level density needs an even integer beta >= 2")
-    if n < 1:
-        raise DomainError("need n >= 1")
-    return list(_level_density_coeffs(beta, n))
+    return list(_level_density_coeffs(beta, as_int(n, "n", 1)))
 
 
 @cache.memo
@@ -442,10 +450,8 @@ def _level_density_coeffs(beta, n):
 def level_density(beta, n, x):
     """Marginal density of one eigenvalue of the n x n ensemble at x."""
     coeffs = level_density_polynomial(beta, n)
-    x = float(x)
-    poly = 0.0
-    for s in range(len(coeffs) - 1, -1, -1):
-        poly = poly * x + float(coeffs[s])
+    x = float(as_finite(x, "x"))
+    poly = jack._horner([float(q) for q in coeffs], x)
     return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi) * poly
 
 

@@ -35,7 +35,7 @@ from itertools import zip_longest
 
 from . import binom, cache, operators, partitions
 from .errors import DomainError
-from .rational import as_exact
+from .rational import as_exact, as_int
 from .symfun import GENERIC, SymExpr
 
 NORMALIZATIONS = ("C", "J", "P")
@@ -55,7 +55,8 @@ def jack_monomial_coefficients(alpha, kappa):
 
 def _length(kappa, nvars):
     """The most parts a partition of |kappa| keeps in nvars variables."""
-    return partitions.weight(kappa) if nvars is GENERIC else min(nvars, partitions.weight(kappa))
+    k = partitions.weight(kappa)
+    return k if nvars is GENERIC else min(as_int(nvars, "the variable count"), k)
 
 
 def _c_table(alpha, nvars, kappa):
@@ -168,9 +169,9 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
     kappa = partitions.as_partition(kappa)
     if norm not in NORMALIZATIONS:
         raise DomainError("unknown normalization %r" % (norm,))
+    length = _length(kappa, nvars)
     if nvars is not GENERIC and len(kappa) > nvars:
         return SymExpr("m", {}, nvars)
-    length = _length(kappa, nvars)
     if norm == "C":
         table = _jack_monomial_coefficients(alpha, kappa, length)
     else:

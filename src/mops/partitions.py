@@ -8,7 +8,7 @@ operations pad logically.  Squares of the diagram are addressed with
 
 from . import cache
 from .errors import DomainError, PoleError
-from .rational import as_exact
+from .rational import as_exact, as_int
 
 LESS = "less"
 EQUAL = "equal"
@@ -18,7 +18,7 @@ INCOMPARABLE = "incomparable"
 
 def as_partition(parts):
     """Validate and canonicalize an iterable of parts into a tuple."""
-    kappa = tuple(int(p) for p in parts)
+    kappa = tuple(as_int(p, "a partition part") for p in parts)
     while kappa and kappa[-1] == 0:
         kappa = kappa[:-1]
     for i, p in enumerate(kappa):

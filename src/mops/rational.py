@@ -24,6 +24,7 @@ denominators and, when that is not 1, one more gcd with the new numerator.
 
 from fractions import Fraction
 from math import gcd as _int_gcd
+from math import isfinite
 
 from .errors import DomainError, PoleError
 
@@ -731,6 +732,28 @@ def as_exact(x, name="a scalar"):
     raise DomainError(
         "%s must be a rational number or a rational function, got %r" % (name, x)
     )
+
+
+def as_int(x, name, least=0):
+    """x itself when it is an int >= least: a count, a degree or a part.
+
+    Anything else, a bool, a float or a str included, raises DomainError
+    naming ``name``, where ``int()`` would truncate 2.5 and read "3".
+    """
+    if isinstance(x, int) and not isinstance(x, bool) and x >= least:
+        return x
+    raise DomainError("%s must be an integer >= %d, got %r" % (name, least, x))
+
+
+def as_finite(x, name):
+    """x itself unless it is a float NaN or infinity, which raise DomainError.
+
+    A NaN fails every comparison, so it would pass a domain test and come
+    out as a "nan" result or a crash further on.
+    """
+    if isinstance(x, float) and not isfinite(x):
+        raise DomainError("%s must be finite, got %r" % (name, x))
+    return x
 
 
 def rf(x):

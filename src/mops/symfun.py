@@ -14,12 +14,12 @@ monomials; the one way out is ``_sweep``, a triangular solve against the
 monomial expansions of the target basis (Jack C for m2jack and jack2jack,
 power sums for m2p).
 
-Variable-count modes: an int fixes the number of variables n (basis
-elements indexed by partitions longer than n are zero); GENERIC (None)
-means a symbolic number of variables, where products of monomials take
-the stabilized coefficients valid for every sufficiently large n.
-Products of Jack polynomials, and expectations of products, need a
-numeric count.
+Variable-count modes: an int fixes the number of variables n (an m or
+Jack element on a partition longer than n is zero, a p element is not);
+GENERIC (None) means a symbolic number of variables, where products of
+monomials take the stabilized coefficients valid for every sufficiently
+large n.  Products of Jack polynomials, and expectations of products,
+need a numeric count.
 """
 
 import operator
@@ -28,7 +28,7 @@ from functools import partial, reduce
 
 from . import cache, partitions
 from .errors import DomainError, UnsupportedModeError
-from .rational import RationalFunction, as_exact, rf
+from .rational import RationalFunction, as_exact, as_finite, as_int, rf
 
 GENERIC = None
 
@@ -44,13 +44,13 @@ class SymExpr:
     def __init__(self, basis, terms, nvars=GENERIC):
         if basis not in BASES:
             raise DomainError("unknown basis %r" % basis)
-        if nvars is not GENERIC and nvars < 0:
-            raise DomainError("negative variable count")
+        if nvars is not GENERIC:
+            as_int(nvars, "the variable count")
         clean = {}
         for part, coeff in terms.items():
             part = partitions.as_partition(part)
             as_exact(coeff, "a coefficient")
-            if nvars is not GENERIC and len(part) > nvars:
+            if nvars is not GENERIC and len(part) > nvars and basis != "p":
                 continue
             if coeff:
                 clean[part] = clean[part] + coeff if part in clean else coeff
@@ -353,34 +353,6 @@ def m2m(expr, nvars=GENERIC):
 # ---------------------------------------------------------------------------
 # power sums
 
-@cache.memo
-def _power_sum_monomials(lam, n):
-    """Monomial expansion of p_lam (a partition tuple) in n variables: dict nu -> int."""
-    cur = {(0,) * n: 1}
-    for r in lam:
-        candidates = set()
-        for vec in cur:
-            for u in set(vec):
-                lst = list(vec)
-                lst.remove(u)
-                candidates.add(_sort_desc(lst + [u + r]))
-        new = {}
-        for w in candidates:
-            total = 0
-            for t in set(w):
-                if t < r:
-                    continue
-                lst = list(w)
-                lst.remove(t)
-                src = _sort_desc(lst + [t - r])
-                if src in cur:
-                    total += w.count(t) * cur[src]
-            if total:
-                new[w] = total
-        cur = new
-    return {tuple(p for p in vec if p): c for vec, c in cur.items()}
-
-
 def p2m(expr, nvars=GENERIC):
     """Expand an expression over power sums into monomials."""
     _require_bases(expr, ("p",), "p2m expects power-sum input, found %s")
@@ -395,8 +367,8 @@ def m2p(expr):
     """
 
     def column(lam):
-        n = max(partitions.weight(lam), 1)
-        return {nu: Fraction(c) for nu, c in _power_sum_monomials(lam, n).items()}
+        terms = expand_to_monomials(None, Leaf("p", lam)).terms
+        return {nu: Fraction(c) for nu, c in terms.items()}
 
     return _sweep(m2m(expr, GENERIC), "p", min, column)
 
@@ -457,30 +429,26 @@ def m2jack(alpha, expr, nvars=GENERIC):
 def expand_to_monomials(alpha, expr, nvars=GENERIC):
     """Expand a mixed-basis expression tree or SymExpr into the monomial basis.
 
-    The one way into monomials: ``m2m``, ``p2m`` and ``eval_numeric`` all
-    come here.  Jack leaves need alpha; a p leaf reads its table in nvars
-    variables (|part| when generic).
+    The one way into monomials: ``m2m``, ``p2m``, the columns of ``m2p``
+    and ``eval_numeric`` all come here.  Jack leaves need alpha.  A p leaf
+    is the product of its one-part monomials, p_lam = prod_i m_(lam_i),
+    multiplied like any other product.
     """
     from . import jack
+
+    mul = partial(_mul_m, nvars=nvars)
 
     def leaf(basis, part, coeff):
         if basis == "m":
             return SymExpr("m", {part: coeff}, nvars)
         if basis == "p":
-            n = nvars if nvars is not GENERIC else max(partitions.weight(part), 1)
-            terms = _power_sum_monomials(part, n)
-            return SymExpr._of_canonical("m", {nu: coeff * c for nu, c in terms.items()}, nvars)
+            ones = (SymExpr("m", {(r,): 1}, nvars) for r in part)
+            return reduce(mul, ones, SymExpr("m", {(): coeff}, nvars))
         if alpha is None:
             raise DomainError("Jack-basis leaves need alpha")
         return jack.jack_expand(alpha, part, basis, nvars).scale(coeff)
 
-    return _fold(
-        expr,
-        lambda value: SymExpr("m", {(): value}, nvars),
-        leaf,
-        _add_into,
-        lambda e1, e2: _mul_m(e1, e2, nvars),
-    )
+    return _fold(expr, lambda value: SymExpr("m", {(): value}, nvars), leaf, _add_into, mul)
 
 
 def jack2jack(alpha, expr, nvars=GENERIC):
@@ -504,9 +472,9 @@ def eval_numeric(expr, xs, alpha=None):
 
     Coefficients must be fully bound.  Every basis other than m goes
     through ``expand_to_monomials`` first; Jack bases additionally need
-    the numeric alpha that defines them.
+    the numeric alpha that defines them.  A float coordinate must be finite.
     """
-    xs = list(xs)
+    xs = [as_finite(x, "a coordinate") for x in xs]
     n = len(xs)
     if expr.nvars is not GENERIC and expr.nvars != n:
         raise DomainError("expression uses %r variables, point has %d" % (expr.nvars, n))

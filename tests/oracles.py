@@ -11,6 +11,9 @@ tableaux.  ``jack_c_recurrence`` is the Laplace-Beltrami recurrence run in
 the coefficient field itself, the reference for the library's integer
 tables.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
 ratio of Hankel determinants of incomplete Gamma functions, in mpmath.
+``power_sum_monomials`` expands a power sum into monomials by adding one
+part at a time to the exponent vectors, apart from the monomial products
+the library multiplies power sums with.
 """
 
 import itertools
@@ -305,3 +308,40 @@ def largest_cdf_beta2(gamma, m, x):
                 top[i, j] = mp.gammainc(i + j + g + 1, 0, half)
                 full[i, j] = mp.gamma(i + j + g + 1)
         return float(mp.det(top) / mp.det(full))
+
+
+def power_sum_monomials(lam, n):
+    """Monomial expansion of p_lam in n variables: dict nu -> int.
+
+    p_lam = p_(lam_1) ... p_(lam_k); multiplying by p_r adds r to one entry
+    of each exponent vector.  The coefficient of a sorted vector w is the
+    sum, over its entries t >= r, of (count of t in w) times the
+    coefficient of the vector with one t lowered to t - r.
+    """
+
+    def sort_desc(vec):
+        return tuple(sorted(vec, reverse=True))
+
+    cur = {(0,) * n: 1}
+    for r in lam:
+        candidates = set()
+        for vec in cur:
+            for u in set(vec):
+                lst = list(vec)
+                lst.remove(u)
+                candidates.add(sort_desc(lst + [u + r]))
+        new = {}
+        for w in candidates:
+            total = 0
+            for t in set(w):
+                if t < r:
+                    continue
+                lst = list(w)
+                lst.remove(t)
+                src = sort_desc(lst + [t - r])
+                if src in cur:
+                    total += w.count(t) * cur[src]
+            if total:
+                new[w] = total
+        cur = new
+    return {tuple(p for p in vec if p): c for vec, c in cur.items()}

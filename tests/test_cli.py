@@ -341,6 +341,36 @@ def test_malformed_input_exits_2(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+_HYPERGEOM = ["hypergeom", "--alpha", "1", "--upper", "1", "--lower", "2"]
+_LARGEST = ["density", "largest-cdf", "--alpha", "1", "--g", "0", "--m", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_LARGEST + ["--x", "nan"], "finite"),
+        (_LARGEST + ["--x", "inf"], "finite"),
+        (_LARGEST + ["--x", "1", "--tol", "nan"], "tol"),
+        (_LARGEST + ["--x", "1", "--tol", "0"], "tol"),
+        (["density", "largest-cdf", "--alpha", "1", "--g", "0", "--m", "0", "--x", "1"], "m must be an integer >= 1"),
+        (_HYPERGEOM + ["--x", "nan,0.1", "--limit", "3"], "finite"),
+        (_HYPERGEOM + ["--xid", "1:2", "--tol", "-1"], "tol"),
+        (_HYPERGEOM + ["--xid", "1/2:2", "--tol", "nan"], "tol"),
+        (_HYPERGEOM + ["--xid", "1/2:2", "--limit", "-1"], "limit"),
+        (["density", "smallest", "--alpha", "1", "--p", "1", "--m", "2", "--grid", "nan:1:3"], "finite"),
+        (["density", "level", "--beta", "2", "--n", "2", "--grid", "nan:1:3"], "finite"),
+        (["eval", "--expr", "m[1]", "--at", "nan,1"], "finite"),
+        (["jack", "--alpha", "1", "--partition", "2", "--at", "inf,1"], "finite"),
+    ],
+)
+def test_bad_numbers_exit_2(capsys, argv, message):
+    # NaN, infinities and out-of-range tolerances, degrees and counts are
+    # refused up front with one line, never printed as nan or summed
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
 def test_eval_power_sum_cli(capsys):
     code, out, _ = run(["eval", "--expr", "p[2]*p[1]", "--at", "1,2"], capsys)
     assert code == 0 and abs(float(out) - (1 + 4) * 3) < 1e-12

@@ -452,6 +452,39 @@ def test_level_density_rejects_odd_beta():
         hg.level_density(2.0, 2, 0.5)
 
 
+_HALF_XID = ("xid", Fraction(1, 2), 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: hg.largest_eig_cdf(1, 0, 2, float("nan")),
+        lambda: hg.largest_eig_cdf(1, 0, 2, float("inf")),
+        lambda: hg.largest_eig_cdf(1, 0, 2, 1.0, tol=-1),
+        lambda: hg.largest_eig_cdf(1, 0, 2, 1.0, tol=float("nan")),
+        lambda: hg.largest_eig_cdf(1, 0, 2.0, 1.0),
+        lambda: hg.largest_eig_cdf(1, 0, 0, 1.0),
+        lambda: hg.ghypergeom(1, [1], [2], ("vec", [float("nan"), 0.1]), limit=3),
+        lambda: hg.ghypergeom(1, [1], [2], ("xid", 1, 2), tol=-1),
+        lambda: hg.ghypergeom(1, [1], [2], _HALF_XID, tol=float("nan")),
+        lambda: hg.ghypergeom(1, [1], [2], _HALF_XID, tol=0),
+        lambda: hg.ghypergeom(1, [1], [2], _HALF_XID, limit=-1),
+        lambda: hg.ghypergeom(1, [1], [2], _HALF_XID, limit=2.5),
+        lambda: hg.ghypergeom(1, [1], [2], ("xid", 1, 2.0), limit=3),
+        lambda: hg.level_density_polynomial(2, 2.0),
+        lambda: hg.level_density(2, 2, float("nan")),
+        lambda: hg.smallest_eig_terms(1, True, 2),
+        lambda: hg.smallest_eig_density_normalized(1, 1, 2, [float("nan"), 1.0]),
+    ],
+)
+def test_bad_numbers_raise_domain_error(call):
+    # no nan result, no truncated count, no 400-layer sum before failing
+    start = time.perf_counter()
+    with pytest.raises(DomainError):
+        call()
+    assert time.perf_counter() - start < 1.0
+
+
 def test_vec_mode_rejects_symbolic_parameters():
     from mops.rational import N
 

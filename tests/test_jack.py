@@ -204,6 +204,12 @@ def test_hook_product_pole_is_a_pole_error(call):
         call()
 
 
+@pytest.mark.parametrize("nvars", [2.5, 2.0, True, -1])
+def test_jack_expand_needs_an_integer_variable_count(nvars):
+    with pytest.raises(DomainError):
+        jack.jack_expand(1, (2, 1), "C", nvars)
+
+
 def test_dstar_nvars_cap():
     e = SymExpr("m", {(1,): rf(1)}, 7)
     with pytest.raises(DomainError):

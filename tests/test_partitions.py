@@ -38,6 +38,13 @@ def test_partitions_of_negative_rejected():
         pt.partitions_of(3, max_len=-1)
 
 
+@pytest.mark.parametrize("parts", [[2.5], [2.0, 1], [True], ["3"], "21"])
+def test_as_partition_rejects_non_integer_parts(parts):
+    # int() would truncate 2.5, read "3" and take True for 1
+    with pytest.raises(DomainError):
+        pt.as_partition(parts)
+
+
 def test_partitions_of_max_len_filters_in_order():
     for k in range(14):
         for max_part in (None, 1, 2, 3):

@@ -26,6 +26,8 @@ from mops.symfun import (
     p2m,
 )
 
+from oracles import power_sum_monomials
+
 a = ALPHA
 
 
@@ -296,16 +298,28 @@ def test_jack_tables_are_read_only_inside_jack():
         assert found == want, target
 
 
-def test_power_sum_tables_are_read_in_two_places():
-    # power sums enter monomials through expand_to_monomials, and m2p's
-    # sweep reads the same tables as its columns
-    sample = "def f():\n    def column(lam):\n        return _power_sum_monomials(lam, 2)\n"
-    assert _referrers(sample, "m", "_power_sum_monomials") == {"m.f"}
-    src = pathlib.Path(symfun.__file__).parent
-    found = set()
-    for path in sorted(src.glob("*.py")):
-        found |= _referrers(path.read_text(), path.stem, "_power_sum_monomials")
-    assert found == {"symfun.expand_to_monomials", "symfun.m2p"}
+def test_power_sums_match_exponent_vector_oracle():
+    # p2m multiplies one-part monomials; the oracle adds parts to exponent
+    # vectors.  m2p is checked by expanding its answer back with the oracle.
+    for w in range(11):
+        for lam in partitions_of(w):
+            for n in (GENERIC, 0, 1, 2, 3, 4, 5, 6):
+                want = power_sum_monomials(lam, max(w, 1) if n is GENERIC else n)
+                assert p2m(p_(*lam), n).terms == want, (lam, n)
+            back = {}
+            for mu, c in m2p(m_(*lam)).terms.items():
+                for nu, d in power_sum_monomials(mu, max(w, 1)).items():
+                    back[nu] = back.get(nu, 0) + c * d
+            assert {nu: c for nu, c in back.items() if c} == {lam: 1}, lam
+
+
+def test_power_sum_longer_than_the_variable_count_is_kept():
+    # p[1,1,1] in 2 variables is (x1 + x2)^3, not 0 as m[1,1,1] is
+    e = SymExpr("p", {(1, 1, 1): 1}, 2)
+    assert e.terms == {(1, 1, 1): 1}
+    assert p2m(e, 2) == p2m(p_(1, 1, 1), 2) == SymExpr("m", {(3,): 1, (2, 1): 3}, 2)
+    assert eval_numeric(e, [1, 2]) == 27
+    assert SymExpr("m", {(1, 1, 1): 1}, 2).terms == {}
 
 
 NODE_TYPES = {"Scalar", "Leaf", "Sum", "Prod", "Pow", "SymExpr"}
