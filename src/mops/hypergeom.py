@@ -36,7 +36,9 @@ only in how they fold the sums and when they stop:
   through monomial expansions.
 - ``smallest_eig_terms`` is the terminating 2F0(-p, m/alpha+1; ; I_{m-1}).
 - ``largest_eig_cdf`` is the Kummer form e^(-m x/2) 1F1(b-a; b; x/2 I_m)
-  of 1F1(a; b; -x/2 I_m), whose terms are all positive.
+  of 1F1(a; b; -x/2 I_m), whose terms are all positive, summed as a
+  logarithm (log-add-exp of the terms' exact logs), so no term or partial
+  sum needs to lie in the float range.
 """
 
 import itertools
@@ -306,12 +308,15 @@ def smallest_eig_density(alpha, p, m, x):
 
 def _smallest_eig_density_at(terms, p, m, x):
     x = float(x)
+    decay = math.exp(-x * m / 2.0)
+    if decay == 0.0:  # x^(p m) would overflow where e^(-m x / 2) underflows
+        return 0.0
     f = 0.0
     u = 1.0
     for c in terms:
         f += float(c) * u
         u *= -2.0 / x
-    return x ** (p * m) * math.exp(-x * m / 2.0) * f
+    return x ** (p * m) * decay * f
 
 
 def smallest_eig_mass(alpha, p, m):
@@ -343,17 +348,6 @@ def smallest_eig_density_normalized(alpha, p, m, xs):
 # largest eigenvalue distribution
 
 
-def _frexp(c):
-    """(mantissa, exponent) with c = mantissa * 2**exponent for a Fraction c > 0.
-
-    The mantissa is c scaled into [1/2, 2) and rounded once, so it neither
-    overflows nor underflows however far c is from 1.
-    """
-    n, d = c.numerator, c.denominator
-    e = n.bit_length() - d.bit_length()
-    return (n << max(-e, 0)) / (d << max(e, 0)), e
-
-
 def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     """P[largest eigenvalue < x] for the 2/alpha-Laguerre ensemble.
 
@@ -362,10 +356,11 @@ def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     etr(-X) 1F1(b - a; b; X) (Kaneko, SIAM J. Math. Anal. 1993) turns it
     into e^(-m x / 2) pref(x) sum_k c_k (x/2)^k, where c_k are the layer
     sums of 1F1(b - a; b; I_m).  As b - a = (m-1)/alpha + 1 > 0, every term
-    is positive and nothing cancels.  Terms are formed from binary mantissas
-    and exponents, so c_k may lie far below the float range, and (x/2)^k
-    and the partial sums far above it; the series stops once three terms in
-    a row fall below tol times the sum.  DEGREE_CAP reaches x of about 290
+    is positive and nothing cancels.  As x/2 is dyadic, c_k (x/2)^k is a
+    ratio of ints, whose logs ``math.log`` takes at any size, and the sum
+    is kept as its log by log-add-exp, so terms and partial sums may lie
+    far outside the float range.  The series stops once three terms in a
+    row fall below tol times the sum.  DEGREE_CAP reaches x of about 290
     at m = 2; beyond it ConvergenceError carries the partial sum.
     """
     alpha = _numeric_alpha(alpha)
@@ -380,23 +375,16 @@ def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     b = gamma + 2 * Fraction(m - 1) / alpha + 2
     log_pref = binom.log_mv_gamma(alpha, b_minus_a, m) - binom.log_mv_gamma(alpha, b, m)
     log_pref += float(m * (gamma + b_minus_a)) * math.log(x / 2.0) - m * x / 2.0
-    shift = math.floor(log_pref / math.log(2.0))
-    pref = math.exp(log_pref - shift * math.log(2.0))  # e^log_pref = pref * 2**shift
-    half = x / 2.0
-    power, power_exp = 1.0, 0  # (x/2)^k = power * 2**power_exp
-    total, base = 0.0, 0  # the CDF so far is total * 2**(base + shift)
+    num, den = (x / 2.0).as_integer_ratio()
+    power_num = power_den = 1  # (x/2)^k = power_num / power_den
+    log_total = -math.inf
     small_run = 0
     sums = _identity_sums(alpha, [b_minus_a], [b], m)
     for k, c_k in zip(range(DEGREE_CAP + 1), sums):
-        mantissa, exponent = _frexp(c_k)
-        scale = exponent + power_exp
-        if scale - base > 512:  # rebase before the growing terms overflow
-            total, base = math.ldexp(total, base - scale), scale
-        layer = math.ldexp(pref * mantissa * power, scale - base)
-        total += layer
-        power, carry = math.frexp(power * half)
-        power_exp += carry
-        if layer <= tol * total:
+        log_layer = log_pref + math.log(c_k.numerator * power_num) - math.log(c_k.denominator * power_den)
+        power_num, power_den = power_num * num, power_den * den
+        log_total = max(log_total, log_layer) + math.log1p(math.exp(-abs(log_total - log_layer)))
+        if log_layer <= math.log(tol) + log_total:
             small_run += 1
             if k > 2 and small_run >= 3:
                 break
@@ -405,10 +393,10 @@ def largest_eig_cdf(alpha, gamma, m, x, tol=1e-10):
     else:
         raise ConvergenceError(
             "1F1 did not reach tolerance %g by degree %d" % (tol, DEGREE_CAP),
-            partial=math.ldexp(total, base + shift),
+            partial=math.exp(log_total),
         )
     # the terms are positive; only rounding can carry the sum past 1
-    return min(math.ldexp(total, base + shift), 1.0)
+    return min(math.exp(log_total), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +439,10 @@ def level_density(beta, n, x):
     """Marginal density of one eigenvalue of the n x n ensemble at x."""
     coeffs = level_density_polynomial(beta, n)
     x = float(as_finite(x, "x"))
-    poly = jack._horner([float(q) for q in coeffs], x)
-    return math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi) * poly
+    decay = math.exp(-x * x / 2.0)
+    if decay == 0.0:  # the polynomial may overflow where the Gaussian underflows
+        return 0.0
+    return decay / math.sqrt(2.0 * math.pi) * jack._horner([float(q) for q in coeffs], x)
 
 
 def level_density_scaled(beta, n, x):

@@ -22,7 +22,9 @@ large n.  Products of Jack polynomials, and expectations of products,
 need a numeric count.
 """
 
+import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
 
@@ -257,8 +259,7 @@ def _add_into(acc, other):
     """Add other's terms to the SymExpr acc in place.
 
     A key whose sum cancels leaves the dict at once and re-enters at the
-    end, the order of a sum taken term by term, which the float sum of
-    eval_numeric follows.
+    end, the order of a sum taken term by term.
     """
     terms = acc.terms
     for part, coeff in other.terms.items():
@@ -273,10 +274,6 @@ def _add_into(acc, other):
 
 # ---------------------------------------------------------------------------
 # monomial products
-
-def _sort_desc(vec):
-    return tuple(sorted(vec, reverse=True))
-
 
 def _distinct_rearrangements(part, n):
     """All distinct length-n vectors whose multiset of entries is part + 0s."""
@@ -309,22 +306,24 @@ def mono_product(lam, mu, n):
     return _mono_product(lam, mu, n)
 
 
+def _stabilizer(vec):
+    """Product of the factorials of vec's multiplicities: n! / |orbit(vec)|."""
+    return math.prod(map(math.factorial, Counter(vec).values()))
+
+
 @cache.memo
 def _mono_product(lam, mu, n):
+    """m_lam * m_mu in n variables by orbit counting.
+
+    The coefficient of m_nu counts the pairs (a, b) in the orbits of lam
+    and mu with a + b = nu.  Over nu's orbit they number |orbit(nu)| times
+    it, and |orbit(lam)| times the b with sorted(lam + b) = nu.
+    """
     lam_vec = lam + (0,) * (n - len(lam))
     rearr = _distinct_rearrangements(mu, n)
-    candidates = {_sort_desc(a + b for a, b in zip(lam_vec, bvec)) for bvec in rearr}
-    lam_sorted = _sort_desc(lam_vec)
-    out = {}
-    for nu in candidates:
-        count = 0
-        for bvec in rearr:
-            diff = tuple(a - b for a, b in zip(nu, bvec))
-            if min(diff, default=0) >= 0 and _sort_desc(diff) == lam_sorted:
-                count += 1
-        if count:
-            out[tuple(p for p in nu if p)] = count
-    return out
+    counts = Counter(tuple(sorted(map(operator.add, lam_vec, b), reverse=True)) for b in rearr)
+    lam_stab = _stabilizer(lam_vec)
+    return {tuple(p for p in nu if p): c * _stabilizer(nu) // lam_stab for nu, c in counts.items()}
 
 
 def _mul_m(e1, e2, nvars):
@@ -468,29 +467,38 @@ def jack2jack(alpha, expr, nvars=GENERIC):
 
 
 def eval_numeric(expr, xs, alpha=None):
-    """Value of the symmetric polynomial at the point xs.
+    """Value of the symmetric polynomial at the point xs, summed exactly.
 
     Coefficients must be fully bound.  Every basis other than m goes
     through ``expand_to_monomials`` first; Jack bases additionally need
-    the numeric alpha that defines them.  A float coordinate must be finite.
+    the numeric alpha that defines them.  A finite float is a dyadic
+    Fraction, so the point goes over one common denominator d and each
+    orbit sum of m_lam is an int over d^|lam|.  With a float coordinate
+    the exact total is rounded once (DomainError past the float range).
     """
     xs = [as_finite(x, "a coordinate") for x in xs]
     n = len(xs)
     if expr.nvars is not GENERIC and expr.nvars != n:
         raise DomainError("expression uses %r variables, point has %d" % (expr.nvars, n))
+    point = [Fraction(x) if isinstance(x, float) else as_exact(x, "a coordinate") for x in xs]
+    if any(isinstance(x, RationalFunction) for x in point):
+        raise DomainError("a coordinate must be a number")
     if expr.basis != "m":
         expr = expand_to_monomials(alpha, expr, n)
+    d = math.lcm(*(x.denominator for x in point))
+    ints = [x.numerator * (d // x.denominator) for x in point]
     total = 0
     for part, coeff in expr.terms.items():
         coeff = as_exact(coeff, "a coefficient")
         if isinstance(coeff, RationalFunction):
             raise DomainError("unbound parameters: %s" % ", ".join(coeff.free_parameters()))
-        value = 0
-        for vec in _distinct_rearrangements(part, n):
-            term = 1
-            for x, e in zip(xs, vec):
-                if e:
-                    term = term * x**e
-            value += term
-        total = total + coeff * value
-    return total
+        orbit = sum(
+            math.prod(x**e for x, e in zip(ints, vec) if e) for vec in _distinct_rearrangements(part, n)
+        )
+        total = total + coeff * Fraction(orbit, d ** partitions.weight(part))
+    if not any(isinstance(x, float) for x in xs):
+        return total
+    try:
+        return float(total)
+    except OverflowError:
+        raise DomainError("the value at this point is beyond the float range") from None

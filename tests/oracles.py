@@ -13,7 +13,10 @@ tables.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
 ratio of Hankel determinants of incomplete Gamma functions, in mpmath.
 ``power_sum_monomials`` expands a power sum into monomials by adding one
 part at a time to the exponent vectors, apart from the monomial products
-the library multiplies power sums with.
+the library multiplies power sums with, and
+``mono_product_by_rearrangements`` multiplies two monomials by testing
+every rearrangement of one against every candidate sum, where the
+library counts orbits.
 """
 
 import itertools
@@ -345,3 +348,32 @@ def power_sum_monomials(lam, n):
                 new[w] = total
         cur = new
     return {tuple(p for p in vec if p): c for vec, c in cur.items()}
+
+
+def mono_product_by_rearrangements(lam, mu, n):
+    """m_lam * m_mu in n variables: dict nu -> int, by direct counting.
+
+    Every sorted sum lam + b over the distinct rearrangements b of mu is a
+    candidate nu; its coefficient counts the rearrangements b of mu whose
+    difference nu - b is a rearrangement of lam.
+    """
+
+    def sort_desc(vec):
+        return tuple(sorted(vec, reverse=True))
+
+    if len(lam) > n or len(mu) > n:
+        return {}
+    lam_vec = tuple(lam) + (0,) * (n - len(lam))
+    rearr = _distinct_rearrangements(mu, n)
+    candidates = {sort_desc(a + b for a, b in zip(lam_vec, bvec)) for bvec in rearr}
+    lam_sorted = sort_desc(lam_vec)
+    out = {}
+    for nu in candidates:
+        count = 0
+        for bvec in rearr:
+            diff = tuple(a - b for a, b in zip(nu, bvec))
+            if min(diff, default=0) >= 0 and sort_desc(diff) == lam_sorted:
+                count += 1
+        if count:
+            out[tuple(p for p in nu if p)] = count
+    return out

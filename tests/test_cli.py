@@ -371,6 +371,33 @@ def test_bad_numbers_exit_2(capsys, argv, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--expr", "m[200]", "--at", "100"],
+        ["eval", "--alpha", "1", "--expr", "C[2]", "--at", "1e200,1e200"],
+        ["jack", "--alpha", "1", "--partition", "200", "--vars", "1", "--at", "100"],
+    ],
+)
+def test_values_past_the_float_range_exit_2(capsys, argv):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "float range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "smallest", "--alpha", "1", "--p", "3", "--m", "3", "--grid", "1e40:1e41:2"],
+        ["density", "level", "--beta", "4", "--n", "4", "--grid", "1e40:1e41:2"],
+    ],
+)
+def test_densities_where_the_exponential_underflows_print_0(capsys, argv):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines() == ["x,density", "1e+40,0", "1e+41,0"]
+
+
 def test_eval_power_sum_cli(capsys):
     code, out, _ = run(["eval", "--expr", "p[2]*p[1]", "--at", "1,2"], capsys)
     assert code == 0 and abs(float(out) - (1 + 4) * 3) < 1e-12

@@ -318,6 +318,27 @@ def test_largest_eig_cdf_range_ends_in_an_error_not_a_clamp():
     assert 0.0 < info.value.partial < 1e-100
 
 
+@pytest.mark.parametrize("gamma, x", [(100, 150.0), (500, 900.0), (1000, 1800.0)])
+def test_largest_eig_cdf_sums_from_far_below_the_float_range(gamma, x):
+    # at m = 1 the CDF is P(gamma + 1, x/2); the prefactor and the first
+    # terms lie far below the float range, the powers (x/2)^k far above it
+    import mpmath
+
+    got = hg.largest_eig_cdf(Fraction(1), Fraction(gamma), 1, x, tol=1e-12)
+    want = float(mpmath.gammainc(gamma + 1, 0, x / 2, regularized=True))
+    assert abs(got - want) <= 1e-10 * want, (got, want)
+
+
+def test_largest_eig_cdf_keeps_the_sum_in_logarithms():
+    # the first terms underflow as floats; a float total would stop on them
+    # and read 0.0 where the series has not converged by DEGREE_CAP
+    from mops.errors import ConvergenceError
+
+    with pytest.raises(ConvergenceError) as info:
+        hg.largest_eig_cdf(Fraction(1), Fraction(1), 2, 1500.0)
+    assert 0.0 < info.value.partial < 1e-100
+
+
 def test_largest_eig_cdf_curve_points_equal_cold_calls():
     # a curve drawn largest x first, then in shuffled order, reads one held
     # prefix; every point must equal the same call from cleared tables
@@ -483,6 +504,24 @@ def test_bad_numbers_raise_domain_error(call):
     with pytest.raises(DomainError):
         call()
     assert time.perf_counter() - start < 1.0
+
+
+def test_out_of_range_points_fail_loudly_or_read_zero(monkeypatch):
+    from mops.errors import ConvergenceError
+
+    # an exact layer past the float range is refused where it is rounded
+    with pytest.raises(DomainError, match="float range"):
+        hg.ghypergeom(1, [], [], ("vec", [1e200]), limit=2)
+    # 800^k passes the float range at k = 107, where the layer does not;
+    # a series that needs more than DEGREE_CAP layers says so (a lower cap
+    # keeps the test short)
+    monkeypatch.setattr(hg, "DEGREE_CAP", 120)
+    with pytest.raises(ConvergenceError):
+        hg.ghypergeom(1, [], [], ("vec", [800.0]), tol=1e-10)
+    # where the exponential factor underflows a density is 0, not nan
+    assert hg.smallest_eig_density(1, 3, 3, 1e40) == 0.0
+    assert hg.level_density(4, 4, 1e40) == 0.0
+    assert hg.level_density_scaled(4, 4, 1e40) == 0.0
 
 
 def test_vec_mode_rejects_symbolic_parameters():

@@ -1,5 +1,7 @@
 import ast
+import math
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +28,7 @@ from mops.symfun import (
     p2m,
 )
 
-from oracles import power_sum_monomials
+from oracles import mono_product_by_rearrangements, power_sum_monomials
 
 a = ALPHA
 
@@ -84,6 +86,16 @@ def test_zero_variables():
     assert m2m(parser.parse_expression("2*m[1]"), 0).terms == {}
     assert m2m(parser.parse_expression("(3 + m[2])^2"), 0).terms == {(): 9}
     assert p2m(parser.parse_expression("2*p[1] + 5"), 0).terms == {(): 5}
+
+
+def test_mono_products_match_rearrangement_oracle():
+    # orbit counting against the count over every rearrangement of mu
+    parts = [lam for w in range(7) for lam in partitions_of(w)]
+    for n in range(8):
+        for lam in parts:
+            for mu in parts:
+                want = mono_product_by_rearrangements(lam, mu, n)
+                assert symfun.mono_product(lam, mu, n) == want, (lam, mu, n)
 
 
 def test_m2m_numeric_truncates():
@@ -237,6 +249,24 @@ def test_eval_numeric():
     assert eval_numeric(e, [1, 1], alpha=Fraction(1)) == 3
     cexp = SymExpr("C", {(2,): rf(1)}, 2)
     assert eval_numeric(cexp, [1, 1], alpha=Fraction(1)) == 3
+
+
+def test_eval_numeric_rounds_the_exact_value_once():
+    # the monomials of p[1^6] cancel to a small value; the float result is
+    # still the exact value rounded once
+    rng = random.Random(6)
+    for _ in range(200):
+        xs = [rng.uniform(-2, 2) for _ in range(3)]
+        exact = {
+            (1,) * 6: sum(map(Fraction, xs)) ** 6,
+            (3, 2, 1): math.prod(sum(Fraction(x) ** r for x in xs) for r in (3, 2, 1)),
+        }
+        for lam, want in exact.items():
+            assert eval_numeric(SymExpr("p", {lam: 1}, 3), xs) == float(want), (lam, xs)
+    # an exact point keeps the exact value; one float coordinate rounds it
+    xs = [Fraction(1, 3), Fraction(-2, 5), 3]
+    assert eval_numeric(SymExpr("m", {(2, 1): Fraction(1, 7)}, 3), xs) == Fraction(2, 63)
+    assert eval_numeric(SymExpr("m", {(2, 1): Fraction(1, 7)}, 3), xs[:2] + [3.0]) == 2 / 63
 
 
 def test_eval_numeric_unbound_parameters():
