@@ -16,7 +16,7 @@ import math
 
 from . import cache, partitions
 from .errors import DomainError
-from .rational import as_exact
+from .rational import as_exact, homogeneous, ratio
 
 
 def sfact(r, k):
@@ -103,7 +103,10 @@ def contiguous(alpha, sigma, i):
 
     r running over the boxes (r, c) and j over the boxes (i, j): the
     lower hooks of column c and the upper hooks of row i grow by one.
-    A coefficient costs O(i + sigma_i + len(sigma)) field operations.
+    A coefficient costs O(i + sigma_i + len(sigma)) operations: for a
+    Fraction alpha = P / Q each factor u + alpha v is the int Q u + P v,
+    the numerator and denominator are int products, and the one Fraction
+    is formed at the end; a symbolic alpha takes them in its field.
     """
     return _contiguous(as_exact(alpha, "alpha"), partitions.as_partition(sigma), i)
 
@@ -113,23 +116,26 @@ def _contiguous(alpha, sigma, i):
     if _row_increment(sigma, i) is None:
         raise DomainError("row %d of %r cannot be incremented" % (i, sigma))
     row = sigma[i - 1] if i - 1 < len(sigma) else 0
-    num = den = alpha**0
+    # a hook u + alpha v is taken as Q u + P v with alpha = P / Q; num and
+    # den have equally many, so the powers of Q cancel
+    p, q = homogeneous(alpha)
+    num = den = p**0
     # column c holds rows 1..i-1 of sigma, so (r, c) has leg i - 1 - r
     for r0 in range(i - 1):
         leg = i - 2 - r0
-        arm = alpha * (sigma[r0] - row - 1)
-        num = num * (leg + 2 + arm)
-        den = den * (leg + 1 + arm)
+        arm = p * (sigma[r0] - row - 1)
+        num = num * (q * (leg + 2) + arm)
+        den = den * (q * (leg + 1) + arm)
     # (i, j) has leg #{t > i: sigma_t >= j}, which grows as j falls
     below = i
     for j in range(row, 0, -1):
         while below < len(sigma) and sigma[below] >= j:
             below += 1
-        leg = below - i
+        leg = q * (below - i)
         arm = row - j
-        num = num * (leg + alpha * (2 + arm))
-        den = den * (leg + alpha * (1 + arm))
-    return num / partitions._hook_divisor(den, alpha, sigma)
+        num = num * (leg + p * (2 + arm))
+        den = den * (leg + p * (1 + arm))
+    return ratio(num, partitions._hook_divisor(den, alpha, sigma))
 
 
 def one_box_recurrence(alpha, kappa, divide):

@@ -15,9 +15,10 @@ in the previous layer (after Koev and Edelman, *The efficient evaluation
 of the hypergeometric function of a matrix argument*, Math. Comp. 2006):
 the box (l, c) multiplies each Pochhammer symbol (a)_kappa by
 a + c - 1 - (l-1)/alpha, and changes only the hooks of row l and column c,
-so a partition costs O(m + p + q) field operations instead of O(|kappa|).
+so a partition costs O(m + p + q) operations instead of O(|kappa|).
 ``_next_layer`` states the Pochhammer ratio and
-``partitions._box_hook_ratio`` the hook ratio.
+``partitions._box_hook_ratio`` the hook ratio, which for a numeric alpha
+is a product of ints divided once.
 
 At the identity only the layer sums c_k = sum_kappa coeff_kappa C_kappa(I_m)
 matter, and they depend on (alpha, a, b, m) alone, not on the point.  So
@@ -88,13 +89,13 @@ def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
         coeff_kappa / coeff_pi = prod (a_i + s) / (k prod (b_j + s)),
 
     and PoleError is raised when some b_j + s is 0.  At the identity the
-    k of k! cancels against C_kappa(I_m) / C_pi(I_m) = k num / den, with
-    (num, den) from ``partitions._box_hook_ratio`` (only the hooks of row
-    l and of column c change), so
+    k of k! cancels against C_kappa(I_m) / C_pi(I_m) = k h, with the hook
+    ratio h from ``partitions._box_hook_ratio`` (only the hooks of row l
+    and of column c change), so
 
-        term_kappa / term_pi = num prod (a_i + s) / (den prod (b_j + s)).
+        term_kappa / term_pi = h prod (a_i + s) / prod (b_j + s).
 
-    A partition thus costs O(m + p + q) field operations.
+    A partition thus costs O(m + p + q) operations.
     """
     one = alpha**0
     row_shift = [i / alpha for i in range(m)]
@@ -105,7 +106,7 @@ def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
         parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
         s = c - 1 - row_shift[l - 1]
         if at_identity:
-            num, den = partitions._box_hook_ratio(alpha, kappa, m)
+            num, den = partitions._box_hook_ratio(alpha, kappa, m), 1
         else:
             num, den = one, k
         for a_i in upper:
@@ -316,7 +317,11 @@ def _smallest_eig_density_at(terms, p, m, x):
     for c in terms:
         f += float(c) * u
         u *= -2.0 / x
-    return x ** (p * m) * decay * f
+    try:
+        power = x ** (p * m)
+    except OverflowError:  # the product can be finite where x^(p m) is not
+        return math.exp(p * m * math.log(x) - m * x / 2.0) * f
+    return power * decay * f
 
 
 def smallest_eig_mass(alpha, p, m):

@@ -23,7 +23,8 @@ A = sum kappa_i (kappa_i - 1) and B = sum (i-1) kappa_i.  So every step
 is an exact synthetic division of an int list by a linear factor; no gcd.
 
 The integer table is free of alpha and memoized per (kappa, length).  The
-C table at a given alpha evaluates each entry once by Horner's rule and
+C table at a given alpha evaluates each entry once by Horner's rule, in
+ints over one power of the denominator when alpha is a Fraction, and
 multiplies it by alpha^k k! / j_kappa(alpha); alpha is a pole exactly
 when the hook product j_kappa vanishes there.  The J expansion is the
 Horner values themselves, with no pole, and P is J divided by its leading
@@ -35,7 +36,7 @@ from itertools import zip_longest
 
 from . import binom, cache, operators, partitions
 from .errors import DomainError
-from .rational import as_exact, as_int
+from .rational import as_exact, as_int, homogeneous, ratio
 from .symfun import GENERIC, SymExpr
 
 NORMALIZATIONS = ("C", "J", "P")
@@ -123,10 +124,20 @@ def _jack_j_table(kappa, length):
 
 
 def _horner(coeffs, alpha):
+    """sum_i coeffs[i] alpha^i by Horner's rule, homogeneous in alpha = P / Q.
+
+    The sum is sum_i c_i P^i Q^(d-i) / Q^d with d = len(coeffs) - 1: for a
+    Fraction alpha the numerator is an int and the one division gives a
+    Fraction; a symbolic or float alpha has Q = 1.
+    """
+    p, q = homogeneous(alpha)
     value = 0
+    scale = 1
     for c in reversed(coeffs):
-        value = value * alpha + c
-    return value
+        value = value * p + c * scale
+        scale *= q
+    # the last step took scale to Q^(d+1)
+    return ratio(value, scale // q)
 
 
 @cache.memo

@@ -95,16 +95,17 @@ def _identity_values(alpha, kappa, m):
 
         C_sigma(I_m) = |sigma| C_pi(I_m) num / den,
 
-    with (num, den) from ``partitions._box_hook_ratio``:
+    the ratio num / den being ``partitions._box_hook_ratio``'s:
 
         num = (m - l + 1 + alpha (c-1))
             prod_{r<l} (h - 1 + alpha (1+a_r)) (h + alpha a_r),
         den = c (1 + alpha (c-1))
             prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r),
 
-    h = l - r, a_r = sigma_r - c.  A subpartition costs O(l) field
-    operations.  The dict is the memo table's own: callers must not
-    change it.
+    h = l - r, a_r = sigma_r - c.  A subpartition costs O(l) operations:
+    for a Fraction alpha and a numeric m, num and den are int products
+    and their ratio one Fraction; a symbolic alpha or m takes them in its
+    field.  The dict is the memo table's own: callers must not change it.
     """
     values = {}
     for sigma in partitions.subpartitions_of(kappa):
@@ -113,8 +114,8 @@ def _identity_values(alpha, kappa, m):
             continue
         c = sigma[-1]
         parent = sigma[:-1] + (c - 1,) if c > 1 else sigma[:-1]
-        num, den = partitions._box_hook_ratio(alpha, sigma, m)
-        values[sigma] = values[parent] * (partitions.weight(sigma) * num / den)
+        box = partitions._box_hook_ratio(alpha, sigma, m)
+        values[sigma] = values[parent] * (partitions.weight(sigma) * box)
     return values
 
 

@@ -8,7 +8,7 @@ operations pad logically.  Squares of the diagram are addressed with
 
 from . import cache
 from .errors import DomainError, PoleError
-from .rational import as_exact, as_int
+from .rational import as_exact, as_int, homogeneous, ratio
 
 LESS = "less"
 EQUAL = "equal"
@@ -181,6 +181,8 @@ def hook_products(alpha, kappa):
 
 @cache.memo
 def _hook_products(alpha, kappa):
+    # each hook is u + alpha v = (Q u + P v) / Q: ints over Q^|kappa| for a Fraction alpha
+    p, q = homogeneous(alpha)
     conj = conjugate(kappa)
     c = 1
     cprime = 1
@@ -188,9 +190,10 @@ def _hook_products(alpha, kappa):
         for j0 in range(part):
             a = part - j0 - 1
             l = conj[j0] - i0 - 1
-            c = c * (l + alpha * (1 + a))
-            cprime = cprime * (l + 1 + alpha * a)
-    return c, cprime, c * cprime
+            c = c * (q * l + p * (1 + a))
+            cprime = cprime * (q * (l + 1) + p * a)
+    scale = q ** weight(kappa)
+    return ratio(c, scale), ratio(cprime, scale), ratio(c * cprime, scale * scale)
 
 
 def _hook_divisor(value, alpha, kappa):
@@ -201,7 +204,7 @@ def _hook_divisor(value, alpha, kappa):
 
 
 def _box_hook_ratio(alpha, kappa, m):
-    """(num, den) with num / den = C_kappa(I_m) / (|kappa| C_pi(I_m)).
+    """C_kappa(I_m) / (|kappa| C_pi(I_m)), one box's ratio of identity values.
 
     pi is kappa less its last box (l, c): l = len(kappa), c = kappa_l.
     C_kappa(I_m) = alpha^(2k) k! (m/alpha)_kappa / j_kappa, and the box
@@ -212,27 +215,34 @@ def _box_hook_ratio(alpha, kappa, m):
             (h + alpha (1+a_r)) (h + 1 + alpha a_r)
             / ((h - 1 + alpha (1+a_r)) (h + alpha a_r)),
 
-    with h = l - r and a_r = kappa_r - c, so
+    with h = l - r and a_r = kappa_r - c, so the ratio is num / den with
 
         num = (m - l + 1 + alpha (c-1))
             prod_{r<l} (h - 1 + alpha (1+a_r)) (h + alpha a_r),
         den = c (1 + alpha (c-1))
             prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r).
 
-    kappa must be non-empty; num and den are in the field of alpha and m.
-    PoleError is raised when den is 0.
+    num and den have equally many factors u + alpha v, so with alpha =
+    P / Q each is taken as Q u + P v and the powers of Q cancel: for a
+    Fraction alpha and a numeric m = M / MQ both are ints, and the ratio
+    is one Fraction.  A symbolic alpha or m makes them field elements and
+    the ratio their quotient.  kappa must be non-empty; PoleError is
+    raised when den is 0.
     """
+    p, q = homogeneous(alpha)
+    big_m, m_den = homogeneous(m)
     l = len(kappa)
     c = kappa[-1]
-    lift = alpha * (c - 1)
-    num = m - l + 1 + lift
-    den = c * (1 + lift)
+    # the first factors times Q MQ: Q M - MQ Q (l-1) + MQ P (c-1) and c (MQ Q + MQ P (c-1))
+    lift = p * (m_den * (c - 1))
+    num = q * big_m + m_den * q * (1 - l) + lift
+    den = c * (m_den * q + lift)
     for r0 in range(l - 1):
         h = l - 1 - r0
-        arm = alpha * (kappa[r0] - c)
-        num = num * ((h - 1 + alpha + arm) * (h + arm))
-        den = den * ((h + alpha + arm) * (h + 1 + arm))
-    return num, _hook_divisor(den, alpha, kappa)
+        arm = p * (kappa[r0] - c)
+        num = num * ((q * (h - 1) + p + arm) * (q * h + arm))
+        den = den * ((q * h + p + arm) * (q * (h + 1) + arm))
+    return ratio(num, _hook_divisor(den, alpha, kappa))
 
 
 def rho(alpha, kappa):

@@ -756,6 +756,32 @@ def as_finite(x, name):
     return x
 
 
+def homogeneous(x):
+    """(P, Q) with x = P / Q, for products of factors linear in x.
+
+    A Fraction gives its numerator and denominator, so u + v x =
+    (Q u + P v) / Q is an int over Q and a product of such factors is
+    formed in ints; any other x (an int, a float, a RationalFunction) gives
+    (x, 1), and the same expressions are its own field operations.
+    """
+    if isinstance(x, Fraction):
+        return x.numerator, x.denominator
+    return x, 1
+
+
+def ratio(num, den):
+    """num / den without a float: a Fraction when both are ints.
+
+    Otherwise it is the quotient in num's field, and a den of int 1 leaves
+    num as it is.
+    """
+    if isinstance(num, int):
+        return Fraction(num, den)
+    if isinstance(den, int) and den == 1:
+        return num
+    return num / den
+
+
 def rf(x):
     """Coerce ints, Fractions and RationalFunctions into the field."""
     if isinstance(x, RationalFunction):

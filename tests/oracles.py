@@ -5,7 +5,9 @@ orthogonal polynomials come from exact moment Gram-Schmidt, generalized
 binomial coefficients from the shifted-argument definition, Hermite
 ensemble expectations from the two-variable rotation reduction,
 subpartition enumeration from brute force over tuples, contiguous
-binomial coefficients from hook products over the whole diagram, and Jack
+binomial coefficients from hook products over the whole diagram, hook
+products and one-box hook ratios from field arithmetic on every factor
+(the library multiplies ints over a power of alpha's denominator), and Jack
 tables at alpha = 1 from Kostka numbers counted over semistandard
 tableaux.  ``jack_c_recurrence`` is the Laplace-Beltrami recurrence run in
 the coefficient field itself, the reference for the library's integer
@@ -126,6 +128,46 @@ def contiguous_all_boxes(alpha, sigma, i):
                 num = num * low_s * up_g
             j_sigma = j_sigma * up_s * low_s
     return num / j_sigma
+
+
+def hook_products_field(alpha, kappa):
+    """(c, c', j) of ``partitions.hook_products``, every hook a field element.
+
+    The library forms these products in ints for a Fraction alpha; here
+    each hook leg + alpha (1 + arm), leg + 1 + alpha arm is multiplied in
+    as it stands.
+    """
+    conj = [sum(1 for part in kappa if part > j0) for j0 in range(kappa[0] if kappa else 0)]
+    c = cprime = alpha**0
+    for i0, part in enumerate(kappa):
+        for j0 in range(part):
+            arm = part - j0 - 1
+            leg = conj[j0] - i0 - 1
+            c = c * (leg + alpha * (1 + arm))
+            cprime = cprime * (leg + 1 + alpha * arm)
+    return c, cprime, c * cprime
+
+
+def box_hook_ratio_field(alpha, kappa, m):
+    """(num, den) of ``partitions._box_hook_ratio``, in the field of alpha and m.
+
+    The ratio C_kappa(I_m) / (|kappa| C_pi(I_m)) of kappa and its parent pi,
+    kappa less its last box (l, c): num = (m - l + 1 + alpha (c-1))
+    prod_{r<l} (h - 1 + alpha (1+a_r)) (h + alpha a_r) and den =
+    c (1 + alpha (c-1)) prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r),
+    h = l - r, a_r = kappa_r - c, each factor a field element.
+    """
+    l = len(kappa)
+    c = kappa[-1]
+    lift = alpha * (c - 1)
+    num = m - l + 1 + lift
+    den = c * (1 + lift)
+    for r0 in range(l - 1):
+        h = l - 1 - r0
+        arm = alpha * (kappa[r0] - c)
+        num = num * ((h - 1 + alpha + arm) * (h + arm))
+        den = den * ((h + alpha + arm) * (h + 1 + arm))
+    return num, den
 
 
 def gbinomial_from_definition(alpha, kappa, sigma, m):

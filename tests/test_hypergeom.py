@@ -24,6 +24,10 @@ def test_0f0_exponential_partial_sums():
     assert abs(got - want) < 1e-12
     exact = hg.ghypergeom(Fraction(1), [], [], ("xid", Fraction(1), 1), limit=8)
     assert exact == sum(Fraction(1, math.factorial(k)) for k in range(9))
+    # int arguments stay exact: with no parameter the box's hook ratio alone
+    # makes each term, and it must not come out as a float
+    exact = hg.ghypergeom(1, [], [], ("xid", 1, 1), limit=8)
+    assert type(exact) is Fraction and exact == sum(Fraction(1, math.factorial(k)) for k in range(9))
 
 
 @pytest.mark.parametrize("upper", [[Fraction(0)], [Fraction(1, 2)]], ids=["upper0", "upper1/2"])
@@ -105,18 +109,25 @@ def test_degree_layer_identity():
 
 
 def test_series_layers_coefficients_stay_fractions():
-    # the 1F1 behind largest_eig_cdf: exact Fraction inputs give Fraction
-    # coefficients in every layer, the empty partition at k = 0 included
+    # the 1F1 behind largest_eig_cdf, and 0F0 with no parameter at all:
+    # exact Fraction inputs give Fraction coefficients in every layer, the
+    # empty partition at k = 0 included, and Fraction layer sums at the
+    # identity, whose terms carry the box's hook ratio
+    series = [(Fraction(1, 4), [], [], 3)]
     for alpha, gamma, m in ((Fraction(1), Fraction(1), 2), (Fraction(2), Fraction(1, 2), 3)):
         a1 = gamma + Fraction(m - 1) / alpha + 1
         b1 = gamma + 2 * Fraction(m - 1) / alpha + 2
-        layers = hg._series_layers(alpha, [a1], [b1], m)
+        series.append((alpha, [a1], [b1], m))
+    for alpha, upper, lower, m in series:
+        layers = hg._series_layers(alpha, upper, lower, m)
         for k, terms in zip(range(8), layers):
             assert terms
             for kappa, coeff in terms:
                 assert type(coeff) is Fraction, (k, kappa, coeff)
                 if k == 0:
                     assert (kappa, coeff) == ((), Fraction(1))
+        for k, c_k in zip(range(8), hg._identity_sums(alpha, upper, lower, m)):
+            assert type(c_k) is Fraction, (alpha, upper, lower, m, k, c_k)
 
 
 def test_series_layers_enumerate_only_contributing_partitions():
@@ -258,6 +269,22 @@ def test_smallest_eig_krishnaiah_chang_shape():
     for x in [0.5, 1.5, 3.0, 6.0]:
         got = hg.smallest_eig_density(Fraction(2), p, m, x)
         assert abs(got / ref - classical(x) / ref_classical) < 1e-10
+
+
+def test_smallest_eig_density_past_the_float_range_of_the_power():
+    # x^(p m) = 700^200 overflows a double while the density, x^(p m)
+    # e^(-m x / 2) sum_k c_k (-2/x)^k, is near 2.8e265
+    import mpmath
+
+    p, m, x = 100, 2, 700.0
+    got = hg.smallest_eig_density(1, p, m, x)
+    assert math.isfinite(got)
+    with mpmath.workdps(50):
+        xm = mpmath.mpf(x)
+        series = mpmath.fsum(mpmath.mpf(c.numerator) / c.denominator * (-2 / xm) ** k
+                             for k, c in enumerate(hg.smallest_eig_terms(1, p, m)))
+        want = xm ** (p * m) * mpmath.exp(-m * xm / 2) * series
+        assert abs(got - want) <= 1e-11 * want
 
 
 def test_smallest_eig_requires_integer_p():

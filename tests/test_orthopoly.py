@@ -232,7 +232,9 @@ def test_eval_at_scalar_identity():
 
 
 def test_identity_values_match_jack():
-    # the box-by-box table against the hook-product value of each sigma
+    # the box-by-box table against the hook-product value of each sigma;
+    # both read the int hook products, which test_partitions checks against
+    # field arithmetic
     for alpha in (one, Fraction(1, 4), Fraction(3, 2), a):
         kappas = [(4, 3, 1), (3, 3, 2, 1), (2, 2, 2, 2, 2)]
         if alpha is not a:

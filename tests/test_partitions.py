@@ -2,11 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from mops import jack
 from mops import partitions as pt
-from mops.errors import DomainError
-from mops.rational import ALPHA
+from mops.errors import DomainError, PoleError
+from mops.rational import ALPHA, N
 
-from oracles import brute_subpartitions
+from oracles import box_hook_ratio_field, brute_subpartitions, hook_products_field
 
 a = ALPHA
 
@@ -128,6 +129,76 @@ def test_hook_products_examples():
     c, cp, j = pt.hook_products(a, (1, 1))
     assert c == a * (1 + a) and cp == 2 and j == 2 * a * (1 + a)
     assert pt.hook_products(a, ()) == (1, 1, 1)
+
+
+INT_ALPHAS = [Fraction(1), Fraction(2), Fraction(1, 4), Fraction(3, 2), Fraction(7, 3), Fraction(-2, 5), Fraction(-3)]
+
+
+def _pole_message(alpha, kappa):
+    return "alpha = %s is a pole of the hook products of %r" % (alpha, kappa)
+
+
+def test_integer_hook_products_match_field_arithmetic():
+    # the int products over a power of alpha's denominator against every
+    # hook multiplied in the field, in the same canonical form; a vanishing
+    # hook reads 0 (-2/5 and -3 have some up to weight 10)
+    zeros = 0
+    for k in range(11):
+        for kappa in pt.partitions_of(k):
+            alphas = INT_ALPHAS + [a] if 0 < k <= 7 else INT_ALPHAS
+            for alpha in alphas:
+                got = pt.hook_products(alpha, kappa)
+                want = hook_products_field(alpha, kappa)
+                assert got == want and repr(got) == repr(want), (alpha, kappa)
+                zeros += not got[2]
+    assert zeros
+
+
+def test_integer_box_hook_ratio_matches_field_arithmetic():
+    # the one-box ratio in ints, m numeric or symbolic, against the field
+    # loop; where the hooks of the box's row and column vanish it raises
+    # PoleError naming alpha and kappa
+    poles = 0
+    for k in range(1, 11):
+        for kappa in pt.partitions_of(k):
+            alphas = INT_ALPHAS + [a] if k <= 7 else INT_ALPHAS
+            for alpha in alphas:
+                for m in (3, Fraction(5), Fraction(7, 2), N):
+                    num, den = box_hook_ratio_field(alpha, kappa, m)
+                    if not den:
+                        poles += 1
+                        with pytest.raises(PoleError) as err:
+                            pt._box_hook_ratio(alpha, kappa, m)
+                        assert str(err.value) == _pole_message(alpha, kappa)
+                        continue
+                    got = pt._box_hook_ratio(alpha, kappa, m)
+                    want = num / den
+                    assert got == want and repr(got) == repr(want), (alpha, kappa, m)
+    assert poles
+
+
+@pytest.mark.parametrize(
+    "alpha, kappa, upper_zero, lower_zero",
+    [(Fraction(-1, 2), (2, 1), True, False), (Fraction(-1), (3, 1, 1), True, True),
+     (Fraction(-2, 3), (3, 1, 1), True, False)],
+)
+def test_vanishing_hook_reads_zero_and_its_divisions_raise(alpha, kappa, upper_zero, lower_zero):
+    c, cprime, j = pt.hook_products(alpha, kappa)
+    assert (c == 0, cprime == 0, j == 0) == (upper_zero, lower_zero, True)
+    dividing = [
+        lambda: jack.jack_monomial_coefficients(alpha, kappa),
+        lambda: jack.jack_identity_value(alpha, kappa, "C", 3),
+        lambda: jack.normalization_factor("C", "J", alpha, kappa),
+        lambda: pt._box_hook_ratio(alpha, kappa, 3),
+    ]
+    if lower_zero:
+        dividing.append(lambda: jack.jack_expand(alpha, kappa, "P"))
+    for call in dividing:
+        with pytest.raises(PoleError) as err:
+            call()
+        assert str(err.value) == _pole_message(alpha, kappa)
+    # the J expansion has no pole
+    assert jack.jack_expand(alpha, kappa, "J").terms
 
 
 def test_rho():
