@@ -15,7 +15,7 @@ from . import binom, expect, hypergeom, jack, orthopoly, partitions, symfun
 from .errors import ConvergenceError, DomainError, MopsError, PoleError
 from .parser import parse_expression, parse_scalar
 from .rational import R as R_PARAM
-from .rational import RationalFunction, rf
+from .rational import RationalFunction, rf, to_float
 from .symfun import GENERIC
 
 
@@ -189,7 +189,13 @@ def cmd_density(args):
             raise DomainError("density smallest needs --p and --m")
         xs = _parse_grid(args.grid)
         values, mass = hypergeom.smallest_eig_density_normalized(alpha, args.p, args.m, xs)
-        print("# normalizing mass %.17g" % mass, file=sys.stderr)
+        if mass < sys.float_info.max:
+            text = "%.17g" % to_float(mass)
+        else:  # 17 digits of an exact mass past the float range; decimal loads only here
+            from decimal import Decimal
+
+            text = format(Decimal(mass.numerator) / mass.denominator, ".17g")
+        print("# normalizing mass " + text, file=sys.stderr)
         _emit_csv(xs, values)
     elif args.which == "level":
         if args.beta is None or args.n is None:

@@ -34,12 +34,17 @@ only in how they fold the sums and when they stop:
   at a point with some |x_i| > 1, are refused without a limit).
   Scalar-identity arguments x I_m read the held sums and multiply each by
   x^k; an explicit point folds the plain layers of ``_series_layers``
-  through monomial expansions.
+  through monomial expansions at the exact (dyadic) point, and a float
+  point rounds the truncated sum once.
 - ``smallest_eig_terms`` is the terminating 2F0(-p, m/alpha+1; ; I_{m-1}).
 - ``largest_eig_cdf`` is the Kummer form e^(-m x/2) 1F1(b-a; b; x/2 I_m)
   of 1F1(a; b; -x/2 I_m), whose terms are all positive, summed as a
   logarithm (log-add-exp of the terms' exact logs), so no term or partial
   sum needs to lie in the float range.
+
+The densities are exact polynomials, held as ints over one denominator,
+times an exponential: each point sums its polynomial by ``jack._horner`` at
+the dyadic x and rounds it once, with the exponential, by ``to_float``.
 """
 
 import itertools
@@ -48,7 +53,7 @@ from fractions import Fraction
 
 from . import binom, cache, jack, orthopoly, partitions
 from .errors import ConvergenceError, DomainError, PoleError
-from .rational import RationalFunction, as_exact, as_finite, as_int, rf
+from .rational import RationalFunction, as_exact, as_finite, as_int, common_denominator, rf, to_float
 from .symfun import SymExpr, eval_numeric
 
 DEGREE_CAP = 400
@@ -137,23 +142,15 @@ def _series_layers(alpha, upper, lower, m, width=None):
         yield list(layer.items())
 
 
-class _HeldPrefix:
-    """The held part of one at-identity series: ``state = (sums, frontier)``.
-
-    sums is the tuple c_0..c_K of layer sums and frontier the layer of
-    degree K, the one needed to resume.  The state is only ever replaced
-    whole, by a longer prefix of the same sequence.
-    """
-
-    __slots__ = ("state",)
-
-    def __init__(self, one):
-        self.state = ((one,), {(): one})
-
-
 @cache.memo
 def _held_prefix(alpha, upper, lower, m, width):
-    return _HeldPrefix(alpha**0)
+    """The held prefix of one at-identity series, [(sums, frontier)].
+
+    sums is c_0..c_K and frontier the layer of degree K to resume from; the
+    pair is only ever replaced whole, by a longer prefix of the same sequence.
+    """
+    one = alpha**0
+    return [((one,), {(): one})]
 
 
 def _identity_sums(alpha, upper, lower, m, width=None):
@@ -166,11 +163,11 @@ def _identity_sums(alpha, upper, lower, m, width=None):
     """
     held = _held_prefix(alpha, tuple(upper), tuple(lower), m, width)
     for k in itertools.count() if width is None else range(width * m + 1):
-        sums, frontier = held.state
+        sums, frontier = held[0]
         while k >= len(sums):
             frontier = _next_layer(alpha, upper, lower, m, width, len(sums), frontier, at_identity=True)
             sums += (sum(frontier.values()) if frontier else None,)
-            held.state = (sums, frontier)
+            held[0] = (sums, frontier)
         yield sums[k]
 
 
@@ -250,28 +247,28 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
             for k, c_k in enumerate(_identity_sums(alpha, upper, lower, m, width))
         )
     else:
+        # a float coordinate is a dyadic Fraction: the layers are exact
+        point = [Fraction(v) if isinstance(v, float) else v for v in xs]
         layers = (
-            eval_numeric(SymExpr._of_canonical("C", dict(terms), m), xs, alpha) if terms else None
+            eval_numeric(SymExpr._of_canonical("C", dict(terms), m), point, alpha) if terms else None
             for terms in _series_layers(alpha, upper, lower, m, width)
         )
+    rounded = kind == "vec" and any(isinstance(v, float) for v in xs)
     total = None
     for k, layer in zip(range(max_degree + 1), layers):
         if layer is None:  # no partition of k >= 1 fits in m = 0 parts
             break
         total = layer if total is None else total + layer
-        if tol is not None and k > 0:
-            if abs(float(layer)) <= tol * max(abs(float(total)), 1e-300):
-                break
+        if tol is not None and k > 0 and abs(to_float(layer)) <= tol * max(abs(to_float(total)), 1e-300):
+            break
     else:
         if tol is not None and not terminating and limit is None:
             raise ConvergenceError(
                 "series did not reach tolerance %g by degree %d" % (tol, max_degree),
-                partial=total,
+                partial=to_float(total) if rounded else total,
             )
     total = total if total is not None else 0
-    if kind == "vec" and any(isinstance(v, float) for v in xs):
-        return float(total)
-    return total
+    return to_float(total) if rounded else total
 
 
 # ---------------------------------------------------------------------------
@@ -300,53 +297,39 @@ def smallest_eig_terms(alpha, p, m):
     return list(_identity_sums(alpha, (a1, a2), (), m - 1, p))
 
 
+def _smallest_eig_polynomial(alpha, p, m):
+    """(ints, d): c_k (-2)^k at x^(p m - k), k <= p (m-1), as ints over one d."""
+    ints, d = common_denominator(smallest_eig_terms(alpha, p, m))
+    return [0] * p + [c * (-2) ** k for k, c in enumerate(ints)][::-1], d
+
+
+def _weighted_value(curve, x, log_weight):
+    """(sum_i ints[i] x^i / d) e^log_weight for curve = (ints, d), rounded once."""
+    ints, d = curve
+    num, den = jack._horner(ints, x)
+    return to_float((num, den * d), log_weight)
+
+
 def smallest_eig_density(alpha, p, m, x):
     """Unnormalized smallest-eigenvalue density at x > 0."""
     if as_finite(x, "x") <= 0:
         raise DomainError("density is supported on x > 0")
-    return _smallest_eig_density_at(smallest_eig_terms(alpha, p, m), p, m, x)
-
-
-def _smallest_eig_density_at(terms, p, m, x):
-    x = float(x)
-    decay = math.exp(-x * m / 2.0)
-    if decay == 0.0:  # x^(p m) would overflow where e^(-m x / 2) underflows
-        return 0.0
-    f = 0.0
-    u = 1.0
-    for c in terms:
-        f += float(c) * u
-        u *= -2.0 / x
-    try:
-        power = x ** (p * m)
-    except OverflowError:  # the product can be finite where x^(p m) is not
-        return math.exp(p * m * math.log(x) - m * x / 2.0) * f
-    return power * decay * f
+    return _weighted_value(_smallest_eig_polynomial(alpha, p, m), x, -m * float(x) / 2)
 
 
 def smallest_eig_mass(alpha, p, m):
-    """Total mass of the unnormalized density, exactly; returns (mass, 0, terms).
-
-    The density is sum_k c_k (-2)^k x^(p m - k) exp(-m x / 2) and
-    int_0^inf x^e exp(-m x / 2) dx = e! (2/m)^(e+1); since k <= p (m-1),
-    every exponent e = p m - k is at least p, so the mass is an exact
-    Fraction with no error.
-    """
-    terms = smallest_eig_terms(alpha, p, m)
-    scale = Fraction(2, m)
-    mass = Fraction(0)
-    for k, c in enumerate(terms):
-        e = p * m - k
-        mass += c * (-2) ** k * math.factorial(e) * scale ** (e + 1)
-    return mass, 0, terms
+    """The exact total mass, from int_0^inf x^e e^(-m x/2) dx = e! (2/m)^(e+1)."""
+    ints, d = _smallest_eig_polynomial(alpha, p, m)
+    return sum(c * math.factorial(e) * Fraction(2, m) ** (e + 1) for e, c in enumerate(ints) if c) / d
 
 
 def smallest_eig_density_normalized(alpha, p, m, xs):
-    """Normalized density on a grid; returns (values, mass_used)."""
-    mass, _, terms = smallest_eig_mass(alpha, p, m)
+    """Normalized density on a grid; returns (values, mass_used), the mass exact."""
     xs = [as_finite(x, "a grid point") for x in xs]
-    values = [_smallest_eig_density_at(terms, p, m, x) / mass if x > 0 else 0.0 for x in xs]
-    return values, mass
+    mass = smallest_eig_mass(alpha, p, m)
+    ints, d = _smallest_eig_polynomial(alpha, p, m)
+    curve = [c * mass.denominator for c in ints], d * mass.numerator
+    return [_weighted_value(curve, x, -m * float(x) / 2) if x > 0 else 0.0 for x in xs], mass
 
 
 # ---------------------------------------------------------------------------
@@ -415,39 +398,29 @@ def level_density_polynomial(beta, n):
     rho(x) = exp(-x^2/2) / sqrt(2 pi) * sum_s q[s] x^s,
     normalized so the density has total mass 1 (one eigenvalue).
     """
-    # checked before the memo key is formed: beta = 2.0 hashes as 2
-    if not (isinstance(beta, int) and beta >= 2 and beta % 2 == 0):
-        raise DomainError("level density needs an even integer beta >= 2")
-    return list(_level_density_coeffs(beta, as_int(n, "n", 1)))
+    ints, d = _level_density_coeffs(as_int(beta, "beta", 2), as_int(n, "n", 1))
+    return [Fraction(c, d) for c in ints]
 
 
 @cache.memo
 def _level_density_coeffs(beta, n):
+    """(ints, d) of the polynomial; callers pass beta through as_int, so 2.0 is no key."""
+    if beta % 2:
+        raise DomainError("level density needs an even integer beta >= 2")
     alpha = Fraction(2, beta)
     kappa = (beta,) * (n - 1)
     k = beta * (n - 1)
-    h = orthopoly.hermite(alpha, kappa, n)
-    ident = orthopoly._identity_values(alpha, kappa, Fraction(n))
-    ck_ident = ident[kappa]
-    gamma_ratio = Fraction(
-        math.factorial(beta // 2), math.factorial(n * beta // 2)
-    )
-    coeffs = [Fraction(0)] * (k + 1)
-    for sigma, c in h.terms.items():
-        s = partitions.weight(sigma)
-        sign = -1 if ((k - s) // 2) % 2 else 1
-        coeffs[s] += sign * c * ident[sigma] / ck_ident
-    return tuple(gamma_ratio * q for q in coeffs)
+    ck_ident = orthopoly._identity_values(alpha, kappa, Fraction(n))[kappa]
+    scale = Fraction(math.factorial(beta // 2), math.factorial(n * beta // 2)) / ck_ident
+    sums = orthopoly._scalar_identity_sums(orthopoly.hermite(alpha, kappa, n))
+    ints, d = common_denominator([-scale * q if (k - s) // 2 % 2 else scale * q for s, q in enumerate(sums)])
+    return tuple(ints), d
 
 
 def level_density(beta, n, x):
     """Marginal density of one eigenvalue of the n x n ensemble at x."""
-    coeffs = level_density_polynomial(beta, n)
-    x = float(as_finite(x, "x"))
-    decay = math.exp(-x * x / 2.0)
-    if decay == 0.0:  # the polynomial may overflow where the Gaussian underflows
-        return 0.0
-    return decay / math.sqrt(2.0 * math.pi) * jack._horner([float(q) for q in coeffs], x)
+    curve = _level_density_coeffs(as_int(beta, "beta", 2), as_int(n, "n", 1))
+    return _weighted_value(curve, x, -float(as_finite(x, "x")) ** 2 / 2) / math.sqrt(2.0 * math.pi)
 
 
 def level_density_scaled(beta, n, x):

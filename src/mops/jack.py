@@ -126,9 +126,10 @@ def _jack_j_table(kappa, length):
 def _horner(coeffs, alpha):
     """sum_i coeffs[i] alpha^i by Horner's rule, homogeneous in alpha = P / Q.
 
-    The sum is sum_i c_i P^i Q^(d-i) / Q^d with d = len(coeffs) - 1: for a
-    Fraction alpha the numerator is an int and the one division gives a
-    Fraction; a symbolic or float alpha has Q = 1.
+    Returns the pair (sum_i c_i P^i Q^(d-i), Q^d), d = len(coeffs) - 1,
+    whose ``ratio`` is the value.  For int coefficients and a Fraction or
+    float alpha (a float is its exact dyadic ratio) both are ints, not
+    reduced; a symbolic alpha has Q = 1.
     """
     p, q = homogeneous(alpha)
     value = 0
@@ -137,7 +138,7 @@ def _horner(coeffs, alpha):
         value = value * p + c * scale
         scale *= q
     # the last step took scale to Q^(d+1)
-    return ratio(value, scale // q)
+    return value, scale // q
 
 
 @cache.memo
@@ -145,7 +146,7 @@ def _jack_monomial_coefficients(alpha, kappa, length):
     k = partitions.weight(kappa)
     j_full = partitions.hook_products(alpha, kappa)[2]
     factor = alpha**k * math.factorial(k) / partitions._hook_divisor(j_full, alpha, kappa)
-    return {lam: _horner(coeffs, alpha) * factor for lam, coeffs in _jack_j_table(kappa, length).items()}
+    return {lam: ratio(*_horner(coeffs, alpha)) * factor for lam, coeffs in _jack_j_table(kappa, length).items()}
 
 
 def _c_to_norm_factor(alpha, kappa, norm):
@@ -187,7 +188,7 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
         table = _jack_monomial_coefficients(alpha, kappa, length)
     else:
         # J is the Horner value itself; P = J / J_{kappa,kappa}, the lower hooks
-        table = {lam: _horner(coeffs, alpha) for lam, coeffs in _jack_j_table(kappa, length).items()}
+        table = {lam: ratio(*_horner(coeffs, alpha)) for lam, coeffs in _jack_j_table(kappa, length).items()}
         if norm == "P":
             lower = partitions._hook_divisor(partitions.hook_products(alpha, kappa)[1], alpha, kappa)
             inverse = 1 / lower

@@ -393,15 +393,19 @@ def eval_at_zero(expansion):
 def eval_at_scalar_identity(expansion, x, m):
     """Value at (x, x, ..., x) with m entries, by homogeneity of C_sigma."""
     if expansion.nvars is GENERIC or expansion.nvars != m:
-        raise DomainError(
-            "expansion was built for %r variables, not %d" % (expansion.nvars, m)
-        )
+        raise DomainError("expansion was built for %r variables, not %d" % (expansion.nvars, m))
     x = as_exact(x, "x")
-    ident = _identity_values(expansion.params["alpha"], expansion.kappa, Fraction(m))
-    total = 0
+    return sum(layer * x**s for s, layer in enumerate(_scalar_identity_sums(expansion)))
+
+
+def _scalar_identity_sums(expansion):
+    """[S_0..S_|kappa|], S_s = sum over |sigma| = s of c_sigma C_sigma(I_m), m = nvars."""
+    ident = _identity_values(expansion.params["alpha"], expansion.kappa, Fraction(expansion.nvars))
+    sums = [0] * (partitions.weight(expansion.kappa) + 1)
     for sigma, c in expansion.terms.items():
-        total = total + c * x ** partitions.weight(sigma) * ident[sigma]
-    return total
+        s = partitions.weight(sigma)
+        sums[s] = sums[s] + c * ident[sigma]
+    return sums
 
 
 def laguerre_hermite_limit_check(alpha, kappa, n, gamma_grid, xs):

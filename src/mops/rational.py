@@ -23,6 +23,7 @@ denominators and, when that is not 1, one more gcd with the new numerator.
 """
 
 from fractions import Fraction
+from math import exp, floor, ldexp, lcm
 from math import gcd as _int_gcd
 from math import isfinite
 
@@ -180,12 +181,11 @@ def _v_decompose(p, v):
 
 
 def _v_content(p, v):
-    parts = _v_decompose(p, v)
     g = {}
-    for coeff in parts.values():
-        g = _prs_gcd(g, coeff)
-        if _p_is_const(g) and g.get(_ZEXP) == 1:
-            return g
+    for coeff in _v_decompose(p, v).values():
+        g = _p_gcd(g, coeff)
+        if g == _P_ONE:
+            break
     return g
 
 
@@ -303,8 +303,9 @@ def _heugcd(p, q, depth=0):
 def _prs_gcd(p, q):
     """Polynomial gcd by the primitive pseudo-remainder sequence.
 
-    The fallback of `_p_gcd` and the reference it is tested against: the
-    content gcds recurse into this function only, never into `_heugcd`.
+    The fallback of `_p_gcd`, for the main variable only: the content
+    gcds, in one variable fewer, go through `_p_gcd` and try `_heugcd`
+    first.  `test_gcd_matches_sympy` is the independent oracle of both.
     """
     if not p:
         return _p_positive(dict(q))
@@ -317,7 +318,7 @@ def _prs_gcd(p, q):
     v = min(_p_active_vars(p) | _p_active_vars(q))
     cp = _v_content(p, v)
     cq = _v_content(q, v)
-    gcont = _prs_gcd(cp, cq)
+    gcont = _p_gcd(cp, cq)
     A = _p_divexact(p, cp)
     B = _p_divexact(q, cq)
     if _v_deg(A, v) < _v_deg(B, v):
@@ -373,14 +374,6 @@ def _p_substitute(p, vals):
         else:
             out.pop(nexp, None)
     return out
-
-
-def _fraction_poly_to_int(p):
-    """Scale a Fraction-coefficient poly to int coefficients; returns (poly, L)."""
-    L = 1
-    for c in p.values():
-        L = L * c.denominator // _int_gcd(L, c.denominator)
-    return {exp: int(c * L) for exp, c in p.items()}, L
 
 
 # term order used for display: ascending total degree, then parameters in
@@ -616,10 +609,9 @@ class RationalFunction:
             )
             raise PoleError("pole at %s" % point)
         num_f = _p_substitute(self.num, vals)
-        num_i, ln = _fraction_poly_to_int(num_f)
-        den_i, ld = _fraction_poly_to_int(den_f)
-        # num/ln over den/ld
-        return RationalFunction(_p_scale(num_i, ld), _p_scale(den_i, ln))
+        # numerator and denominator over one common denominator, which cancels
+        ints, _ = common_denominator([*num_f.values(), *den_f.values()])
+        return RationalFunction(dict(zip(num_f, ints)), dict(zip(den_f, ints[len(num_f) :])))
 
     def __call__(self, **bindings):
         return self.substitute(bindings)
@@ -658,13 +650,7 @@ class RationalFunction:
         dd = _v_deg(self.den, v)
         if dn < dd:
             return ZERO
-        lead_n = {
-            e[:v] + (0,) + e[v + 1 :]: c for e, c in self.num.items() if e[v] == dn
-        }
-        lead_d = {
-            e[:v] + (0,) + e[v + 1 :]: c for e, c in self.den.items() if e[v] == dd
-        }
-        ratio = RationalFunction(lead_n, lead_d)
+        ratio = RationalFunction(_v_decompose(self.num, v)[dn], _v_decompose(self.den, v)[dd])
         if dn == dd:
             return ratio
         if ratio.is_constant:
@@ -756,16 +742,51 @@ def as_finite(x, name):
     return x
 
 
+# fdlibm's split of ln 2: j * _LN2_HI is exact for |j| < 2^21
+_LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
+
+
+def to_float(value, log_weight=0.0):
+    """value * e^log_weight as a float: the one place an exact number is rounded.
+
+    value is an int, a Fraction, or a pair (n, d) of ints, d > 0, in any
+    terms.  The mantissa n / (d 2^e) in [1/2, 2) is one correctly rounded
+    int division, and 2^e goes back by ``ldexp`` after the weight, so
+    neither the value nor e^log_weight need lie in the float range; a
+    weight beyond +-700 is folded into the power of two.  Underflow gives
+    0.0, and a result past the float range raises DomainError.
+    """
+    n, d = value if isinstance(value, tuple) else (value.numerator, value.denominator)
+    e = n.bit_length() - d.bit_length()
+    mantissa = n / (d << e) if e >= 0 else (n << -e) / d
+    if abs(log_weight) > 700:
+        twos = floor(log_weight / (_LN2_HI + _LN2_LO))
+        e += twos
+        log_weight = (log_weight - twos * _LN2_HI) - twos * _LN2_LO
+    try:
+        return ldexp(mantissa * exp(log_weight), e)
+    except OverflowError:
+        raise DomainError("the value at this point is beyond the float range") from None
+
+
+def common_denominator(values):
+    """(ints, d): Fractions (or ints) as int numerators over their least common denominator."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def homogeneous(x):
     """(P, Q) with x = P / Q, for products of factors linear in x.
 
-    A Fraction gives its numerator and denominator, so u + v x =
-    (Q u + P v) / Q is an int over Q and a product of such factors is
-    formed in ints; any other x (an int, a float, a RationalFunction) gives
-    (x, 1), and the same expressions are its own field operations.
+    A Fraction gives its numerator and denominator and a float its exact
+    dyadic ratio, so u + v x = (Q u + P v) / Q is an int over Q and a
+    product of such factors is formed in ints; an int or a RationalFunction
+    gives (x, 1), and the same expressions are its own field operations.
     """
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
+    if isinstance(x, float):
+        return x.as_integer_ratio()
     return x, 1
 
 

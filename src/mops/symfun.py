@@ -30,7 +30,7 @@ from functools import partial, reduce
 
 from . import cache, partitions
 from .errors import DomainError, UnsupportedModeError
-from .rational import RationalFunction, as_exact, as_finite, as_int, rf
+from .rational import RationalFunction, as_exact, as_finite, as_int, common_denominator, rf, to_float
 
 GENERIC = None
 
@@ -485,8 +485,7 @@ def eval_numeric(expr, xs, alpha=None):
         raise DomainError("a coordinate must be a number")
     if expr.basis != "m":
         expr = expand_to_monomials(alpha, expr, n)
-    d = math.lcm(*(x.denominator for x in point))
-    ints = [x.numerator * (d // x.denominator) for x in point]
+    ints, d = common_denominator(point)
     total = 0
     for part, coeff in expr.terms.items():
         coeff = as_exact(coeff, "a coefficient")
@@ -496,9 +495,4 @@ def eval_numeric(expr, xs, alpha=None):
             math.prod(x**e for x, e in zip(ints, vec) if e) for vec in _distinct_rearrangements(part, n)
         )
         total = total + coeff * Fraction(orbit, d ** partitions.weight(part))
-    if not any(isinstance(x, float) for x in xs):
-        return total
-    try:
-        return float(total)
-    except OverflowError:
-        raise DomainError("the value at this point is beyond the float range") from None
+    return to_float(total) if any(isinstance(x, float) for x in xs) else total

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -200,6 +202,19 @@ def test_density_smallest_masses(capsys):
     )
     assert code == 0
     assert "normalizing mass" in err
+
+
+def test_density_smallest_with_a_mass_past_the_float_range(capsys):
+    code, out, err = run(
+        ["density", "smallest", "--alpha", "1", "--p", "100", "--m", "2", "--grid", "690:710:3"], capsys
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "x,density" and len(lines) == 4
+    values = [float(line.split(",")[1]) for line in lines[1:]]
+    assert all(math.isfinite(v) and v > 0 for v in values)
+    # the mass, about 1.4e378, prints its leading digits
+    assert re.search(r"# normalizing mass 1\.\d{16}e\+378$", err.strip())
 
 
 def test_import_and_density_load_no_scipy_or_numpy():

@@ -213,9 +213,8 @@ def test_smallest_eig_normalization():
     ],
 )
 def test_smallest_eig_mass_exact(alpha, p, m):
-    mass, err, terms = hg.smallest_eig_mass(alpha, p, m)
+    mass = hg.smallest_eig_mass(alpha, p, m)
     assert type(mass) is Fraction
-    assert err == 0
     # quadrature is an independent oracle for the closed form
     quad, _ = si.quad(
         lambda t: hg.smallest_eig_density(alpha, p, m, t),
@@ -230,10 +229,10 @@ def test_smallest_eig_mass_exact(alpha, p, m):
 
 def test_smallest_eig_mass_known_value():
     # complex Wishart 3x6: p = 3, m = 3
-    assert hg.smallest_eig_mass(Fraction(1), 3, 3)[0] == 2949120
+    assert hg.smallest_eig_mass(Fraction(1), 3, 3) == 2949120
     # one eigenvalue: int_0^inf x^p e^(-x/2) dx = p! 2^(p+1)
     for p in range(1, 6):
-        assert hg.smallest_eig_mass(Fraction(1), p, 1)[0] == math.factorial(p) * 2 ** (p + 1)
+        assert hg.smallest_eig_mass(Fraction(1), p, 1) == math.factorial(p) * 2 ** (p + 1)
 
 
 def test_smallest_eig_krishnaiah_chang_shape():
@@ -285,6 +284,31 @@ def test_smallest_eig_density_past_the_float_range_of_the_power():
                              for k, c in enumerate(hg.smallest_eig_terms(1, p, m)))
         want = xm ** (p * m) * mpmath.exp(-m * xm / 2) * series
         assert abs(got - want) <= 1e-11 * want
+
+
+def test_normalized_smallest_density_with_a_mass_past_the_float_range():
+    # the mass is about 1.4e378; oracle: the beta = 2 joint density of two
+    # eigenvalues, (s - t)^2 (s t)^p e^(-(s+t)/2), integrated in mpmath
+    import mpmath
+
+    p = 100
+    with mpmath.workdps(50):
+        x = mpmath.mpf(700)
+        moment = lambda k: mpmath.gamma(k + 1) * 2 ** (k + 1)
+        total = 2 * moment(p + 2) * moment(p) - 2 * moment(p + 1) ** 2
+        weight = lambda t: (t - x) ** 2 * (x * t) ** p * mpmath.exp(-(x + t) / 2)
+        want = 2 * mpmath.quad(weight, [x, x + 200, mpmath.inf]) / total
+    values, mass = hg.smallest_eig_density_normalized(1, p, 2, [700.0, 1500.0, 3000.0])
+    assert mass > Fraction(10) ** 378
+    assert abs(values[0] / want - 1) < 1e-13
+    # the true values, 6e-395 and 3e-986, underflow
+    assert values[1:] == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("x", [40.0, 100.0])
+def test_unnormalized_density_past_the_float_range_is_refused(x):
+    with pytest.raises(DomainError, match="float range"):
+        hg.smallest_eig_density(1, 100, 2, x)
 
 
 def test_smallest_eig_requires_integer_p():
@@ -377,11 +401,11 @@ def test_largest_eig_cdf_curve_points_equal_cold_calls():
     curve = [hg.largest_eig_cdf(alpha, gamma, m, x) for x in xs]
     # the Kummer series 1F1(b - a; b; x/2 I_3) with b - a = 2, b = 9/2
     held = hg._held_prefix(alpha, (Fraction(2),), (Fraction(9, 2),), m, None)
-    degree = len(held.state[0]) - 1
+    degree = len(held[0][0]) - 1
     assert degree > 20
     # a loose tolerance stops below the degree already held
     loose = hg.largest_eig_cdf(alpha, gamma, m, 3.0, tol=1e-4)
-    assert len(held.state[0]) - 1 == degree
+    assert len(held[0][0]) - 1 == degree
     for x, got in zip(xs + [3.0], curve + [loose]):
         cache.clear_all()
         tol = 1e-4 if x == 3.0 else 1e-10
@@ -417,8 +441,8 @@ def test_held_prefix_keeps_one_layer_of_terms():
     cache.clear_all()
     hg.ghypergeom(alpha, list(upper), list(lower), ("xid", Fraction(1, 3), m), limit=100)
     held = hg._held_prefix(alpha, upper, lower, m, None)
-    assert held.__slots__ == ("state",)
-    sums, frontier = held.state
+    assert len(held) == 1
+    (sums, frontier), = held
     assert len(sums) == 101
     assert {weight(kappa) for kappa in frontier} == {100}
     assert len(frontier) == 51
@@ -462,6 +486,24 @@ def test_level_density_gue2_closed_form():
     # n=2, beta=2: marginal density (x^2 + 1) e^{-x^2/2} / (2 sqrt(2 pi))
     coeffs = hg.level_density_polynomial(2, 2)
     assert coeffs == [Fraction(1, 2), Fraction(0), Fraction(1, 2)]
+
+
+def test_level_density_rounds_once():
+    # oracle: the beta = 2 determinantal formula, rho(x) = e^(-x^2/2)
+    # sum_{k<n} He_k(x)^2 / k! / (n sqrt(2 pi)), in mpmath
+    import mpmath
+
+    n = 10
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i in range(400):
+            x = -8.0 + 16.0 * i / 399
+            xm = mpmath.mpf(x)
+            he = [2 ** (-mpmath.mpf(k) / 2) * mpmath.hermite(k, xm / mpmath.sqrt(2)) for k in range(n)]
+            want = mpmath.fsum(h**2 / mpmath.factorial(k) for k, h in enumerate(he))
+            want *= mpmath.exp(-xm * xm / 2) / (n * mpmath.sqrt(2 * mpmath.pi))
+            worst = max(worst, float(abs(hg.level_density(2, n, x) / want - 1)))
+    assert worst <= 4e-15
 
 
 def test_level_density_scaled_mass():
@@ -551,6 +593,19 @@ def test_out_of_range_points_fail_loudly_or_read_zero(monkeypatch):
     assert hg.level_density_scaled(4, 4, 1e40) == 0.0
 
 
+@pytest.mark.parametrize("point", [[0.7], [0.45, -0.3], [0.9, 0.5, 0.1, -0.2]])
+def test_vec_point_is_the_exact_sum_rounded_once(point):
+    # a float coordinate is the dyadic Fraction it is; the sum of the
+    # rounded layers differed in the last bit at each of these points
+    from mops.rational import to_float
+
+    upper, lower = [Fraction(1, 2)], [Fraction(3, 2)]
+    got = hg.ghypergeom(1, upper, lower, ("vec", point), limit=12)
+    exact = hg.ghypergeom(1, upper, lower, ("vec", [Fraction(v) for v in point]), limit=12)
+    assert type(exact) is Fraction
+    assert got == to_float(exact)
+
+
 def test_vec_mode_rejects_symbolic_parameters():
     from mops.rational import N
 
@@ -593,7 +648,7 @@ def test_smallest_eig_density_matches_survival_derivative():
         num, _ = si.dblquad(weight, x, 70, lambda t: x, lambda t: 70)
         return num / Z
 
-    mass, _, _ = hg.smallest_eig_mass(Fraction(1), p, m)
+    mass = hg.smallest_eig_mass(Fraction(1), p, m)
     h = 1e-4
     for x in (0.5, 1.0, 2.5):
         got = hg.smallest_eig_density(Fraction(1), p, m, x) / mass

@@ -1,4 +1,7 @@
+import math
+import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -291,15 +294,38 @@ def _gcd_triples(draw):
     return draw(poly), draw(poly), draw(poly)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_gcd_triples())
-def test_gcd_matches_sympy(triple):
+def _check_gcd_against_sympy(triple):
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols(PARAMS)
     g, u, v = (sympy.Poly.from_dict(p, *syms) for p in triple)
     p, q = (dict((e, int(c)) for e, c in (g * w).as_dict().items()) for w in (u, v))
     want = {e: int(c) for e, c in sympy.gcd(g * u, g * v).as_dict().items()}
     assert rational._p_gcd(p, q) == _p_positive(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_triples())
+def test_gcd_matches_sympy(triple):
+    _check_gcd_against_sympy(triple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gcd_triples())
+def test_prs_fallback_matches_sympy(triple):
+    # with the heuristic giving up, every gcd, contents included, is a PRS
+    with mock.patch.object(rational, "_heugcd", lambda p, q, depth=0: None):
+        _check_gcd_against_sympy(triple)
+
+
+def test_prs_fallback_takes_seconds_not_minutes():
+    # the content gcds go through the heuristic: a primitive PRS all the
+    # way down ran for more than 100 s on this pair
+    g = (3 + a * n + 2 * G1 - G2 * a) ** 2
+    u = (1 + a + n + G1 + G2) ** 3 * (5 - a * G2)
+    v = (2 + a - n * G1 + 7 * G2) ** 3 * (1 + n * G2)
+    start = time.perf_counter()
+    assert rational._prs_gcd((g * u).num, (g * v).num) == g.num
+    assert time.perf_counter() - start < 10.0
 
 
 def test_generic_laguerre_gcds_match_prs(monkeypatch):
@@ -326,3 +352,29 @@ def test_heuristic_gcd_in_four_parameters():
     u = (a * n * G1 * G2 + 3) ** 2 + a**3
     v = (a * n * G1 - G2 + 7) ** 2 + n
     assert rational._heugcd((g * u).num, (g * v).num) == g.num
+
+
+def test_to_float_rounds_exactly_once():
+    # in the normal range the value is float() of the exact number
+    for value in (Fraction(1, 3), Fraction(-10**40, 7), Fraction(2**1023 * 3, 2), 5, Fraction(0)):
+        assert rational.to_float(value) == float(value)
+    # an unreduced pair stands for its ratio
+    assert rational.to_float((6, 4)) == 1.5
+    # past the range it refuses, below it reads 0
+    with pytest.raises(DomainError, match="float range"):
+        rational.to_float(Fraction(10) ** 309)
+    assert rational.to_float(Fraction(1, 10**400)) == 0.0
+
+
+def test_to_float_weight_outside_the_float_range():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        # 10^400 e^-1000: neither factor is a float, the product is
+        for value, weight in [(Fraction(10) ** 400, -1000.0), (Fraction(1, 10**350), 750.0), (Fraction(7, 3), -3.5)]:
+            got = rational.to_float(value, weight)
+            want = mpmath.mpf(value.numerator) / value.denominator * mpmath.exp(weight)
+            assert abs(got / want - 1) < 4e-16
+    assert rational.to_float(Fraction(1), -1e6) == 0.0
+    with pytest.raises(DomainError, match="float range"):
+        rational.to_float(Fraction(1), 710.0)
+    assert math.isfinite(rational.to_float(Fraction(1), 709.0))
