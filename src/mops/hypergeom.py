@@ -37,14 +37,13 @@ only in how they fold the sums and when they stop:
   through monomial expansions at the exact (dyadic) point, and a float
   point rounds the truncated sum once.
 - ``smallest_eig_terms`` is the terminating 2F0(-p, m/alpha+1; ; I_{m-1}).
+  It and the level density are exact polynomials, held as ints over one
+  denominator: each point sums one by ``jack._horner`` at the dyadic x and
+  rounds it once, with its exponential weight, by ``to_float``.
 - ``largest_eig_cdf`` is the Kummer form e^(-m x/2) 1F1(b-a; b; x/2 I_m)
   of 1F1(a; b; -x/2 I_m), whose terms are all positive, summed as a
   logarithm (log-add-exp of the terms' exact logs), so no term or partial
   sum needs to lie in the float range.
-
-The densities are exact polynomials, held as ints over one denominator,
-times an exponential: each point sums its polynomial by ``jack._horner`` at
-the dyadic x and rounds it once, with the exponential, by ``to_float``.
 """
 
 import itertools
@@ -142,15 +141,23 @@ def _series_layers(alpha, upper, lower, m, width=None):
         yield list(layer.items())
 
 
+class _HeldPrefix:
+    """The held part of one at-identity series: ``state = (sums, frontier)``.
+
+    sums is the tuple c_0..c_K of layer sums and frontier the layer of
+    degree K, the one needed to resume.  The state is only ever replaced
+    whole, by a longer prefix of the same sequence.
+    """
+
+    __slots__ = ("state",)
+
+    def __init__(self, one):
+        self.state = ((one,), {(): one})
+
+
 @cache.memo
 def _held_prefix(alpha, upper, lower, m, width):
-    """The held prefix of one at-identity series, [(sums, frontier)].
-
-    sums is c_0..c_K and frontier the layer of degree K to resume from; the
-    pair is only ever replaced whole, by a longer prefix of the same sequence.
-    """
-    one = alpha**0
-    return [((one,), {(): one})]
+    return _HeldPrefix(alpha**0)
 
 
 def _identity_sums(alpha, upper, lower, m, width=None):
@@ -163,11 +170,11 @@ def _identity_sums(alpha, upper, lower, m, width=None):
     """
     held = _held_prefix(alpha, tuple(upper), tuple(lower), m, width)
     for k in itertools.count() if width is None else range(width * m + 1):
-        sums, frontier = held[0]
+        sums, frontier = held.state
         while k >= len(sums):
             frontier = _next_layer(alpha, upper, lower, m, width, len(sums), frontier, at_identity=True)
             sums += (sum(frontier.values()) if frontier else None,)
-            held[0] = (sums, frontier)
+            held.state = (sums, frontier)
         yield sums[k]
 
 
@@ -283,6 +290,11 @@ def _numeric_alpha(alpha):
     return alpha
 
 
+def _eig_args(alpha, p, m):
+    """(alpha, p, m) checked before ``_smallest_eig_polynomial`` keys on them: 2.0 hashes as 2."""
+    return _numeric_alpha(alpha), as_int(p, "p", 1), as_int(m, "m", 1)
+
+
 def smallest_eig_terms(alpha, p, m):
     """Exact coefficients c_k of the terminating 2F0 factor.
 
@@ -290,17 +302,17 @@ def smallest_eig_terms(alpha, p, m):
     c_k = sum over kappa of k inside the p x (m-1) box of
     (-p)_kappa (m/alpha + 1)_kappa C_kappa(I_{m-1}) / k!.
     """
-    alpha = _numeric_alpha(alpha)
-    p, m = as_int(p, "p", 1), as_int(m, "m", 1)
+    alpha, p, m = _eig_args(alpha, p, m)
     a1 = Fraction(-p)
     a2 = Fraction(m) / alpha + 1
     return list(_identity_sums(alpha, (a1, a2), (), m - 1, p))
 
 
+@cache.memo
 def _smallest_eig_polynomial(alpha, p, m):
     """(ints, d): c_k (-2)^k at x^(p m - k), k <= p (m-1), as ints over one d."""
     ints, d = common_denominator(smallest_eig_terms(alpha, p, m))
-    return [0] * p + [c * (-2) ** k for k, c in enumerate(ints)][::-1], d
+    return (0,) * p + tuple(c * (-2) ** k for k, c in enumerate(ints))[::-1], d
 
 
 def _weighted_value(curve, x, log_weight):
@@ -314,18 +326,19 @@ def smallest_eig_density(alpha, p, m, x):
     """Unnormalized smallest-eigenvalue density at x > 0."""
     if as_finite(x, "x") <= 0:
         raise DomainError("density is supported on x > 0")
-    return _weighted_value(_smallest_eig_polynomial(alpha, p, m), x, -m * float(x) / 2)
+    return _weighted_value(_smallest_eig_polynomial(*_eig_args(alpha, p, m)), x, -m * float(x) / 2)
 
 
 def smallest_eig_mass(alpha, p, m):
     """The exact total mass, from int_0^inf x^e e^(-m x/2) dx = e! (2/m)^(e+1)."""
-    ints, d = _smallest_eig_polynomial(alpha, p, m)
+    ints, d = _smallest_eig_polynomial(*_eig_args(alpha, p, m))
     return sum(c * math.factorial(e) * Fraction(2, m) ** (e + 1) for e, c in enumerate(ints) if c) / d
 
 
 def smallest_eig_density_normalized(alpha, p, m, xs):
     """Normalized density on a grid; returns (values, mass_used), the mass exact."""
     xs = [as_finite(x, "a grid point") for x in xs]
+    alpha, p, m = _eig_args(alpha, p, m)
     mass = smallest_eig_mass(alpha, p, m)
     ints, d = _smallest_eig_polynomial(alpha, p, m)
     curve = [c * mass.denominator for c in ints], d * mass.numerator
@@ -420,7 +433,8 @@ def _level_density_coeffs(beta, n):
 def level_density(beta, n, x):
     """Marginal density of one eigenvalue of the n x n ensemble at x."""
     curve = _level_density_coeffs(as_int(beta, "beta", 2), as_int(n, "n", 1))
-    return _weighted_value(curve, x, -float(as_finite(x, "x")) ** 2 / 2) / math.sqrt(2.0 * math.pi)
+    x = float(as_finite(x, "x"))
+    return _weighted_value(curve, x, -x * x / 2) / math.sqrt(2.0 * math.pi)
 
 
 def level_density_scaled(beta, n, x):

@@ -393,7 +393,9 @@ def eval_at_zero(expansion):
 def eval_at_scalar_identity(expansion, x, m):
     """Value at (x, x, ..., x) with m entries, by homogeneity of C_sigma."""
     if expansion.nvars is GENERIC or expansion.nvars != m:
-        raise DomainError("expansion was built for %r variables, not %d" % (expansion.nvars, m))
+        raise DomainError(
+            "expansion was built for %r variables, not %d" % (expansion.nvars, m)
+        )
     x = as_exact(x, "x")
     return sum(layer * x**s for s, layer in enumerate(_scalar_identity_sums(expansion)))
 
@@ -403,8 +405,7 @@ def _scalar_identity_sums(expansion):
     ident = _identity_values(expansion.params["alpha"], expansion.kappa, Fraction(expansion.nvars))
     sums = [0] * (partitions.weight(expansion.kappa) + 1)
     for sigma, c in expansion.terms.items():
-        s = partitions.weight(sigma)
-        sums[s] = sums[s] + c * ident[sigma]
+        sums[partitions.weight(sigma)] += c * ident[sigma]
     return sums
 
 

@@ -650,7 +650,13 @@ class RationalFunction:
         dd = _v_deg(self.den, v)
         if dn < dd:
             return ZERO
-        ratio = RationalFunction(_v_decompose(self.num, v)[dn], _v_decompose(self.den, v)[dd])
+        lead_n = {
+            e[:v] + (0,) + e[v + 1 :]: c for e, c in self.num.items() if e[v] == dn
+        }
+        lead_d = {
+            e[:v] + (0,) + e[v + 1 :]: c for e, c in self.den.items() if e[v] == dd
+        }
+        ratio = RationalFunction(lead_n, lead_d)
         if dn == dd:
             return ratio
         if ratio.is_constant:
@@ -749,21 +755,26 @@ _LN2_HI, _LN2_LO = 6.93147180369123816490e-01, 1.90821492927058770002e-10
 def to_float(value, log_weight=0.0):
     """value * e^log_weight as a float: the one place an exact number is rounded.
 
-    value is an int, a Fraction, or a pair (n, d) of ints, d > 0, in any
+    value is an int, a Fraction or a pair (n, d) of ints, d > 0, in any
     terms.  The mantissa n / (d 2^e) in [1/2, 2) is one correctly rounded
-    int division, and 2^e goes back by ``ldexp`` after the weight, so
-    neither the value nor e^log_weight need lie in the float range; a
-    weight beyond +-700 is folded into the power of two.  Underflow gives
-    0.0, and a result past the float range raises DomainError.
+    int division and 2^e goes back by ``ldexp``, so neither the value nor
+    e^log_weight need lie in the float range: a weight beyond +-700 settles
+    under- and overflow by the exponent, then folds into 2^e (exactly while
+    the fold is below 2^21).  Underflow gives 0.0; past the range, DomainError.
     """
     n, d = value if isinstance(value, tuple) else (value.numerator, value.denominator)
     e = n.bit_length() - d.bit_length()
     mantissa = n / (d << e) if e >= 0 else (n << -e) / d
-    if abs(log_weight) > 700:
-        twos = floor(log_weight / (_LN2_HI + _LN2_LO))
-        e += twos
-        log_weight = (log_weight - twos * _LN2_HI) - twos * _LN2_LO
     try:
+        if abs(log_weight) > 700:
+            twos = log_weight / (_LN2_HI + _LN2_LO)
+            if not n or e + twos < -1080:  # below half the least subnormal
+                return 0.0
+            if e + twos > 1030:
+                raise OverflowError
+            twos = floor(twos)
+            e += twos
+            log_weight = (log_weight - twos * _LN2_HI) - twos * _LN2_LO
         return ldexp(mantissa * exp(log_weight), e)
     except OverflowError:
         raise DomainError("the value at this point is beyond the float range") from None

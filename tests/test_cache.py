@@ -22,6 +22,7 @@ def _fill_tables():
         symfun.m2p(parse_expression("m[2,1]*m[1]")),
         symfun.m2m(parse_expression("m[2,1]*m[1,1]"), 3),
         hypergeom.smallest_eig_terms(Fraction(1), 2, 3),
+        hypergeom.smallest_eig_density(Fraction(1), 2, 3, 1.5),
         hypergeom.level_density(2, 3, 0.5),
     ]
 

@@ -401,11 +401,11 @@ def test_largest_eig_cdf_curve_points_equal_cold_calls():
     curve = [hg.largest_eig_cdf(alpha, gamma, m, x) for x in xs]
     # the Kummer series 1F1(b - a; b; x/2 I_3) with b - a = 2, b = 9/2
     held = hg._held_prefix(alpha, (Fraction(2),), (Fraction(9, 2),), m, None)
-    degree = len(held[0][0]) - 1
+    degree = len(held.state[0]) - 1
     assert degree > 20
     # a loose tolerance stops below the degree already held
     loose = hg.largest_eig_cdf(alpha, gamma, m, 3.0, tol=1e-4)
-    assert len(held[0][0]) - 1 == degree
+    assert len(held.state[0]) - 1 == degree
     for x, got in zip(xs + [3.0], curve + [loose]):
         cache.clear_all()
         tol = 1e-4 if x == 3.0 else 1e-10
@@ -441,8 +441,8 @@ def test_held_prefix_keeps_one_layer_of_terms():
     cache.clear_all()
     hg.ghypergeom(alpha, list(upper), list(lower), ("xid", Fraction(1, 3), m), limit=100)
     held = hg._held_prefix(alpha, upper, lower, m, None)
-    assert len(held) == 1
-    (sums, frontier), = held
+    assert held.__slots__ == ("state",)
+    sums, frontier = held.state
     assert len(sums) == 101
     assert {weight(kappa) for kappa in frontier} == {100}
     assert len(frontier) == 51
@@ -587,10 +587,28 @@ def test_out_of_range_points_fail_loudly_or_read_zero(monkeypatch):
     monkeypatch.setattr(hg, "DEGREE_CAP", 120)
     with pytest.raises(ConvergenceError):
         hg.ghypergeom(1, [], [], ("vec", [800.0]), tol=1e-10)
-    # where the exponential factor underflows a density is 0, not nan
-    assert hg.smallest_eig_density(1, 3, 3, 1e40) == 0.0
+    # where the exponential factor underflows a density is 0, not nan;
+    # the weight -m x / 2 is far below the float range, and -inf at 1e308
+    for x in (1e20, 1e40, 1e100, 1e308):
+        assert hg.smallest_eig_density(1, 3, 3, x) == 0.0
+        assert hg.smallest_eig_density_normalized(1, 3, 3, [x]) == ([0.0], 2949120)
     assert hg.level_density(4, 4, 1e40) == 0.0
     assert hg.level_density_scaled(4, 4, 1e40) == 0.0
+    # x^2 passes the float range here: the weight is -inf, the density 0
+    assert hg.level_density(4, 4, 1e200) == 0.0
+    assert hg.level_density_scaled(4, 4, 1e200) == 0.0
+
+
+def test_smallest_eig_polynomial_is_held_under_checked_keys():
+    # 2.0 hashes as 2: a held polynomial must not let a float p or m through
+    curve = hg._smallest_eig_polynomial(Fraction(1), 2, 3)
+    assert hg.smallest_eig_density(1, 2, 3, 1.5) == hg.smallest_eig_density(1, 2, 3, 1.5)
+    assert hg._smallest_eig_polynomial(Fraction(1), 2, 3) is curve
+    for p, m in [(2.0, 3), (2, 3.0)]:
+        with pytest.raises(DomainError):
+            hg.smallest_eig_density(1, p, m, 1.5)
+        with pytest.raises(DomainError):
+            hg.smallest_eig_density_normalized(1, p, m, [1.5])
 
 
 @pytest.mark.parametrize("point", [[0.7], [0.45, -0.3], [0.9, 0.5, 0.1, -0.2]])

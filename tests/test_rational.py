@@ -375,6 +375,16 @@ def test_to_float_weight_outside_the_float_range():
             want = mpmath.mpf(value.numerator) / value.denominator * mpmath.exp(weight)
             assert abs(got / want - 1) < 4e-16
     assert rational.to_float(Fraction(1), -1e6) == 0.0
+    # the range is decided before the weight is folded into the exponent
+    assert rational.to_float(1, -1e30) == rational.to_float(1, -math.inf) == 0.0
+    assert rational.to_float(0, 1e30) == rational.to_float(Fraction(0), 800.0) == 0.0
+    for weight in (1e30, math.inf):
+        with pytest.raises(DomainError, match="float range"):
+            rational.to_float(1, weight)
+    # a fold past 2^21 carries the weight's own rounding, of order |w| 2^-53
+    twos = 3 * 10**6
+    got = rational.to_float(2**twos, 1.0 - twos * math.log(2))
+    assert abs(got / math.e - 1) < 1e-9
     with pytest.raises(DomainError, match="float range"):
         rational.to_float(Fraction(1), 710.0)
     assert math.isfinite(rational.to_float(Fraction(1), 709.0))
