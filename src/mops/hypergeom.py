@@ -439,8 +439,13 @@ def level_density(beta, n, x):
 
 def level_density_scaled(beta, n, x):
     """Density rescaled by sqrt(2 n beta), keeping the spectrum near [-1,1]."""
+    beta, n = as_int(beta, "beta", 2), as_int(n, "n", 1)
     c = math.sqrt(2.0 * n * beta)
-    return c * level_density(beta, n, c * x)
+    cx = c * as_finite(x, "x")
+    if math.isinf(cx):
+        # the weight e^(-(cx)^2/2) lies far below the least subnormal
+        return 0.0
+    return c * level_density(beta, n, cx)
 
 
 def level_density_scaled_polynomial(beta, n):

@@ -4,7 +4,18 @@ The field elements are ratios of sparse multivariate polynomials with
 integer coefficients in the parameters a, n, g, g1, g2, r (a is the Jack
 parameter, n the symbolic variable count, g / g1 / g2 the Laguerre and
 Jacobi weight exponents, r an internal formal variable).  Polynomials are
-dicts mapping exponent 6-tuples to nonzero ints.
+dicts mapping packed exponents to nonzero ints.
+
+A packed exponent is one int (Monagan & Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Each
+parameter has a field of _WIDTH = 16 bits, a in the most significant and r
+in the least, and the total degree has the field above them, so a monomial
+product is one int addition and int order is graded lex order: total degree
+first, then the exponent of a, of n, and so on.  The top bit of every field
+is a guard bit that stays clear, so one subtraction tests every field for
+divisibility.  A monomial's total degree is at most _DEG_MAX = 32767, and
+a product or shift past it raises DomainError; a product checks this once,
+from the total degrees of the two leading terms.
 
 Every RationalFunction is canonical: gcd(num, den) is a unit and the
 denominator's leading coefficient under graded lex order is positive.
@@ -32,10 +43,44 @@ from .errors import DomainError, PoleError
 PARAMS = ("a", "n", "g", "g1", "g2", "r")
 NPARAMS = len(PARAMS)
 _PINDEX = {p: i for i, p in enumerate(PARAMS)}
-_ZEXP = (0,) * NPARAMS
 
 # ---------------------------------------------------------------------------
-# raw polynomial helpers (dict exponent-tuple -> nonzero int)
+# packed exponents (one int per monomial)
+
+_WIDTH = 16
+_DEG_MAX = (1 << (_WIDTH - 1)) - 1
+_MASK = (1 << _WIDTH) - 1
+_SHIFT = tuple(_WIDTH * (NPARAMS - 1 - v) for v in range(NPARAMS))
+_TOTAL = _WIDTH * NPARAMS
+# variable v to the first power: its own field and the total degree
+_UNIT = tuple((1 << s) | (1 << _TOTAL) for s in _SHIFT)
+_GUARD = sum(1 << (_WIDTH * k + _WIDTH - 1) for k in range(NPARAMS + 1))
+_ZEXP = 0
+
+
+def _check_degree(total):
+    if total > _DEG_MAX:
+        raise DomainError("total degree %d is past the largest, %d" % (total, _DEG_MAX))
+
+
+def _pack(exp):
+    """The packed form of an exponent tuple in PARAMS order."""
+    total = sum(exp)
+    _check_degree(total)
+    return (total << _TOTAL) + sum(e << s for e, s in zip(exp, _SHIFT))
+
+
+def _unpack(e):
+    return tuple((e >> s) & _MASK for s in _SHIFT)
+
+
+def _field(e, v):
+    """The exponent of variable v in the packed exponent e."""
+    return (e >> _SHIFT[v]) & _MASK
+
+
+# ---------------------------------------------------------------------------
+# raw polynomial helpers (dict packed exponent -> nonzero int)
 
 
 def _p_const(c):
@@ -83,10 +128,11 @@ def _p_mul(p, q):
         return _p_scale(q, p[_ZEXP])
     if _p_is_const(q):
         return _p_scale(p, q[_ZEXP])
+    _check_degree((max(p) >> _TOTAL) + (max(q) >> _TOTAL))
     out = {}
     for e1, c1 in p.items():
         for e2, c2 in q.items():
-            exp = tuple(a + b for a, b in zip(e1, e2))
+            exp = e1 + e2
             s = out.get(exp, 0) + c1 * c2
             if s:
                 out[exp] = s
@@ -95,13 +141,9 @@ def _p_mul(p, q):
     return out
 
 
-def _graded_lex_key(exp):
-    return (sum(exp), exp)
-
-
 def _p_lead_coeff(p):
     """Coefficient of the graded-lex greatest term."""
-    return p[max(p, key=_graded_lex_key)]
+    return p[max(p)]
 
 
 def _p_content(p):
@@ -134,21 +176,22 @@ def _p_divexact(p, d):
                 raise ArithmeticError("inexact constant division")
             out[exp] = q
         return out
-    lead = max(d, key=_graded_lex_key)
+    lead = max(d)
     lead_c = d[lead]
     rest = dict(p)
     out = {}
     while rest:
-        lt = max(rest, key=_graded_lex_key)
-        exp_q = tuple(a - b for a, b in zip(lt, lead))
-        if any(e < 0 for e in exp_q):
+        lt = max(rest)
+        # a guard bit survives the subtraction where that field of lt >= lead
+        if ((lt | _GUARD) - lead) & _GUARD != _GUARD:
             raise ArithmeticError("inexact polynomial division")
+        exp_q = lt - lead
         cq, rem = divmod(rest[lt], lead_c)
         if rem:
             raise ArithmeticError("inexact polynomial division")
         out[exp_q] = cq
         for e2, c2 in d.items():
-            exp = tuple(a + b for a, b in zip(exp_q, e2))
+            exp = exp_q + e2
             s = rest.get(exp, 0) - cq * c2
             if s:
                 rest[exp] = s
@@ -158,25 +201,23 @@ def _p_divexact(p, d):
 
 
 def _p_active_vars(p):
-    active = set()
+    bits = 0
     for exp in p:
-        for i, e in enumerate(exp):
-            if e:
-                active.add(i)
-    return active
+        bits |= exp
+    return {v for v, e in enumerate(_unpack(bits)) if e}
 
 
 def _v_deg(p, v):
-    return max((exp[v] for exp in p), default=0)
+    return max((_field(exp, v) for exp in p), default=0)
 
 
 def _v_decompose(p, v):
-    """Map v-degree -> coefficient polynomial (with the v slot zeroed)."""
+    """Map v-degree -> coefficient polynomial (with the v field zeroed)."""
     out = {}
+    unit = _UNIT[v]
     for exp, c in p.items():
-        d = exp[v]
-        reduced = exp[:v] + (0,) + exp[v + 1 :]
-        out.setdefault(d, {})[reduced] = c
+        d = _field(exp, v)
+        out.setdefault(d, {})[exp - d * unit] = c
     return out
 
 
@@ -190,17 +231,21 @@ def _v_content(p, v):
 
 
 def _v_shift(p, v, d):
-    return {exp[:v] + (exp[v] + d,) + exp[v + 1 :]: c for exp, c in p.items()}
+    """p times variable v to the power d."""
+    if p:
+        _check_degree((max(p) >> _TOTAL) + d)
+    shift = d * _UNIT[v]
+    return {exp + shift: c for exp, c in p.items()}
 
 
 def _pseudo_rem(A, B, v):
     """Pseudo-remainder of A by B in the variable v."""
     db = _v_deg(B, v)
-    lead_B = {e[:v] + (0,) + e[v + 1 :]: c for e, c in B.items() if e[v] == db}
+    lead_B = _v_decompose(B, v)[db]
     R = A
     while R and _v_deg(R, v) >= db:
         dr = _v_deg(R, v)
-        lead_R = {e[:v] + (0,) + e[v + 1 :]: c for e, c in R.items() if e[v] == dr}
+        lead_R = _v_decompose(R, v)[dr]
         R = _p_add(_p_mul(lead_B, R), _p_neg(_p_mul(lead_R, _v_shift(B, v, dr - db))))
     return R
 
@@ -226,9 +271,10 @@ def _p_maxnorm(p):
 def _p_eval_var(p, v, xi):
     """Substitute the integer xi for variable v."""
     out = {}
+    unit = _UNIT[v]
     for exp, c in p.items():
-        e = exp[v]
-        key = exp[:v] + (0,) + exp[v + 1 :]
+        e = _field(exp, v)
+        key = exp - e * unit
         val = c * xi**e if e else c
         s = out.get(key, 0) + val
         if s:
@@ -282,13 +328,15 @@ def _heugcd(p, q, depth=0):
         ok = True
         while ge:
             digit, ge = _balanced_digit(ge, xi)
+            shift = t * _UNIT[v]
             for exp, c in digit.items():
-                cand[exp[:v] + (t,) + exp[v + 1 :]] = c
+                cand[exp + shift] = c
             t += 1
             if t > 400:
                 ok = False
                 break
-        if ok and cand:
+        # a candidate past the degree cap divides neither input
+        if ok and cand and max(cand) >> _TOTAL <= _DEG_MAX:
             content = _p_content(cand)
             if content > 1:
                 cand = _p_divexact_int(cand, content)
@@ -356,18 +404,17 @@ def _p_gcd(p, q):
 def _p_substitute(p, vals):
     """Partial evaluation; vals maps var index -> Fraction.
 
-    Returns a dict exponent-tuple -> Fraction (zeros dropped).
+    Returns a dict packed exponent -> Fraction (zeros dropped).
     """
     out = {}
     for exp, c in p.items():
         factor = Fraction(c)
-        nexp = list(exp)
+        nexp = exp
         for i, val in vals.items():
-            e = exp[i]
+            e = _field(exp, i)
             if e:
                 factor *= val**e
-            nexp[i] = 0
-        nexp = tuple(nexp)
+                nexp -= e * _UNIT[i]
         s = out.get(nexp, 0) + factor
         if s:
             out[nexp] = s
@@ -377,16 +424,17 @@ def _p_substitute(p, vals):
 
 
 # term order used for display: ascending total degree, then parameters in
-# declaration order (a before n before g ...)
+# declaration order (a before n before g ...), which within one total degree
+# is descending int order
 
 
 def _display_key(exp):
-    return (sum(exp), tuple(-e for e in exp))
+    return (exp >> _TOTAL, -exp)
 
 
 def _monomial_text(exp, coeff):
     parts = []
-    for i, e in enumerate(exp):
+    for i, e in enumerate(_unpack(exp)):
         if e == 1:
             parts.append(PARAMS[i])
         elif e > 1:
@@ -650,13 +698,7 @@ class RationalFunction:
         dd = _v_deg(self.den, v)
         if dn < dd:
             return ZERO
-        lead_n = {
-            e[:v] + (0,) + e[v + 1 :]: c for e, c in self.num.items() if e[v] == dn
-        }
-        lead_d = {
-            e[:v] + (0,) + e[v + 1 :]: c for e, c in self.den.items() if e[v] == dd
-        }
-        ratio = RationalFunction(lead_n, lead_d)
+        ratio = RationalFunction(_v_decompose(self.num, v)[dn], _v_decompose(self.den, v)[dd])
         if dn == dd:
             return ratio
         if ratio.is_constant:
@@ -828,8 +870,7 @@ def rf(x):
 def param(name):
     if name not in _PINDEX:
         raise DomainError("unknown parameter %r" % name)
-    exp = tuple(1 if i == _PINDEX[name] else 0 for i in range(NPARAMS))
-    return RationalFunction({exp: 1}, _P_ONE, _canonical=True)
+    return RationalFunction({_UNIT[_PINDEX[name]]: 1}, _P_ONE, _canonical=True)
 
 
 ZERO = RationalFunction.from_int(0)

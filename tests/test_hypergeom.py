@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import sys
 import time
 from fractions import Fraction
 
@@ -597,6 +598,9 @@ def test_out_of_range_points_fail_loudly_or_read_zero(monkeypatch):
     # x^2 passes the float range here: the weight is -inf, the density 0
     assert hg.level_density(4, 4, 1e200) == 0.0
     assert hg.level_density_scaled(4, 4, 1e200) == 0.0
+    # c x passes the float range here (c = sqrt(2 n beta)): still 0, not a refusal
+    for x in (1e308, -1e308, sys.float_info.max):
+        assert hg.level_density_scaled(4, 4, x) == 0.0
 
 
 def test_smallest_eig_polynomial_is_held_under_checked_keys():

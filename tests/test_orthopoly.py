@@ -138,7 +138,12 @@ def _deadline(seconds):
 
 @pytest.mark.parametrize(
     "family, kappa, names",
-    [("laguerre", (2, 2), ("g",)), ("laguerre", (3, 2), ("g",)), ("jacobi", (3, 1), ("g1", "g2"))],
+    [
+        ("laguerre", (2, 2), ("g",)),
+        ("laguerre", (3, 2), ("g",)),
+        ("jacobi", (3, 1), ("g1", "g2")),
+        ("laguerre", (4, 3, 2, 1), ("g",)),
+    ],
 )
 def test_generic_n_specialises_to_numeric(family, kappa, names):
     # each takes well under a second; they ran for minutes when the field
@@ -152,6 +157,8 @@ def test_generic_n_specialises_to_numeric(family, kappa, names):
         (Fraction(5, 2), 4, (Fraction(-1, 3), Fraction(7, 5))),
     ]
     for alpha, nvars, weights in points:
+        # a partition of l > 2 parts needs l variables: n = 2, 4 become l, l + 2
+        nvars += max(len(kappa) - 2, 0)
         weights = weights[: len(names)]
         numeric = build(alpha, kappa, *weights, nvars)
         bindings = {"a": alpha, "n": nvars, **dict(zip(names, weights))}

@@ -216,7 +216,7 @@ def test_polynomial_gcd_white_box():
     got = _p_gcd(f, g)
     assert got == (1 + a).num
     # coprime pair
-    assert _p_gcd((1 + a).num, (2 + n).num) == {(0,) * 6: 1}
+    assert _p_gcd((1 + a).num, (2 + n).num) == rational._P_ONE
     # integer content
     assert _p_gcd((4 + 4 * a).num, (6 + 6 * a).num) == (2 + 2 * a).num
 
@@ -266,7 +266,7 @@ def test_henrici_examples_are_canonical(f, g):
 def test_henrici_paths_are_canonical(xs, ys):
     f, g = _build(xs), _build(ys)
     _assert_henrici_canonical(f, g)
-    assert f - f == 0 and (f + (-f)).den == {(0,) * 6: 1}
+    assert f - f == 0 and (f + (-f)).den == rational._P_ONE
 
 
 def test_inverse_keeps_the_canonical_form():
@@ -283,7 +283,7 @@ def _gcd_triples(draw):
     active = draw(st.lists(st.integers(0, NPARAMS - 1), min_size=1, max_size=4, unique=True))
 
     def monomial(picks):
-        return tuple(picks.count(i) for i in range(NPARAMS))
+        return rational._pack(tuple(picks.count(i) for i in range(NPARAMS)))
 
     poly = st.dictionaries(
         st.lists(st.sampled_from(active), max_size=3).map(monomial),
@@ -297,9 +297,9 @@ def _gcd_triples(draw):
 def _check_gcd_against_sympy(triple):
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols(PARAMS)
-    g, u, v = (sympy.Poly.from_dict(p, *syms) for p in triple)
-    p, q = (dict((e, int(c)) for e, c in (g * w).as_dict().items()) for w in (u, v))
-    want = {e: int(c) for e, c in sympy.gcd(g * u, g * v).as_dict().items()}
+    g, u, v = (sympy.Poly.from_dict({rational._unpack(e): c for e, c in p.items()}, *syms) for p in triple)
+    p, q = ({rational._pack(e): int(c) for e, c in (g * w).as_dict().items()} for w in (u, v))
+    want = {rational._pack(e): int(c) for e, c in sympy.gcd(g * u, g * v).as_dict().items()}
     assert rational._p_gcd(p, q) == _p_positive(want)
 
 
@@ -352,6 +352,48 @@ def test_heuristic_gcd_in_four_parameters():
     u = (a * n * G1 * G2 + 3) ** 2 + a**3
     v = (a * n * G1 - G2 + 7) ** 2 + n
     assert rational._heugcd((g * u).num, (g * v).num) == g.num
+
+
+@st.composite
+def _exponents(draw):
+    """Exponent tuples of a total degree up to the packed field's largest."""
+    total = draw(st.one_of(st.integers(0, 8), st.integers(0, rational._DEG_MAX)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=NPARAMS - 1, max_size=NPARAMS - 1)))
+    return tuple(hi - lo for lo, hi in zip([0, *cuts], [*cuts, total]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponents(), _exponents())
+def test_packed_exponents_keep_order_and_divisibility(x, y):
+    px, py = rational._pack(x), rational._pack(y)
+    assert rational._unpack(px) == x and rational._unpack(py) == y
+    # int order is graded lex order
+    assert (px < py) == ((sum(x), x) < (sum(y), y))
+    # the guard-bit test of exact division is the componentwise one
+    quotient = rational._p_quotient({px: 3}, {py: 1})
+    if all(i >= j for i, j in zip(x, y)):
+        assert quotient == {rational._pack(tuple(i - j for i, j in zip(x, y))): 3}
+    else:
+        assert quotient is None
+    # a product is the sum of the ints while the total degree fits
+    if sum(x) + sum(y) <= rational._DEG_MAX:
+        assert _p_mul({px: 2}, {py: 5}) == {rational._pack(tuple(i + j for i, j in zip(x, y))): 10}
+    else:
+        with pytest.raises(DomainError, match="degree"):
+            _p_mul({px: 2}, {py: 5})
+
+
+def test_degree_past_the_packed_field_raises():
+    top = rational._DEG_MAX
+    assert (a**top).text() == "a^%d" % top
+    assert (a ** (top - 1) * n).text() == "a^%d*n" % (top - 1)
+    for make in (lambda: a**40000, lambda: a ** (top + 1), lambda: a**top * n, lambda: 1 / (a ** (top - 1) * (1 + n) ** 2)):
+        with pytest.raises(DomainError, match="degree"):
+            make()
+    with pytest.raises(DomainError, match="degree"):
+        rational._v_shift((a**top).num, 1, 1)
+    with pytest.raises(DomainError, match="degree"):
+        rational._pack((top, 0, 0, 0, 0, 1))
 
 
 def test_to_float_rounds_exactly_once():
