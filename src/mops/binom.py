@@ -16,7 +16,7 @@ import math
 
 from . import cache, partitions
 from .errors import DomainError
-from .rational import as_exact, homogeneous, ratio
+from .rational import as_exact, homogeneous, ratio, undivided
 
 
 def sfact(r, k):
@@ -108,11 +108,26 @@ def contiguous(alpha, sigma, i):
     the numerator and denominator are int products, and the one Fraction
     is formed at the end; a symbolic alpha takes them in its field.
     """
-    return _contiguous(as_exact(alpha, "alpha"), partitions.as_partition(sigma), i)
+    return _contiguous_value(as_exact(alpha, "alpha"), partitions.as_partition(sigma), i)
+
+
+@cache.memo
+def _contiguous_value(alpha, sigma, i):
+    return ratio(*_contiguous_terms(alpha, sigma, i))
 
 
 @cache.memo
 def _contiguous(alpha, sigma, i):
+    """(sigma^(i) choose sigma) as the pair of ``rational.undivided``.
+
+    For a Fraction alpha it is two ints, so a caller can sum several such
+    ratios over one denominator; for a symbolic alpha it is (value, 1).
+    """
+    return undivided(*_contiguous_terms(alpha, sigma, i))
+
+
+def _contiguous_terms(alpha, sigma, i):
+    """(num, den), the row and column products of ``contiguous``."""
     if _row_increment(sigma, i) is None:
         raise DomainError("row %d of %r cannot be incremented" % (i, sigma))
     row = sigma[i - 1] if i - 1 < len(sigma) else 0
@@ -135,7 +150,7 @@ def _contiguous(alpha, sigma, i):
         arm = row - j
         num = num * (leg + p * (2 + arm))
         den = den * (leg + p * (1 + arm))
-    return ratio(num, partitions._hook_divisor(den, alpha, sigma))
+    return num, partitions._hook_divisor(den, alpha, sigma)
 
 
 def one_box_recurrence(alpha, kappa, divide):
@@ -157,7 +172,7 @@ def one_box_recurrence(alpha, kappa, divide):
             up_val = table.get(_row_increment(sigma, i))
             if up_val is None:
                 continue
-            term = _contiguous(alpha, sigma, i) * up_val
+            term = _contiguous_value(alpha, sigma, i) * up_val
             total = term if total is None else total + term
         if total is not None:
             table[sigma] = divide(sigma, total)

@@ -16,9 +16,15 @@ of the hypergeometric function of a matrix argument*, Math. Comp. 2006):
 the box (l, c) multiplies each Pochhammer symbol (a)_kappa by
 a + c - 1 - (l-1)/alpha, and changes only the hooks of row l and column c,
 so a partition costs O(m + p + q) operations instead of O(|kappa|).
-``_next_layer`` states the Pochhammer ratio and
-``partitions._box_hook_ratio`` the hook ratio, which for a numeric alpha
-is a product of ints divided once.
+For alpha = P/Q the box's s = c - 1 - (l-1)/alpha is t/P with
+t = (c-1)P - (l-1)Q, so a parameter A/D gives a + s = (AP + Dt)/(DP).
+``_next_layer`` multiplies these numerators and denominators, the
+undivided pair of ``partitions._box_hook_ratio``'s hook ratio and the
+parent's term into one num/den per partition: for a Fraction alpha and
+Fraction parameters both are ints, a pole is the int test BP + Et == 0,
+and each term costs one Fraction.  A layer is summed as ints over the
+least common denominator of its terms and divided once.  A symbolic
+alpha or parameter runs the same expressions in its field.
 
 At the identity only the layer sums c_k = sum_kappa coeff_kappa C_kappa(I_m)
 matter, and they depend on (alpha, a, b, m) alone, not on the point.  So
@@ -52,7 +58,17 @@ from fractions import Fraction
 
 from . import binom, cache, jack, orthopoly, partitions
 from .errors import ConvergenceError, DomainError, PoleError
-from .rational import RationalFunction, as_exact, as_finite, as_int, common_denominator, rf, to_float
+from .rational import (
+    RationalFunction,
+    as_exact,
+    as_finite,
+    as_int,
+    common_denominator,
+    homogeneous,
+    ratio,
+    rf,
+    to_float,
+)
 from .symfun import SymExpr, eval_numeric
 
 DEGREE_CAP = 400
@@ -99,30 +115,46 @@ def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
 
         term_kappa / term_pi = h prod (a_i + s) / prod (b_j + s).
 
-    A partition thus costs O(m + p + q) operations.
+    The term is formed as one num / den.  With alpha = P / Q, s = t / P
+    for t = (c-1) P - (l-1) Q, and a parameter A / D gives
+    a + s = (A P + D t) / (D P).  The denominators D P are the same for
+    every box and are multiplied in once per layer.  So for a Fraction
+    alpha and Fraction parameters num and den are ints, h's pair and the
+    parent's term included, the pole test is the int test B P + E t == 0
+    for b = B / E, and a partition costs one Fraction.  A symbolic alpha
+    or parameter takes the same expressions in its field.  A partition
+    costs O(m + p + q) operations.
     """
-    one = alpha**0
-    row_shift = [i / alpha for i in range(m)]
+    p, q = homogeneous(alpha)
+    uppers = [homogeneous(a_i) for a_i in upper]
+    lowers = [homogeneous(b_j) for b_j in lower]
+    # prod (E_j P) / prod (D_i P), the part of the ratio every box shares
+    num0 = math.prod(e for _, e in lowers) * p ** max(len(lower) - len(upper), 0)
+    den0 = math.prod(d for _, d in uppers) * p ** max(len(upper) - len(lower), 0)
+    if not at_identity:
+        den0 = den0 * k
     layer = {}
     for kappa in partitions.partitions_of(k, max_part=width, max_len=m):
         l = len(kappa)
         c = kappa[-1]
         parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
-        s = c - 1 - row_shift[l - 1]
+        t = (c - 1) * p - (l - 1) * q
         if at_identity:
-            num, den = partitions._box_hook_ratio(alpha, kappa, m), 1
+            num, den = partitions._box_hook_ratio(alpha, kappa, m)
+            num, den = num * num0, den * den0
         else:
-            num, den = one, k
-        for a_i in upper:
-            num = num * (a_i + s)
-        for b_j in lower:
-            factor = b_j + s
+            num, den = num0, den0
+        for a_num, a_den in uppers:
+            num = num * (a_num * p + a_den * t)
+        for (b_num, b_den), b_j in zip(lowers, lower):
+            factor = b_num * p + b_den * t
             if factor == 0:
                 raise PoleError(
                     "lower parameter %s hits a pole at kappa=%r" % (b_j, kappa)
                 )
             den = den * factor
-        layer[kappa] = prev[parent] * (num / den)
+        prev_num, prev_den = homogeneous(prev[parent])
+        layer[kappa] = ratio(prev_num * num, prev_den * den)
     return layer
 
 
@@ -173,7 +205,8 @@ def _identity_sums(alpha, upper, lower, m, width=None):
         sums, frontier = held.state
         while k >= len(sums):
             frontier = _next_layer(alpha, upper, lower, m, width, len(sums), frontier, at_identity=True)
-            sums += (sum(frontier.values()) if frontier else None,)
+            nums, d = common_denominator(frontier.values())
+            sums += (ratio(sum(nums), d) if frontier else None,)
             held.state = (sums, frontier)
         yield sums[k]
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import binom, cache, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
-from .rational import as_exact, rf
+from .rational import as_exact, homogeneous, ratio, rf, undivided
 from .symfun import GENERIC, SymExpr, eval_numeric, expand_to_monomials
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
@@ -114,8 +114,8 @@ def _identity_values(alpha, kappa, m):
             continue
         c = sigma[-1]
         parent = sigma[:-1] + (c - 1,) if c > 1 else sigma[:-1]
-        box = partitions._box_hook_ratio(alpha, sigma, m)
-        values[sigma] = values[parent] * (partitions.weight(sigma) * box)
+        num, den = partitions._box_hook_ratio(alpha, sigma, m)
+        values[sigma] = values[parent] * ratio(partitions.weight(sigma) * num, den)
     return values
 
 
@@ -291,11 +291,22 @@ def hermite(alpha, kappa, nvars=GENERIC):
     the opposite order the negative, so the two chains ending at one
     partition are subtracted before the weight multiplies them.  The
     coefficient of C_sigma is v_sigma / C_sigma(I).
+
+    With alpha = P / Q a weight is (P (sigma_i - sigma_j) - Q (i - j)) / P
+    and ``binom._contiguous`` gives each coefficient as an undivided pair,
+    so for a Fraction alpha each sigma's sum, chain differences included,
+    is formed as ints over one unreduced denominator and v_sigma is one
+    Fraction.  A symbolic alpha runs the same expressions in its field,
+    with 1/alpha, the coefficients and the values v as field elements over
+    the int 1 (``rational.undivided``).
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     _check_nvars(kappa, nvars)
     k = partitions.weight(kappa)
+    # 1/alpha = Q/P as ints for a Fraction alpha, (1/alpha, 1) in alpha's field
+    p, q = homogeneous(alpha)
+    rho_num, rho_den = undivided(q, p)
     ident = _identity_values(alpha, kappa, _m_scalar(nvars))
     inner = {kappa: ident[kappa]}
     # reversed lexicographic order puts every sigma^(i)(j) before sigma
@@ -303,35 +314,36 @@ def hermite(alpha, kappa, nvars=GENERIC):
         s = partitions.weight(sigma)
         if s == k or (k - s) % 2:
             continue
-        # end partition -> [weight of the order met first, chain difference]
+        # end partition -> [weight of the order met first times rho_den,
+        # chain difference as num, den]
         paths = {}
         for i in range(1, len(sigma) + 2):
             step = binom._row_increment(sigma, i)
             if step is None:
                 continue
-            first = binom._contiguous(alpha, sigma, i)
+            first_num, first_den = binom._contiguous(alpha, sigma, i)
+            si = sigma[i - 1] if i <= len(sigma) else 0
             for j in range(1, len(step) + 2):
                 end = binom._row_increment(step, j)
                 if end not in inner:
                     continue
-                chain = first * binom._contiguous(alpha, step, j)
-                pair = paths.get(end)
-                if pair is not None:
-                    pair[1] = pair[1] - chain
+                second_num, second_den = binom._contiguous(alpha, step, j)
+                chain_num, chain_den = first_num * second_num, first_den * second_den
+                path = paths.get(end)
+                if path is not None:
+                    path[1:] = path[1] * chain_den - chain_num * path[2], path[2] * chain_den
                     continue
                 # content sigma_i - (i-1)/alpha of the first box less
                 # step_j - (j-1)/alpha of the second; -1 in one row
-                si = sigma[i - 1] if i <= len(sigma) else 0
-                weight = si - (step[j - 1] if j <= len(step) else 0)
-                if i != j:
-                    weight = weight - (i - j) / alpha
-                paths[end] = [weight, chain]
-        total = None
-        for end, (weight, chain) in paths.items():
-            term = weight * chain * inner[end]
-            total = term if total is None else total + term
-        if total is not None:
-            inner[sigma] = total / (k - s)
+                sj = step[j - 1] if j <= len(step) else 0
+                paths[end] = [(si - sj) * rho_den - (i - j) * rho_num, chain_num, chain_den]
+        if paths:
+            num, den = 0, 1
+            for end, (weight, chain_num, chain_den) in paths.items():
+                value_num, value_den = homogeneous(inner[end])
+                term_den = chain_den * value_den
+                num, den = num * term_den + weight * chain_num * value_num * den, den * term_den
+            inner[sigma] = ratio(num, rho_den * (den * (k - s)))
     coeffs = {sigma: val / ident[sigma] for sigma, val in inner.items()}
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 

@@ -204,7 +204,7 @@ def _hook_divisor(value, alpha, kappa):
 
 
 def _box_hook_ratio(alpha, kappa, m):
-    """C_kappa(I_m) / (|kappa| C_pi(I_m)), one box's ratio of identity values.
+    """(num, den): num / den = C_kappa(I_m) / (|kappa| C_pi(I_m)), one box's ratio.
 
     pi is kappa less its last box (l, c): l = len(kappa), c = kappa_l.
     C_kappa(I_m) = alpha^(2k) k! (m/alpha)_kappa / j_kappa, and the box
@@ -224,10 +224,11 @@ def _box_hook_ratio(alpha, kappa, m):
 
     num and den have equally many factors u + alpha v, so with alpha =
     P / Q each is taken as Q u + P v and the powers of Q cancel: for a
-    Fraction alpha and a numeric m = M / MQ both are ints, and the ratio
-    is one Fraction.  A symbolic alpha or m makes them field elements and
-    the ratio their quotient.  kappa must be non-empty; PoleError is
-    raised when den is 0.
+    Fraction alpha and a numeric m = M / MQ both are ints.  A symbolic
+    alpha or m makes them field elements.  The pair (num, den) is returned
+    undivided, so a caller can multiply more factors into it before its
+    one division.  kappa must be non-empty; PoleError is raised when den
+    is 0.
     """
     p, q = homogeneous(alpha)
     big_m, m_den = homogeneous(m)
@@ -242,7 +243,7 @@ def _box_hook_ratio(alpha, kappa, m):
         arm = p * (kappa[r0] - c)
         num = num * ((q * (h - 1) + p + arm) * (q * h + arm))
         den = den * ((q * h + p + arm) * (q * (h + 1) + arm))
-    return ratio(num, _hook_divisor(den, alpha, kappa))
+    return num, _hook_divisor(den, alpha, kappa)
 
 
 def rho(alpha, kappa):

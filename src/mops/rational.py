@@ -572,6 +572,8 @@ class RationalFunction:
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        if other.__class__ is int and other == 1:
+            return self  # the unit denominator of an ``undivided`` pair
         other = rf(other)
         if other is NotImplemented:
             return NotImplemented
@@ -780,14 +782,19 @@ def as_int(x, name, least=0):
 
 
 def as_finite(x, name):
-    """x itself unless it is a float NaN or infinity, which raise DomainError.
+    """x itself when it is an int, a Fraction or a finite float: a real point.
 
-    A NaN fails every comparison, so it would pass a domain test and come
-    out as a "nan" result or a crash further on.
+    Anything else raises DomainError naming ``name``.  A NaN fails every
+    comparison, so it would pass a domain test and come out as a "nan"
+    result or a crash further on; a str or a bool would pass ``float()``
+    as the number it spells.
     """
-    if isinstance(x, float) and not isfinite(x):
-        raise DomainError("%s must be finite, got %r" % (name, x))
-    return x
+    if isinstance(x, float):
+        if isfinite(x):
+            return x
+    elif isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    raise DomainError("%s must be a finite number, got %r" % (name, x))
 
 
 # fdlibm's split of ln 2: j * _LN2_HI is exact for |j| < 2^21
@@ -823,9 +830,15 @@ def to_float(value, log_weight=0.0):
 
 
 def common_denominator(values):
-    """(ints, d): Fractions (or ints) as int numerators over their least common denominator."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    """(nums, d): the values as numerators over their least common int denominator.
+
+    Fractions (or ints) give int numerators.  A field element is its own
+    numerator over 1, so the numerators' sum divided once by d is the sum
+    of the values either way.
+    """
+    pairs = [homogeneous(v) for v in values]
+    d = lcm(*(den for _, den in pairs))
+    return [num * (d // den) for num, den in pairs], d
 
 
 def homogeneous(x):
@@ -843,13 +856,27 @@ def homogeneous(x):
     return x, 1
 
 
+def undivided(num, den):
+    """num / den as a pair (n, d) for products and sums that divide once.
+
+    Two ints stay as they are, so further factors and terms go in as int
+    operations and ``ratio`` makes one Fraction at the end.  Otherwise the
+    quotient is taken now and the pair is (num / den, 1): the field's own
+    division keeps its values in lowest terms, where a pair of products
+    would grow without cancelling.
+    """
+    if isinstance(num, int) and isinstance(den, int):
+        return num, den
+    return ratio(num, den), 1
+
+
 def ratio(num, den):
     """num / den without a float: a Fraction when both are ints.
 
-    Otherwise it is the quotient in num's field, and a den of int 1 leaves
-    num as it is.
+    Otherwise it is the quotient in the field of num or den, and a den of
+    int 1 leaves num as it is.
     """
-    if isinstance(num, int):
+    if isinstance(num, int) and isinstance(den, int):
         return Fraction(num, den)
     if isinstance(den, int) and den == 1:
         return num

@@ -13,9 +13,12 @@ tableaux.  ``jack_c_recurrence`` is the Laplace-Beltrami recurrence run in
 the coefficient field itself, the reference for the library's integer
 tables.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
 ratio of Hankel determinants of incomplete Gamma functions, in mpmath.
-``power_sum_monomials`` expands a power sum into monomials by adding one
-part at a time to the exponent vectors, apart from the monomial products
-the library multiplies power sums with, and
+``next_layer_field`` is the series engine's per-box step with every
+factor a + s a field element and one division per factor, the reference
+for the library's step, which forms each term as ints over one
+denominator.  ``power_sum_monomials`` expands a power sum into monomials
+by adding one part at a time to the exponent vectors, apart from the
+monomial products the library multiplies power sums with, and
 ``mono_product_by_rearrangements`` multiplies two monomials by testing
 every rearrangement of one against every candidate sum, where the
 library counts orbits.
@@ -419,3 +422,35 @@ def mono_product_by_rearrangements(lam, mu, n):
         if count:
             out[tuple(p for p in nu if p)] = count
     return out
+
+
+def next_layer_field(alpha, upper, lower, m, width, k, prev, at_identity):
+    """The layer of degree k of a pFq series from the layer prev of k - 1.
+
+    The arguments and the result are those of ``hypergeom._next_layer``.
+    Each term is its parent's times h prod (a_i + s) / (k' prod (b_j + s)),
+    s = c - 1 - (l-1)/alpha for the last box (l, c), with h the hook ratio
+    of ``box_hook_ratio_field`` and k' = 1 at the identity, k otherwise;
+    every factor is a field element.
+    """
+    row_shift = [i / alpha for i in range(m)]
+    layer = {}
+    for kappa in partitions.partitions_of(k, max_part=width, max_len=m):
+        l = len(kappa)
+        c = kappa[-1]
+        parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
+        s = c - 1 - row_shift[l - 1]
+        if at_identity:
+            hook_num, hook_den = box_hook_ratio_field(alpha, kappa, m)
+            num, den = hook_num / hook_den, 1
+        else:
+            num, den = alpha**0, k
+        for a_i in upper:
+            num = num * (a_i + s)
+        for b_j in lower:
+            factor = b_j + s
+            if factor == 0:
+                raise PoleError("lower parameter %s hits a pole at kappa=%r" % (b_j, kappa))
+            den = den * factor
+        layer[kappa] = prev[parent] * (num / den)
+    return layer

@@ -72,6 +72,8 @@ def test_contiguous_matches_all_boxes_formula():
                             binom.contiguous(alpha, sigma, i)
                     continue
                 for alpha in alphas:
+                    if alpha is not a:  # the undivided pair the Hermite recurrence sums
+                        assert all(type(v) is int for v in binom._contiguous(alpha, sigma, i))
                     got = binom.contiguous(alpha, sigma, i)
                     want = contiguous_all_boxes(alpha, sigma, i)
                     assert got == want and repr(got) == repr(want), (alpha, sigma, i)

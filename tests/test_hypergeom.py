@@ -7,13 +7,15 @@ from fractions import Fraction
 
 import pytest
 import scipy.integrate as si
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from mops import hypergeom as hg
 from mops.errors import DomainError
 from mops.jack import jack_identity_value
 from mops.partitions import partitions_of
-from mops.rational import ALPHA, R, rf
+from mops.rational import ALPHA, GAMMA, R, rf
 
 a = ALPHA
 
@@ -820,3 +822,96 @@ def test_level_density_matches_hermite2_construction(monkeypatch):
             want = hg.level_density_polynomial(beta, n)
         assert calls == [(beta,) * (n - 1)]
         assert got == want, (beta, n)
+
+
+def _walk(step, alpha, upper, lower, m, at_identity, degree=8):
+    """Layers 1..degree from one step function; a PoleError ends the list with its text."""
+    from mops.errors import PoleError
+
+    width = hg._negative_integer_bound(upper)
+    layer, layers = {(): alpha**0}, []
+    try:
+        for k in range(1, degree + 1):
+            layer = step(alpha, upper, lower, m, width, k, layer, at_identity)
+            layers.append([(kappa, term, repr(term)) for kappa, term in layer.items()])
+    except PoleError as err:
+        layers.append(str(err))
+    return layers
+
+
+_PARAMETERS = st.lists(st.builds(Fraction, st.integers(-7, 7), st.integers(1, 4)), max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.builds(Fraction, st.integers(1, 5), st.integers(1, 4)),
+    _PARAMETERS,
+    st.one_of(st.none(), st.integers(1, 3)),
+    _PARAMETERS,
+    st.integers(1, 4),
+    st.booleans(),
+)
+def test_next_layer_matches_the_field_form(alpha, upper, terminate_at, lower, m, at_identity):
+    # the int ratio per partition against one field division per factor:
+    # equal terms in one order, and the same pole at the same partition
+    from oracles import next_layer_field
+
+    if terminate_at is not None:
+        upper = upper + [Fraction(-terminate_at)]
+    got = _walk(hg._next_layer, alpha, upper, lower, m, at_identity)
+    assert got == _walk(next_layer_field, alpha, upper, lower, m, at_identity)
+
+
+@pytest.mark.parametrize("at_identity", [False, True])
+@pytest.mark.parametrize(
+    "alpha, upper, lower, m",
+    [
+        (a, [Fraction(-2), a + 1], [rf(3) + a], 3),
+        (a, [rf(Fraction(1, 2))], [a], 2),
+        (Fraction(3, 2), [], [GAMMA + 1], 3),  # int numerators over a field denominator
+    ],
+)
+def test_next_layer_matches_the_field_form_with_symbols(alpha, upper, lower, m, at_identity):
+    from oracles import next_layer_field
+
+    got = _walk(hg._next_layer, alpha, upper, lower, m, at_identity, degree=6)
+    assert got == _walk(next_layer_field, alpha, upper, lower, m, at_identity, degree=6)
+
+
+@pytest.mark.parametrize("bad", ["0.5", True, rf(1)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda v: hg.smallest_eig_density(1, 3, 3, v),
+        lambda v: hg.smallest_eig_density_normalized(1, 3, 3, [1.0, v]),
+        lambda v: hg.largest_eig_cdf(1, 1, 2, v),
+        lambda v: hg.largest_eig_cdf(1, 1, 2, 1.0, tol=v),
+        lambda v: hg.level_density(4, 4, v),
+        lambda v: hg.level_density_scaled(4, 4, v),
+        lambda v: hg.ghypergeom(1, [1], [2], ("vec", [0.1, v]), limit=3),
+        lambda v: hg.ghypergeom(1, [1], [2], _HALF_XID, tol=v),
+    ],
+    ids=["smallest", "smallest-grid", "largest-cdf", "largest-cdf-tol", "level", "level-scaled", "vec", "tol"],
+)
+def test_a_real_point_is_an_int_a_fraction_or_a_float(call, bad):
+    # float("0.5") and True > 0 would take a string or a bool as the number it spells
+    with pytest.raises(DomainError, match="must be a finite number"):
+        call(bad)
+
+
+def test_exact_points_give_the_float_point_values():
+    half = Fraction(1, 2)
+    assert hg.level_density(4, 4, half) == hg.level_density(4, 4, 0.5)
+    assert hg.level_density_scaled(4, 4, half) == hg.level_density_scaled(4, 4, 0.5)
+    assert hg.smallest_eig_density(1, 3, 3, 2) == hg.smallest_eig_density(1, 3, 3, 2.0)
+    assert hg.largest_eig_cdf(1, 1, 2, 3, tol=Fraction(1, 10**10)) == hg.largest_eig_cdf(1, 1, 2, 3.0)
+
+
+@pytest.mark.parametrize("beta, n", [(2, 3), (4, 4), (6, 4), (8, 5)])
+def test_level_density_mass_is_one_exactly(beta, n):
+    # int x^(2t) e^(-x^2/2) dx / sqrt(2 pi) = (2t-1)!!, so the exact mass is
+    # sum_t q[2t] (2t-1)!!; the odd coefficients vanish
+    q = hg.level_density_polynomial(beta, n)
+    assert not any(q[1::2])
+    mass = sum(c * math.prod(range(1, 2 * t, 2)) for t, c in enumerate(q[::2]))
+    assert mass == 1

@@ -178,6 +178,14 @@ def test_hermite_constructions_agree():
                     assert op.hermite(alpha, kap, n).terms == op.hermite2(alpha, kap, n).terms
 
 
+@pytest.mark.parametrize(
+    "alpha, kappa, n", [(Fraction(1, 3), (6, 6, 6), 4), (Fraction(2, 3), (5, 3, 3, 1), 6)]
+)
+def test_hermite_constructions_agree_on_larger_partitions(alpha, kappa, n):
+    # weights 18 and 12, past the k <= 7 grid above
+    assert op.hermite(alpha, kappa, n).terms == op.hermite2(alpha, kappa, n).terms
+
+
 def test_hermite_constant_term_matches_both_constructions():
     # the weight cap falls by 2 for each symbolic parameter (alpha, n)
     for alpha in (a, one, Fraction(2), Fraction(1, 3), Fraction(3, 2)):

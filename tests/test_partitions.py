@@ -5,7 +5,7 @@ import pytest
 from mops import jack
 from mops import partitions as pt
 from mops.errors import DomainError, PoleError
-from mops.rational import ALPHA, N
+from mops.rational import ALPHA, N, RationalFunction, ratio
 
 from oracles import box_hook_ratio_field, brute_subpartitions, hook_products_field
 
@@ -171,7 +171,10 @@ def test_integer_box_hook_ratio_matches_field_arithmetic():
                             pt._box_hook_ratio(alpha, kappa, m)
                         assert str(err.value) == _pole_message(alpha, kappa)
                         continue
-                    got = pt._box_hook_ratio(alpha, kappa, m)
+                    pair = pt._box_hook_ratio(alpha, kappa, m)
+                    if alpha is not a and not isinstance(m, RationalFunction):
+                        assert all(type(v) is int for v in pair), (alpha, kappa, m)
+                    got = ratio(*pair)
                     want = num / den
                     assert got == want and repr(got) == repr(want), (alpha, kappa, m)
     assert poles
