@@ -16,16 +16,14 @@ import math
 
 from . import cache, partitions
 from .errors import DomainError
-from .rational import as_exact, homogeneous, ratio, undivided
+from .rational import as_exact, as_finite, as_int, homogeneous, ratio, undivided
 
 
 def sfact(r, k):
     """Shifted factorial r (r+1) ... (r+k-1); empty product is 1."""
-    if k < 0:
-        raise DomainError("sfact needs a non-negative integer order")
     r = as_exact(r, "r")
     out = 1
-    for i in range(k):
+    for i in range(as_int(k, "the order k")):
         out = out * (r + i)
     return out
 
@@ -64,10 +62,9 @@ def mv_gamma(alpha, a, m):
 
 
 def log_mv_gamma(alpha, a, m):
-    alpha = float(alpha)
-    a = float(a)
-    if m < 1:
-        raise DomainError("mv_gamma needs m >= 1")
+    alpha = float(as_finite(alpha, "alpha"))
+    a = float(as_finite(a, "a"))
+    m = as_int(m, "m", 1)
     total = m * (m - 1) / (2.0 * alpha) * math.log(math.pi)
     for i in range(1, m + 1):
         x = a - (i - 1) / alpha
@@ -103,17 +100,12 @@ def contiguous(alpha, sigma, i):
 
     r running over the boxes (r, c) and j over the boxes (i, j): the
     lower hooks of column c and the upper hooks of row i grow by one.
-    A coefficient costs O(i + sigma_i + len(sigma)) operations: for a
-    Fraction alpha = P / Q each factor u + alpha v is the int Q u + P v,
-    the numerator and denominator are int products, and the one Fraction
-    is formed at the end; a symbolic alpha takes them in its field.
+    A coefficient costs O(i + sigma_i + len(sigma)) operations, once:
+    for a Fraction alpha = P / Q each factor u + alpha v is the int
+    Q u + P v, ``_contiguous`` keeps the two int products, and this
+    Fraction is the one division; a symbolic alpha takes them in its field.
     """
-    return _contiguous_value(as_exact(alpha, "alpha"), partitions.as_partition(sigma), i)
-
-
-@cache.memo
-def _contiguous_value(alpha, sigma, i):
-    return ratio(*_contiguous_terms(alpha, sigma, i))
+    return ratio(*_contiguous(as_exact(alpha, "alpha"), partitions.as_partition(sigma), i))
 
 
 @cache.memo
@@ -123,11 +115,6 @@ def _contiguous(alpha, sigma, i):
     For a Fraction alpha it is two ints, so a caller can sum several such
     ratios over one denominator; for a symbolic alpha it is (value, 1).
     """
-    return undivided(*_contiguous_terms(alpha, sigma, i))
-
-
-def _contiguous_terms(alpha, sigma, i):
-    """(num, den), the row and column products of ``contiguous``."""
     if _row_increment(sigma, i) is None:
         raise DomainError("row %d of %r cannot be incremented" % (i, sigma))
     row = sigma[i - 1] if i - 1 < len(sigma) else 0
@@ -150,46 +137,52 @@ def _contiguous_terms(alpha, sigma, i):
         arm = row - j
         num = num * (leg + p * (2 + arm))
         den = den * (leg + p * (1 + arm))
-    return num, partitions._hook_divisor(den, alpha, sigma)
+    return undivided(num, partitions._hook_divisor(den, alpha, sigma))
 
 
-def one_box_recurrence(alpha, kappa, divide):
+def one_box_recurrence(alpha, kappa, divisor):
     """Solve a downward one-box recurrence over the subpartitions of kappa.
 
-    v_kappa = 1; then, going down in weight,
-    v_sigma = divide(sigma, sum_i (sigma^(i) choose sigma) v_{sigma^(i)}),
-    the sum running over the row increments sigma^(i) that have a value.
-    Returns {sigma: v_sigma}, kappa first and then by decreasing weight.
-    alpha and kappa must be canonical, as ``as_exact`` and
-    ``partitions.as_partition`` leave them.
+    v_kappa = 1; then, going down,
+    v_sigma = sum_i (sigma^(i) choose sigma) v_{sigma^(i)} / divisor(sigma),
+    the sum running over the row increments sigma^(i) inside kappa.
+    Returns {sigma: v_sigma}, kappa first and then in decreasing
+    lexicographic order.  alpha and kappa must be canonical, as
+    ``as_exact`` and ``partitions.as_partition`` leave them.  As in
+    ``orthopoly.hermite``, for a Fraction alpha each sum is formed as ints
+    over one unreduced denominator from the pairs of ``_contiguous`` and
+    v_sigma is one Fraction; a symbolic alpha runs the same expressions in
+    its field, over the int 1.
     """
     table = {kappa: alpha**0}
-    # by decreasing weight, so every sigma^(i) comes before sigma; kappa
-    # has no row increment inside kappa and keeps its seed
-    for sigma in sorted(partitions.subpartitions_of(kappa), key=partitions.weight, reverse=True):
-        total = None
+    # reversed lexicographic order puts every sigma^(i) before sigma;
+    # kappa, the last subpartition, keeps its seed
+    for sigma in partitions.subpartitions_of(kappa)[-2::-1]:
+        num = None
         for i in range(1, len(sigma) + 2):
             up_val = table.get(_row_increment(sigma, i))
             if up_val is None:
                 continue
-            term = _contiguous_value(alpha, sigma, i) * up_val
-            total = term if total is None else total + term
-        if total is not None:
-            table[sigma] = divide(sigma, total)
+            coeff_num, coeff_den = _contiguous(alpha, sigma, i)
+            value_num, value_den = homogeneous(up_val)
+            term_num, term_den = coeff_num * value_num, coeff_den * value_den
+            if num is None:
+                num, den = term_num, term_den
+            else:
+                num, den = num * term_den + term_num * den, den * term_den
+        table[sigma] = ratio(num, den * divisor(sigma))
     return table
 
 
 def gbinomial_table(alpha, kappa):
-    """All (kappa choose sigma) for sigma inside kappa, keyed by sigma."""
+    """{sigma: (kappa choose sigma)} for sigma inside kappa, in decreasing lexicographic order."""
     return _gbinomial_table(as_exact(alpha, "alpha"), partitions.as_partition(kappa))
 
 
 @cache.memo
 def _gbinomial_table(alpha, kappa):
     k = partitions.weight(kappa)
-    return one_box_recurrence(
-        alpha, kappa, lambda sigma, total: total / (k - partitions.weight(sigma))
-    )
+    return one_box_recurrence(alpha, kappa, lambda sigma: k - partitions.weight(sigma))
 
 
 def gbinomial(alpha, kappa, sigma):

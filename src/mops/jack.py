@@ -225,4 +225,4 @@ def apply_dstar(expr, alpha, nvars):
 def dstar_eigenvalue(alpha, kappa, nvars):
     alpha = _as_alpha(alpha)
     k = partitions.weight(partitions.as_partition(kappa))
-    return partitions.rho(alpha, kappa) + (2 / alpha) * k * (nvars - 1)
+    return partitions.rho(alpha, kappa) + (2 / alpha) * k * (as_exact(nvars, "nvars") - 1)

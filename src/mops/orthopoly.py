@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import binom, cache, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
-from .rational import as_exact, homogeneous, ratio, rf, undivided
+from .rational import as_exact, as_finite, homogeneous, ratio, rf, undivided
 from .symfun import GENERIC, SymExpr, eval_numeric, expand_to_monomials
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
@@ -174,13 +174,13 @@ def jacobi(alpha, kappa, g1, g2, nvars=GENERIC):
     big_g = g1 + g2 + (2 / alpha) * (m - 1) + 2
     rho_kappa = partitions.rho(alpha, kappa)
 
-    def divide(sigma, total):
+    def divisor(sigma):
         denom = big_g * (k - partitions.weight(sigma)) + rho_kappa - partitions.rho(alpha, sigma)
         if isinstance(denom, Fraction) and denom == 0:
             raise PoleError("Jacobi recurrence denominator vanished at sigma=%r" % (sigma,))
-        return total / denom
+        return denom
 
-    inner = binom.one_box_recurrence(alpha, kappa, divide)
+    inner = binom.one_box_recurrence(alpha, kappa, divisor)
     c1 = g1 + (m - 1) / alpha + 1
     coeffs = _binomial_expansion(alpha, kappa, c1, m, inner)
     return OrthoExpansion("jacobi", kappa, {"alpha": alpha, "g1": g1, "g2": g2}, nvars, coeffs)
@@ -292,13 +292,13 @@ def hermite(alpha, kappa, nvars=GENERIC):
     partition are subtracted before the weight multiplies them.  The
     coefficient of C_sigma is v_sigma / C_sigma(I).
 
-    With alpha = P / Q a weight is (P (sigma_i - sigma_j) - Q (i - j)) / P
-    and ``binom._contiguous`` gives each coefficient as an undivided pair,
-    so for a Fraction alpha each sigma's sum, chain differences included,
-    is formed as ints over one unreduced denominator and v_sigma is one
-    Fraction.  A symbolic alpha runs the same expressions in its field,
-    with 1/alpha, the coefficients and the values v as field elements over
-    the int 1 (``rational.undivided``).
+    With alpha = P / Q a weight is (P (sigma_i - sigma_j) - Q (i - j)) / P,
+    and the coefficients are the undivided pairs of ``binom._contiguous``
+    that ``binom.one_box_recurrence`` sums too: for a Fraction alpha each
+    sigma's sum, chain differences included, is formed as ints over one
+    unreduced denominator and v_sigma is one Fraction.  A symbolic alpha
+    runs the same expressions in its field, with 1/alpha, the coefficients
+    and the values v as field elements over the int 1.
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
@@ -431,7 +431,7 @@ def laguerre_hermite_limit_check(alpha, kappa, n, gamma_grid, xs):
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
-    xs = [float(x) for x in xs]
+    xs = [float(as_finite(x, "a coordinate")) for x in xs]
     if len(xs) != n:
         raise DomainError("point has %d coordinates, expected %d" % (len(xs), n))
     target = (-1) ** k * eval_numeric(hermite(alpha, kappa, n), xs, alpha)

@@ -163,12 +163,12 @@ def leg(kappa, i, j):
 
 def upper_hook(alpha, kappa, i, j):
     """leg + alpha*(1 + arm) at the square (i, j)."""
-    return leg(kappa, i, j) + alpha * (1 + arm(kappa, i, j))
+    return leg(kappa, i, j) + as_exact(alpha, "alpha") * (1 + arm(kappa, i, j))
 
 
 def lower_hook(alpha, kappa, i, j):
     """leg + 1 + alpha*arm at the square (i, j)."""
-    return leg(kappa, i, j) + 1 + alpha * arm(kappa, i, j)
+    return leg(kappa, i, j) + 1 + as_exact(alpha, "alpha") * arm(kappa, i, j)
 
 
 def hook_products(alpha, kappa):

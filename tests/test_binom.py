@@ -175,3 +175,16 @@ def test_gbinomial_rational_in_alpha_only():
     assert value.free_parameters() in ((), ("a",))
     numeric = binom.gbinomial(Fraction(2), (3, 2), (2, 1))
     assert value.substitute({"a": 2}).to_fraction() == numeric
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(2), Fraction(1, 4), Fraction(3, 2)])
+def test_numeric_gbinomial_table_is_the_symbolic_one_substituted(alpha):
+    # the int sums over one denominator against the field's own arithmetic
+    for k in range(7):
+        for kap in partitions_of(k):
+            sym = binom.gbinomial_table(a, kap)
+            num = binom.gbinomial_table(alpha, kap)
+            assert list(num) == list(sym) and list(num)[0] == kap
+            for sig, value in num.items():
+                assert type(value) is Fraction, (kap, sig)
+                assert sym[sig].substitute({"a": alpha}).to_fraction() == value, (alpha, kap, sig)

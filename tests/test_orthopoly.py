@@ -346,6 +346,25 @@ def test_symbolic_substitution_matches_numeric_path():
             assert coeff.substitute({"a": Fraction(2, 3)}).to_fraction() == want
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_numeric_jacobi_is_the_symbolic_one_substituted(n):
+    # Fraction alpha, g1 and g2 take the recurrence's int sums; a Fraction
+    # alpha with symbolic g1 and g2 sums int pairs against field values
+    point = {"a": Fraction(2, 3), "g1": Fraction(1, 2), "g2": Fraction(3, 4)}
+    for k in range(1, 5):
+        for kap in partitions_of(k):
+            if len(kap) > n:
+                continue
+            sym = op.jacobi(a, kap, G1, G2, n)
+            mixed = op.jacobi(point["a"], kap, G1, G2, n)
+            num = op.jacobi(point["a"], kap, point["g1"], point["g2"], n)
+            assert set(sym.terms) == set(mixed.terms) == set(num.terms), kap
+            for sig, value in num.terms.items():
+                assert type(value) is Fraction, (kap, sig)
+                assert rf(sym.terms[sig]).substitute(point).to_fraction() == value, (kap, sig)
+                assert rf(mixed.terms[sig]).substitute(point).to_fraction() == value, (kap, sig)
+
+
 @pytest.mark.parametrize(
     "build",
     [

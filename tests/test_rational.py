@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mops import binom, cache, hypergeom, jack, operators, orthopoly, rational
+from mops import binom, cache, hypergeom, jack, operators, orthopoly, partitions, rational
 from mops.errors import DomainError, PoleError
 from mops.rational import (
     ALPHA,
@@ -194,12 +194,42 @@ def test_as_exact_rejects_everything_else(value):
         lambda: jack.jack_expand(True, (2,)),
         lambda: binom.sfact(0.5, 2),
         lambda: operators.apply_to_symexpr(jack.jack_expand(1, (2,), "C", 2), [(0.5, "E")], 1, 2),
+        lambda: binom.sfact(3, True),
+        lambda: binom.sfact(1, 2.5),
+        lambda: partitions.upper_hook(0.5, (2, 1), 1, 1),
+        lambda: partitions.lower_hook(0.5, (2, 1), 1, 1),
+        lambda: jack.dstar_eigenvalue(1, (2,), 2.5),
     ],
-    ids=["gsfact", "laguerre", "ghypergeom", "jack_identity_value", "jack_expand", "sfact", "operator"],
+    ids=[
+        "gsfact", "laguerre", "ghypergeom", "jack_identity_value", "jack_expand", "sfact", "operator",
+        "sfact-bool-order", "sfact-float-order", "upper_hook", "lower_hook", "dstar_eigenvalue",
+    ],
 )
 def test_no_float_or_bool_enters_the_field(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: binom.mv_gamma(ALPHA, 2, 2),
+        lambda: binom.mv_gamma(1, "2", 1),
+        lambda: binom.mv_gamma(1, 2, True),
+        lambda: binom.log_mv_gamma(1, float("nan"), 2),
+        lambda: orthopoly.laguerre_hermite_limit_check(1, (1,), 1, [10], ["0.5"]),
+    ],
+    ids=["mv_gamma-symbolic", "mv_gamma-str", "mv_gamma-bool", "log_mv_gamma-nan", "limit_check-str"],
+)
+def test_a_float_entry_takes_only_finite_numbers(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_float_entries_keep_finite_numbers_and_symbolic_n():
+    assert binom.mv_gamma(Fraction(2), Fraction(3, 2), 1) == binom.mv_gamma(2.0, 1.5, 1)
+    assert jack.dstar_eigenvalue(ALPHA, (2,), N) == 2 + 2 * (2 / ALPHA) * (N - 1)
+    assert partitions.upper_hook(1, (2, 1), 1, 1) == 3
 
 
 def test_constant_rational_functions_are_plain_numbers():
