@@ -63,6 +63,8 @@ def mv_gamma(alpha, a, m):
 
 def log_mv_gamma(alpha, a, m):
     alpha = float(as_finite(alpha, "alpha"))
+    if alpha <= 0:
+        raise DomainError("alpha must be > 0, got %r" % alpha)
     a = float(as_finite(a, "a"))
     m = as_int(m, "m", 1)
     total = m * (m - 1) / (2.0 * alpha) * math.log(math.pi)

@@ -25,7 +25,7 @@ def _parse_vars(text):
     try:
         return int(text)
     except ValueError:
-        raise DomainError("--vars expects an integer or 'generic'")
+        raise DomainError("--vars expects an integer, 'generic' or 'n'")
 
 
 def _parse_point(text):
@@ -260,12 +260,13 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     fmt = {"choices": ("text", "json"), "default": "text"}
+    nvars = {"default": "generic", "help": "number of variables, or generic / n"}
 
     p = sub.add_parser("jack", help="Jack polynomial in the monomial basis")
     p.add_argument("--alpha", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--norm", choices=("C", "J", "P"), default="C")
-    p.add_argument("--vars", default="generic")
+    p.add_argument("--vars", **nvars)
     p.add_argument("--at", help="evaluate at x1,x2,... instead of printing")
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_jack)
@@ -274,7 +275,7 @@ def build_parser():
         p = sub.add_parser(family, help="%s polynomial in the Jack C basis" % family)
         p.add_argument("--alpha", required=True)
         p.add_argument("--partition", required=True)
-        p.add_argument("--vars", default="generic")
+        p.add_argument("--vars", **nvars)
         if family == "laguerre":
             p.add_argument("--g", required=True)
         if family == "jacobi":
@@ -312,7 +313,7 @@ def build_parser():
     p.add_argument("--what", required=True, choices=("m2m", "m2p", "p2m", "m2jack", "jack2jack"))
     p.add_argument("--alpha")
     p.add_argument("--expr", required=True)
-    p.add_argument("--vars", default="generic")
+    p.add_argument("--vars", **nvars)
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_convert)
 
@@ -322,7 +323,7 @@ def build_parser():
     p.add_argument("--g")
     p.add_argument("--g1")
     p.add_argument("--g2")
-    p.add_argument("--vars", default="generic")
+    p.add_argument("--vars", **nvars)
     p.add_argument("--expr", required=True)
     p.add_argument("--basis", choices=("jack", "monomial"), default="jack")
     p.add_argument("--format", **fmt)

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 from . import binom, jack, orthopoly, partitions, symfun
 from .errors import DomainError, UnsupportedModeError
-from .rational import as_exact
-from .symfun import GENERIC
+from .rational import as_exact, as_int
+from .symfun import GENERIC, as_nvars
 
 
 class EnsembleSpec:
@@ -28,7 +28,7 @@ class EnsembleSpec:
             raise DomainError("unknown ensemble %r" % family)
         self.family = family
         self.alpha = jack._as_alpha(alpha)
-        self.nvars = nvars
+        self.nvars = as_nvars(nvars, 1)
         checked = {}
         if family == "laguerre":
             checked["g"] = orthopoly._check_weight_param(params.pop("g"), "g")
@@ -58,9 +58,9 @@ def expect_jack_c(spec, kappa):
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
     alpha = spec.alpha
-    m = orthopoly._m_scalar(spec.nvars)
     if spec.nvars is not GENERIC and len(kappa) > spec.nvars:
         return alpha * 0
+    m = orthopoly._check_nvars(kappa, spec.nvars)
     if spec.family == "hermite":
         h0 = orthopoly._hermite_constant_term(alpha, kappa, m) if k % 2 == 0 else 0
         if not h0:
@@ -108,9 +108,7 @@ def conjecture_coefficients(alpha, k, cap=8):
     shape holds, and a conforming flag; never raises on a counterexample.
     """
     alpha = jack._as_alpha(alpha)
-    if k < 1:
-        raise DomainError("need k >= 1")
-    if k > cap:
+    if as_int(k, "k", 1) > cap:
         raise DomainError("k = %d exceeds the cap %d" % (k, cap))
     expansion = symfun.m2jack(alpha, symfun.SymExpr("m", {(k,): 1}), GENERIC)
     report = []

@@ -36,8 +36,8 @@ from itertools import zip_longest
 
 from . import binom, cache, operators, partitions
 from .errors import DomainError
-from .rational import as_exact, as_int, homogeneous, ratio
-from .symfun import GENERIC, SymExpr
+from .rational import as_exact, homogeneous, ratio
+from .symfun import GENERIC, SymExpr, as_nvars
 
 NORMALIZATIONS = ("C", "J", "P")
 
@@ -57,7 +57,7 @@ def jack_monomial_coefficients(alpha, kappa):
 def _length(kappa, nvars):
     """The most parts a partition of |kappa| keeps in nvars variables."""
     k = partitions.weight(kappa)
-    return k if nvars is GENERIC else min(as_int(nvars, "the variable count"), k)
+    return k if as_nvars(nvars) is GENERIC else min(nvars, k)
 
 
 def _c_table(alpha, nvars, kappa):
@@ -215,7 +215,7 @@ def apply_dstar(expr, alpha, nvars):
     with eigenvalue rho(alpha, kappa) + (2/alpha) k (n-1).
     """
     alpha = _as_alpha(alpha)
-    if nvars is GENERIC:
+    if as_nvars(nvars, 1) is GENERIC:
         raise DomainError("apply_dstar needs a numeric variable count")
     if nvars > 6:
         raise DomainError("apply_dstar is capped at 6 variables")

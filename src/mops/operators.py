@@ -16,7 +16,7 @@ functions), exponents machine ints.
 
 from .errors import DomainError
 from .rational import as_exact
-from .symfun import GENERIC, SymExpr, _distinct_rearrangements
+from .symfun import GENERIC, SymExpr, _distinct_rearrangements, as_nvars
 
 
 def expand_to_vectors(expr, nvars):
@@ -134,7 +134,7 @@ def apply_to_symexpr(expr, terms, alpha, nvars):
           'eps'          sum d_i
     expr is a monomial SymExpr on nvars variables, and so is the result.
     """
-    if nvars is GENERIC:
+    if as_nvars(nvars, 1) is GENERIC:
         raise DomainError("operator application needs a numeric variable count")
     poly = expand_to_vectors(expr, nvars)
     out = {}

@@ -24,7 +24,7 @@ from . import binom, cache, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
 from .rational import as_exact, as_finite, homogeneous, ratio, rf, undivided
-from .symfun import GENERIC, SymExpr, eval_numeric, expand_to_monomials
+from .symfun import GENERIC, SymExpr, as_nvars, eval_numeric, expand_to_monomials
 
 FAMILIES = ("hermite", "laguerre", "jacobi")
 
@@ -61,20 +61,13 @@ class OrthoExpansion(SymExpr):
         return out
 
 
-def _m_scalar(nvars):
-    if nvars is GENERIC:
-        return N_PARAM
-    return Fraction(nvars)
-
-
 def _check_nvars(kappa, nvars):
-    if nvars is not GENERIC:
-        if nvars < 1:
-            raise DomainError("need at least one variable")
-        if len(kappa) > nvars:
-            raise DomainError(
-                "partition %r needs at least %d variables" % (list(kappa), len(kappa))
-            )
+    """N or Fraction(nvars): the scalar m of a count of at least max(1, len(kappa)) variables."""
+    if as_nvars(nvars, 1) is GENERIC:
+        return N_PARAM
+    if len(kappa) > nvars:
+        raise DomainError("partition %r needs at least %d variables" % (list(kappa), len(kappa)))
+    return Fraction(nvars)
 
 
 def _check_weight_param(value, name):
@@ -145,8 +138,7 @@ def laguerre(alpha, kappa, gamma, nvars=GENERIC):
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     gamma = _check_weight_param(gamma, "gamma")
-    _check_nvars(kappa, nvars)
-    m = _m_scalar(nvars)
+    m = _check_nvars(kappa, nvars)
     c1 = gamma + (m - 1) / alpha + 1
     coeffs = _binomial_expansion(alpha, kappa, c1, m, binom.gbinomial_table(alpha, kappa))
     return OrthoExpansion("laguerre", kappa, {"alpha": alpha, "g": gamma}, nvars, coeffs)
@@ -168,8 +160,7 @@ def jacobi(alpha, kappa, g1, g2, nvars=GENERIC):
     kappa = partitions.as_partition(kappa)
     g1 = _check_weight_param(g1, "g1")
     g2 = _check_weight_param(g2, "g2")
-    _check_nvars(kappa, nvars)
-    m = _m_scalar(nvars)
+    m = _check_nvars(kappa, nvars)
     k = partitions.weight(kappa)
     big_g = g1 + g2 + (2 / alpha) * (m - 1) + 2
     rho_kappa = partitions.rho(alpha, kappa)
@@ -204,8 +195,7 @@ def hermite2(alpha, kappa, nvars=GENERIC):
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
-    _check_nvars(kappa, nvars)
-    m = _m_scalar(nvars)
+    m = _check_nvars(kappa, nvars)
     k = partitions.weight(kappa)
     totals = {}
     for mu, kappa_mu, e in _hermite_mu_walk(alpha, kappa, m, k):
@@ -228,7 +218,7 @@ def hermite2(alpha, kappa, nvars=GENERIC):
 def _hermite_mu_walk(alpha, kappa, m, top):
     """(mu, (-1)^(k-|mu|) (kappa choose mu), e) for each mu <= kappa, |mu| <= top.
 
-    alpha and kappa must be canonical and m the scalar of ``_m_scalar``.
+    alpha and kappa must be canonical and m the scalar of ``_check_nvars``.
     e[t], t <= h = k/2 rounded down, is the elementary symmetric polynomial
     e_t(kappa/mu) of the numerators alpha j + m - 1 - (i-1) over the boxes
     (i, j) of kappa/mu.  (r + c0)_kappa/(r + c0)_mu is the product of the
@@ -257,7 +247,7 @@ def _hermite_constant_term(alpha, kappa, m):
     """The coefficient of C_() in ``hermite2(alpha, kappa, m)``.
 
     alpha and kappa must be canonical, k = |kappa| even and m the scalar
-    of ``_m_scalar``.  For sigma = () the formula of ``hermite2`` needs
+    of ``_check_nvars``.  For sigma = () the formula of ``hermite2`` needs
     only (kappa choose mu): with h = k/2 the term is
 
         C_kappa(I_m) / alpha^h sum_{mu <= kappa, |mu| <= h}
@@ -302,12 +292,12 @@ def hermite(alpha, kappa, nvars=GENERIC):
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
-    _check_nvars(kappa, nvars)
+    m = _check_nvars(kappa, nvars)
     k = partitions.weight(kappa)
     # 1/alpha = Q/P as ints for a Fraction alpha, (1/alpha, 1) in alpha's field
     p, q = homogeneous(alpha)
     rho_num, rho_den = undivided(q, p)
-    ident = _identity_values(alpha, kappa, _m_scalar(nvars))
+    ident = _identity_values(alpha, kappa, m)
     inner = {kappa: ident[kappa]}
     # reversed lexicographic order puts every sigma^(i)(j) before sigma
     for sigma in reversed(partitions.subpartitions_of(kappa)):
@@ -361,8 +351,6 @@ def family_operator(expansion):
     Returns a monomial SymExpr; compare with family_eigenvalue(expansion)
     times the polynomial.
     """
-    if expansion.nvars is GENERIC:
-        raise DomainError("operator check needs a numeric variable count")
     alpha = expansion.params["alpha"]
     if expansion.family == "hermite":
         terms = [(1, "deltastarstar"), (-1, "E")]
@@ -404,10 +392,8 @@ def eval_at_zero(expansion):
 
 def eval_at_scalar_identity(expansion, x, m):
     """Value at (x, x, ..., x) with m entries, by homogeneity of C_sigma."""
-    if expansion.nvars is GENERIC or expansion.nvars != m:
-        raise DomainError(
-            "expansion was built for %r variables, not %d" % (expansion.nvars, m)
-        )
+    if expansion.nvars is GENERIC or expansion.nvars != as_nvars(m, 1):
+        raise DomainError("expansion was built for %r variables, not %r" % (expansion.nvars, m))
     x = as_exact(x, "x")
     return sum(layer * x**s for s, layer in enumerate(_scalar_identity_sums(expansion)))
 

@@ -40,11 +40,8 @@ def partitions_of(k, max_part=None, max_len=None):
     ``max_part`` restricts the first (largest) part and ``max_len`` the
     number of parts; a branch stops as soon as its remainder cannot fit.
     """
-    if k < 0:
-        raise DomainError("cannot partition a negative integer: %d" % k)
-    if max_len is not None and max_len < 0:
-        raise DomainError("negative bound on the number of parts: %d" % max_len)
-    bound = k if max_part is None else min(max_part, k)
+    k = as_int(k, "k")
+    bound = k if max_part is None else min(as_int(max_part, "max_part"), k)
     result = []
 
     def descend(remaining, largest, slots, prefix):
@@ -58,7 +55,7 @@ def partitions_of(k, max_part=None, max_len=None):
             descend(remaining - part, part, slots - 1, prefix)
             prefix.pop()
 
-    descend(k, bound, k if max_len is None else max_len, [])
+    descend(k, bound, k if max_len is None else as_int(max_len, "max_len"), [])
     return result
 
 

@@ -34,6 +34,12 @@ from .rational import RationalFunction, as_exact, as_finite, as_int, common_deno
 
 GENERIC = None
 
+
+def as_nvars(nvars, least=0):
+    """nvars itself when it is GENERIC or an int >= least: a variable count."""
+    return nvars if nvars is GENERIC else as_int(nvars, "the variable count", least)
+
+
 BASES = ("m", "p", "C", "J", "P")
 JACK_BASES = ("C", "J", "P")
 
@@ -46,8 +52,7 @@ class SymExpr:
     def __init__(self, basis, terms, nvars=GENERIC):
         if basis not in BASES:
             raise DomainError("unknown basis %r" % basis)
-        if nvars is not GENERIC:
-            as_int(nvars, "the variable count")
+        nvars = as_nvars(nvars)
         clean = {}
         for part, coeff in terms.items():
             part = partitions.as_partition(part)
@@ -297,8 +302,15 @@ def _distinct_rearrangements(part, n):
 
 
 def mono_product(lam, mu, n):
-    """Expansion of m_lam * m_mu in n variables: dict nu -> int coefficient."""
+    """Expansion of m_lam * m_mu in n variables: dict nu -> int coefficient.
+
+    A generic n takes max(len(lam) + len(mu), 1) variables, where the
+    coefficients are already the stabilized ones.
+    """
     lam, mu = partitions.as_partition(lam), partitions.as_partition(mu)
+    n = as_nvars(n)
+    if n is GENERIC:
+        n = max(len(lam) + len(mu), 1)
     if len(lam) > n or len(mu) > n:
         return {}
     if partitions.weight(lam) < partitions.weight(mu):
@@ -327,18 +339,12 @@ def _mono_product(lam, mu, n):
 
 
 def _mul_m(e1, e2, nvars):
-    """e1 * e2 in the monomial basis.
-
-    With a generic count each pair of terms is multiplied in
-    max(len(lam) + len(mu), 1) variables, where the coefficients are
-    already the stabilized ones.
-    """
+    """e1 * e2 in the monomial basis, each pair of terms by ``mono_product``."""
     terms = {}
     for p1, c1 in e1.terms.items():
         for p2, c2 in e2.terms.items():
-            n = nvars if nvars is not GENERIC else max(len(p1) + len(p2), 1)
             c = c1 * c2
-            for nu, mult in mono_product(p1, p2, n).items():
+            for nu, mult in mono_product(p1, p2, nvars).items():
                 terms[nu] = terms[nu] + c * mult if nu in terms else c * mult
     return SymExpr("m", terms, nvars)
 

@@ -170,6 +170,18 @@ def test_convert_in_zero_variables(capsys):
         assert (code, out) == (0, want + "\n"), (what, expr)
 
 
+def test_expect_needs_a_variable_and_jack_and_convert_take_none(capsys):
+    argv = ["expect", "--ensemble", "laguerre", "--alpha", "1", "--g", "0", "--vars", "0", "--expr", "C[1]"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "variable count" in err
+    for argv, want in [
+        (["jack", "--alpha", "1", "--partition", "2,1", "--vars", "0"], "0\n"),
+        (["convert", "--what", "m2m", "--expr", "m[1]*m[1] + 2", "--vars", "0"], "2\n"),
+    ]:
+        assert run(argv, capsys)[:2] == (0, want), argv
+
+
 def test_m2p_refuses_a_numeric_variable_count(capsys):
     # m2p solves in the generic ring; a numeric --vars would be ignored
     for vars_ in ("1", "3"):

@@ -191,7 +191,7 @@ def test_hermite_constant_term_matches_both_constructions():
     for alpha in (a, one, Fraction(2), Fraction(1, 3), Fraction(3, 2)):
         for n in (GENERIC, 1, 2, 3, 5):
             cap = 8 - 2 * ((alpha is a) + (n is GENERIC))
-            m = op._m_scalar(n)
+            m = op._check_nvars((), n)
             for k in range(0, cap + 1, 2):
                 for kap in partitions_of(k, max_len=n):
                     got = op._hermite_constant_term(alpha, kap, m)

@@ -1,13 +1,14 @@
 import math
 import time
 from fractions import Fraction
+from functools import partial
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mops import binom, cache, hypergeom, jack, operators, orthopoly, partitions, rational
+from mops import binom, cache, expect, hypergeom, jack, operators, orthopoly, partitions, rational, symfun
 from mops.errors import DomainError, PoleError
 from mops.rational import (
     ALPHA,
@@ -27,7 +28,7 @@ from mops.rational import (
     param,
     rf,
 )
-from mops.symfun import GENERIC
+from mops.symfun import GENERIC, SymExpr
 
 a = ALPHA
 n = N
@@ -210,6 +211,55 @@ def test_no_float_or_bool_enters_the_field(call):
         call()
 
 
+_ENSEMBLES = {
+    "hermite": lambda n: expect.EnsembleSpec("hermite", 1, n),
+    "laguerre": lambda n: expect.EnsembleSpec("laguerre", 1, n, g=0),
+    "jacobi": lambda n: expect.EnsembleSpec("jacobi", 1, n, g1=0, g2=0),
+}
+_ORTHO = {
+    "hermite": lambda n: orthopoly.hermite(1, (), n),
+    "hermite2": lambda n: orthopoly.hermite2(1, (), n),
+    "laguerre": lambda n: orthopoly.laguerre(1, (), 0, n),
+    "jacobi": lambda n: orthopoly.jacobi(1, (), 0, 0, n),
+}
+_M1 = SymExpr("m", {(1,): 1}, 3)
+_COUNTS = {
+    "spec-jacobi-2.5": lambda: expect.expect_jack_c(_ENSEMBLES["jacobi"](2.5), (1,)),
+    "spec-hermite-2.5": lambda: expect.expect_jack_c(_ENSEMBLES["hermite"](2.5), (2,)),
+    "spec-bool": lambda: _ENSEMBLES["hermite"](True),
+    "spec-str": lambda: _ENSEMBLES["hermite"]("3"),
+    "jacobi-str": lambda: orthopoly.jacobi(1, (1,), 0, 0, "3"),
+    "hermite-bool": lambda: orthopoly.hermite(1, (1, 1), True),
+    "apply_dstar-str": lambda: jack.apply_dstar(_M1, 1, "3"),
+    "apply_dstar-float": lambda: jack.apply_dstar(_M1, 1, 2.5),
+    "apply_to_symexpr-float": lambda: operators.apply_to_symexpr(_M1, [(1, "E")], 1, 2.5),
+    "mono_product-float": lambda: symfun.mono_product((1,), (1,), 2.5),
+    "mono_product-bool": lambda: symfun.mono_product((1,), (1,), True),
+    "partitions_of-float": lambda: partitions.partitions_of(2.0),
+    "partitions_of-bool": lambda: partitions.partitions_of(True),
+    "partitions_of-float-max_len": lambda: partitions.partitions_of(3, None, 1.5),
+    "conjecture_coefficients-str": lambda: expect.conjecture_coefficients(1, "3"),
+    "eval_at_scalar_identity-float": lambda: orthopoly.eval_at_scalar_identity(orthopoly.hermite(1, (1,), 2), 1, 2.0),
+    "eval_at_scalar_identity-bool": lambda: orthopoly.eval_at_scalar_identity(orthopoly.hermite(1, (1,), 1), 1, True),
+}
+for _n in (0, -2):
+    _COUNTS.update({"spec-%s-%d" % (name, _n): partial(build, _n) for name, build in _ENSEMBLES.items()})
+    _COUNTS.update({"%s-%d" % (name, _n): partial(build, _n) for name, build in _ORTHO.items()})
+
+
+@pytest.mark.parametrize("call", list(_COUNTS.values()), ids=list(_COUNTS))
+def test_a_variable_count_is_generic_or_an_integer_in_range(call):
+    # one check, symfun.as_nvars: no entry takes 2.5, True, "3" or too few variables
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("nvars", [1, 3, GENERIC], ids=repr)
+def test_every_ensemble_has_mass_one(nvars):
+    for build in _ENSEMBLES.values():
+        assert expect.expect_jack_c(build(nvars), ()) == 1
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -218,8 +268,13 @@ def test_no_float_or_bool_enters_the_field(call):
         lambda: binom.mv_gamma(1, 2, True),
         lambda: binom.log_mv_gamma(1, float("nan"), 2),
         lambda: orthopoly.laguerre_hermite_limit_check(1, (1,), 1, [10], ["0.5"]),
+        lambda: binom.mv_gamma(0, 1, 2),
+        lambda: binom.mv_gamma(-1, 1, 2),
     ],
-    ids=["mv_gamma-symbolic", "mv_gamma-str", "mv_gamma-bool", "log_mv_gamma-nan", "limit_check-str"],
+    ids=[
+        "mv_gamma-symbolic", "mv_gamma-str", "mv_gamma-bool", "log_mv_gamma-nan", "limit_check-str",
+        "mv_gamma-alpha-0", "mv_gamma-alpha-negative",
+    ],
 )
 def test_a_float_entry_takes_only_finite_numbers(call):
     with pytest.raises(DomainError):

@@ -88,6 +88,14 @@ def test_zero_variables():
     assert p2m(parser.parse_expression("2*p[1] + 5"), 0).terms == {(): 5}
 
 
+def test_mono_product_with_a_generic_count_is_stabilized():
+    # a generic count multiplies in len(lam) + len(mu) variables, where more add no term
+    for lam, mu in [((1,), (1,)), ((2, 1), (1,)), ((), ()), ((3,), ())]:
+        n = max(len(lam) + len(mu), 1)
+        want = symfun.mono_product(lam, mu, n)
+        assert symfun.mono_product(lam, mu, GENERIC) == want == symfun.mono_product(lam, mu, n + 2)
+
+
 def test_mono_products_match_rearrangement_oracle():
     # orbit counting against the count over every rearrangement of mu
     parts = [lam for w in range(7) for lam in partitions_of(w)]
