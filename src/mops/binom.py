@@ -107,14 +107,17 @@ def contiguous(alpha, sigma, i):
     Q u + P v, ``_contiguous`` keeps the two int products, and this
     Fraction is the one division; a symbolic alpha takes them in its field.
     """
-    return ratio(*_contiguous(as_exact(alpha, "alpha"), partitions.as_partition(sigma), i))
+    p, q = homogeneous(as_exact(alpha, "alpha"))
+    return ratio(*_contiguous(p, q, partitions.as_partition(sigma), i))
 
 
 @cache.memo
-def _contiguous(alpha, sigma, i):
+def _contiguous(p, q, sigma, i):
     """(sigma^(i) choose sigma) as the pair of ``rational.undivided``.
 
-    For a Fraction alpha it is two ints, so a caller can sum several such
+    alpha = P / Q comes as ``homogeneous(alpha)``, which the callers hold:
+    two ints key the table without hashing a Fraction at every box.  For
+    a Fraction alpha the pair is two ints, so a caller can sum several such
     ratios over one denominator; for a symbolic alpha it is (value, 1).
     """
     if _row_increment(sigma, i) is None:
@@ -122,7 +125,6 @@ def _contiguous(alpha, sigma, i):
     row = sigma[i - 1] if i - 1 < len(sigma) else 0
     # a hook u + alpha v is taken as Q u + P v with alpha = P / Q; num and
     # den have equally many, so the powers of Q cancel
-    p, q = homogeneous(alpha)
     num = den = p**0
     # column c holds rows 1..i-1 of sigma, so (r, c) has leg i - 1 - r
     for r0 in range(i - 1):
@@ -139,7 +141,7 @@ def _contiguous(alpha, sigma, i):
         arm = row - j
         num = num * (leg + p * (2 + arm))
         den = den * (leg + p * (1 + arm))
-    return undivided(num, partitions._hook_divisor(den, alpha, sigma))
+    return undivided(num, partitions._hook_divisor(den, ratio(p, q), sigma))
 
 
 def one_box_recurrence(alpha, kappa, divisor):
@@ -156,6 +158,7 @@ def one_box_recurrence(alpha, kappa, divisor):
     v_sigma is one Fraction; a symbolic alpha runs the same expressions in
     its field, over the int 1.
     """
+    p, q = homogeneous(alpha)
     table = {kappa: alpha**0}
     # reversed lexicographic order puts every sigma^(i) before sigma;
     # kappa, the last subpartition, keeps its seed
@@ -165,7 +168,7 @@ def one_box_recurrence(alpha, kappa, divisor):
             up_val = table.get(_row_increment(sigma, i))
             if up_val is None:
                 continue
-            coeff_num, coeff_den = _contiguous(alpha, sigma, i)
+            coeff_num, coeff_den = _contiguous(p, q, sigma, i)
             value_num, value_den = homogeneous(up_val)
             term_num, term_den = coeff_num * value_num, coeff_den * value_den
             if num is None:

@@ -15,17 +15,26 @@ from . import binom, expect, hypergeom, jack, orthopoly, partitions, symfun
 from .errors import ConvergenceError, DomainError, MopsError, PoleError
 from .parser import parse_expression, parse_scalar
 from .rational import R as R_PARAM
-from .rational import RationalFunction, rf, to_float
+from .rational import RationalFunction, read_int, rf, to_float
 from .symfun import GENERIC
 
 
+def _integer(text):
+    """argparse type of an integer option: ``read_int``, a refusal exits 2."""
+    try:
+        return read_int(text, "the value")
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_vars(text):
+    """argparse type of --vars: 'generic' or 'n' is GENERIC, else an integer."""
     if text in ("generic", "n"):
         return GENERIC
     try:
-        return int(text)
-    except ValueError:
-        raise DomainError("--vars expects an integer, 'generic' or 'n'")
+        return read_int(text, "--vars")
+    except DomainError:
+        raise argparse.ArgumentTypeError("expects an integer, 'generic' or 'n', got %r" % text) from None
 
 
 def _parse_point(text):
@@ -38,9 +47,9 @@ def _parse_point(text):
 def _parse_grid(text):
     try:
         start, stop, count = (text or "").split(":")
-        start, stop, count = float(start), float(stop), int(count)
-    except ValueError:
-        raise DomainError("--grid expects start:stop:count")
+        start, stop, count = float(start), float(stop), read_int(count, "the grid count")
+    except (ValueError, DomainError):
+        raise DomainError("--grid expects start:stop:count with an integer count, got %r" % text) from None
     if count < 2:
         raise DomainError("grid needs at least 2 points")
     step = (stop - start) / (count - 1)
@@ -71,7 +80,7 @@ def _emit_csv(xs, ys):
 def cmd_jack(args):
     alpha = parse_scalar(args.alpha)
     kappa = partitions.deserialize(args.partition)
-    nvars = _parse_vars(args.vars)
+    nvars = args.vars
     e = jack.jack_expand(alpha, kappa, args.norm, nvars)
     if args.at is not None:
         value = symfun.eval_numeric(e, _parse_point(args.at))
@@ -83,7 +92,7 @@ def cmd_jack(args):
 def cmd_ortho(args):
     alpha = parse_scalar(args.alpha)
     kappa = partitions.deserialize(args.partition)
-    nvars = _parse_vars(args.vars)
+    nvars = args.vars
     if args.family == "hermite":
         e = orthopoly.hermite(alpha, kappa, nvars)
     elif args.family == "hermite2":
@@ -117,11 +126,13 @@ def cmd_hypergeom(args):
     lower = [parse_scalar(t) for t in args.lower.split(",") if t.strip()] if args.lower else []
     if args.xid:
         xtext, _, m = args.xid.rpartition(":")
-        if not m.strip().isdigit():
-            raise DomainError("--xid expects x:m with an integer m, got %r" % args.xid)
+        try:
+            m = read_int(m, "m")
+        except DomainError:
+            raise DomainError("--xid expects x:m with an integer m, got %r" % args.xid) from None
         # "x" is accepted as a spelling of the formal series variable
         x = R_PARAM if xtext.strip() == "x" else parse_scalar(xtext)
-        arg = ("xid", x, int(m))
+        arg = ("xid", x, m)
     elif args.x:
         arg = ("vec", _parse_point(args.x))
     else:
@@ -135,7 +146,7 @@ def cmd_hypergeom(args):
 
 def cmd_convert(args):
     alpha = parse_scalar(args.alpha) if args.alpha else None
-    nvars = _parse_vars(args.vars)
+    nvars = args.vars
     tree = parse_expression(args.expr)
     what = args.what
     if what == "m2m":
@@ -157,7 +168,7 @@ def cmd_convert(args):
 
 def cmd_expect(args):
     alpha = parse_scalar(args.alpha)
-    nvars = _parse_vars(args.vars)
+    nvars = args.vars
     kwargs = {}
     if args.ensemble == "laguerre":
         kwargs["g"] = parse_scalar(args.g)
@@ -239,10 +250,7 @@ def _load_config(path):
             raise DomainError("config lines must be key=value: %r" % line)
         if key != "default_limit":
             raise DomainError("unknown config key %r; the only key is default_limit" % key)
-        try:
-            settings[key] = int(value)
-        except ValueError:
-            raise DomainError("default_limit must be an integer, got %r" % value)
+        settings[key] = read_int(value, "default_limit")
     return settings
 
 
@@ -260,7 +268,7 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     fmt = {"choices": ("text", "json"), "default": "text"}
-    nvars = {"default": "generic", "help": "number of variables, or generic / n"}
+    nvars = {"default": "generic", "type": _parse_vars, "help": "number of variables, or generic / n"}
 
     p = sub.add_parser("jack", help="Jack polynomial in the monomial basis")
     p.add_argument("--alpha", required=True)
@@ -304,7 +312,7 @@ def build_parser():
     p.add_argument("--lower", default="")
     p.add_argument("--xid", help="scalar-identity argument x:m")
     p.add_argument("--x", help="numeric point x1,x2,...")
-    p.add_argument("--limit", type=int)
+    p.add_argument("--limit", type=_integer)
     p.add_argument("--tol", type=float)
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_hypergeom)
@@ -338,10 +346,10 @@ def build_parser():
     p = sub.add_parser("density", help="eigenvalue-statistics curves (CSV)")
     p.add_argument("which", choices=("smallest", "level", "largest-cdf"))
     p.add_argument("--alpha")
-    p.add_argument("--p", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--beta", type=int)
-    p.add_argument("--n", type=int)
+    p.add_argument("--p", type=_integer)
+    p.add_argument("--m", type=_integer)
+    p.add_argument("--beta", type=_integer)
+    p.add_argument("--n", type=_integer)
     p.add_argument("--g")
     p.add_argument("--x")
     p.add_argument("--grid")

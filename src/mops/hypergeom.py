@@ -39,9 +39,12 @@ only in how they fold the sums and when they stop:
   explicit degree limit or a relative tolerance (p >= q+2, and p = q+1
   at a point with some |x_i| > 1, are refused without a limit).
   Scalar-identity arguments x I_m read the held sums and multiply each by
-  x^k; an explicit point folds the plain layers of ``_series_layers``
-  through monomial expansions at the exact (dyadic) point, and a float
-  point rounds the truncated sum once.
+  x^k.  At an explicit point, exact or dyadic, each plain layer of
+  ``_series_layers`` is sum coeff_kappa C_kappa(x), with C_kappa(x) from
+  ``jack.point_values``: the branching rule over horizontal strips, one
+  value per partition and variable count and no monomial table.  A layer
+  is summed over one common denominator, and a float point rounds the
+  truncated sum once.
 - ``smallest_eig_terms`` is the terminating 2F0(-p, m/alpha+1; ; I_{m-1}).
   It and the level density are exact polynomials, held as ints over one
   denominator: each point sums one by ``jack._horner`` at the dyadic x and
@@ -69,7 +72,6 @@ from .rational import (
     rf,
     to_float,
 )
-from .symfun import SymExpr, eval_numeric
 
 DEGREE_CAP = 400
 
@@ -211,6 +213,21 @@ def _identity_sums(alpha, upper, lower, m, width=None):
         yield sums[k]
 
 
+def _layer_at(terms, c_at):
+    """sum coeff_kappa C_kappa(x) over one layer's (kappa, coeff_kappa), in series order.
+
+    A zero coefficient asks for no C_kappa, so its pole does not count.
+    The terms are summed over their least common denominator and divided once.
+    """
+    pairs = []
+    for kappa, coeff in terms:
+        if coeff:
+            c_num, c_den = c_at(kappa)
+            pairs.append((coeff.numerator * c_num, coeff.denominator * c_den))
+    d = math.lcm(*(den for _, den in pairs))
+    return Fraction(sum(num * (d // den) for num, den in pairs), d)
+
+
 def classify(upper, lower):
     """Convergence class of pFq: terminating, entire, boundary or divergent.
 
@@ -237,7 +254,10 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     must make the sum finite; limit is an int >= 0, tol a finite number > 0.
     A numeric point or a tolerance needs alpha, the parameters and x to be
     finite numbers.  A point with a float coordinate gives a float; an
-    exact or empty point gives an exact value.
+    exact or empty point gives an exact value.  At an explicit point the
+    float coordinates are their exact dyadic values, every layer is the
+    exact sum of coeff_kappa C_kappa(x) with C_kappa(x) from
+    ``jack.point_values``, and only the truncated total is rounded.
     """
     if limit is not None:
         as_int(limit, "limit")
@@ -288,11 +308,8 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
         )
     else:
         # a float coordinate is a dyadic Fraction: the layers are exact
-        point = [Fraction(v) if isinstance(v, float) else v for v in xs]
-        layers = (
-            eval_numeric(SymExpr._of_canonical("C", dict(terms), m), point, alpha) if terms else None
-            for terms in _series_layers(alpha, upper, lower, m, width)
-        )
+        c_at = jack.point_values(alpha, [Fraction(v) if isinstance(v, float) else v for v in xs])
+        layers = (_layer_at(terms, c_at) if terms else None for terms in _series_layers(alpha, upper, lower, m, width))
     rounded = kind == "vec" and any(isinstance(v, float) for v in xs)
     total = None
     for k, layer in zip(range(max_degree + 1), layers):

@@ -29,14 +29,21 @@ multiplies it by alpha^k k! / j_kappa(alpha); alpha is a pole exactly
 when the hook product j_kappa vanishes there.  The J expansion is the
 Horner values themselves, with no pole, and P is J divided by its leading
 coefficient J_{kappa,kappa}, the product of lower hooks.
+
+At an explicit numeric point no table is needed.  ``point_values`` gives
+C_kappa(x) from the branching rule over horizontal strips (Koev & Edelman,
+Math. Comp. 2006, 4-5): J_kappa in n variables is a sum of J_mu in n - 1
+variables times x_n^|kappa/mu| and a ratio of hooks, so it takes one int
+per (kappa, n), with no monomial expansion and no orbit sum.
 """
 
 import math
+from fractions import Fraction
 from itertools import zip_longest
 
 from . import binom, cache, operators, partitions
 from .errors import DomainError
-from .rational import as_exact, homogeneous, ratio
+from .rational import as_exact, common_denominator, homogeneous, ratio
 from .symfun import GENERIC, SymExpr, as_nvars
 
 NORMALIZATIONS = ("C", "J", "P")
@@ -147,6 +154,181 @@ def _jack_monomial_coefficients(alpha, kappa, length):
     j_full = partitions.hook_products(alpha, kappa)[2]
     factor = alpha**k * math.factorial(k) / partitions._hook_divisor(j_full, alpha, kappa)
     return {lam: ratio(*_horner(coeffs, alpha)) * factor for lam, coeffs in _jack_j_table(kappa, length).items()}
+
+
+class _Branching:
+    """Q^|kappa| J_kappa(X_1..X_n) at an int point X for alpha = P / Q > 0.
+
+    The branching rule (Koev & Edelman, Math. Comp. 2006, 4; Macdonald
+    VI (7.13')) is
+
+        J_kappa(x_1..x_n) = sum_mu J_mu(x_1..x_(n-1)) x_n^|kappa/mu| beta_kappa,mu
+
+    over the horizontal strips kappa/mu: mu_i in [kappa_(i+1), kappa_i],
+    mu_n = 0.  beta is the product over the boxes of kappa of B^kappa over
+    the product over the boxes of mu of B^mu, where B^nu(i, j) is nu's lower
+    hook l + 1 + alpha a when the strip meets column j, else its upper hook
+    l + alpha (1 + a).  A box in a row and a column the strip misses has
+    equal hooks in kappa and mu, so beta is a product over pairs of rows
+    i <= r of ``_segment``s: row i's boxes in the columns whose lowest box
+    is in row r.  Each hook u + alpha v is taken as Q u + P v, so beta's
+    numerator has |kappa/mu| more factors than its denominator, and
+    Q^|kappa| J_kappa(X) is an int: J_kappa's coefficients are int
+    polynomials in alpha of degree at most |kappa|.
+
+    ``value(kappa, n)`` sums over mu as one unreduced int pair and divides
+    once; a remainder raises ArithmeticError.  Every value is kept, one per
+    (kappa, n), for the larger partitions and counts that branch to it, and
+    every segment for the strips that share it.  With alpha > 0 no hook
+    vanishes, so no denominator is 0.
+    """
+
+    def __init__(self, alpha, xs):
+        self.p, self.q = homogeneous(alpha)
+        self.xs = xs
+        self.values = [{(): 1}] + [{} for _ in xs]
+        self.segments = {}
+
+    def _segment(self, key):
+        """(N, D): row i's factors in the columns (kappa_(r+1), kappa_r], r = i + gap.
+
+        key = (gap, k_i, m_i, k_r, m_r, k_next) holds the parts of kappa and
+        mu in rows i and r and k_next = kappa_(r+1).  A box there has leg gap
+        in kappa, and in mu too unless the strip meets its column
+        (mu_r < j), which takes the lowest box away.  The pair is kept for
+        every strip that shares it.
+        """
+        gap, k_i, m_i, k_r, m_r, k_next = key
+        p, q = self.p, self.q
+        num = den = 1
+        for j in range(m_r + 1, k_r + 1):
+            # the strip meets the column: lower hooks, which mu has only above the strip
+            num *= q * (gap + 1) + p * (k_i - j)
+            if gap:
+                den *= q * gap + p * (m_i - j)
+        if m_i < k_i:
+            # columns it misses: upper hooks, the arm longer in kappa
+            for j in range(k_next + 1, m_r + 1):
+                num *= q * gap + p * (1 + k_i - j)
+                den *= q * gap + p * (1 + m_i - j)
+        pair = self.segments[key] = (num, den)
+        return pair
+
+    def _strips(self, kp, n):
+        """[(mu, N, D)] with N / D = Q^|kappa/mu| beta_kappa,mu, one per strip.
+
+        kp is kappa padded with zeros to n + 1 parts.  The rows are chosen
+        from the last up, so a row's factors with the rows below it are
+        multiplied in once for all the strips that share those rows.
+        mu_n = 0: the strip takes all of row n.
+        """
+        segments = self.segments
+        key = (0, kp[n - 1], 0, kp[n - 1], 0, 0)
+        strips = [((0,),) + (segments.get(key) or self._segment(key))]
+        for i in range(n - 2, -1, -1):
+            k_i = kp[i]
+            grown = []
+            for m_i in range(kp[i + 1], k_i + 1):
+                for mu, num, den in strips:
+                    below = (m_i,) + mu
+                    for gap, m_r in enumerate(below):
+                        key = (gap, k_i, m_i, kp[i + gap], m_r, kp[i + gap + 1])
+                        pair = segments.get(key) or self._segment(key)
+                        num *= pair[0]
+                        den *= pair[1]
+                    grown.append((below, num, den))
+            strips = grown
+        return strips
+
+    def value(self, kappa, n):
+        """Q^|kappa| J_kappa(X_1..X_n), 0 when kappa has more than n parts."""
+        held = self.values[n]
+        v = held.get(kappa)
+        if v is not None:
+            return v
+        if len(kappa) > n:
+            v = 0
+        elif not self.xs[n - 1]:
+            v = self.value(kappa, n - 1) if len(kappa) < n else 0
+        else:
+            x = self.xs[n - 1]
+            k = partitions.weight(kappa)
+            kp = kappa + (0,) * (n + 1 - len(kappa))
+            below = self.values[n - 1]
+            total, den = 0, 1
+            for mu, a, b in self._strips(kp, n):
+                mu = mu[: len(mu) - mu.count(0)]
+                v_mu = below.get(mu)
+                if v_mu is None:
+                    v_mu = self.value(mu, n - 1)
+                if v_mu:
+                    total = total * b + den * v_mu * x ** (k - partitions.weight(mu)) * a
+                    den *= b
+            v, rem = divmod(total, den)
+            if rem:
+                raise ArithmeticError("branching sum of J_%r is not an integer" % (kappa,))
+        held[kappa] = v
+        return v
+
+
+class _Interpolated:
+    """Q^|kappa| J_kappa(X) for alpha = P / Q < 0, through positive alphas.
+
+    There a hook may vanish, and with it a branching coefficient's
+    denominator, although J_kappa(X) is finite.  J_kappa(X) is an int
+    polynomial in alpha of degree at most |kappa| - len(kappa) (in Knop &
+    Sahi's combinatorial formula each tableau weight has at most one factor
+    per box with an arm), so it is Lagrange's interpolant through
+    alpha = 1 .. r, r = |kappa| - len(kappa) + 1, each node summed by
+    ``_Branching``.
+    """
+
+    def __init__(self, alpha, xs):
+        self.p, self.q = homogeneous(alpha)
+        self.xs = xs
+        self.nodes = []
+
+    def value(self, kappa, n):
+        r = partitions.weight(kappa) - len(kappa) + 1
+        while len(self.nodes) < r:
+            self.nodes.append(_Branching(len(self.nodes) + 1, self.xs))
+        # Q^(r-1) J = sum_i J(i) prod_{j != i} (P - j Q) / prod_{j != i} (i - j)
+        total = 0
+        for i in range(1, r + 1):
+            lagrange = math.prod(self.p - j * self.q for j in range(1, r + 1) if j != i)
+            weight = (-1) ** (r - i) * math.factorial(i - 1) * math.factorial(r - i)
+            total += Fraction(self.nodes[i - 1].value(kappa, n) * lagrange, weight)
+        if total.denominator != 1:
+            raise ArithmeticError("interpolated J_%r is not an integer" % (kappa,))
+        return total.numerator * self.q ** len(kappa)
+
+
+def point_values(alpha, point):
+    """kappa -> C_kappa(x) at the exact point x, as an unreduced int pair.
+
+    The point is a list of ints and Fractions, taken as X / d over their
+    least common denominator d; C_kappa(x) = (num, den) for kappa with at
+    most len(x) parts.  With alpha = P / Q and k = |kappa|,
+    C_kappa = alpha^k k! J_kappa / j_kappa is P^k k! Q^k J_kappa(X) over
+    d^k H, H = Q^(2k) j_kappa the int product of the Q u + P v hooks, with
+    Q^k J_kappa(X) from the branching rule over horizontal strips
+    (``_Branching``; ``_Interpolated`` for a negative alpha).  No monomial
+    table is built.  H goes through ``partitions._hook_divisor``, so a pole
+    raises PoleError for the partition it is asked for.
+    """
+    alpha = _as_alpha(alpha)
+    xs, d = common_denominator(point)
+    n = len(xs)
+    j_at = (_Branching if alpha > 0 else _Interpolated)(alpha, xs)
+    p, q = homogeneous(alpha)
+
+    def value(kappa):
+        k = partitions.weight(kappa)
+        upper, lower = partitions._hook_ints(p, q, kappa)
+        hooks = partitions._hook_divisor(upper * lower, alpha, kappa)
+        return p**k * math.factorial(k) * j_at.value(kappa, n), d**k * hooks
+
+    return value
 
 
 def _c_to_norm_factor(alpha, kappa, norm):

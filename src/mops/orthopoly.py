@@ -311,13 +311,13 @@ def hermite(alpha, kappa, nvars=GENERIC):
             step = binom._row_increment(sigma, i)
             if step is None:
                 continue
-            first_num, first_den = binom._contiguous(alpha, sigma, i)
+            first_num, first_den = binom._contiguous(p, q, sigma, i)
             si = sigma[i - 1] if i <= len(sigma) else 0
             for j in range(1, len(step) + 2):
                 end = binom._row_increment(step, j)
                 if end not in inner:
                     continue
-                second_num, second_den = binom._contiguous(alpha, step, j)
+                second_num, second_den = binom._contiguous(p, q, step, j)
                 chain_num, chain_den = first_num * second_num, first_den * second_den
                 path = paths.get(end)
                 if path is not None:

@@ -21,7 +21,7 @@ from .errors import ParseError
 from .rational import RationalFunction, param, rf
 from .symfun import Leaf, Pow, Prod, Scalar, Sum
 
-_INT = re.compile(r"\d+")
+_INT = re.compile(r"[0-9]+")
 _NAME = re.compile(r"[A-Za-z][A-Za-z0-9]*")
 
 PARAM_NAMES = ("a", "n", "g", "g1", "g2")
@@ -37,11 +37,12 @@ def _tokenize(text):
         if ch.isspace():
             pos += 1
             continue
-        if ch.isdigit():
+        # ASCII only: another script's digit or letter is an unexpected symbol
+        if "0" <= ch <= "9":
             match = _INT.match(text, pos)
             tokens.append(("int", int(match.group()), pos))
             pos = match.end()
-        elif ch.isalpha():
+        elif ch.isascii() and ch.isalpha():
             match = _NAME.match(text, pos)
             tokens.append(("name", match.group(), pos))
             pos = match.end()

@@ -8,7 +8,7 @@ operations pad logically.  Squares of the diagram are addressed with
 
 from . import cache
 from .errors import DomainError, PoleError
-from .rational import as_exact, as_int, homogeneous, ratio
+from .rational import as_exact, as_int, homogeneous, ratio, read_int
 
 LESS = "less"
 EQUAL = "equal"
@@ -178,8 +178,18 @@ def hook_products(alpha, kappa):
 
 @cache.memo
 def _hook_products(alpha, kappa):
-    # each hook is u + alpha v = (Q u + P v) / Q: ints over Q^|kappa| for a Fraction alpha
     p, q = homogeneous(alpha)
+    c, cprime = _hook_ints(p, q, kappa)
+    scale = q ** weight(kappa)
+    return ratio(c, scale), ratio(cprime, scale), ratio(c * cprime, scale * scale)
+
+
+def _hook_ints(p, q, kappa):
+    """Q^|kappa| times the upper and the lower hook products, alpha = P / Q.
+
+    Each hook u + alpha v is (Q u + P v) / Q, so for a Fraction alpha both
+    are ints; a symbolic alpha (Q = 1) takes them in its field.
+    """
     conj = conjugate(kappa)
     c = 1
     cprime = 1
@@ -189,8 +199,7 @@ def _hook_products(alpha, kappa):
             l = conj[j0] - i0 - 1
             c = c * (q * l + p * (1 + a))
             cprime = cprime * (q * (l + 1) + p * a)
-    scale = q ** weight(kappa)
-    return ratio(c, scale), ratio(cprime, scale), ratio(c * cprime, scale * scale)
+    return c, cprime
 
 
 def _hook_divisor(value, alpha, kappa):
@@ -276,7 +285,7 @@ def deserialize(text):
     if text in ("", "[]"):
         return ()
     try:
-        parts = [int(p) for p in text.strip("[]").split(",")]
-    except ValueError:
-        raise DomainError("partition parts must be integers: %r" % text)
+        parts = [read_int(p, "a partition part") for p in text.strip("[]").split(",")]
+    except DomainError:
+        raise DomainError("partition parts must be integers: %r" % text) from None
     return as_partition(parts)

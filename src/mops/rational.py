@@ -33,6 +33,7 @@ against the other denominator first, and a sum needs the gcd of the
 denominators and, when that is not 1, one more gcd with the new numerator.
 """
 
+import re
 from fractions import Fraction
 from math import exp, floor, ldexp, lcm
 from math import gcd as _int_gcd
@@ -768,6 +769,23 @@ def as_exact(x, name="a scalar"):
     raise DomainError(
         "%s must be a rational number or a rational function, got %r" % (name, x)
     )
+
+
+_DECIMAL = re.compile(r"\s*-?[0-9]+\s*", re.ASCII)
+
+
+def read_int(text, name):
+    """The int that a decimal numeral writes: an optional minus sign, ASCII digits.
+
+    The one reader of integers from text.  ``int()`` would also read "1_0"
+    as 10, "+3", and the digits of other scripts, and a superscript "2"
+    passes ``str.isdigit`` but not ``int``; each raises DomainError naming
+    ``name``.  Spaces around the numeral are allowed.  The range is left to
+    the caller's own check, such as ``as_int``.
+    """
+    if not (isinstance(text, str) and _DECIMAL.fullmatch(text)):
+        raise DomainError("%s must be a decimal integer, got %r" % (name, text))
+    return int(text)
 
 
 def as_int(x, name, least=0):

@@ -6,7 +6,7 @@ import pytest
 from mops import binom
 from mops.errors import DomainError
 from mops.partitions import is_subpartition, partitions_of, subpartitions_of, weight
-from mops.rational import ALPHA, GAMMA, N, R
+from mops.rational import ALPHA, GAMMA, N, R, homogeneous
 
 from oracles import contiguous_all_boxes, gbinomial_from_definition
 
@@ -73,7 +73,7 @@ def test_contiguous_matches_all_boxes_formula():
                     continue
                 for alpha in alphas:
                     if alpha is not a:  # the undivided pair the Hermite recurrence sums
-                        assert all(type(v) is int for v in binom._contiguous(alpha, sigma, i))
+                        assert all(type(v) is int for v in binom._contiguous(*homogeneous(alpha), sigma, i))
                     got = binom.contiguous(alpha, sigma, i)
                     want = contiguous_all_boxes(alpha, sigma, i)
                     assert got == want and repr(got) == repr(want), (alpha, sigma, i)

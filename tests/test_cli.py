@@ -372,6 +372,74 @@ _HYPERGEOM = ["hypergeom", "--alpha", "1", "--upper", "1", "--lower", "2"]
 _LARGEST = ["density", "largest-cdf", "--alpha", "1", "--g", "0", "--m", "2"]
 
 
+_SMALLEST = ["density", "smallest", "--alpha", "1", "--grid", "0.1:1:3"]
+_LEVEL = ["density", "level", "--grid", "0:1:3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["jack", "--alpha", "1", "--partition", "1", "--vars", "1_0", "--format", "json"],
+        ["hermite", "--alpha", "1", "--partition", "1", "--vars", "+2"],
+        _HYPERGEOM + ["--xid", "1/2:2", "--limit", "1_0"],
+        _HYPERGEOM + ["--x", "0.1", "--limit", "\u0661"],
+        _SMALLEST + ["--p", "1_0", "--m", "2"],
+        _SMALLEST + ["--p", "1", "--m", "\u00b2"],
+        _LARGEST[:-2] + ["--m", "2.0", "--x", "1"],
+        _LEVEL + ["--beta", "+2", "--n", "2"],
+        _LEVEL + ["--beta", "2", "--n", "\u0663"],
+    ],
+)
+def test_integer_options_read_only_decimal_digits(capsys, argv):
+    # int() reads 1_0 as 10, +2, and other scripts' digits; argparse refuses them
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_SMALLEST[:-1] + ["0.1:1:1_0", "--p", "1", "--m", "2"], "--grid"),
+        (_LEVEL[:-1] + ["0:1:\u00b3", "--beta", "2", "--n", "2"], "--grid"),
+        (_HYPERGEOM + ["--xid", "1:\u00b2", "--limit", "3"], "x:m"),
+        (_HYPERGEOM + ["--xid", "1:1_0", "--limit", "3"], "x:m"),
+        (["jack", "--alpha", "1", "--partition", "1_0"], "integers"),
+        (["gbinomial", "--alpha", "1", "--kappa", "2,\u0661", "--sigma", "1"], "integers"),
+    ],
+)
+def test_integer_text_reads_only_decimal_digits(capsys, argv, message):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+def test_config_limit_reads_only_decimal_digits(tmp_path, capsys):
+    cfg = tmp_path / "mops.cfg"
+    argv = ["--config", str(cfg), "hypergeom", "--alpha", "1", "--xid", "1:1"]
+    for text in ("1_0", "+8", "\u0668"):
+        cfg.write_text("default_limit=%s\n" % text, encoding="utf-8")
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "") and "default_limit must be a decimal integer" in err
+    cfg.write_text("default_limit = 8 \n")
+    code, out, _ = run(argv, capsys)
+    want = sum(Fraction(1, math.factorial(k)) for k in range(9))
+    assert code == 0 and parser.parse_scalar(out.strip()) == want
+
+
+def test_integer_options_keep_spaces_signs_and_words(capsys):
+    # the library still checks the range; generic and n remain --vars words
+    code, out, _ = run(["jack", "--alpha", "1", "--partition", " 2, 1 ", "--vars", " 2", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["varMode"] == 2
+    code, _, err = run(_HYPERGEOM + ["--xid", "1/2:2", "--limit", "-1"], capsys)
+    assert code == 2 and "limit" in err
+    for word in ("generic", "n"):
+        code, out, _ = run(["jack", "--alpha", "1", "--partition", "2", "--vars", word, "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["varMode"] == "generic"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy.special import gammainc
 
 from mops import hypergeom as hg
-from mops.errors import DomainError
+from mops.errors import DomainError, PoleError
 from mops.jack import jack_identity_value
-from mops.partitions import partitions_of
+from mops.partitions import hook_products, partitions_of
 from mops.rational import ALPHA, GAMMA, R, rf
 
 a = ALPHA
@@ -915,3 +915,28 @@ def test_level_density_mass_is_one_exactly(beta, n):
     assert not any(q[1::2])
     mass = sum(c * math.prod(range(1, 2 * t, 2)) for t, c in enumerate(q[::2]))
     assert mass == 1
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-1), Fraction(-1, 2), Fraction(-2, 3), Fraction(-3)])
+def test_vec_series_pole_names_the_first_pole_in_series_order(alpha):
+    # the first partition, by degree and then decreasing lexicographic
+    # order, whose hook product vanishes at alpha; 0F0 has no zero coefficient
+    limit = 10
+    for m in (1, 2, 3):
+        poles = (kappa for k in range(limit + 1) for kappa in partitions_of(k, max_len=m) if not hook_products(alpha, kappa)[2])
+        first = next(poles, None)
+        point = [Fraction(1, 3), Fraction(-1, 2), Fraction(0)][:m]
+        if first is None:
+            assert isinstance(hg.ghypergeom(alpha, [], [], ("vec", point), limit=limit), Fraction)
+            continue
+        with pytest.raises(PoleError) as exc:
+            hg.ghypergeom(alpha, [], [], ("vec", point), limit=limit)
+        assert str(exc.value) == "alpha = %s is a pole of the hook products of %r" % (alpha, first)
+    with pytest.raises(PoleError, match=re.escape("alpha = -1 is a pole of the hook products of (2,)")):
+        hg.ghypergeom(-1, [], [], ("vec", [0.5, 0.25]), limit=3)
+
+
+def test_vec_series_in_one_variable_is_the_exponential_partial_sum():
+    # at m = 1, C_(k)(x) = x^k
+    got = hg.ghypergeom(1, [], [], ("vec", [Fraction(1, 2)]), limit=400)
+    assert got == sum(Fraction(1, 2**k * math.factorial(k)) for k in range(401))

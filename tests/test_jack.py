@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ from mops import hypergeom, jack
 from mops.errors import DomainError, PoleError
 from mops.partitions import LESS, compare, hook_products, partitions_of, rho
 from mops.rational import ALPHA, N, rf
-from mops.symfun import GENERIC, SymExpr
+from mops.symfun import GENERIC, SymExpr, eval_numeric
 
 a = ALPHA
 
@@ -370,3 +371,45 @@ def test_hook_pole_is_the_same_at_every_count():
                 jack.jack_expand(Fraction(-1), (2,), norm, n)
         want = {} if n == 1 else {(1, 1): 2}
         assert jack.jack_expand(Fraction(-1), (2,), "J", n).terms == want, n
+
+
+_POINTS = (
+    [Fraction(-3, 2), Fraction(2, 3), Fraction(5, 4), Fraction(7)],
+    [Fraction(2, 3), Fraction(0), Fraction(-1, 5), Fraction(3, 7)],
+)
+
+
+def _c_by_table(alpha, kappa, point):
+    return eval_numeric(jack.jack_expand(alpha, kappa, "C", len(point)), point, alpha)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2)])
+def test_point_values_equal_the_monomial_expansion(alpha):
+    # the branching rule over horizontal strips against the monomial table
+    # summed at the same point, exactly, for every kappa of weight <= 10
+    for m in range(1, 5):
+        for point in _POINTS:
+            c_at = jack.point_values(alpha, point[:m])
+            for k in range(11):
+                for kappa in partitions_of(k, max_len=m):
+                    assert Fraction(*c_at(kappa)) == _c_by_table(alpha, kappa, point[:m]), (m, point, kappa)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-1), Fraction(-1, 2), Fraction(-2, 3), Fraction(-3)])
+def test_point_values_at_a_negative_alpha(alpha):
+    # a vanishing hook can give a branching coefficient a pole that only the
+    # sum cancels, so J is interpolated from positive alphas; C_kappa's own
+    # pole raises the table's PoleError
+    for m, point in itertools.product(range(1, 5), _POINTS):
+        point = point[:m]
+        c_at = jack.point_values(alpha, point)
+        for k in range(8):
+            for kappa in partitions_of(k, max_len=m):
+                if hook_products(alpha, kappa)[2]:
+                    assert Fraction(*c_at(kappa)) == _c_by_table(alpha, kappa, point), (m, kappa)
+                    continue
+                with pytest.raises(PoleError) as got:
+                    c_at(kappa)
+                with pytest.raises(PoleError) as want:
+                    _c_by_table(alpha, kappa, point)
+                assert str(got.value) == str(want.value)

@@ -515,3 +515,13 @@ def test_to_float_weight_outside_the_float_range():
     with pytest.raises(DomainError, match="float range"):
         rational.to_float(Fraction(1), 710.0)
     assert math.isfinite(rational.to_float(Fraction(1), 709.0))
+
+
+def test_read_int_takes_only_ascii_decimal_numerals():
+    for text, want in [("0", 0), ("42", 42), (" 7 ", 7), ("-3", -3), ("\t12\n", 12)]:
+        value = rational.read_int(text, "n")
+        assert value == want and type(value) is int
+    # int() takes each of these; a superscript two passes str.isdigit
+    for text in ("1_0", "+3", "²", "٣", "１", "1.0", "", "-", "3 4", "0x1", 3, None):
+        with pytest.raises(DomainError, match="n must be a decimal integer"):
+            rational.read_int(text, "n")
