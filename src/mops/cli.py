@@ -9,22 +9,28 @@ diagnostics to stderr.
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import binom, expect, hypergeom, jack, orthopoly, partitions, symfun
 from .errors import ConvergenceError, DomainError, MopsError, PoleError
 from .parser import parse_expression, parse_scalar
 from .rational import R as R_PARAM
-from .rational import RationalFunction, read_int, rf, to_float
+from .rational import read_int, read_real, rf, to_float
 from .symfun import GENERIC
 
 
-def _integer(text):
-    """argparse type of an integer option: ``read_int``, a refusal exits 2."""
-    try:
-        return read_int(text, "the value")
-    except DomainError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _option(read):
+    """argparse type of a numeric option read by ``read``; a refusal exits 2."""
+
+    def parse(text):
+        try:
+            return read(text, "the value")
+        except DomainError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+_integer, _real = _option(read_int), _option(read_real)
 
 
 def _parse_vars(text):
@@ -39,17 +45,17 @@ def _parse_vars(text):
 
 def _parse_point(text):
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
-    except ValueError:
-        raise DomainError("a point is comma-separated numbers, got %r" % text)
+        return [read_real(x, "a coordinate") for x in text.split(",") if x.strip() != ""]
+    except DomainError:
+        raise DomainError("a point is comma-separated numbers, got %r" % text) from None
 
 
 def _parse_grid(text):
     try:
         start, stop, count = (text or "").split(":")
-        start, stop, count = float(start), float(stop), read_int(count, "the grid count")
+        start, stop, count = read_real(start, "start"), read_real(stop, "stop"), read_int(count, "the grid count")
     except (ValueError, DomainError):
-        raise DomainError("--grid expects start:stop:count with an integer count, got %r" % text) from None
+        raise DomainError("--grid expects start:stop:count, decimal ends and an integer count, got %r" % text) from None
     if count < 2:
         raise DomainError("grid needs at least 2 points")
     step = (stop - start) / (count - 1)
@@ -138,9 +144,10 @@ def cmd_hypergeom(args):
     else:
         raise DomainError("give --xid x:m or --x x1,x2,...")
     value = hypergeom.ghypergeom(alpha, upper, lower, arg, limit=args.limit, tol=args.tol)
-    if isinstance(value, (RationalFunction, Fraction, int)):
+    if args.xid:
         _emit_scalar(value, args.format)
     else:
+        # every --x coordinate is a float; an empty point's exact 1 is printed as one too
         print(float(value))
 
 
@@ -313,7 +320,7 @@ def build_parser():
     p.add_argument("--xid", help="scalar-identity argument x:m")
     p.add_argument("--x", help="numeric point x1,x2,...")
     p.add_argument("--limit", type=_integer)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_real)
     p.add_argument("--format", **fmt)
     p.set_defaults(func=cmd_hypergeom)
 
@@ -354,7 +361,7 @@ def build_parser():
     p.add_argument("--x")
     p.add_argument("--grid")
     p.add_argument("--scaled", action="store_true")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_real)
     p.set_defaults(func=cmd_density)
 
     return ap

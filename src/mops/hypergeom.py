@@ -470,12 +470,13 @@ def _level_density_coeffs(beta, n):
     """(ints, d) of the polynomial; callers pass beta through as_int, so 2.0 is no key."""
     if beta % 2:
         raise DomainError("level density needs an even integer beta >= 2")
-    alpha = Fraction(2, beta)
-    kappa = (beta,) * (n - 1)
     k = beta * (n - 1)
-    ck_ident = orthopoly._identity_values(alpha, kappa, Fraction(n))[kappa]
-    scale = Fraction(math.factorial(beta // 2), math.factorial(n * beta // 2)) / ck_ident
-    sums = orthopoly._scalar_identity_sums(orthopoly.hermite(alpha, kappa, n))
+    # the Hermite coefficients are v_sigma C_kappa(I_n)/C_sigma(I_n), so the
+    # layer sums of c_sigma C_sigma(I_n) over C_kappa(I_n) are those of v_sigma
+    sums = [0] * (k + 1)
+    for sigma, v in orthopoly._hermite_values(Fraction(2, beta), (beta,) * (n - 1)).items():
+        sums[partitions.weight(sigma)] += v
+    scale = Fraction(math.factorial(beta // 2), math.factorial(n * beta // 2))
     ints, d = common_denominator([-scale * q if (k - s) // 2 % 2 else scale * q for s, q in enumerate(sums)])
     return tuple(ints), d
 

@@ -15,7 +15,9 @@ order.  Each lambda has the moves (i < j, 1 <= t <= lambda_j) to mu =
 sort(lambda + t e_i - t e_j); a move adds no part and raises lambda in
 dominance order, so only lambda below kappa reach the table.  Every move
 whose mu is in the table adds (lambda_i - lambda_j + 2t) to the weight
-of J_mu, distinct moves separately even when their mu agree.  The
+of J_mu.  The moves between rows holding the same part values a >= b give
+one mu, so each (a, b, t) is taken once and counted m_a m_b times, or
+m_a (m_a - 1)/2 times when a = b, m_a being the multiplicity of a.  The
 weighted sum times 2/alpha is divided by rho_kappa - rho_lambda; times
 alpha that divisor is the integer linear polynomial p alpha - q with
 p = A_kappa - A_lambda > 0 and q = 2 (B_kappa - B_lambda), where
@@ -107,11 +109,23 @@ def _jack_j_table(kappa, length):
     a_kappa, b_kappa = _a_b(kappa)
     for lam in partitions.partitions_of(partitions.weight(kappa), max(kappa, default=0), length):
         weights = {}
-        for j in range(1, len(lam)):
-            for i in range(j):
-                diff = lam[i] - lam[j]
+        # (part value, its first row, its multiplicity), values decreasing
+        runs = []
+        for row, part in enumerate(lam):
+            if runs and runs[-1][0] == part:
+                runs[-1][2] += 1
+            else:
+                runs.append([part, row, 1])
+        for y, (b, start_b, m_b) in enumerate(runs):
+            # from the last row holding b to the first holding a: every
+            # pair of rows with those parts gives the same mu
+            j = start_b + m_b - 1
+            pairs = [(a, i, m_a * m_b) for a, i, m_a in runs[:y]]
+            if m_b > 1:
+                pairs.append((b, start_b, m_b * (m_b - 1) // 2))
+            for a, i, count in pairs:
                 # a part above kappa_1 leaves the dominance interval
-                for t in range(1, min(lam[j], kappa[0] - lam[i]) + 1):
+                for t in range(1, min(b, kappa[0] - a) + 1):
                     moved = list(lam)
                     moved[i] += t
                     moved[j] -= t
@@ -119,7 +133,7 @@ def _jack_j_table(kappa, length):
                     if not moved[j]:
                         mu = mu[:-1]
                     if mu in table:
-                        weights[mu] = weights.get(mu, 0) + 2 * (diff + 2 * t)
+                        weights[mu] = weights.get(mu, 0) + 2 * count * (a - b + 2 * t)
         if not weights:
             continue
         total = []

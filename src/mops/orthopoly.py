@@ -119,13 +119,7 @@ def _binomial_expansion(alpha, kappa, c1, m, values):
     coeffs = {}
     for sigma, val in values.items():
         sign = -1 if partitions.weight(sigma) % 2 else 1
-        coeffs[sigma] = (
-            sign
-            * val
-            * binom.gsfact_skew(alpha, c1, kappa, sigma)
-            * ck_ident
-            / ident[sigma]
-        )
+        coeffs[sigma] = sign * val * binom.gsfact_skew(alpha, c1, kappa, sigma) * (ck_ident / ident[sigma])
     return coeffs
 
 
@@ -209,7 +203,7 @@ def hermite2(alpha, kappa, nvars=GENERIC):
             totals[sigma] = term if total is None else total + term
     ident = _identity_values(alpha, kappa, m)
     coeffs = {
-        sigma: total / alpha ** ((k - partitions.weight(sigma)) // 2) * ident[kappa] / ident[sigma]
+        sigma: total / alpha ** ((k - partitions.weight(sigma)) // 2) * (ident[kappa] / ident[sigma])
         for sigma, total in totals.items()
     }
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
@@ -274,13 +268,26 @@ def hermite(alpha, kappa, nvars=GENERIC):
                   (sigma^(i)(j) choose sigma^(i)) v_{sigma^(i)(j)} / (k - s),
 
     the sum running over the two-box paths sigma -> sigma^(i) ->
-    sigma^(i)(j) inside kappa, from v_kappa = C_kappa(I).  c_1 and c_2 are
-    the contents of the path's first and second boxes, the content of box
-    (row, col) being col - 1 - (row - 1)/alpha: two boxes in one row weigh
-    -1, and boxes in rows i != j weigh sigma_i - sigma_j - (i - j)/alpha,
-    the opposite order the negative, so the two chains ending at one
-    partition are subtracted before the weight multiplies them.  The
-    coefficient of C_sigma is v_sigma / C_sigma(I).
+    sigma^(i)(j) inside kappa, from v_kappa = 1 (``_hermite_values``).
+    The recurrence is linear and free of the variable count, so the
+    coefficient of C_sigma is v_sigma C_kappa(I)/C_sigma(I).
+    """
+    alpha = jack._as_alpha(alpha)
+    kappa = partitions.as_partition(kappa)
+    ident = _identity_values(alpha, kappa, _check_nvars(kappa, nvars))
+    coeffs = {sigma: val * (ident[kappa] / ident[sigma]) for sigma, val in _hermite_values(alpha, kappa).items()}
+    return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
+
+
+def _hermite_values(alpha, kappa):
+    """sigma -> v_sigma of ``hermite``'s two-box recurrence, from v_kappa = 1.
+
+    alpha and kappa must be canonical.  c_1 and c_2 are the contents of a
+    path's first and second boxes, the content of box (row, col) being
+    col - 1 - (row - 1)/alpha: two boxes in one row weigh -1, and boxes in
+    rows i != j weigh sigma_i - sigma_j - (i - j)/alpha, the opposite order
+    the negative, so the two chains ending at one partition are subtracted
+    before the weight multiplies them.
 
     With alpha = P / Q a weight is (P (sigma_i - sigma_j) - Q (i - j)) / P,
     and the coefficients are the undivided pairs of ``binom._contiguous``
@@ -290,15 +297,11 @@ def hermite(alpha, kappa, nvars=GENERIC):
     runs the same expressions in its field, with 1/alpha, the coefficients
     and the values v as field elements over the int 1.
     """
-    alpha = jack._as_alpha(alpha)
-    kappa = partitions.as_partition(kappa)
-    m = _check_nvars(kappa, nvars)
     k = partitions.weight(kappa)
     # 1/alpha = Q/P as ints for a Fraction alpha, (1/alpha, 1) in alpha's field
     p, q = homogeneous(alpha)
     rho_num, rho_den = undivided(q, p)
-    ident = _identity_values(alpha, kappa, m)
-    inner = {kappa: ident[kappa]}
+    inner = {kappa: 1}
     # reversed lexicographic order puts every sigma^(i)(j) before sigma
     for sigma in reversed(partitions.subpartitions_of(kappa)):
         s = partitions.weight(sigma)
@@ -334,8 +337,7 @@ def hermite(alpha, kappa, nvars=GENERIC):
                 term_den = chain_den * value_den
                 num, den = num * term_den + weight * chain_num * value_num * den, den * term_den
             inner[sigma] = ratio(num, rho_den * (den * (k - s)))
-    coeffs = {sigma: val / ident[sigma] for sigma, val in inner.items()}
-    return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
+    return inner
 
 
 # ---------------------------------------------------------------------------

@@ -788,6 +788,24 @@ def read_int(text, name):
     return int(text)
 
 
+_REAL = re.compile(r"\s*(-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?|-?inf|nan)\s*", re.ASCII)
+
+
+def read_real(text, name):
+    """The float that a decimal numeral writes: ASCII digits with an optional
+    minus sign, fraction and exponent, or ``repr``'s inf, -inf and nan.
+
+    The one reader of reals from text, beside ``read_int``.  ``float()``
+    would also read "1_0" as 10, "+3", "Infinity" and the digits of other
+    scripts; each raises DomainError naming ``name``.  Spaces around the
+    numeral are allowed.  A NaN or an infinity is left to the caller's
+    range check, such as ``as_finite``.
+    """
+    if not (isinstance(text, str) and _REAL.fullmatch(text)):
+        raise DomainError("%s must be a decimal number, got %r" % (name, text))
+    return float(text)
+
+
 def as_int(x, name, least=0):
     """x itself when it is an int >= least: a count, a degree or a part.
 

@@ -260,6 +260,45 @@ def hermite_expect_2vars(mono_terms, alpha):
     return total
 
 
+def jack_j_table_per_move(kappa, length):
+    """J_{kappa,lambda} as int lists in alpha, one move per row pair (i, j) and t.
+
+    The recurrence of ``jack._jack_j_table`` without its grouping of the
+    rows that hold equal parts: each move lambda -> mu adds
+    2 (lambda_i - lambda_j + 2t) to mu's weight on its own.
+    """
+    # J_{kappa,kappa} is the product of the lower hooks alpha arm + leg + 1
+    seed = [1]
+    conj = partitions.conjugate(kappa)
+    for r, part in enumerate(kappa):
+        for c in range(part):
+            arm, leg = part - c - 1, conj[c] - r - 1
+            seed = [(leg + 1) * lo + arm * hi for lo, hi in itertools.zip_longest(seed, [0] + seed, fillvalue=0)]
+    while len(seed) > 1 and not seed[-1]:
+        seed.pop()
+    table = {kappa: seed}
+    a_kappa, b_kappa = jack._a_b(kappa)
+    for lam in partitions.partitions_of(partitions.weight(kappa), max(kappa, default=0), length):
+        weights = {}
+        for j in range(1, len(lam)):
+            for i in range(j):
+                for t in range(1, min(lam[j], kappa[0] - lam[i]) + 1):
+                    moved = list(lam)
+                    moved[i] += t
+                    moved[j] -= t
+                    mu = tuple(sorted((p for p in moved if p), reverse=True))
+                    if mu in table:
+                        weights[mu] = weights.get(mu, 0) + 2 * (lam[i] - lam[j] + 2 * t)
+        if not weights:
+            continue
+        total = []
+        for mu, weight in weights.items():
+            total = [c + weight * d for c, d in itertools.zip_longest(total, table[mu], fillvalue=0)]
+        a_lam, b_lam = jack._a_b(lam)
+        table[lam] = jack._divide_linear(total, a_kappa - a_lam, 2 * (b_kappa - b_lam))
+    return table
+
+
 def jack_c_recurrence(alpha, kappa):
     """lambda -> c_{kappa,lambda} for C_kappa, by the recurrence in the field.
 

@@ -416,6 +416,50 @@ def test_integer_text_reads_only_decimal_digits(capsys, argv, message):
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hypergeom", "--alpha", "1", "--upper", "", "--lower", "", "--x", "0.1_5", "--limit", "2"], "point"),
+        (["eval", "--expr", "m[1]", "--at", "\u0661,2"], "point"),
+        (["jack", "--alpha", "1", "--partition", "2", "--at", "+1,2"], "point"),
+        (_LARGEST + ["--x", "1_0"], "point"),
+        (_LARGEST + ["--x", "Infinity"], "point"),
+        (_LEVEL[:-1] + ["0:1_0:3", "--beta", "2", "--n", "2"], "--grid"),
+        (_SMALLEST[:-1] + ["0.\u0661:1:3", "--p", "1", "--m", "2"], "--grid"),
+    ],
+)
+def test_real_text_reads_only_decimal_digits(capsys, argv, message):
+    # float() reads 0.1_5 as 0.15, +1, Infinity and other scripts' digits
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("tol", ["1_0", "+1e-8", "1e-\u0668"])
+def test_tolerance_reads_only_decimal_digits(capsys, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(_LARGEST + ["--x", "1", "--tol", tol])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "--tol" in err and "decimal number" in err
+
+
+def test_hypergeom_at_a_point_prints_a_float(capsys):
+    # every --x coordinate is a float, so the empty point's 1 prints as one
+    for point, want in [(",", 1.0), ("0", 1.0), ("0.5", None)]:
+        code, out, _ = run(_HYPERGEOM + ["--x", point, "--limit", "4"], capsys)
+        assert code == 0 and "." in out and (want is None or float(out) == want), point
+
+
+def test_reals_keep_every_float_repr():
+    # each repr(float) text, and the spellings the README uses, reads back exactly
+    for value in (0.0, -0.0, 1.0, -2.5, 0.1, 1e-05, 1.5e16, -1e200, 5e-324):
+        assert cli._parse_point(" %r , %r" % (value, value)) == [value, value]
+    assert cli._parse_point("1,.5,-3.,2E3") == [1.0, 0.5, -3.0, 2000.0]
+    assert cli._parse_grid("-1.2:1.2:3") == [-1.2, 0.0, 1.2]
+    assert cli._parse_grid("0.01:12:2") == [0.01, 12.0]
+
+
 def test_config_limit_reads_only_decimal_digits(tmp_path, capsys):
     cfg = tmp_path / "mops.cfg"
     argv = ["--config", str(cfg), "hypergeom", "--alpha", "1", "--xid", "1:1"]

@@ -40,7 +40,8 @@ def test_float_point_gives_a_float(upper):
     lower = [Fraction(3, 2)]
     assert type(hg.ghypergeom(Fraction(1), upper, lower, ("vec", [0.3, 0.2]), limit=4)) is float
     assert type(hg.ghypergeom(Fraction(1), upper, lower, ("vec", [0.3, Fraction(1, 5)]), limit=4)) is float
-    assert hg.ghypergeom(Fraction(1), upper, lower, ("vec", []), limit=4) == Fraction(1)
+    empty = hg.ghypergeom(Fraction(1), upper, lower, ("vec", []), limit=4)
+    assert type(empty) is Fraction and empty == 1
     assert type(hg.ghypergeom(Fraction(1), upper, lower, ("vec", [Fraction(3, 10)]), limit=4)) is Fraction
 
 
@@ -803,25 +804,18 @@ def test_lower_parameter_pole_names_first_partition(alpha, lower, m, kappa):
         hg.ghypergeom(alpha, [], lower, ("vec", [0.1] * m), limit=6)
 
 
-def test_level_density_matches_hermite2_construction(monkeypatch):
-    # the density is built from the recurrence Hermite; the limiting-process
-    # construction must give the same polynomial
-    from mops import cache, orthopoly
+def test_level_density_matches_hermite2_construction():
+    # the density sums the two-box recurrence's values; the limiting-process
+    # construction, scaled by C_kappa(I_n), must give the same polynomial
+    from mops import orthopoly
 
     for beta, n in [(2, 3), (4, 3), (6, 2), (4, 4)]:
-        got = hg.level_density_polynomial(beta, n)
-        calls = []
-
-        def hermite2(alpha, kappa, nvars):
-            calls.append(kappa)
-            return orthopoly.hermite2(alpha, kappa, nvars)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(orthopoly, "hermite", hermite2)
-            cache.clear_all()  # the polynomial is held per (beta, n)
-            want = hg.level_density_polynomial(beta, n)
-        assert calls == [(beta,) * (n - 1)]
-        assert got == want, (beta, n)
+        alpha, kappa, k = Fraction(2, beta), (beta,) * (n - 1), beta * (n - 1)
+        sums = orthopoly._scalar_identity_sums(orthopoly.hermite2(alpha, kappa, n))
+        scale = Fraction(math.factorial(beta // 2), math.factorial(n * beta // 2))
+        scale /= jack_identity_value(alpha, kappa, "C", n)
+        want = [(-1) ** ((k - s) // 2) * scale * q for s, q in enumerate(sums)]
+        assert hg.level_density_polynomial(beta, n) == want, (beta, n)
 
 
 def _walk(step, alpha, upper, lower, m, at_identity, degree=8):

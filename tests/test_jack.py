@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import hook_length_product, jack_c_recurrence, kostka
+from oracles import hook_length_product, jack_c_recurrence, jack_j_table_per_move, kostka
 
 from mops import hypergeom, jack
 from mops.errors import DomainError, PoleError
@@ -276,6 +276,17 @@ def test_j_table_has_nonnegative_integer_coefficients():
     for kap in KAPPAS_TO_7:
         for lam, coeffs in jack._jack_j_table(kap, sum(kap)).items():
             assert coeffs[-1] and all(type(c) is int and c >= 0 for c in coeffs), (kap, lam)
+
+
+def test_grouped_moves_match_one_move_per_row_pair():
+    # the table counts the moves between rows of equal parts once per pair
+    # of part values; the reference takes every (i, j, t) on its own
+    for k in range(11):
+        for kap in partitions_of(k):
+            for length in range(1, max(k, 1) + 1):
+                assert jack._jack_j_table(kap, length) == jack_j_table_per_move(kap, length), (kap, length)
+    for kap in [(14, 1), (3, 3, 3, 3, 3)]:
+        assert jack._jack_j_table(kap, sum(kap)) == jack_j_table_per_move(kap, sum(kap)), kap
 
 
 def test_j_table_at_alpha_one_is_hook_lengths_times_kostka():

@@ -167,6 +167,25 @@ def test_generic_n_specialises_to_numeric(family, kappa, names):
             assert coeff.substitute(bindings).to_fraction() == numeric.coefficient(sigma)
 
 
+@pytest.mark.parametrize(
+    "family, kappa, params",
+    [
+        ("hermite", (5, 4, 3, 2, 1), ()),
+        ("laguerre", (4, 3, 2, 1), (GAMMA,)),
+        ("jacobi", (4, 3, 1), (G1, G2)),
+    ],
+)
+def test_generic_n_at_six_is_the_six_variable_construction(family, kappa, params):
+    # alpha and the weight exponents stay symbolic; only n is bound
+    build = getattr(op, family)
+    with _deadline(20):
+        generic = build(a, kappa, *params, GENERIC)
+    six = build(a, kappa, *params, 6)
+    assert set(six.terms) == set(generic.terms)
+    for sigma, coeff in generic.terms.items():
+        assert coeff.substitute({"n": 6}) == six.coefficient(sigma), sigma
+
+
 def test_hermite_constructions_agree():
     for k in range(1, 5):
         for kap in partitions_of(k):

@@ -525,3 +525,15 @@ def test_read_int_takes_only_ascii_decimal_numerals():
     for text in ("1_0", "+3", "²", "٣", "１", "1.0", "", "-", "3 4", "0x1", 3, None):
         with pytest.raises(DomainError, match="n must be a decimal integer"):
             rational.read_int(text, "n")
+
+
+def test_read_real_takes_only_ascii_decimal_numerals():
+    for text, want in [("0", 0.0), ("-2.5", -2.5), (" 1e-05 ", 1e-05), (".5", 0.5), ("3.", 3.0), ("1E+3", 1000.0)]:
+        value = rational.read_real(text, "x")
+        assert value == want and type(value) is float
+    # the range is the caller's: repr's words read as themselves
+    assert math.isinf(rational.read_real("-inf", "x")) and math.isnan(rational.read_real("nan", "x"))
+    # float() takes each of these
+    for text in ("0.1_5", "1_0", "+3", "١", "１", "1e٣", "Infinity", "NaN", "", ".", "-", "e5", "1/2", 3.0, None):
+        with pytest.raises(DomainError, match="x must be a decimal number"):
+            rational.read_real(text, "x")
