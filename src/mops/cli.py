@@ -317,8 +317,9 @@ def build_parser():
     p.add_argument("--alpha", required=True)
     p.add_argument("--upper", default="")
     p.add_argument("--lower", default="")
-    p.add_argument("--xid", help="scalar-identity argument x:m")
-    p.add_argument("--x", help="numeric point x1,x2,...")
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--xid", help="scalar-identity argument x:m")
+    point.add_argument("--x", help="numeric point x1,x2,...")
     p.add_argument("--limit", type=_integer)
     p.add_argument("--tol", type=_real)
     p.add_argument("--format", **fmt)
@@ -358,8 +359,9 @@ def build_parser():
     p.add_argument("--beta", type=_integer)
     p.add_argument("--n", type=_integer)
     p.add_argument("--g")
-    p.add_argument("--x")
-    p.add_argument("--grid")
+    point = p.add_mutually_exclusive_group()
+    point.add_argument("--x")
+    point.add_argument("--grid")
     p.add_argument("--scaled", action="store_true")
     p.add_argument("--tol", type=_real)
     p.set_defaults(func=cmd_density)

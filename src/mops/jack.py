@@ -1,10 +1,9 @@
 """Jack polynomials via the Laplace-Beltrami recurrence, over Z[alpha].
 
-C is the working normalization (the one whose partitions of k sum to
-(x_1 + ... + x_n)^k); J and P are scalar multiples.  The monomial
-coefficients c_{kappa,lambda} do not depend on the number of variables, so
-for a numeric count n the table is built over at most n parts, and every
-n >= |kappa| shares the generic table.
+C (whose partitions of k sum to (x_1 + ... + x_n)^k), J and P are each a
+scalar multiple of J.  The monomial coefficients do not depend on the
+number of variables, so for a numeric count n the table is built over at
+most n parts, and every n >= |kappa| shares the generic table.
 
 The recurrence runs in the J normalization, whose monomial coefficients
 are polynomials in alpha with non-negative integer coefficients (Knop &
@@ -24,29 +23,29 @@ p = A_kappa - A_lambda > 0 and q = 2 (B_kappa - B_lambda), where
 A = sum kappa_i (kappa_i - 1) and B = sum (i-1) kappa_i.  So every step
 is an exact synthetic division of an int list by a linear factor; no gcd.
 
-The integer table is free of alpha and memoized per (kappa, length).  The
-C table at a given alpha evaluates each entry once by Horner's rule, in
-ints over one power of the denominator when alpha is a Fraction, and
-multiplies it by alpha^k k! / j_kappa(alpha); alpha is a pole exactly
-when the hook product j_kappa vanishes there.  The J expansion is the
-Horner values themselves, with no pole, and P is J divided by its leading
-coefficient J_{kappa,kappa}, the product of lower hooks.
+The integer table is free of alpha and memoized per (kappa, length).  A
+table at a given alpha evaluates each entry once by Horner's rule, in ints
+over one power of the denominator when alpha is a Fraction, and scales it
+by the normalization's one factor of J (``_from_j``): alpha^k k! / j_kappa
+for C, 1 for J and 1 / c'_kappa for P, c' the product of lower hooks.
+Every value is thus J's, and a normalization has a pole exactly where its
+factor divides by a vanishing hook product.
 
-At an explicit numeric point no table is needed.  ``point_values`` gives
-C_kappa(x) from the branching rule over horizontal strips (Koev & Edelman,
-Math. Comp. 2006, 4-5): J_kappa in n variables is a sum of J_mu in n - 1
-variables times x_n^|kappa/mu| and a ratio of hooks, so it takes one int
-per (kappa, n), with no monomial expansion and no orbit sum.
+At an explicit numeric point and alpha > 0 no table is needed.
+``point_values`` gives C_kappa(x) from the branching rule over horizontal
+strips (Koev & Edelman, Math. Comp. 2006, 4-5): J_kappa in n variables is
+a sum of J_mu in n - 1 variables times x_n^|kappa/mu| and a ratio of
+hooks, so it takes one int per (kappa, n).  A negative alpha may zero a
+hook there, so J's table is summed at the point instead.
 """
 
 import math
-from fractions import Fraction
 from itertools import zip_longest
 
 from . import binom, cache, operators, partitions
 from .errors import DomainError
 from .rational import as_exact, common_denominator, homogeneous, ratio
-from .symfun import GENERIC, SymExpr, as_nvars
+from .symfun import GENERIC, SymExpr, _orbit_sum, as_nvars
 
 NORMALIZATIONS = ("C", "J", "P")
 
@@ -71,7 +70,7 @@ def _length(kappa, nvars):
 
 def _c_table(alpha, nvars, kappa):
     """The C table of kappa over the partitions with at most nvars parts."""
-    return _jack_monomial_coefficients(_as_alpha(alpha), kappa, _length(kappa, nvars))
+    return _jack_monomial_coefficients(_as_alpha(alpha), kappa, _length(kappa, nvars), "C")
 
 
 def _a_b(lam):
@@ -162,11 +161,26 @@ def _horner(coeffs, alpha):
     return value, scale // q
 
 
+def _from_j(alpha, kappa, norm):
+    """Scalar f with V_kappa = f * J_kappa for V in {C, J, P}.
+
+    C's f = alpha^k k! / j_kappa and P's f = 1 / c'_kappa divide by hook
+    products, so PoleError marks where that normalization is undefined.
+    """
+    if norm == "J":
+        return 1
+    if norm == "C":
+        k = partitions.weight(kappa)
+        j_full = partitions.hook_products(alpha, kappa)[2]
+        return alpha**k * math.factorial(k) / partitions._hook_divisor(j_full, alpha, kappa)
+    if norm == "P":
+        return 1 / partitions._hook_divisor(partitions.hook_products(alpha, kappa)[1], alpha, kappa)
+    raise DomainError("unknown normalization %r" % (norm,))
+
+
 @cache.memo
-def _jack_monomial_coefficients(alpha, kappa, length):
-    k = partitions.weight(kappa)
-    j_full = partitions.hook_products(alpha, kappa)[2]
-    factor = alpha**k * math.factorial(k) / partitions._hook_divisor(j_full, alpha, kappa)
+def _jack_monomial_coefficients(alpha, kappa, length, norm):
+    factor = _from_j(alpha, kappa, norm)
     return {lam: ratio(*_horner(coeffs, alpha)) * factor for lam, coeffs in _jack_j_table(kappa, length).items()}
 
 
@@ -285,36 +299,31 @@ class _Branching:
         return v
 
 
-class _Interpolated:
-    """Q^|kappa| J_kappa(X) for alpha = P / Q < 0, through positive alphas.
+def _table_values(alpha, xs):
+    """(kappa, n) -> Q^|kappa| J_kappa(X_1..X_n) at an int point X, from J's table.
 
-    There a hook may vanish, and with it a branching coefficient's
-    denominator, although J_kappa(X) is finite.  J_kappa(X) is an int
-    polynomial in alpha of degree at most |kappa| - len(kappa) (in Knop &
-    Sahi's combinatorial formula each tableau weight has at most one factor
-    per box with an arm), so it is Lagrange's interpolant through
-    alpha = 1 .. r, r = |kappa| - len(kappa) + 1, each node summed by
-    ``_Branching``.
+    For alpha = P / Q < 0, where a branching coefficient's denominator may
+    vanish although J_kappa(X) is finite.  J's coefficients are int
+    polynomials in alpha of degree at most |kappa|, so each Q^|kappa|
+    J_kappa,lambda(alpha) is an int from ``_horner``'s pair.  m_lambda(X)
+    is kept per (lambda, n) for the partitions that share it.
     """
+    q = homogeneous(alpha)[1]
+    orbits = {}
 
-    def __init__(self, alpha, xs):
-        self.p, self.q = homogeneous(alpha)
-        self.xs = xs
-        self.nodes = []
-
-    def value(self, kappa, n):
-        r = partitions.weight(kappa) - len(kappa) + 1
-        while len(self.nodes) < r:
-            self.nodes.append(_Branching(len(self.nodes) + 1, self.xs))
-        # Q^(r-1) J = sum_i J(i) prod_{j != i} (P - j Q) / prod_{j != i} (i - j)
+    def value(kappa, n):
+        k = partitions.weight(kappa)
         total = 0
-        for i in range(1, r + 1):
-            lagrange = math.prod(self.p - j * self.q for j in range(1, r + 1) if j != i)
-            weight = (-1) ** (r - i) * math.factorial(i - 1) * math.factorial(r - i)
-            total += Fraction(self.nodes[i - 1].value(kappa, n) * lagrange, weight)
-        if total.denominator != 1:
-            raise ArithmeticError("interpolated J_%r is not an integer" % (kappa,))
-        return total.numerator * self.q ** len(kappa)
+        for lam, coeffs in _jack_j_table(kappa, min(n, k)).items():
+            orbit = orbits.get((lam, n))
+            if orbit is None:
+                orbit = orbits[lam, n] = _orbit_sum(lam, xs[:n])
+            if orbit:
+                num, scale = _horner(coeffs, alpha)
+                total += num * (q**k // scale) * orbit
+        return total
+
+    return value
 
 
 def point_values(alpha, point):
@@ -326,49 +335,38 @@ def point_values(alpha, point):
     C_kappa = alpha^k k! J_kappa / j_kappa is P^k k! Q^k J_kappa(X) over
     d^k H, H = Q^(2k) j_kappa the int product of the Q u + P v hooks, with
     Q^k J_kappa(X) from the branching rule over horizontal strips
-    (``_Branching``; ``_Interpolated`` for a negative alpha).  No monomial
-    table is built.  H goes through ``partitions._hook_divisor``, so a pole
-    raises PoleError for the partition it is asked for.
+    (``_Branching``) for alpha > 0, with no monomial table, and from J's
+    table (``_table_values``) for alpha < 0.  H goes through
+    ``partitions._hook_divisor``, so a pole raises PoleError for the
+    partition it is asked for.
     """
     alpha = _as_alpha(alpha)
     xs, d = common_denominator(point)
     n = len(xs)
-    j_at = (_Branching if alpha > 0 else _Interpolated)(alpha, xs)
+    j_at = _Branching(alpha, xs).value if alpha > 0 else _table_values(alpha, xs)
     p, q = homogeneous(alpha)
 
     def value(kappa):
         k = partitions.weight(kappa)
         upper, lower = partitions._hook_ints(p, q, kappa)
         hooks = partitions._hook_divisor(upper * lower, alpha, kappa)
-        return p**k * math.factorial(k) * j_at.value(kappa, n), d**k * hooks
+        return p**k * math.factorial(k) * j_at(kappa, n), d**k * hooks
 
     return value
 
 
-def _c_to_norm_factor(alpha, kappa, norm):
-    """Scalar f with V = f * C for V in {C, J, P}."""
-    if norm == "C":
-        return 1
-    k = partitions.weight(kappa)
-    c_upper, _, j_full = partitions.hook_products(alpha, kappa)
-    denom = alpha**k * math.factorial(k)
-    if norm == "J":
-        return j_full / denom
-    if norm == "P":
-        return c_upper / denom
-    raise DomainError("unknown normalization %r" % (norm,))
-
-
 def normalization_factor(frm, to, alpha, kappa):
-    """Factor f with V_kappa = f * W_kappa for normalizations V=frm, W=to."""
+    """Factor f with V_kappa = f * W_kappa for normalizations V=frm, W=to.
+
+    It is J's factor of V over J's factor of W, so it is defined exactly
+    where both normalizations are; PoleError elsewhere.
+    """
     alpha = _as_alpha(alpha)
+    kappa = partitions.as_partition(kappa)
     if frm not in NORMALIZATIONS or to not in NORMALIZATIONS:
         raise DomainError("unknown normalization")
-    if frm == to:
-        return alpha**0
-    f_from = _c_to_norm_factor(alpha, kappa, frm)
-    f_to = _c_to_norm_factor(alpha, kappa, to)
-    return f_from / partitions._hook_divisor(f_to, alpha, kappa)
+    # J's factor is the int 1; alpha**0 keeps the ratio in alpha's field
+    return alpha**0 *_from_j(alpha, kappa, frm) / _from_j(alpha, kappa, to)
 
 
 def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
@@ -378,29 +376,22 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
     if norm not in NORMALIZATIONS:
         raise DomainError("unknown normalization %r" % (norm,))
     length = _length(kappa, nvars)
-    if nvars is not GENERIC and len(kappa) > nvars:
-        return SymExpr("m", {}, nvars)
-    if norm == "C":
-        table = _jack_monomial_coefficients(alpha, kappa, length)
-    else:
-        # J is the Horner value itself; P = J / J_{kappa,kappa}, the lower hooks
-        table = {lam: ratio(*_horner(coeffs, alpha)) for lam, coeffs in _jack_j_table(kappa, length).items()}
-        if norm == "P":
-            lower = partitions._hook_divisor(partitions.hook_products(alpha, kappa)[1], alpha, kappa)
-            inverse = 1 / lower
-            table = {lam: coeff * inverse for lam, coeff in table.items()}
+    table = _jack_monomial_coefficients(alpha, kappa, length, norm)
+    if len(kappa) > length:
+        # no term in fewer variables than kappa has parts, but the same pole
+        table = {}
     return SymExpr._of_canonical("m", table, nvars)
 
 
 def jack_identity_value(alpha, kappa, norm, m):
-    """Value at x_1 = ... = x_m = 1; m may be numeric or a symbolic scalar."""
+    """Value at x_1 = ... = x_m = 1; m may be numeric or a symbolic scalar.
+
+    J_kappa(I_m) = alpha^k (m/alpha)_kappa, times the normalization's factor.
+    """
     alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
-    k = partitions.weight(kappa)
     poch = binom.gsfact(alpha, as_exact(m, "m") / alpha, kappa)
-    j_full = partitions._hook_divisor(partitions.hook_products(alpha, kappa)[2], alpha, kappa)
-    value = alpha ** (2 * k) * math.factorial(k) * poch / j_full
-    return value * _c_to_norm_factor(alpha, kappa, norm)
+    return alpha ** partitions.weight(kappa) * poch * _from_j(alpha, kappa, norm)
 
 
 def apply_dstar(expr, alpha, nvars):

@@ -472,6 +472,13 @@ def jack2jack(alpha, expr, nvars=GENERIC):
 # numeric evaluation
 
 
+def _orbit_sum(part, xs):
+    """m_part at the int point xs: 0 when part has more parts than xs."""
+    if len(part) > len(xs):
+        return 0
+    return sum(math.prod(x**e for x, e in zip(xs, vec) if e) for vec in _distinct_rearrangements(part, len(xs)))
+
+
 def eval_numeric(expr, xs, alpha=None):
     """Value of the symmetric polynomial at the point xs, summed exactly.
 
@@ -497,8 +504,5 @@ def eval_numeric(expr, xs, alpha=None):
         coeff = as_exact(coeff, "a coefficient")
         if isinstance(coeff, RationalFunction):
             raise DomainError("unbound parameters: %s" % ", ".join(coeff.free_parameters()))
-        orbit = sum(
-            math.prod(x**e for x, e in zip(ints, vec) if e) for vec in _distinct_rearrangements(part, n)
-        )
-        total = total + coeff * Fraction(orbit, d ** partitions.weight(part))
+        total = total + coeff * Fraction(_orbit_sum(part, ints), d ** partitions.weight(part))
     return to_float(total) if any(isinstance(x, float) for x in xs) else total

@@ -1,7 +1,9 @@
 import json
 import math
 import os
+import pathlib
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -449,6 +451,58 @@ def test_hypergeom_at_a_point_prints_a_float(capsys):
     for point, want in [(",", 1.0), ("0", 1.0), ("0.5", None)]:
         code, out, _ = run(_HYPERGEOM + ["--x", point, "--limit", "4"], capsys)
         assert code == 0 and "." in out and (want is None or float(out) == want), point
+
+
+def test_jack_at_a_point_with_fewer_coordinates_than_parts_is_0(capsys):
+    # C_[2,1,1] has no term in two variables; the generic table's monomials
+    # with three parts vanish at a point of two
+    code, out, _ = run(["jack", "--alpha", "1", "--partition", "2,1,1", "--at", "1,2"], capsys)
+    assert (code, out) == (0, "0.0\n")
+    code, out, _ = run(["jack", "--alpha", "1", "--partition", "2,1", "--at", "1,2"], capsys)
+    assert (code, out) == (0, "12.0\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hypergeom", "--alpha", "1", "--xid", "1:2", "--x", "1,2", "--limit", "3"],
+        ["hypergeom", "--alpha", "1", "--x", "1,2", "--xid", "1:2", "--limit", "3"],
+        ["density", "largest-cdf", "--alpha", "1", "--g", "1", "--m", "2", "--x", "3", "--grid", "1:2:3"],
+    ],
+    ids=["xid-and-x", "x-and-xid", "x-and-grid"],
+)
+def test_one_point_option_at_a_time(capsys, argv):
+    # the command would read one point and drop the other
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert "not allowed with argument" in err
+
+
+def _readme_cli_results():
+    """(argv, printed result) for each README CLI line that states its result."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    found = []
+    for i, line in enumerate(lines):
+        command, _, comment = line.partition("#")
+        if not command.startswith("mops "):
+            continue
+        if not comment and i + 1 < len(lines) and lines[i + 1].startswith("#"):
+            comment = lines[i + 1][1:]
+        if comment:
+            found.append((shlex.split(command)[1:], comment.strip()))
+    return found
+
+
+def test_readme_cli_results(capsys):
+    examples = _readme_cli_results()
+    assert len(examples) == 4
+    for argv, want in examples:
+        code, out, _ = run(argv, capsys)
+        assert (code, out) == (0, want + "\n"), argv
 
 
 def test_reals_keep_every_float_repr():

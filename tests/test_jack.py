@@ -105,6 +105,8 @@ def test_identity_values():
     assert jack.jack_identity_value(a, (2,), "J", 2) == 2 * (2 + a)
     # numeric m below the length gives 0
     assert jack.jack_identity_value(a, (2, 1), "J", 1) == 0
+    # alpha = -1 is a pole of C_[2] only: J_[2] = 2 m[1,1] there
+    assert jack.jack_identity_value(-1, (2,), "J", 2) == 2 == eval_numeric(jack.jack_expand(-1, (2,), "J", 2), [1, 1])
 
 
 def test_identity_value_matches_expansion():
@@ -122,6 +124,8 @@ def test_normalization_factors():
     assert jack.normalization_factor("C", "J", a, (2,)) == 1 / (1 + a)
     # J = c'(kappa, alpha) P; for [1,1] the lower-hook product is 2
     assert jack.normalization_factor("J", "P", a, (1, 1)) == 2
+    # J_[1,1] = 2 P_[1,1] at alpha = -1 too, where C_[1,1] has a pole
+    assert jack.normalization_factor("J", "P", -1, (1, 1)) == 2
     # cross-check: factors compose
     for kap in [(2,), (2, 1), (3,)]:
         f1 = jack.normalization_factor("C", "J", a, kap)
@@ -190,14 +194,45 @@ def test_j_and_p_are_finite_where_c_has_a_pole():
         assert jack.jack_expand(alpha, kap, norm).terms == {lam: c for lam, c in want.items() if c}
 
 
+def _value_or_pole(call):
+    try:
+        return call(), None
+    except PoleError as exc:
+        return None, str(exc)
+
+
+@pytest.mark.parametrize("alpha", [Fraction(-1), Fraction(-1, 2), Fraction(-2, 3), Fraction(-3), Fraction(-3, 2)])
+def test_every_normalization_is_one_factor_of_j(alpha):
+    # V = f_V J: each value is the table's, and a normalization is undefined
+    # exactly where its table raises, so a factor between two is defined
+    # exactly where both are
+    for k in range(8):
+        for kappa in partitions_of(k):
+            tables = {norm: _value_or_pole(lambda: jack.jack_expand(alpha, kappa, norm)) for norm in "CJP"}
+            for norm in "CJP":
+                for m in (1, 2, 5):
+                    got = _value_or_pole(lambda: jack.jack_identity_value(alpha, kappa, norm, m))
+                    want = _value_or_pole(lambda: eval_numeric(jack.jack_expand(alpha, kappa, norm, m), [1] * m))
+                    assert got == want, (kappa, norm, m)
+                for to in "CJP":
+                    factor, pole = _value_or_pole(lambda: jack.normalization_factor(norm, to, alpha, kappa))
+                    (v, v_pole), (w, w_pole) = tables[norm], tables[to]
+                    if v_pole or w_pole:
+                        assert pole in (v_pole, w_pole), (kappa, norm, to)
+                        continue
+                    assert pole is None, (kappa, norm, to)
+                    assert v.terms == {lam: factor * c for lam, c in w.terms.items()}, (kappa, norm, to)
+
+
 @pytest.mark.parametrize(
     "call",
     [
         lambda: jack.jack_identity_value(-1, (2,), "C", 2),
         lambda: jack.normalization_factor("C", "J", -1, (2,)),
+        lambda: jack.normalization_factor("J", "C", -1, (2,)),
         lambda: hypergeom.ghypergeom(Fraction(-1), [1], [3], ("xid", Fraction(1, 2), 2), limit=4),
     ],
-    ids=["identity_value", "normalization_factor", "ghypergeom_xid"],
+    ids=["identity_value", "normalization_factor", "normalization_factor_to_c", "ghypergeom_xid"],
 )
 def test_hook_product_pole_is_a_pole_error(call):
     # alpha = -1 zeroes the hook products of (2); no bare ZeroDivisionError
@@ -409,12 +444,12 @@ def test_point_values_equal_the_monomial_expansion(alpha):
 @pytest.mark.parametrize("alpha", [Fraction(-1), Fraction(-1, 2), Fraction(-2, 3), Fraction(-3)])
 def test_point_values_at_a_negative_alpha(alpha):
     # a vanishing hook can give a branching coefficient a pole that only the
-    # sum cancels, so J is interpolated from positive alphas; C_kappa's own
-    # pole raises the table's PoleError
+    # sum cancels, so J is read from its table, one orbit sum per monomial;
+    # C_kappa's own pole raises the table's PoleError
     for m, point in itertools.product(range(1, 5), _POINTS):
         point = point[:m]
         c_at = jack.point_values(alpha, point)
-        for k in range(8):
+        for k in range(11):
             for kappa in partitions_of(k, max_len=m):
                 if hook_products(alpha, kappa)[2]:
                     assert Fraction(*c_at(kappa)) == _c_by_table(alpha, kappa, point), (m, kappa)

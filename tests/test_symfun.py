@@ -257,6 +257,11 @@ def test_eval_numeric():
     assert eval_numeric(e, [1, 1], alpha=Fraction(1)) == 3
     cexp = SymExpr("C", {(2,): rf(1)}, 2)
     assert eval_numeric(cexp, [1, 1], alpha=Fraction(1)) == 3
+    # a generic-count monomial with more parts than the point has no term there
+    assert eval_numeric(SymExpr("m", {(1, 1, 1): 1}), [1, 2]) == 0
+    value = eval_numeric(SymExpr("m", {(2, 1, 1): 1, (1,): 3}), [1.0, 2.0])
+    assert value == 9 and isinstance(value, float)
+    assert eval_numeric(jack.jack_expand(Fraction(1), (2, 1, 1)), [Fraction(1, 3), 2]) == 0
 
 
 def test_eval_numeric_rounds_the_exact_value_once():
@@ -320,12 +325,14 @@ def test_monomial_expansions_go_through_expand_to_monomials():
 
 def test_jack_tables_are_read_only_inside_jack():
     # every Jack table is built to its variable count in jack.py; the sweeps
-    # of m2jack and jack2jack read the cut C table through jack._c_table
+    # of m2jack and jack2jack read the cut C table through jack._c_table,
+    # and J's int table is read by the scaled tables and, at a point with a
+    # negative alpha, by jack._table_values
     sample = "def f():\n    return jack._c_table(1, 2, (1,))\n"
     assert _referrers(sample, "m", "_c_table") == {"m.f"}
     src = pathlib.Path(symfun.__file__).parent
     readers = {
-        "_jack_j_table": {"jack._jack_monomial_coefficients", "jack.jack_expand"},
+        "_jack_j_table": {"jack._jack_monomial_coefficients", "jack._table_values"},
         "_jack_monomial_coefficients": {"jack._c_table", "jack.jack_expand"},
         "_c_table": {"jack.jack_monomial_coefficients", "symfun.m2jack", "symfun.jack2jack"},
     }
