@@ -176,12 +176,12 @@ def cmd_convert(args):
 def cmd_expect(args):
     alpha = parse_scalar(args.alpha)
     nvars = args.vars
-    kwargs = {}
-    if args.ensemble == "laguerre":
-        kwargs["g"] = parse_scalar(args.g)
-    elif args.ensemble == "jacobi":
-        kwargs["g1"] = parse_scalar(args.g1)
-        kwargs["g2"] = parse_scalar(args.g2)
+    # a missing exponent is left out, for EnsembleSpec to name
+    kwargs = {
+        name: parse_scalar(getattr(args, name))
+        for name in expect.WEIGHT_PARAMS[args.ensemble]
+        if getattr(args, name) is not None
+    }
     spec = expect.EnsembleSpec(args.ensemble, alpha, nvars, **kwargs)
     tree = parse_expression(args.expr)
     if args.basis == "monomial":

@@ -2,12 +2,11 @@
 
 Everything reduces to the expectation of a single Jack polynomial C_kappa:
 a generalized-Pochhammer closed form for Laguerre and Jacobi, and the
-constant term of the Hermite polynomial for Hermite.  That term is the
-sigma = () case of the limiting-process formula of ``orthopoly.hermite2``,
-summed on its own (``orthopoly._hermite_constant_term``) from the one
-binomial table of kappa, without building the expansion.  Expressions are
-first flattened to the Jack C basis and expectation is applied by
-linearity.
+constant term of the Hermite polynomial for Hermite.  That term is
+v_() C_kappa(I_m), v_() being the last value of the n-free recurrence of
+``orthopoly.hermite`` (``orthopoly._hermite_values``), so no expansion is
+built.  Expressions are first flattened to the Jack C basis and
+expectation is applied by linearity.
 """
 
 from fractions import Fraction
@@ -18,23 +17,26 @@ from .rational import as_exact, as_int
 from .symfun import GENERIC, as_nvars
 
 
+# the weight exponents of each ensemble, all required
+WEIGHT_PARAMS = {"hermite": (), "laguerre": ("g",), "jacobi": ("g1", "g2")}
+
+
 class EnsembleSpec:
     """Which weight, its parameters, and the variable-count mode."""
 
     __slots__ = ("family", "alpha", "params", "nvars")
 
     def __init__(self, family, alpha, nvars=GENERIC, **params):
-        if family not in orthopoly.FAMILIES:
+        if family not in WEIGHT_PARAMS:
             raise DomainError("unknown ensemble %r" % family)
         self.family = family
         self.alpha = jack._as_alpha(alpha)
         self.nvars = as_nvars(nvars, 1)
         checked = {}
-        if family == "laguerre":
-            checked["g"] = orthopoly._check_weight_param(params.pop("g"), "g")
-        elif family == "jacobi":
-            checked["g1"] = orthopoly._check_weight_param(params.pop("g1"), "g1")
-            checked["g2"] = orthopoly._check_weight_param(params.pop("g2"), "g2")
+        for name in WEIGHT_PARAMS[family]:
+            if name not in params:
+                raise DomainError("the %s ensemble needs the parameter %s" % (family, name))
+            checked[name] = orthopoly._check_weight_param(params.pop(name), name)
         if params:
             raise DomainError("unexpected parameters: %s" % ", ".join(params))
         self.params = checked
@@ -43,14 +45,9 @@ class EnsembleSpec:
 def expect_jack_c(spec, kappa):
     """E[C_kappa] over the ensemble.
 
-    Hermite: zero for odd k = |kappa|; for even k, with h = k/2,
-
-        E[C_kappa] = (-1)^h C_kappa(I_m) sum_{mu <= kappa, |mu| <= h}
-                     (-1)^(k-|mu|) (kappa choose mu) e_h(b_mu),
-
-    the sum being the constant term of the Hermite polynomial over
-    C_kappa(I_m), and b_mu holding (alpha j + m - 1 - (i-1))/alpha for each
-    box (i, j) of kappa/mu.  Laguerre: (g + (m-1)/alpha + 1)_kappa
+    Hermite: zero for odd k = |kappa|; for even k it is (-1)^(k/2) times
+    the constant term v_() C_kappa(I_m) of the Hermite polynomial, v_()
+    from ``orthopoly._hermite_values``.  Laguerre: (g + (m-1)/alpha + 1)_kappa
     C_kappa(I_m).  Jacobi: (c1)_kappa / (c2)_kappa C_kappa(I_m) with
     c1 = g1 + (m-1)/alpha + 1 and c2 = g1 + g2 + 2(m-1)/alpha + 2.  A
     Hermite zero, and the zero for kappa longer than m, is ``alpha * 0``.
@@ -62,7 +59,9 @@ def expect_jack_c(spec, kappa):
         return alpha * 0
     m = orthopoly._check_nvars(kappa, spec.nvars)
     if spec.family == "hermite":
-        h0 = orthopoly._hermite_constant_term(alpha, kappa, m) if k % 2 == 0 else 0
+        if k % 2:
+            return alpha * 0
+        h0 = orthopoly._hermite_values(alpha, kappa)[()] * jack.jack_identity_value(alpha, kappa, "C", m)
         if not h0:
             return alpha * 0
         return h0 if (k // 2) % 2 == 0 else -h0
@@ -71,7 +70,7 @@ def expect_jack_c(spec, kappa):
         c1 = spec.params["g"] + (m - 1) / alpha + 1
         return binom.gsfact(alpha, c1, kappa) * ident
     c1 = spec.params["g1"] + (m - 1) / alpha + 1
-    c2 = spec.params["g1"] + spec.params["g2"] + (2 / alpha) * (m - 1) + 2
+    c2 = orthopoly._jacobi_g(alpha, spec.params["g1"], spec.params["g2"], m)
     return binom.gsfact(alpha, c1, kappa) / binom.gsfact(alpha, c2, kappa) * ident
 
 

@@ -7,11 +7,13 @@ provided; they must agree exactly, which is enforced by the test suite.
 ``hermite`` walks the two-box paths sigma -> sigma^(i) -> sigma^(i)(j)
 inside kappa, each weighted by the content of its first box less the
 content of its second, the content of box (row, col) being
-col - 1 - (row - 1)/alpha.  ``hermite2`` takes the Laguerre limit: a sum
-over the pairs sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma)
-times one coefficient of a Pochhammer ratio; ``_hermite_constant_term``
-sums its sigma = () case alone, for the Hermite expectations.  Both read
-those coefficients from one walk over mu, ``_hermite_mu_walk``.
+col - 1 - (row - 1)/alpha.  Its values ``_hermite_values`` do not depend
+on the variable count, and they also serve the level density and the
+Hermite expectations, whose constant term is v_() C_kappa(I_m).
+``hermite2`` takes the Laguerre limit: a sum over the pairs
+sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma) times one
+coefficient of a Pochhammer ratio, read from one walk over mu,
+``_hermite_mu_walk``.
 
 Sign conventions follow the explicit expansion formulas and the
 eigenfunction equations, cross-checked against the univariate classical
@@ -23,11 +25,8 @@ from fractions import Fraction
 from . import binom, cache, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
-from .rational import as_exact, as_finite, homogeneous, ratio, rf, undivided
+from .rational import as_exact, as_finite, homogeneous, ratio, rf
 from .symfun import GENERIC, SymExpr, as_nvars, eval_numeric, expand_to_monomials
-
-FAMILIES = ("hermite", "laguerre", "jacobi")
-
 
 class OrthoExpansion(SymExpr):
     """sum_sigma c_sigma C_sigma: a C-basis SymExpr that names its polynomial.
@@ -68,6 +67,11 @@ def _check_nvars(kappa, nvars):
     if len(kappa) > nvars:
         raise DomainError("partition %r needs at least %d variables" % (list(kappa), len(kappa)))
     return Fraction(nvars)
+
+
+def _jacobi_g(alpha, g1, g2, m):
+    """G = g1 + g2 + 2(m-1)/alpha + 2: the Jacobi eigenvalue is rho_kappa + |kappa| G."""
+    return g1 + g2 + (2 / alpha) * (m - 1) + 2
 
 
 def _check_weight_param(value, name):
@@ -156,7 +160,7 @@ def jacobi(alpha, kappa, g1, g2, nvars=GENERIC):
     g2 = _check_weight_param(g2, "g2")
     m = _check_nvars(kappa, nvars)
     k = partitions.weight(kappa)
-    big_g = g1 + g2 + (2 / alpha) * (m - 1) + 2
+    big_g = _jacobi_g(alpha, g1, g2, m)
     rho_kappa = partitions.rho(alpha, kappa)
 
     def divisor(sigma):
@@ -192,7 +196,7 @@ def hermite2(alpha, kappa, nvars=GENERIC):
     m = _check_nvars(kappa, nvars)
     k = partitions.weight(kappa)
     totals = {}
-    for mu, kappa_mu, e in _hermite_mu_walk(alpha, kappa, m, k):
+    for mu, kappa_mu, e in _hermite_mu_walk(alpha, kappa, m):
         j = partitions.weight(mu)
         for sigma, mu_sigma in binom.gbinomial_table(alpha, mu).items():
             s = partitions.weight(sigma)
@@ -209,8 +213,8 @@ def hermite2(alpha, kappa, nvars=GENERIC):
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 
 
-def _hermite_mu_walk(alpha, kappa, m, top):
-    """(mu, (-1)^(k-|mu|) (kappa choose mu), e) for each mu <= kappa, |mu| <= top.
+def _hermite_mu_walk(alpha, kappa, m):
+    """(mu, (-1)^(k-|mu|) (kappa choose mu), e) for each mu <= kappa.
 
     alpha and kappa must be canonical and m the scalar of ``_check_nvars``.
     e[t], t <= h = k/2 rounded down, is the elementary symmetric polynomial
@@ -223,8 +227,6 @@ def _hermite_mu_walk(alpha, kappa, m, top):
     h = k // 2
     for mu, kappa_mu in binom.gbinomial_table(alpha, kappa).items():
         j = partitions.weight(mu)
-        if j > top:
-            continue
         e = [1] + [0] * h
         seen = 0
         for i0, part in enumerate(kappa):
@@ -235,24 +237,6 @@ def _hermite_mu_walk(alpha, kappa, m, top):
                 for t in range(min(seen, h), 0, -1):
                     e[t] = e[t] + e[t - 1] * x
         yield mu, -kappa_mu if (k - j) % 2 else kappa_mu, e
-
-
-def _hermite_constant_term(alpha, kappa, m):
-    """The coefficient of C_() in ``hermite2(alpha, kappa, m)``.
-
-    alpha and kappa must be canonical, k = |kappa| even and m the scalar
-    of ``_check_nvars``.  For sigma = () the formula of ``hermite2`` needs
-    only (kappa choose mu): with h = k/2 the term is
-
-        C_kappa(I_m) / alpha^h sum_{mu <= kappa, |mu| <= h}
-            (-1)^(k-|mu|) (kappa choose mu) e_h(kappa/mu).
-    """
-    h = partitions.weight(kappa) // 2
-    total = None
-    for _, kappa_mu, e in _hermite_mu_walk(alpha, kappa, m, h):
-        term = kappa_mu * e[h]
-        total = term if total is None else total + term
-    return total / alpha**h * jack.jack_identity_value(alpha, kappa, "C", m)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +252,8 @@ def hermite(alpha, kappa, nvars=GENERIC):
                   (sigma^(i)(j) choose sigma^(i)) v_{sigma^(i)(j)} / (k - s),
 
     the sum running over the two-box paths sigma -> sigma^(i) ->
-    sigma^(i)(j) inside kappa, from v_kappa = 1 (``_hermite_values``).
+    sigma^(i)(j) inside kappa, c_1 and c_2 the contents of the first and
+    second boxes, from v_kappa = 1 (``_hermite_values``).
     The recurrence is linear and free of the variable count, so the
     coefficient of C_sigma is v_sigma C_kappa(I)/C_sigma(I).
     """
@@ -282,62 +267,65 @@ def hermite(alpha, kappa, nvars=GENERIC):
 def _hermite_values(alpha, kappa):
     """sigma -> v_sigma of ``hermite``'s two-box recurrence, from v_kappa = 1.
 
-    alpha and kappa must be canonical.  c_1 and c_2 are the contents of a
-    path's first and second boxes, the content of box (row, col) being
-    col - 1 - (row - 1)/alpha: two boxes in one row weigh -1, and boxes in
-    rows i != j weigh sigma_i - sigma_j - (i - j)/alpha, the opposite order
-    the negative, so the two chains ending at one partition are subtracted
-    before the weight multiplies them.
+    alpha and kappa must be canonical.  Row j adds to tau the box of
+    content c_j(tau) = tau_j - (j-1)/alpha, and a path sigma -> tau ->
+    tau^(j), tau = sigma^(i), weighs c_i(sigma) - c_j(tau).  The paths
+    through one tau share its two one-box sums over the steps inside kappa,
 
-    With alpha = P / Q a weight is (P (sigma_i - sigma_j) - Q (i - j)) / P,
-    and the coefficients are the undivided pairs of ``binom._contiguous``
-    that ``binom.one_box_recurrence`` sums too: for a Fraction alpha each
-    sigma's sum, chain differences included, is formed as ints over one
-    unreduced denominator and v_sigma is one Fraction.  A symbolic alpha
-    runs the same expressions in its field, with 1/alpha, the coefficients
-    and the values v as field elements over the int 1.
+        S_tau = sum_j (tau^(j) choose tau) v_{tau^(j)},
+        T_tau = sum_j c_j(tau) (tau^(j) choose tau) v_{tau^(j)},
+
+    so v_sigma = sum_i (sigma^(i) choose sigma) (c_i(sigma) S_tau - T_tau)
+    / (k - s), tau running over the steps sigma^(i) inside kappa.  In
+    reversed lexicographic order every tau^(j) comes before tau and every
+    tau before sigma: one pass forms S and T where k - |tau| is odd and v
+    where k - |sigma| is even.
+
+    With alpha = P / Q a content is (P tau_j - Q (j-1)) / P, and the
+    coefficients are the undivided pairs of ``binom._contiguous`` that
+    ``binom.one_box_recurrence`` sums too: for a Fraction alpha, S and T
+    are held as ints (S_num, T_num, den) over one unreduced denominator,
+    den for S and den P for T, and v_sigma is one Fraction.  A symbolic
+    alpha runs the same expressions in its field, with P = alpha, Q = 1,
+    and the coefficients, S, T and the values v as field elements over
+    the int 1.
     """
     k = partitions.weight(kappa)
-    # 1/alpha = Q/P as ints for a Fraction alpha, (1/alpha, 1) in alpha's field
     p, q = homogeneous(alpha)
-    rho_num, rho_den = undivided(q, p)
-    inner = {kappa: 1}
-    # reversed lexicographic order puts every sigma^(i)(j) before sigma
-    for sigma in reversed(partitions.subpartitions_of(kappa)):
+    values, sums = {kappa: 1}, {}
+    # reversed lexicographic order puts every sigma^(i) before sigma;
+    # kappa, the last subpartition, keeps its seed
+    for sigma in partitions.subpartitions_of(kappa)[-2::-1]:
         s = partitions.weight(sigma)
-        if s == k or (k - s) % 2:
-            continue
-        # end partition -> [weight of the order met first times rho_den,
-        # chain difference as num, den]
-        paths = {}
+        odd = (k - s) % 2
+        num = None
         for i in range(1, len(sigma) + 2):
-            step = binom._row_increment(sigma, i)
-            if step is None:
+            up = (values if odd else sums).get(binom._row_increment(sigma, i))
+            if up is None:
                 continue
-            first_num, first_den = binom._contiguous(p, q, sigma, i)
-            si = sigma[i - 1] if i <= len(sigma) else 0
-            for j in range(1, len(step) + 2):
-                end = binom._row_increment(step, j)
-                if end not in inner:
-                    continue
-                second_num, second_den = binom._contiguous(p, q, step, j)
-                chain_num, chain_den = first_num * second_num, first_den * second_den
-                path = paths.get(end)
-                if path is not None:
-                    path[1:] = path[1] * chain_den - chain_num * path[2], path[2] * chain_den
-                    continue
-                # content sigma_i - (i-1)/alpha of the first box less
-                # step_j - (j-1)/alpha of the second; -1 in one row
-                sj = step[j - 1] if j <= len(step) else 0
-                paths[end] = [(si - sj) * rho_den - (i - j) * rho_num, chain_num, chain_den]
-        if paths:
-            num, den = 0, 1
-            for end, (weight, chain_num, chain_den) in paths.items():
-                value_num, value_den = homogeneous(inner[end])
-                term_den = chain_den * value_den
-                num, den = num * term_den + weight * chain_num * value_num * den, den * term_den
-            inner[sigma] = ratio(num, rho_den * (den * (k - s)))
-    return inner
+            coeff_num, coeff_den = binom._contiguous(p, q, sigma, i)
+            # P c_i(sigma)
+            content = (sigma[i - 1] if i <= len(sigma) else 0) * p - (i - 1) * q
+            if odd:
+                value_num, value_den = homogeneous(up)
+                term_num, term_den = coeff_num * value_num, coeff_den * value_den
+                if num is None:
+                    num, t_num, den = term_num, content * term_num, term_den
+                else:
+                    num, t_num = num * term_den + term_num * den, t_num * term_den + content * term_num * den
+                    den = den * term_den
+                continue
+            up_s, up_t, up_den = up
+            term_num, term_den = coeff_num * (content * up_s - up_t), coeff_den * up_den
+            if num is None:
+                num, den = term_num, term_den
+            else:
+                num, den = num * term_den + term_num * den, den * term_den
+        if odd:
+            sums[sigma] = num, t_num, den
+        else:
+            values[sigma] = ratio(num, p * (den * (k - s)))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +362,15 @@ def family_eigenvalue(expansion):
 
     Hermite and Laguerre polynomials satisfy op(P) = -|kappa| P with the
     operators as written above; Jacobi polynomials satisfy op(P) =
-    (rho_kappa + |kappa| (g1+g2+2+(2/alpha)(n-1))) P.
+    (rho_kappa + |kappa| (g1+g2+2+(2/alpha)(n-1))) P, a polynomial in n
+    for a generic variable count.
     """
     k = partitions.weight(expansion.kappa)
     if expansion.family in ("hermite", "laguerre"):
         return -k
-    alpha = expansion.params["alpha"]
-    n = expansion.nvars
-    big_g = (
-        expansion.params["g1"] + expansion.params["g2"] + 2 + (2 / alpha) * (n - 1)
-    )
-    return partitions.rho(alpha, expansion.kappa) + k * big_g
+    params = expansion.params
+    big_g = _jacobi_g(params["alpha"], params["g1"], params["g2"], _check_nvars(expansion.kappa, expansion.nvars))
+    return partitions.rho(params["alpha"], expansion.kappa) + k * big_g
 
 
 def eval_at_zero(expansion):
@@ -414,18 +400,22 @@ def laguerre_hermite_limit_check(alpha, kappa, n, gamma_grid, xs):
 
     Evaluates gamma^(-k/2) L(gamma + sqrt(gamma) x) against (-1)^k H(x) at
     the point xs for each gamma on an increasing grid; returns the list of
-    absolute deviations, which should decrease along the grid.
+    absolute deviations, which should decrease along the grid.  Every gamma
+    must be a number > 0.
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     k = partitions.weight(kappa)
+    gamma_grid = [as_exact(gamma, "gamma") for gamma in gamma_grid]
+    for gamma in gamma_grid:
+        if not isinstance(gamma, Fraction) or gamma <= 0:
+            raise DomainError("gamma must be a number > 0, got %s" % gamma)
     xs = [float(as_finite(x, "a coordinate")) for x in xs]
     if len(xs) != n:
         raise DomainError("point has %d coordinates, expected %d" % (len(xs), n))
     target = (-1) ** k * eval_numeric(hermite(alpha, kappa, n), xs, alpha)
     deviations = []
     for gamma in gamma_grid:
-        gamma = as_exact(gamma, "gamma")
         root = float(gamma) ** 0.5
         point = [float(gamma) + root * x for x in xs]
         lag = eval_numeric(laguerre(alpha, kappa, gamma, n), point, alpha)

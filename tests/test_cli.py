@@ -370,6 +370,20 @@ def test_malformed_input_exits_2(capsys, argv, message):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "argv, missing",
+    [
+        (["--ensemble", "laguerre"], "g"),
+        (["--ensemble", "jacobi", "--g1", "1"], "g2"),
+        (["--ensemble", "jacobi", "--g2", "1"], "g1"),
+    ],
+)
+def test_expect_without_a_weight_parameter_exits_2(capsys, argv, missing):
+    code, out, err = run(["expect"] + argv + ["--alpha", "1", "--vars", "2", "--expr", "C[1]"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: the %s ensemble needs the parameter %s\n" % (argv[1], missing)
+
+
 _HYPERGEOM = ["hypergeom", "--alpha", "1", "--upper", "1", "--lower", "2"]
 _LARGEST = ["density", "largest-cdf", "--alpha", "1", "--g", "0", "--m", "2"]
 

@@ -252,6 +252,15 @@ def test_domain_checks():
         ex.EnsembleSpec("wishart", a, 1)
 
 
+@pytest.mark.parametrize(
+    "family, params, missing",
+    [("laguerre", {}, "g"), ("jacobi", {"g1": 1}, "g2"), ("jacobi", {"g2": 1}, "g1")],
+)
+def test_missing_weight_parameter_is_a_domain_error(family, params, missing):
+    with pytest.raises(DomainError, match="needs the parameter %s$" % missing):
+        ex.EnsembleSpec(family, 1, 2, **params)
+
+
 def test_conjecture_cap():
     with pytest.raises(DomainError):
         ex.conjecture_coefficients(a, 9)

@@ -1,3 +1,4 @@
+import pathlib
 import signal
 from contextlib import contextmanager
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 from mops import jack, orthopoly as op
 from mops.errors import DomainError
+from mops.expect import EnsembleSpec, expect_jack_c
 from mops.partitions import partitions_of, subpartitions_of, weight
 from mops.rational import ALPHA, G1, G2, GAMMA, N, rf
 from mops.symfun import GENERIC, SymExpr, eval_numeric, expand_to_monomials, jack2jack
@@ -17,6 +19,7 @@ from oracles import (
     laguerre_moments,
     monic_orthogonal,
 )
+from test_symfun import _referrers
 
 a = ALPHA
 one = Fraction(1)
@@ -206,19 +209,46 @@ def test_hermite_constructions_agree_on_larger_partitions(alpha, kappa, n):
 
 
 def test_hermite_constant_term_matches_both_constructions():
-    # the weight cap falls by 2 for each symbolic parameter (alpha, n)
+    # E[C_kappa] is (-1)^(k/2) times the constant term of H_kappa, which
+    # expect_jack_c reads from hermite's values alone; the weight cap falls
+    # by 2 for each symbolic parameter (alpha, n)
     for alpha in (a, one, Fraction(2), Fraction(1, 3), Fraction(3, 2)):
         for n in (GENERIC, 1, 2, 3, 5):
             cap = 8 - 2 * ((alpha is a) + (n is GENERIC))
-            m = op._check_nvars((), n)
+            spec = EnsembleSpec("hermite", alpha, n)
             for k in range(0, cap + 1, 2):
                 for kap in partitions_of(k, max_len=n):
-                    got = op._hermite_constant_term(alpha, kap, m)
+                    got = expect_jack_c(spec, kap)
+                    got = -got if (k // 2) % 2 else got
                     for build in (op.hermite, op.hermite2):
                         want = op.eval_at_zero(build(alpha, kap, n))
                         assert got == want, (alpha, n, kap, build.__name__)
                         if want:
                             assert repr(got) == repr(want)
+
+
+def test_hermite_values_form_steps_inside_kappa_alone():
+    # at alpha = -1/2 the step (2, 2) -> (3, 2) leaves kappa and its
+    # coefficient has a hook-product pole; no path of the recurrence takes
+    # it.  106920 is the constant term the mu-walk of hermite2 sums.
+    kappa = (2, 2, 1, 1)
+    assert op._hermite_values(Fraction(-1, 2), kappa)[()] == -22
+    assert expect_jack_c(EnsembleSpec("hermite", Fraction(-1, 2), 5), kappa) == 106920
+
+
+def test_hermite_values_readers():
+    # one recurrence serves hermite, the level density and the Hermite
+    # expectations; the mu-walk is hermite2's alone, the cross-check
+    src = pathlib.Path(op.__file__).parent
+    readers = {
+        "_hermite_values": {"orthopoly.hermite", "expect.expect_jack_c", "hypergeom._level_density_coeffs"},
+        "_hermite_mu_walk": {"orthopoly.hermite2"},
+    }
+    for target, want in readers.items():
+        found = set()
+        for path in sorted(src.glob("*.py")):
+            found |= _referrers(path.read_text(), path.stem, target)
+        assert found == want, target
 
 
 def test_hermite2_examples():
@@ -308,6 +338,20 @@ def test_operator_eigenchecks():
                 lhs = op.family_operator(e)
                 rhs = e.to_monomials(a).scale(op.family_eigenvalue(e))
                 assert lhs.terms == rhs.terms, (e.family, kap)
+
+
+def test_generic_jacobi_eigenvalue_is_a_polynomial_in_n():
+    for alpha, params in ((a, (G1, G2)), (Fraction(2, 3), (Fraction(1, 2), Fraction(3)))):
+        for kappa in ((1,), (2, 1), (3, 1, 1)):
+            generic = op.family_eigenvalue(op.jacobi(alpha, kappa, *params, GENERIC))
+            six = op.family_eigenvalue(op.jacobi(alpha, kappa, *params, 6))
+            assert rf(generic).substitute({"n": 6}) == rf(six), (alpha, kappa)
+
+
+@pytest.mark.parametrize("gamma", [0, Fraction(-1, 2), GAMMA], ids=["zero", "negative", "symbolic"])
+def test_limit_check_takes_a_positive_number_gamma(gamma):
+    with pytest.raises(DomainError, match="gamma"):
+        op.laguerre_hermite_limit_check(one, (1,), 2, [100, gamma], [0.3, -0.7])
 
 
 def test_numeric_domain_checks():
