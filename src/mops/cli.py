@@ -176,12 +176,9 @@ def cmd_convert(args):
 def cmd_expect(args):
     alpha = parse_scalar(args.alpha)
     nvars = args.vars
-    # a missing exponent is left out, for EnsembleSpec to name
-    kwargs = {
-        name: parse_scalar(getattr(args, name))
-        for name in expect.WEIGHT_PARAMS[args.ensemble]
-        if getattr(args, name) is not None
-    }
+    # every exponent given goes in, for EnsembleSpec to name one missing
+    # or one the ensemble does not take
+    kwargs = {name: parse_scalar(getattr(args, name)) for name in ("g", "g1", "g2") if getattr(args, name) is not None}
     spec = expect.EnsembleSpec(args.ensemble, alpha, nvars, **kwargs)
     tree = parse_expression(args.expr)
     if args.basis == "monomial":

@@ -116,14 +116,36 @@ def _identity_values(alpha, kappa, m):
     return values
 
 
+def _identity_ratio(alpha, kappa, sigma, m, ident):
+    """C_kappa(I_m) / C_sigma(I_m) as the generic expansion holds it, at m.
+
+    ident is ``_identity_values(alpha, kappa, m)``.  C_kappa(I_m) is
+    _from_j(kappa) alpha^k (m/alpha)_kappa, and (m/alpha)_sigma divides
+    (m/alpha)_kappa.  Where C_sigma(I_m) is 0, which a negative alpha and a
+    numeric m can make, C_kappa(I_m) is 0 too, and the ratio is the value
+    at m of that quotient: alpha^(k-s) (m/alpha)_kappa / (m/alpha)_sigma
+    times _from_j(kappa) / _from_j(sigma).
+    """
+    den = ident[sigma]
+    if den:
+        return ident[kappa] / den
+    shift = partitions.weight(kappa) - partitions.weight(sigma)
+    return (
+        alpha**shift
+        * binom.gsfact_skew(alpha, m / alpha, kappa, sigma)
+        * (jack._from_j(alpha, kappa, "C") / jack._from_j(alpha, sigma, "C"))
+    )
+
+
 def _binomial_expansion(alpha, kappa, c1, m, values):
     """Coefficients (-1)^|sigma| v_sigma (c1)_kappa/(c1)_sigma C_kappa(I)/C_sigma(I)."""
     ident = _identity_values(alpha, kappa, m)
-    ck_ident = ident[kappa]
     coeffs = {}
     for sigma, val in values.items():
         sign = -1 if partitions.weight(sigma) % 2 else 1
-        coeffs[sigma] = sign * val * binom.gsfact_skew(alpha, c1, kappa, sigma) * (ck_ident / ident[sigma])
+        coeffs[sigma] = (
+            sign * val * binom.gsfact_skew(alpha, c1, kappa, sigma) * _identity_ratio(alpha, kappa, sigma, m, ident)
+        )
     return coeffs
 
 
@@ -207,7 +229,7 @@ def hermite2(alpha, kappa, nvars=GENERIC):
             totals[sigma] = term if total is None else total + term
     ident = _identity_values(alpha, kappa, m)
     coeffs = {
-        sigma: total / alpha ** ((k - partitions.weight(sigma)) // 2) * (ident[kappa] / ident[sigma])
+        sigma: total / alpha ** ((k - partitions.weight(sigma)) // 2) * _identity_ratio(alpha, kappa, sigma, m, ident)
         for sigma, total in totals.items()
     }
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
@@ -259,8 +281,11 @@ def hermite(alpha, kappa, nvars=GENERIC):
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
-    ident = _identity_values(alpha, kappa, _check_nvars(kappa, nvars))
-    coeffs = {sigma: val * (ident[kappa] / ident[sigma]) for sigma, val in _hermite_values(alpha, kappa).items()}
+    m = _check_nvars(kappa, nvars)
+    ident = _identity_values(alpha, kappa, m)
+    coeffs = {
+        sigma: val * _identity_ratio(alpha, kappa, sigma, m, ident) for sigma, val in _hermite_values(alpha, kappa).items()
+    }
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 
 

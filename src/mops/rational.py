@@ -25,12 +25,18 @@ it equals.
 The polynomial gcd is the heuristic GCDHEU (Char, Geddes & Gonnet 1989):
 evaluate one variable at a large integer, take the gcd of the images
 recursively, rebuild a candidate from its digits and accept it when it
-divides both inputs, which the evaluation bound makes sufficient.  When no
-candidate divides, a primitive pseudo-remainder sequence (PRS) computes
-it.  Sums and products are reduced by Henrici's method (Knuth, TAOCP 2,
-4.5.1), as `fractions.Fraction` does: a product cancels each numerator
-against the other denominator first, and a sum needs the gcd of the
-denominators and, when that is not 1, one more gcd with the new numerator.
+divides both inputs, which the evaluation bound makes sufficient.  The
+quotients of those two trial divisions are the cofactors p/g and q/g, and
+the gcd returns them with g.  With one variable free, as for values in
+alpha alone and at the last level of every recursion, GCDHEU runs on
+dense int coefficient lists: an image is one int by Horner's rule, its
+gcd one int gcd, and the check a synthetic division.  When no candidate
+divides, a primitive pseudo-remainder sequence (PRS) computes the gcd and
+each input is divided by it once.  Sums and products are reduced by
+Henrici's method (Knuth, TAOCP 2, 4.5.1), as `fractions.Fraction` does: a
+product cancels each numerator against the other denominator first, and a
+sum needs the gcd of the denominators and, when that is not 1, one more
+gcd with the new numerator; every cancellation takes the cofactors.
 """
 
 import re
@@ -56,6 +62,8 @@ _TOTAL = _WIDTH * NPARAMS
 # variable v to the first power: its own field and the total degree
 _UNIT = tuple((1 << s) | (1 << _TOTAL) for s in _SHIFT)
 _GUARD = sum(1 << (_WIDTH * k + _WIDTH - 1) for k in range(NPARAMS + 1))
+# the field of variable v
+_FIELD_MASK = tuple(_MASK << s for s in _SHIFT)
 _ZEXP = 0
 
 
@@ -201,11 +209,13 @@ def _p_divexact(p, d):
     return out
 
 
-def _p_active_vars(p):
+def _p_active_vars(*polys):
+    """The variables that occur in any of the polynomials."""
     bits = 0
-    for exp in p:
-        bits |= exp
-    return {v for v, e in enumerate(_unpack(bits)) if e}
+    for p in polys:
+        for exp in p:
+            bits |= exp
+    return {v for v, mask in enumerate(_FIELD_MASK) if bits & mask}
 
 
 def _v_deg(p, v):
@@ -302,14 +312,17 @@ def _balanced_digit(p, xi):
     return digit, rest
 
 
-def _heugcd(p, q, depth=0):
-    """Heuristic gcd by integer evaluation; None when it gives up."""
-    active = _p_active_vars(p) | _p_active_vars(q)
-    if not active:
-        return _p_const(_int_gcd(_p_content(p), _p_content(q)))
+def _heugcd(p, q):
+    """(g, p/g, q/g) by integer evaluation; None when it gives up.
+
+    The division check of the candidate g yields the cofactors p/g and
+    q/g.  With at most one variable free, `_dense_heugcd` runs instead.
+    """
+    active = _p_active_vars(p, q)
+    if len(active) <= 1:
+        return _dense_heugcd(p, q, _UNIT[min(active)] if active else 0)
     v = min(active)
-    bound = 2 * min(_p_maxnorm(p), _p_maxnorm(q)) + 29
-    xi = bound
+    xi = 2 * min(_p_maxnorm(p), _p_maxnorm(q)) + 29
     for _ in range(6):
         # xi grows about degree-fold per variable: inputs of degree 7 in
         # each of four parameters need some 7000 bits at the last one
@@ -320,9 +333,11 @@ def _heugcd(p, q, depth=0):
         if not pe or not qe:
             xi = xi * 3 + 17
             continue
-        ge = _heugcd(pe, qe, depth + 1) if depth < 8 else None
-        if ge is None:
+        # the images have one variable fewer, so the recursion ends
+        image = _heugcd(pe, qe)
+        if image is None:
             return None
+        ge = image[0]
         # rebuild a candidate from balanced base-xi digits of ge
         cand = {}
         t = 0
@@ -338,13 +353,96 @@ def _heugcd(p, q, depth=0):
                 break
         # a candidate past the degree cap divides neither input
         if ok and cand and max(cand) >> _TOTAL <= _DEG_MAX:
-            content = _p_content(cand)
-            if content > 1:
-                cand = _p_divexact_int(cand, content)
+            cand = _p_positive(_p_divexact_int(cand, _p_content(cand)))
             # the division check that makes the candidate the gcd
-            if _p_quotient(p, cand) is not None and _p_quotient(q, cand) is not None:
+            p_g = _p_quotient(p, cand)
+            q_g = None if p_g is None else _p_quotient(q, cand)
+            if q_g is not None:
                 ig = _int_gcd(_p_content(p), _p_content(q))
-                return _p_positive(_p_scale(cand, ig))
+                return _p_scale(cand, ig), _p_divexact_int(p_g, ig), _p_divexact_int(q_g, ig)
+        xi = xi * 3 + 17
+    return None
+
+
+def _dense(p):
+    """Coefficients, lowest degree first, of a polynomial in at most one variable."""
+    out = [0] * ((max(p) >> _TOTAL) + 1)
+    for exp, c in p.items():
+        out[exp >> _TOTAL] = c
+    return out
+
+
+def _sparse(coeffs, unit):
+    """The polynomial of a coefficient list; unit is the variable's `_UNIT`."""
+    return {d * unit: c for d, c in enumerate(coeffs) if c}
+
+
+def _dense_quotient(a, b):
+    """a / b by synthetic division of coefficient lists, or None when b does
+    not divide a."""
+    db = len(b) - 1
+    lead = b[-1]
+    rest = list(a)
+    out = [0] * (len(a) - db)
+    for i in range(len(out) - 1, -1, -1):
+        c, rem = divmod(rest[i + db], lead)
+        if rem:
+            return None
+        if c:
+            out[i] = c
+            for j in range(db):
+                rest[i + j] -= c * b[j]
+    if not out or any(rest[:db]):
+        return None
+    return out
+
+
+def _dense_heugcd(p, q, unit):
+    """`_heugcd` of polynomials in at most one variable, on coefficient lists.
+
+    Each image is an int, by Horner's rule, and its gcd is one int gcd.
+    The same evaluation points, digit count and bit limit as the sparse
+    recursion apply.
+    """
+    a, b = _dense(p), _dense(q)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(6):
+        if xi.bit_length() > 40000:
+            return None
+        pe = qe = 0
+        for c in reversed(a):
+            pe = pe * xi + c
+        for c in reversed(b):
+            qe = qe * xi + c
+        if not pe or not qe:
+            xi = xi * 3 + 17
+            continue
+        ge = _int_gcd(pe, qe)
+        # balanced base-xi digits of ge, lowest first
+        half = xi // 2
+        cand = []
+        while ge and len(cand) < 400:
+            digit = ge % xi
+            if digit > half:
+                digit -= xi
+            cand.append(digit)
+            ge = (ge - digit) // xi
+        if not ge:
+            ig = _int_gcd(*a, *b)
+            if len(cand) == 1:  # the primitive gcd is 1
+                return _p_const(ig), _p_divexact_int(p, ig), _p_divexact_int(q, ig)
+            # the top digit of a positive ge is positive
+            content = _int_gcd(*cand)
+            cand = [c // content for c in cand]
+            # the division check that makes the candidate the gcd
+            a_g = _dense_quotient(a, cand)
+            b_g = None if a_g is None else _dense_quotient(b, cand)
+            if b_g is not None:
+                return (
+                    _sparse([c * ig for c in cand], unit),
+                    _sparse([c // ig for c in a_g], unit),
+                    _sparse([c // ig for c in b_g], unit),
+                )
         xi = xi * 3 + 17
     return None
 
@@ -352,9 +450,10 @@ def _heugcd(p, q, depth=0):
 def _prs_gcd(p, q):
     """Polynomial gcd by the primitive pseudo-remainder sequence.
 
-    The fallback of `_p_gcd`, for the main variable only: the content
-    gcds, in one variable fewer, go through `_p_gcd` and try `_heugcd`
-    first.  `test_gcd_matches_sympy` is the independent oracle of both.
+    The fallback of `_p_gcd` and `_p_cofactors`, for the main variable
+    only: the content gcds, in one variable fewer, go through `_p_gcd` and
+    try `_heugcd` first.  `test_gcd_matches_sympy` is the independent
+    oracle of both.
     """
     if not p:
         return _p_positive(dict(q))
@@ -364,7 +463,7 @@ def _prs_gcd(p, q):
         return _p_const(_int_gcd(_p_content(p), _p_content(q)))
     if p == q:
         return _p_positive(dict(p))
-    v = min(_p_active_vars(p) | _p_active_vars(q))
+    v = min(_p_active_vars(p, q))
     cp = _v_content(p, v)
     cq = _v_content(q, v)
     gcont = _p_gcd(cp, cq)
@@ -381,6 +480,11 @@ def _prs_gcd(p, q):
     return _p_positive(_p_mul(gcont, A))
 
 
+def _heuristic_applies(p, q):
+    """Neither operand is 0 or a constant, and they differ."""
+    return p and q and p != q and not (_p_is_const(p) or _p_is_const(q))
+
+
 def _p_gcd(p, q):
     """Polynomial gcd over Z, positive leading coefficient, content included.
 
@@ -391,15 +495,34 @@ def _p_gcd(p, q):
     For xi >= 2*min(|p|, |q|) + 2 the primitive candidate is the primitive
     gcd as soon as it divides both p and q, so the two trial divisions are
     the whole verification.  When no candidate divides, `_prs_gcd` runs.
-    A unit operand gives the unit at once.
+    A unit operand gives the unit at once.  The gcd alone, for the content
+    gcds; `_p_cofactors` gives the quotients too.
     """
     if p == _P_ONE or q == _P_ONE:
         return _P_ONE
-    if p and q and p != q and not (_p_is_const(p) or _p_is_const(q)):
+    if _heuristic_applies(p, q):
+        heur = _heugcd(p, q)
+        if heur is not None:
+            return heur[0]
+    return _prs_gcd(p, q)
+
+
+def _p_cofactors(p, q):
+    """(g, p/g, q/g) with g = `_p_gcd(p, q)`.
+
+    The quotients are `_heugcd`'s trial quotients; after the PRS fallback
+    each operand is divided once.
+    """
+    if p == _P_ONE or q == _P_ONE:
+        return _P_ONE, p, q
+    if _heuristic_applies(p, q):
         heur = _heugcd(p, q)
         if heur is not None:
             return heur
-    return _prs_gcd(p, q)
+    g = _prs_gcd(p, q)
+    if g == _P_ONE:
+        return g, p, q
+    return g, _p_divexact(p, g), _p_divexact(q, g)
 
 
 def _p_substitute(p, vals):
@@ -520,7 +643,7 @@ class RationalFunction:
 
     def free_parameters(self):
         """Names of parameters that actually occur."""
-        active = _p_active_vars(self.num) | _p_active_vars(self.den)
+        active = _p_active_vars(self.num, self.den)
         return tuple(PARAMS[i] for i in sorted(active))
 
     def __bool__(self):
@@ -545,18 +668,16 @@ class RationalFunction:
         if not self.num:
             return other
         d1, d2 = self.den, other.den
-        g = _p_gcd(d1, d2)
-        d1g, d2g = _p_divexact(d1, g), _p_divexact(d2, g)
+        g, d1g, d2g = _p_cofactors(d1, d2)
         num = _p_add(_p_mul(self.num, d2g), _p_mul(other.num, d1g))
         if not num:
             return ZERO
         if g == _P_ONE:
             return RationalFunction(num, _p_mul(d1, d2), _canonical=True)
-        # only the gcd of the new numerator with g is left to cancel
-        e = _p_gcd(num, g)
-        return RationalFunction(
-            _p_divexact(num, e), _p_mul(d1g, _p_divexact(d2, e)), _canonical=True
-        )
+        # only the gcd e of the new numerator with g is left to cancel:
+        # the denominator d1 d2 / (g e) is d1g d2g (g/e)
+        _, num_e, g_e = _p_cofactors(num, g)
+        return RationalFunction(num_e, _p_mul(d1g, _p_mul(d2g, g_e)), _canonical=True)
 
     __radd__ = __add__
 
@@ -580,8 +701,8 @@ class RationalFunction:
             return NotImplemented
         if not self.num or not other.num:
             return ZERO
-        n1, d2 = _p_cancel(self.num, other.den)
-        n2, d1 = _p_cancel(other.num, self.den)
+        _, n1, d2 = _p_cofactors(self.num, other.den)
+        _, n2, d1 = _p_cofactors(other.num, self.den)
         return RationalFunction(_p_mul(n1, n2), _p_mul(d1, d2), _canonical=True)
 
     __rmul__ = __mul__
@@ -733,15 +854,8 @@ def _canonicalize(num, den):
         raise DomainError("zero denominator")
     if not num:
         return {}, dict(_P_ONE)
-    return _sign_rule(*_p_cancel(num, den))
-
-
-def _p_cancel(p, q):
-    """p and q divided by their gcd."""
-    g = _p_gcd(p, q)
-    if g == _P_ONE:
-        return p, q
-    return _p_divexact(p, g), _p_divexact(q, g)
+    _, num, den = _p_cofactors(num, den)
+    return _sign_rule(num, den)
 
 
 def _sign_rule(num, den):

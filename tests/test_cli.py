@@ -384,6 +384,27 @@ def test_expect_without_a_weight_parameter_exits_2(capsys, argv, missing):
     assert err == "error: the %s ensemble needs the parameter %s\n" % (argv[1], missing)
 
 
+@pytest.mark.parametrize(
+    "argv, extra",
+    [
+        (["--ensemble", "hermite", "--g", "5"], "g"),
+        (["--ensemble", "laguerre", "--g", "1", "--g1", "7"], "g1"),
+    ],
+)
+def test_expect_with_a_weight_parameter_of_another_ensemble_exits_2(capsys, argv, extra):
+    code, out, err = run(["expect"] + argv + ["--alpha", "1", "--vars", "2", "--expr", "C[2]"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: unexpected parameters: %s\n" % extra
+
+
+@pytest.mark.parametrize("family", ["hermite", "hermite2", "laguerre", "jacobi"])
+@pytest.mark.parametrize("alpha, kappa", [("-3/2", "3,3"), ("-3/2", "4,4"), ("-2/3", "8")])
+def test_zero_identity_value_exits_0(capsys, family, alpha, kappa):
+    weights = {"laguerre": ["--g", "1"], "jacobi": ["--g1", "1", "--g2", "1"]}.get(family, [])
+    code, out, err = run([family, "--alpha=" + alpha, "--partition", kappa, "--vars", "4"] + weights, capsys)
+    assert (code, err) == (0, "") and out
+
+
 _HYPERGEOM = ["hypergeom", "--alpha", "1", "--upper", "1", "--lower", "2"]
 _LARGEST = ["density", "largest-cdf", "--alpha", "1", "--g", "0", "--m", "2"]
 

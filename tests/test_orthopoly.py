@@ -236,6 +236,32 @@ def test_hermite_values_form_steps_inside_kappa_alone():
     assert expect_jack_c(EnsembleSpec("hermite", Fraction(-1, 2), 5), kappa) == 106920
 
 
+_ZERO_IDENTITY_CASES = [(Fraction(-3, 2), kappa) for kappa in ((3, 3), (4, 3), (5, 3), (4, 4))] + [
+    (Fraction(-2, 3), kappa) for kappa in ((7,), (8,))
+]
+_CONSTRUCTIONS = {
+    "hermite": op.hermite,
+    "hermite2": op.hermite2,
+    "laguerre": lambda alpha, kappa, nvars: op.laguerre(alpha, kappa, 1, nvars),
+    "jacobi": lambda alpha, kappa, nvars: op.jacobi(alpha, kappa, 1, 1, nvars),
+}
+
+
+@pytest.mark.parametrize("alpha, kappa", _ZERO_IDENTITY_CASES)
+@pytest.mark.parametrize("family", sorted(_CONSTRUCTIONS))
+def test_zero_identity_value_keeps_the_generic_ratio(family, alpha, kappa):
+    # at n = 4 some C_sigma(I_n) and C_kappa(I_n) are both 0; the ratio is
+    # the generic expansion's polynomial in n, which was a 0/0 division
+    build = _CONSTRUCTIONS[family]
+    got = {sigma: c for sigma, c in build(alpha, kappa, 4).terms.items() if c}
+    want = {}
+    for sigma, c in build(alpha, kappa, GENERIC).terms.items():
+        value = rf(c).substitute({"n": 4}).to_fraction()
+        if value:
+            want[sigma] = value
+    assert got == want
+
+
 def test_hermite_values_readers():
     # one recurrence serves hermite, the level density and the Hermite
     # expectations; the mu-walk is hermite2's alone, the cross-check

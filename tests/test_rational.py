@@ -379,13 +379,26 @@ def _gcd_triples(draw):
     return draw(poly), draw(poly), draw(poly)
 
 
-def _check_gcd_against_sympy(triple):
+def _sympy_gcd(p, q):
+    """The gcd of two packed polynomials by sympy, positive leading coefficient."""
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols(PARAMS)
-    g, u, v = (sympy.Poly.from_dict({rational._unpack(e): c for e, c in p.items()}, *syms) for p in triple)
-    p, q = ({rational._pack(e): int(c) for e, c in (g * w).as_dict().items()} for w in (u, v))
-    want = {rational._pack(e): int(c) for e, c in sympy.gcd(g * u, g * v).as_dict().items()}
-    assert rational._p_gcd(p, q) == _p_positive(want)
+    sp, sq = (sympy.Poly.from_dict({rational._unpack(e): c for e, c in w.items()}, *syms) for w in (p, q))
+    return _p_positive({rational._pack(e): int(c) for e, c in sympy.gcd(sp, sq).as_dict().items()})
+
+
+def _check_gcd_against_sympy(triple):
+    g, u, v = triple
+    p, q = _p_mul(g, u), _p_mul(g, v)
+    want = _sympy_gcd(p, q)
+    assert rational._p_gcd(p, q) == want
+    _check_cofactors(p, q, want)
+
+
+def _check_cofactors(p, q, want):
+    g, p_g, q_g = rational._p_cofactors(p, q)
+    assert g == want
+    assert _p_mul(g, p_g) == p and _p_mul(g, q_g) == q
 
 
 @settings(max_examples=150, deadline=None)
@@ -397,8 +410,9 @@ def test_gcd_matches_sympy(triple):
 @settings(max_examples=60, deadline=None)
 @given(_gcd_triples())
 def test_prs_fallback_matches_sympy(triple):
-    # with the heuristic giving up, every gcd, contents included, is a PRS
-    with mock.patch.object(rational, "_heugcd", lambda p, q, depth=0: None):
+    # with the heuristic giving up, every gcd, contents included, is a PRS,
+    # and the cofactors are the PRS gcd's quotients
+    with mock.patch.object(rational, "_heugcd", lambda p, q: None):
         _check_gcd_against_sympy(triple)
 
 
@@ -414,16 +428,24 @@ def test_prs_fallback_takes_seconds_not_minutes():
 
 
 def test_generic_laguerre_gcds_match_prs(monkeypatch):
-    gcd = rational._p_gcd
+    gcd, cofactors = rational._p_gcd, rational._p_cofactors
     calls = []
 
-    def checked(p, q):
+    def checked_gcd(p, q):
         got = gcd(p, q)
         assert got == rational._prs_gcd(p, q), (p, q)
-        calls.append(got)
         return got
 
-    monkeypatch.setattr(rational, "_p_gcd", checked)
+    def checked_cofactors(p, q):
+        got = cofactors(p, q)
+        g, p_g, q_g = got
+        assert g == rational._prs_gcd(p, q), (p, q)
+        assert _p_mul(g, p_g) == p and _p_mul(g, q_g) == q, (p, q)
+        calls.append(g)
+        return got
+
+    monkeypatch.setattr(rational, "_p_gcd", checked_gcd)
+    monkeypatch.setattr(rational, "_p_cofactors", checked_cofactors)
     cache.clear_all()
     orthopoly.laguerre(ALPHA, (3,), GAMMA, GENERIC)
     assert len(calls) > 100
@@ -436,7 +458,38 @@ def test_heuristic_gcd_in_four_parameters():
     g = (1 + a + 2 * n + 3 * G1 + 5 * G2) ** 5
     u = (a * n * G1 * G2 + 3) ** 2 + a**3
     v = (a * n * G1 - G2 + 7) ** 2 + n
-    assert rational._heugcd((g * u).num, (g * v).num) == g.num
+    assert rational._heugcd((g * u).num, (g * v).num) == (g.num, u.num, v.num)
+
+
+@st.composite
+def _one_variable_triples(draw, var):
+    """Integer polynomials g, u, v in the one parameter var, degree <= 6."""
+    unit = rational._UNIT[var]
+    poly = st.dictionaries(
+        st.integers(0, 6).map(lambda d: d * unit), st.integers(-(10**4), 10**4).filter(bool), min_size=1, max_size=5
+    )
+    return draw(poly), draw(poly), draw(poly)
+
+
+@pytest.mark.parametrize("var", range(NPARAMS), ids=PARAMS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_one_variable_cofactors_match_sympy(var, data):
+    # the dense path: every gcd of these pairs runs on coefficient lists
+    _check_gcd_against_sympy(data.draw(_one_variable_triples(var)))
+
+
+@pytest.mark.parametrize("var", range(NPARAMS), ids=PARAMS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), c=st.integers(-(10**6), 10**6).filter(bool))
+def test_constant_and_one_variable_cofactors_match_sympy(var, data, c):
+    p = data.draw(_one_variable_triples(var))[0]
+    const = rational._p_const(c)
+    want = _sympy_gcd(const, p)
+    for x, y in ((const, p), (p, const)):
+        _check_cofactors(x, y, want)
+        g, x_g, y_g = rational._heugcd(x, y)
+        assert g == want and _p_mul(g, x_g) == x and _p_mul(g, y_g) == y
 
 
 @st.composite
