@@ -1,6 +1,12 @@
 """Shifted factorials, the multivariate Gamma function, and generalized
 binomial coefficients.
 
+Every generalized Pochhammer ratio is one product over the boxes (l, c)
+of kappa/sigma, ``_box_product``: prod (x + alpha (c-1) - (l-1)) =
+alpha^(k-s) (x/alpha)_kappa / (x/alpha)_sigma, taken in ints for
+Fractions.  ``gsfact_skew`` and ``gsfact`` read it at x = alpha r, and the
+identity values J_kappa(I_m) (Stanley 1989) and their ratios at x = m.
+
 The binomial coefficients (kappa choose sigma) are rational functions of
 alpha alone (no variable count, no normalization).  They are produced a
 whole table at a time.  The contiguous coefficients (sigma^(i) choose
@@ -28,32 +34,52 @@ def sfact(r, k):
     return out
 
 
+def _as_alpha(alpha):
+    alpha = as_exact(alpha, "alpha")
+    if not alpha:
+        raise DomainError("alpha = 0 is outside the Jack parameter domain")
+    return alpha
+
+
 def gsfact(alpha, r, kappa):
     """Generalized Pochhammer symbol prod_i (r - (i-1)/alpha)_{kappa_i}."""
-    alpha = as_exact(alpha, "alpha")
-    r = as_exact(r, "r")
-    kappa = partitions.as_partition(kappa)
-    out = 1
-    for i0, part in enumerate(kappa):
-        out = out * sfact(r - i0 / alpha, part)
-    return out
+    return gsfact_skew(alpha, r, kappa, ())
 
 
 def gsfact_skew(alpha, r, kappa, sigma):
     """Exact ratio (r)_kappa / (r)_sigma for sigma inside kappa."""
-    alpha = as_exact(alpha, "alpha")
+    alpha = _as_alpha(alpha)
     r = as_exact(r, "r")
     kappa = partitions.as_partition(kappa)
     sigma = partitions.as_partition(sigma)
     if not partitions.is_subpartition(sigma, kappa):
         raise DomainError("skew Pochhammer needs sigma inside kappa")
-    out = 1
-    for i0, part in enumerate(kappa):
-        low = sigma[i0] if i0 < len(sigma) else 0
-        base = r - i0 / alpha
-        for j in range(low, part):
-            out = out * (base + j)
-    return out
+    shift = partitions.weight(kappa) - partitions.weight(sigma)
+    return _box_product(alpha, alpha * r, kappa, sigma) / alpha**shift
+
+
+def _box_product(alpha, x, kappa, sigma):
+    """prod over the boxes (l, c) of kappa/sigma of x + alpha (c-1) - (l-1).
+
+    It is alpha^(k-s) (x/alpha)_kappa / (x/alpha)_sigma; at sigma = () and
+    x = m it is J_kappa(I_m) (Stanley 1989).  With alpha = P / Q and
+    x = X / Y a factor is (Q X + Y (P (c-1) - Q (l-1))) / (Q Y): for
+    Fractions the product is taken in ints and divided once, a symbolic
+    value takes the same expressions in its field.  alpha, kappa and sigma
+    must be canonical, sigma inside kappa.
+    """
+    p, q = homogeneous(alpha)
+    big_x, y = homogeneous(x)
+    qx = q * big_x
+    # the empty product is 1 in the field of alpha and x
+    num, boxes = (qx + p) ** 0, 0
+    for l0, part in enumerate(kappa):
+        low = sigma[l0] if l0 < len(sigma) else 0
+        base = qx - y * q * l0
+        for c0 in range(low, part):
+            num = num * (base + y * p * c0)
+        boxes += part - low
+    return ratio(num, (q * y) ** boxes)
 
 
 def mv_gamma(alpha, a, m):

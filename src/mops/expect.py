@@ -20,6 +20,10 @@ from .symfun import GENERIC, as_nvars
 # the weight exponents of each ensemble, all required
 WEIGHT_PARAMS = {"hermite": (), "laguerre": ("g",), "jacobi": ("g1", "g2")}
 
+# the largest k of ``conjecture_coefficients``: every coefficient conforms
+# up to it, and k = 12 takes about a second
+CONJECTURE_CAP = 12
+
 
 class EnsembleSpec:
     """Which weight, its parameters, and the variable-count mode."""
@@ -97,7 +101,7 @@ def expect_monomial_expr(spec, expr):
     return _expect_c_basis(spec, symfun.m2jack(spec.alpha, expr, spec.nvars))
 
 
-def conjecture_coefficients(alpha, k, cap=8):
+def conjecture_coefficients(alpha, k):
     """Structure report for the expansion m_[k] = sum f_lambda C_lambda.
 
     For each lambda the conjecture predicts f_lambda = (1/n(lambda)) *
@@ -105,17 +109,17 @@ def conjecture_coefficients(alpha, k, cap=8):
     integer independent of alpha (the i = 1 factor is trivial).  Returns
     a list of dicts with the coefficient, the predicted integer when the
     shape holds, and a conforming flag; never raises on a counterexample.
+    k above ``CONJECTURE_CAP`` raises DomainError.
     """
     alpha = jack._as_alpha(alpha)
-    if as_int(k, "k", 1) > cap:
-        raise DomainError("k = %d exceeds the cap %d" % (k, cap))
+    if as_int(k, "k", 1) > CONJECTURE_CAP:
+        raise DomainError("k = %d exceeds the cap %d" % (k, CONJECTURE_CAP))
     expansion = symfun.m2jack(alpha, symfun.SymExpr("m", {(k,): 1}), GENERIC)
     report = []
     for lam in sorted(expansion.terms, reverse=True):
         f_lam = expansion.terms[lam]
-        product = alpha**0
-        for i0 in range(1, len(lam)):
-            product = product * binom.sfact(-(i0 / alpha), lam[i0])
+        # prod_{i >= 2} (-(i-1)/alpha)_{lambda_i}, the symbol of lambda less its first row
+        product = binom.gsfact(alpha, -1 / alpha, lam[1:])
         entry = {"partition": lam, "coefficient": f_lam, "n": None, "conforming": False}
         if product != 0:
             value = as_exact(f_lam / product)

@@ -43,18 +43,12 @@ import math
 from itertools import zip_longest
 
 from . import binom, cache, operators, partitions
+from .binom import _as_alpha
 from .errors import DomainError
 from .rational import as_exact, common_denominator, homogeneous, ratio
 from .symfun import GENERIC, SymExpr, _orbit_sum, as_nvars
 
 NORMALIZATIONS = ("C", "J", "P")
-
-
-def _as_alpha(alpha):
-    alpha = as_exact(alpha, "alpha")
-    if not alpha:
-        raise DomainError("alpha = 0 is outside the Jack parameter domain")
-    return alpha
 
 
 def jack_monomial_coefficients(alpha, kappa):
@@ -161,6 +155,7 @@ def _horner(coeffs, alpha):
     return value, scale // q
 
 
+@cache.memo
 def _from_j(alpha, kappa, norm):
     """Scalar f with V_kappa = f * J_kappa for V in {C, J, P}.
 
@@ -386,12 +381,12 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
 def jack_identity_value(alpha, kappa, norm, m):
     """Value at x_1 = ... = x_m = 1; m may be numeric or a symbolic scalar.
 
-    J_kappa(I_m) = alpha^k (m/alpha)_kappa, times the normalization's factor.
+    J_kappa(I_m) = alpha^k (m/alpha)_kappa is ``binom._box_product``, times
+    the normalization's factor.
     """
     alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
-    poch = binom.gsfact(alpha, as_exact(m, "m") / alpha, kappa)
-    return alpha ** partitions.weight(kappa) * poch * _from_j(alpha, kappa, norm)
+    return binom._box_product(alpha, as_exact(m, "m"), kappa, ()) * _from_j(alpha, kappa, norm)
 
 
 def apply_dstar(expr, alpha, nvars):

@@ -15,6 +15,12 @@ sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma) times one
 coefficient of a Pochhammer ratio, read from one walk over mu,
 ``_hermite_mu_walk``.
 
+Every coefficient carries C_kappa(I_n)/C_sigma(I_n), ``_identity_ratio``:
+the product over the boxes of kappa/sigma of ``binom._box_product`` times
+the C normalization's factors of kappa and sigma, one formula at every
+sigma, also where C_sigma(I_n) is 0.  Only the sigma an expansion holds
+are visited, so a pole of another subpartition's hooks raises nothing.
+
 Sign conventions follow the explicit expansion formulas and the
 eigenfunction equations, cross-checked against the univariate classical
 polynomials at n = 1.
@@ -22,7 +28,7 @@ polynomials at n = 1.
 
 from fractions import Fraction
 
-from . import binom, cache, jack, operators, partitions
+from . import binom, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
 from .rational import as_exact, as_finite, homogeneous, ratio, rf
@@ -82,69 +88,26 @@ def _check_weight_param(value, name):
     return value
 
 
-@cache.memo
-def _identity_values(alpha, kappa, m):
-    """C_sigma(I_m) for every subpartition sigma of kappa, keyed by sigma.
-
-    Sorted, the subpartitions list every sigma after its parent pi, sigma
-    less its last box (l, c), and only the hooks of row l and of column c
-    differ between the two, so
-
-        C_sigma(I_m) = |sigma| C_pi(I_m) num / den,
-
-    the ratio num / den being ``partitions._box_hook_ratio``'s:
-
-        num = (m - l + 1 + alpha (c-1))
-            prod_{r<l} (h - 1 + alpha (1+a_r)) (h + alpha a_r),
-        den = c (1 + alpha (c-1))
-            prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r),
-
-    h = l - r, a_r = sigma_r - c.  A subpartition costs O(l) operations:
-    for a Fraction alpha and a numeric m, num and den are int products
-    and their ratio one Fraction; a symbolic alpha or m takes them in its
-    field.  The dict is the memo table's own: callers must not change it.
-    """
-    values = {}
-    for sigma in partitions.subpartitions_of(kappa):
-        if not sigma:
-            values[sigma] = alpha**0
-            continue
-        c = sigma[-1]
-        parent = sigma[:-1] + (c - 1,) if c > 1 else sigma[:-1]
-        num, den = partitions._box_hook_ratio(alpha, sigma, m)
-        values[sigma] = values[parent] * ratio(partitions.weight(sigma) * num, den)
-    return values
-
-
-def _identity_ratio(alpha, kappa, sigma, m, ident):
+def _identity_ratio(alpha, kappa, sigma, m):
     """C_kappa(I_m) / C_sigma(I_m) as the generic expansion holds it, at m.
 
-    ident is ``_identity_values(alpha, kappa, m)``.  C_kappa(I_m) is
-    _from_j(kappa) alpha^k (m/alpha)_kappa, and (m/alpha)_sigma divides
-    (m/alpha)_kappa.  Where C_sigma(I_m) is 0, which a negative alpha and a
-    numeric m can make, C_kappa(I_m) is 0 too, and the ratio is the value
-    at m of that quotient: alpha^(k-s) (m/alpha)_kappa / (m/alpha)_sigma
-    times _from_j(kappa) / _from_j(sigma).
+    C_kappa(I_m) is _from_j(kappa) ``binom._box_product(alpha, m, kappa,
+    ())``, and sigma's product divides kappa's, so the ratio is the product
+    over the boxes of kappa/sigma times _from_j(kappa) / _from_j(sigma).
+    It is the generic polynomial's value at m also where C_sigma(I_m) is
+    0, which a negative alpha and a numeric m can make.
     """
-    den = ident[sigma]
-    if den:
-        return ident[kappa] / den
-    shift = partitions.weight(kappa) - partitions.weight(sigma)
-    return (
-        alpha**shift
-        * binom.gsfact_skew(alpha, m / alpha, kappa, sigma)
-        * (jack._from_j(alpha, kappa, "C") / jack._from_j(alpha, sigma, "C"))
-    )
+    factor = jack._from_j(alpha, kappa, "C") / jack._from_j(alpha, sigma, "C")
+    return binom._box_product(alpha, m, kappa, sigma) * factor
 
 
 def _binomial_expansion(alpha, kappa, c1, m, values):
     """Coefficients (-1)^|sigma| v_sigma (c1)_kappa/(c1)_sigma C_kappa(I)/C_sigma(I)."""
-    ident = _identity_values(alpha, kappa, m)
     coeffs = {}
     for sigma, val in values.items():
         sign = -1 if partitions.weight(sigma) % 2 else 1
         coeffs[sigma] = (
-            sign * val * binom.gsfact_skew(alpha, c1, kappa, sigma) * _identity_ratio(alpha, kappa, sigma, m, ident)
+            sign * val * binom.gsfact_skew(alpha, c1, kappa, sigma) * _identity_ratio(alpha, kappa, sigma, m)
         )
     return coeffs
 
@@ -227,9 +190,8 @@ def hermite2(alpha, kappa, nvars=GENERIC):
             term = kappa_mu * mu_sigma * e[(k - s) // 2]
             total = totals.get(sigma)
             totals[sigma] = term if total is None else total + term
-    ident = _identity_values(alpha, kappa, m)
     coeffs = {
-        sigma: total / alpha ** ((k - partitions.weight(sigma)) // 2) * _identity_ratio(alpha, kappa, sigma, m, ident)
+        sigma: total / alpha ** ((k - partitions.weight(sigma)) // 2) * _identity_ratio(alpha, kappa, sigma, m)
         for sigma, total in totals.items()
     }
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
@@ -282,10 +244,8 @@ def hermite(alpha, kappa, nvars=GENERIC):
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     m = _check_nvars(kappa, nvars)
-    ident = _identity_values(alpha, kappa, m)
-    coeffs = {
-        sigma: val * _identity_ratio(alpha, kappa, sigma, m, ident) for sigma, val in _hermite_values(alpha, kappa).items()
-    }
+    values = _hermite_values(alpha, kappa)
+    coeffs = {sigma: val * _identity_ratio(alpha, kappa, sigma, m) for sigma, val in values.items()}
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 
 
@@ -413,10 +373,10 @@ def eval_at_scalar_identity(expansion, x, m):
 
 def _scalar_identity_sums(expansion):
     """[S_0..S_|kappa|], S_s = sum over |sigma| = s of c_sigma C_sigma(I_m), m = nvars."""
-    ident = _identity_values(expansion.params["alpha"], expansion.kappa, Fraction(expansion.nvars))
+    alpha, m = expansion.params["alpha"], expansion.nvars
     sums = [0] * (partitions.weight(expansion.kappa) + 1)
     for sigma, c in expansion.terms.items():
-        sums[partitions.weight(sigma)] += c * ident[sigma]
+        sums[partitions.weight(sigma)] += c * jack.jack_identity_value(alpha, sigma, "C", m)
     return sums
 
 

@@ -450,19 +450,11 @@ def _dense_heugcd(p, q, unit):
 def _prs_gcd(p, q):
     """Polynomial gcd by the primitive pseudo-remainder sequence.
 
-    The fallback of `_p_gcd` and `_p_cofactors`, for the main variable
-    only: the content gcds, in one variable fewer, go through `_p_gcd` and
-    try `_heugcd` first.  `test_gcd_matches_sympy` is the independent
-    oracle of both.
+    The fallback of `_p_cofactors` when `_heugcd` gives up, for nonzero,
+    non-constant operands, in the main variable only: the content gcds, in
+    one variable fewer, go through `_p_gcd` and try `_heugcd` first.
+    `test_gcd_matches_sympy` is the independent oracle of both.
     """
-    if not p:
-        return _p_positive(dict(q))
-    if not q:
-        return _p_positive(dict(p))
-    if _p_is_const(p) or _p_is_const(q):
-        return _p_const(_int_gcd(_p_content(p), _p_content(q)))
-    if p == q:
-        return _p_positive(dict(p))
     v = min(_p_active_vars(p, q))
     cp = _v_content(p, v)
     cq = _v_content(q, v)
@@ -480,13 +472,13 @@ def _prs_gcd(p, q):
     return _p_positive(_p_mul(gcont, A))
 
 
-def _heuristic_applies(p, q):
-    """Neither operand is 0 or a constant, and they differ."""
-    return p and q and p != q and not (_p_is_const(p) or _p_is_const(q))
-
-
 def _p_gcd(p, q):
-    """Polynomial gcd over Z, positive leading coefficient, content included.
+    """Polynomial gcd over Z, positive leading coefficient, content included."""
+    return _p_cofactors(p, q)[0]
+
+
+def _p_cofactors(p, q):
+    """(g, p/g, q/g): g the polynomial gcd over Z, positive leading coefficient, content included.
 
     `_heugcd` (GCDHEU, Char, Geddes & Gonnet, J. Symbolic Comput. 7, 1989)
     substitutes an integer xi >= 2*min(|p|, |q|) + 29 (|.| the largest
@@ -494,31 +486,25 @@ def _p_gcd(p, q):
     recursively and rebuilds a candidate from its balanced base-xi digits.
     For xi >= 2*min(|p|, |q|) + 2 the primitive candidate is the primitive
     gcd as soon as it divides both p and q, so the two trial divisions are
-    the whole verification.  When no candidate divides, `_prs_gcd` runs.
-    A unit operand gives the unit at once.  The gcd alone, for the content
-    gcds; `_p_cofactors` gives the quotients too.
-    """
-    if p == _P_ONE or q == _P_ONE:
-        return _P_ONE
-    if _heuristic_applies(p, q):
-        heur = _heugcd(p, q)
-        if heur is not None:
-            return heur[0]
-    return _prs_gcd(p, q)
-
-
-def _p_cofactors(p, q):
-    """(g, p/g, q/g) with g = `_p_gcd(p, q)`.
-
-    The quotients are `_heugcd`'s trial quotients; after the PRS fallback
-    each operand is divided once.
+    the whole verification, and their quotients are the cofactors.  When
+    no candidate divides, `_prs_gcd` runs and each operand is divided by
+    its gcd once.  A unit, zero, constant or equal operand is answered
+    here, before either: every `_prs_gcd` call is a real PRS.
     """
     if p == _P_ONE or q == _P_ONE:
         return _P_ONE, p, q
-    if _heuristic_applies(p, q):
-        heur = _heugcd(p, q)
-        if heur is not None:
-            return heur
+    if not p or not q or p == q:
+        # gcd(0, h), gcd(h, 0) and gcd(h, h) are h up to sign
+        h = q or p
+        g = _p_positive(h)
+        unit = _p_const(1 if g is h else -1)
+        return g, unit if p else p, unit if q else q
+    if _p_is_const(p) or _p_is_const(q):
+        ig = _int_gcd(_p_content(p), _p_content(q))
+        return _p_const(ig), _p_divexact_int(p, ig), _p_divexact_int(q, ig)
+    heur = _heugcd(p, q)
+    if heur is not None:
+        return heur
     g = _prs_gcd(p, q)
     if g == _P_ONE:
         return g, p, q

@@ -7,11 +7,12 @@ ensemble expectations from the two-variable rotation reduction,
 subpartition enumeration from brute force over tuples, contiguous
 binomial coefficients from hook products over the whole diagram, hook
 products and one-box hook ratios from field arithmetic on every factor
-(the library multiplies ints over a power of alpha's denominator), and Jack
-tables at alpha = 1 from Kostka numbers counted over semistandard
-tableaux.  ``jack_c_recurrence`` is the Laplace-Beltrami recurrence run in
-the coefficient field itself, the reference for the library's integer
-tables.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
+(the library multiplies ints over a power of alpha's denominator),
+generalized Pochhammer symbols row by row (the library multiplies box
+factors homogeneously), and Jack tables at alpha = 1 from Kostka numbers
+counted over semistandard tableaux.  ``jack_c_recurrence`` is the
+Laplace-Beltrami recurrence run in the coefficient field itself, the
+reference for the library's integer tables.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
 ratio of Hankel determinants of incomplete Gamma functions, in mpmath.
 ``next_layer_field`` is the series engine's per-box step with every
 factor a + s a field element and one division per factor, the reference
@@ -171,6 +172,18 @@ def box_hook_ratio_field(alpha, kappa, m):
         num = num * ((h - 1 + alpha + arm) * (h + arm))
         den = den * ((h + alpha + arm) * (h + 1 + arm))
     return num, den
+
+
+def gsfact_by_rows(alpha, r, kappa):
+    """prod_i (r - (i-1)/alpha)_{kappa_i}, one shifted factorial per row.
+
+    The library takes the product over the boxes of kappa, homogeneous in
+    alpha and r; here each row's shifted factorial is formed in the field.
+    """
+    out = 1
+    for i0, part in enumerate(kappa):
+        out = out * sfact(r - i0 / alpha, part)
+    return out
 
 
 def gbinomial_from_definition(alpha, kappa, sigma, m):

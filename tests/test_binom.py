@@ -1,4 +1,5 @@
 import math
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,8 @@ from mops.errors import DomainError
 from mops.partitions import is_subpartition, partitions_of, subpartitions_of, weight
 from mops.rational import ALPHA, GAMMA, N, R, homogeneous
 
-from oracles import contiguous_all_boxes, gbinomial_from_definition
+from oracles import contiguous_all_boxes, gbinomial_from_definition, gsfact_by_rows
+from test_symfun import _referrers
 
 a = ALPHA
 
@@ -36,6 +38,37 @@ def test_gsfact_skew_matches_ratio():
             full = binom.gsfact(a, r, kappa)
             part = binom.gsfact(a, r, sigma)
             assert binom.gsfact_skew(a, r, kappa, sigma) * part == full
+
+
+def test_gsfact_matches_the_row_products():
+    # the box product, homogeneous in alpha and r, against one shifted
+    # factorial per row in the field
+    alphas = (Fraction(1), Fraction(2, 3), Fraction(-3, 2), Fraction(-1, 2), a)
+    rs = (Fraction(0), Fraction(5, 2), Fraction(-7, 3), N, GAMMA + 1 / a, R * a - 2)
+    for alpha in alphas:
+        for r in rs:
+            for k in range(6):
+                for kappa in partitions_of(k):
+                    assert binom.gsfact(alpha, r, kappa) == gsfact_by_rows(alpha, r, kappa), (alpha, r, kappa)
+
+
+@pytest.mark.parametrize("alpha", [0, Fraction(0), ALPHA - ALPHA])
+def test_gsfact_refuses_alpha_zero(alpha):
+    for kappa in ((), (2,), (2, 1)):
+        with pytest.raises(DomainError, match="alpha = 0"):
+            binom.gsfact(alpha, 1, kappa)
+        with pytest.raises(DomainError, match="alpha = 0"):
+            binom.gsfact_skew(alpha, 1, kappa, ())
+
+
+def test_box_product_readers():
+    # one product over the boxes of kappa/sigma gives every generalized
+    # Pochhammer ratio: the skew symbol, the identity values and their ratios
+    src = pathlib.Path(binom.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        found |= _referrers(path.read_text(), path.stem, "_box_product")
+    assert found == {"binom.gsfact_skew", "jack.jack_identity_value", "orthopoly._identity_ratio"}
 
 
 def test_mv_gamma():

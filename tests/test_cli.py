@@ -405,6 +405,24 @@ def test_zero_identity_value_exits_0(capsys, family, alpha, kappa):
     assert (code, err) == (0, "") and out
 
 
+@pytest.mark.parametrize("family, code", [("hermite", 0), ("hermite2", 0), ("laguerre", 3)])
+def test_only_poles_of_held_terms_exit_3(capsys, family, code):
+    # the hooks of (2,1) vanish at alpha = -1/2; only Laguerre holds C_[2,1]
+    weights = ["--g", "1"] if family == "laguerre" else []
+    got = run([family, "--alpha=-1/2", "--partition", "2,1,1", "--vars", "3"] + weights, capsys)
+    if code:
+        assert got == (3, "", "error: alpha = -1/2 is a pole of the hook products of (2, 1)\n")
+    else:
+        assert got == (0, "C[2,1,1] - 24*C[2] - 18*C[1,1] + 72\n", "")
+
+
+@pytest.mark.parametrize("partition", ["2,1", "1", ""])
+def test_gsfact_at_alpha_zero_exits_2(capsys, partition):
+    code, out, err = run(["gsfact", "--alpha", "0", "--r", "1", "--partition", partition], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: alpha = 0 is outside the Jack parameter domain\n"
+
+
 _HYPERGEOM = ["hypergeom", "--alpha", "1", "--upper", "1", "--lower", "2"]
 _LARGEST = ["density", "largest-cdf", "--alpha", "1", "--g", "0", "--m", "2"]
 

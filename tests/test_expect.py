@@ -262,9 +262,11 @@ def test_missing_weight_parameter_is_a_domain_error(family, params, missing):
 
 
 def test_conjecture_cap():
-    with pytest.raises(DomainError):
-        ex.conjecture_coefficients(a, 9)
-    ex.conjecture_coefficients(a, 9, cap=9)
+    # the bound is a module constant; k = 9, past the old default, conforms
+    assert ex.CONJECTURE_CAP == 12
+    with pytest.raises(DomainError, match="exceeds the cap 12"):
+        ex.conjecture_coefficients(a, 13)
+    assert all(entry["conforming"] for entry in ex.conjecture_coefficients(a, 9))
 
 
 def test_random_products_against_rotation_oracle():

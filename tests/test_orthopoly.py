@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mops import jack, orthopoly as op
-from mops.errors import DomainError
+from mops.errors import DomainError, PoleError
 from mops.expect import EnsembleSpec, expect_jack_c
 from mops.partitions import partitions_of, subpartitions_of, weight
 from mops.rational import ALPHA, G1, G2, GAMMA, N, rf
@@ -321,25 +321,39 @@ def test_eval_at_scalar_identity():
         op.eval_at_scalar_identity(h, rf(1), 2)
 
 
-def test_identity_values_match_jack():
-    # the box-by-box table against the hook-product value of each sigma;
-    # both read the int hook products, which test_partitions checks against
-    # field arithmetic
+def test_identity_ratio_matches_jack():
+    # C_kappa(I_m) / C_sigma(I_m) from the box product of kappa/sigma against
+    # the quotient of two identity values; where C_sigma(I_m) is 0 (sigma
+    # longer than m) the ratio is the generic polynomial's value at m
     for alpha in (one, Fraction(1, 4), Fraction(3, 2), a):
         kappas = [(4, 3, 1), (3, 3, 2, 1), (2, 2, 2, 2, 2)]
         if alpha is not a:
             kappas.append((8, 8, 8, 8))
         for m in (Fraction(3), Fraction(5), N):
             for kappa in kappas:
-                table = op._identity_values(alpha, kappa, m)
-                assert sorted(table) == subpartitions_of(kappa)
-                for sigma, value in table.items():
-                    assert value == jack.jack_identity_value(alpha, sigma, "C", m), (
-                        alpha, sigma, m,
-                    )
-                snapshot = dict(table)
-                again = op._identity_values(alpha, kappa, m)
-                assert again is table and again == snapshot
+                top = jack.jack_identity_value(alpha, kappa, "C", m)
+                for sigma in subpartitions_of(kappa):
+                    got = op._identity_ratio(alpha, kappa, sigma, m)
+                    below = jack.jack_identity_value(alpha, sigma, "C", m)
+                    if below:
+                        assert got == top / below, (alpha, kappa, sigma, m)
+                    else:
+                        generic = rf(op._identity_ratio(alpha, kappa, sigma, N))
+                        assert len(sigma) > m and got == generic.substitute({"n": m}), (alpha, kappa, sigma, m)
+
+
+def test_hermite_skips_the_poles_of_terms_it_does_not_hold():
+    # at alpha = -1/2 the hooks of (2, 1) vanish, and (2, 1) is no term of
+    # the Hermite polynomial of (2, 1, 1): both constructions give it, and it
+    # passes the eigencheck; Laguerre holds C_(2,1) and raises
+    alpha, kappa = Fraction(-1, 2), (2, 1, 1)
+    h = op.hermite(alpha, kappa, 3)
+    assert h.terms == op.hermite2(alpha, kappa, 3).terms
+    assert (2, 1) not in h.terms and h.terms[kappa] == 1
+    lhs = op.family_operator(h)
+    assert lhs.terms == h.to_monomials(alpha).scale(op.family_eigenvalue(h)).terms
+    with pytest.raises(PoleError, match=r"\(2, 1\)"):
+        op.laguerre(alpha, kappa, 1, 3)
 
 
 def test_orthogonality_to_constants():

@@ -310,7 +310,30 @@ def test_polynomial_gcd_white_box():
 def test_gcd_with_the_unit_is_the_unit(p):
     one = rf(1).num
     assert rational._p_gcd(p.num, one) == rational._p_gcd(one, p.num) == one
-    assert rational._prs_gcd(p.num, one) == rational._prs_gcd(one, p.num) == one
+    assert rational._p_cofactors(p.num, one) == (one, p.num, one)
+    assert rational._p_cofactors(one, p.num) == (one, one, p.num)
+
+
+def test_trivial_gcds_take_no_gcd_algorithm():
+    # zero, constant and equal operands are answered by _p_cofactors
+    # itself, so every _prs_gcd call is a real pseudo-remainder sequence
+    def refuse(p, q):
+        raise AssertionError("a gcd algorithm ran on %r, %r" % (p, q))
+
+    x = ((2 + 2 * a) * (1 - n)).num
+    cases = [
+        (rf(0).num, x, (_p_neg(x), {}, rf(-1).num)),
+        (x, rf(0).num, (_p_neg(x), rf(-1).num, {})),
+        (_p_neg(x), _p_neg(x), (_p_neg(x), rf(1).num, rf(1).num)),
+        (x, x, (_p_neg(x), rf(-1).num, rf(-1).num)),
+        (rf(6).num, x, (rf(2).num, rf(3).num, ((1 + a) * (1 - n)).num)),
+        (x, rf(-5).num, (rf(1).num, x, rf(-5).num)),
+        (rf(-4).num, rf(6).num, (rf(2).num, rf(-2).num, rf(3).num)),
+    ]
+    with mock.patch.object(rational, "_heugcd", refuse), mock.patch.object(rational, "_prs_gcd", refuse):
+        for p, q, want in cases:
+            assert rational._p_cofactors(p, q) == want, (p, q)
+            assert rational._p_gcd(p, q) == want[0]
 
 
 def _assert_henrici_canonical(f, g):
@@ -427,19 +450,28 @@ def test_prs_fallback_takes_seconds_not_minutes():
     assert time.perf_counter() - start < 10.0
 
 
+def _reference_gcd(p, q):
+    """The gcd by a real PRS, or by its definition where an operand is 0 or a constant."""
+    if not p or not q:
+        return _p_positive(p or q)
+    if rational._p_is_const(p) or rational._p_is_const(q):
+        return rational._p_const(math.gcd(*p.values(), *q.values()))
+    return rational._prs_gcd(p, q)
+
+
 def test_generic_laguerre_gcds_match_prs(monkeypatch):
     gcd, cofactors = rational._p_gcd, rational._p_cofactors
     calls = []
 
     def checked_gcd(p, q):
         got = gcd(p, q)
-        assert got == rational._prs_gcd(p, q), (p, q)
+        assert got == _reference_gcd(p, q), (p, q)
         return got
 
     def checked_cofactors(p, q):
         got = cofactors(p, q)
         g, p_g, q_g = got
-        assert g == rational._prs_gcd(p, q), (p, q)
+        assert g == _reference_gcd(p, q), (p, q)
         assert _p_mul(g, p_g) == p and _p_mul(g, q_g) == q, (p, q)
         calls.append(g)
         return got
