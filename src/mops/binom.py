@@ -3,9 +3,11 @@ binomial coefficients.
 
 Every generalized Pochhammer ratio is one product over the boxes (l, c)
 of kappa/sigma, ``_box_product``: prod (x + alpha (c-1) - (l-1)) =
-alpha^(k-s) (x/alpha)_kappa / (x/alpha)_sigma, taken in ints for
-Fractions.  ``gsfact_skew`` and ``gsfact`` read it at x = alpha r, and the
-identity values J_kappa(I_m) (Stanley 1989) and their ratios at x = m.
+alpha^(k-s) (x/alpha)_kappa / (x/alpha)_sigma, taken by
+``rational.linear_product`` when x is a number: in ints for a Fraction
+alpha, as linear factors with no gcd for a symbolic one.
+``gsfact_skew`` and ``gsfact`` read it at x = alpha r, and the identity
+values J_kappa(I_m) (Stanley 1989) and their ratios at x = m.
 
 The binomial coefficients (kappa choose sigma) are rational functions of
 alpha alone (no variable count, no normalization).  They are produced a
@@ -13,16 +15,17 @@ whole table at a time.  The contiguous coefficients (sigma^(i) choose
 sigma), sigma^(i) being sigma with one more box in row i, are ratios of
 hook products in which only the hooks of that box's row and column
 change, so ``contiguous`` takes a product over those i - 1 + sigma_i
-boxes alone.  The rest follow from the recurrence
+boxes alone, one ``rational.linear_product`` of their hooks.  The rest follow from the recurrence
 sum_i (sigma^(i) choose sigma)(kappa choose sigma^(i)) =
 (k - s)(kappa choose sigma)  solved top-down from (kappa choose kappa)=1.
 """
 
 import math
+from fractions import Fraction
 
 from . import cache, partitions
 from .errors import DomainError
-from .rational import as_exact, as_finite, as_int, homogeneous, ratio, undivided
+from .rational import RationalFunction, as_exact, as_finite, as_int, homogeneous, linear_product, ratio
 
 
 def sfact(r, k):
@@ -62,24 +65,25 @@ def _box_product(alpha, x, kappa, sigma):
     """prod over the boxes (l, c) of kappa/sigma of x + alpha (c-1) - (l-1).
 
     It is alpha^(k-s) (x/alpha)_kappa / (x/alpha)_sigma; at sigma = () and
-    x = m it is J_kappa(I_m) (Stanley 1989).  With alpha = P / Q and
-    x = X / Y a factor is (Q X + Y (P (c-1) - Q (l-1))) / (Q Y): for
-    Fractions the product is taken in ints and divided once, a symbolic
-    value takes the same expressions in its field.  alpha, kappa and sigma
-    must be canonical, sigma inside kappa.
+    x = m it is J_kappa(I_m) (Stanley 1989).  For x = X / Y a number, a
+    factor is (X - Y (l-1) + alpha Y (c-1)) / Y, one pair of
+    ``rational.linear_product``.  A symbolic x takes the factors, with
+    alpha = P / Q, as (Q x + P (c-1) - Q (l-1)) / Q in its field.  alpha,
+    kappa and sigma must be canonical, sigma inside kappa.
     """
+    rows = [(l0, range(sigma[l0] if l0 < len(sigma) else 0, part)) for l0, part in enumerate(kappa)]
+    if not isinstance(x, RationalFunction):
+        big_x, y = homogeneous(x)
+        pairs = [(big_x - y * l0, y * c0) for l0, columns in rows for c0 in columns]
+        return ratio(*linear_product(alpha, pairs, (), Fraction(1, y ** len(pairs))))
     p, q = homogeneous(alpha)
-    big_x, y = homogeneous(x)
-    qx = q * big_x
-    # the empty product is 1 in the field of alpha and x
-    num, boxes = (qx + p) ** 0, 0
-    for l0, part in enumerate(kappa):
-        low = sigma[l0] if l0 < len(sigma) else 0
-        base = qx - y * q * l0
-        for c0 in range(low, part):
-            num = num * (base + y * p * c0)
-        boxes += part - low
-    return ratio(num, (q * y) ** boxes)
+    num, boxes = x**0, 0
+    for l0, columns in rows:
+        base = q * x - q * l0
+        for c0 in columns:
+            num = num * (base + p * c0)
+        boxes += len(columns)
+    return ratio(num, q**boxes)
 
 
 def mv_gamma(alpha, a, m):
@@ -128,10 +132,11 @@ def contiguous(alpha, sigma, i):
 
     r running over the boxes (r, c) and j over the boxes (i, j): the
     lower hooks of column c and the upper hooks of row i grow by one.
-    A coefficient costs O(i + sigma_i + len(sigma)) operations, once:
-    for a Fraction alpha = P / Q each factor u + alpha v is the int
-    Q u + P v, ``_contiguous`` keeps the two int products, and this
-    Fraction is the one division; a symbolic alpha takes them in its field.
+    A coefficient costs O(i + sigma_i + len(sigma)) operations, once,
+    in ``rational.linear_product``: for a Fraction alpha = P / Q each
+    factor u + alpha v is the int Q u + P v, ``_contiguous`` keeps the two
+    int products, and this Fraction is the one division; at a symbolic
+    alpha the hooks both products share cancel as factors, with no gcd.
     """
     p, q = homogeneous(as_exact(alpha, "alpha"))
     return ratio(*_contiguous(p, q, partitions.as_partition(sigma), i))
@@ -139,7 +144,7 @@ def contiguous(alpha, sigma, i):
 
 @cache.memo
 def _contiguous(p, q, sigma, i):
-    """(sigma^(i) choose sigma) as the pair of ``rational.undivided``.
+    """(sigma^(i) choose sigma) as the pair of ``rational.linear_product``.
 
     alpha = P / Q comes as ``homogeneous(alpha)``, which the callers hold:
     two ints key the table without hashing a Fraction at every box.  For
@@ -149,25 +154,23 @@ def _contiguous(p, q, sigma, i):
     if _row_increment(sigma, i) is None:
         raise DomainError("row %d of %r cannot be incremented" % (i, sigma))
     row = sigma[i - 1] if i - 1 < len(sigma) else 0
-    # a hook u + alpha v is taken as Q u + P v with alpha = P / Q; num and
-    # den have equally many, so the powers of Q cancel
-    num = den = p**0
+    num, den = [], []
     # column c holds rows 1..i-1 of sigma, so (r, c) has leg i - 1 - r
     for r0 in range(i - 1):
-        leg = i - 2 - r0
-        arm = p * (sigma[r0] - row - 1)
-        num = num * (q * (leg + 2) + arm)
-        den = den * (q * (leg + 1) + arm)
+        arm = sigma[r0] - row - 1
+        num.append((i - r0, arm))
+        den.append((i - 1 - r0, arm))
     # (i, j) has leg #{t > i: sigma_t >= j}, which grows as j falls
     below = i
     for j in range(row, 0, -1):
         while below < len(sigma) and sigma[below] >= j:
             below += 1
-        leg = q * (below - i)
-        arm = row - j
-        num = num * (leg + p * (2 + arm))
-        den = den * (leg + p * (1 + arm))
-    return undivided(num, partitions._hook_divisor(den, ratio(p, q), sigma))
+        num.append((below - i, 2 + row - j))
+        den.append((below - i, 1 + row - j))
+    pair = linear_product((p, q), num, den)
+    if not pair[1]:
+        partitions._hook_divisor(0, (p, q), sigma)  # raises PoleError
+    return pair
 
 
 def one_box_recurrence(alpha, kappa, divisor):

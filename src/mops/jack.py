@@ -25,11 +25,16 @@ is an exact synthetic division of an int list by a linear factor; no gcd.
 
 The integer table is free of alpha and memoized per (kappa, length).  A
 table at a given alpha evaluates each entry once by Horner's rule, in ints
-over one power of the denominator when alpha is a Fraction, and scales it
-by the normalization's one factor of J (``_from_j``): alpha^k k! / j_kappa
-for C, 1 for J and 1 / c'_kappa for P, c' the product of lower hooks.
-Every value is thus J's, and a normalization has a pole exactly where its
-factor divides by a vanishing hook product.
+over one power of the denominator when alpha is a Fraction; at alpha = a,
+a bare parameter, the int list is the polynomial, with no field
+operation.  It scales each entry by the normalization's one factor of J
+(``_from_j``): alpha^k k! / j_kappa for C, 1 for J and 1 / c'_kappa for P,
+c' the product of lower hooks.  The factor is one
+``rational.linear_product`` of the hooks: ints for a Fraction, and for a
+symbolic alpha linear factors that cancel (alpha^k against the upper
+hooks alpha (1 + a) of leg 0) with no gcd.  Every value is thus J's,
+and a normalization has a pole exactly where its factor divides by a
+vanishing hook product.
 
 At an explicit numeric point and alpha > 0 no table is needed.
 ``point_values`` gives C_kappa(x) from the branching rule over horizontal
@@ -45,7 +50,7 @@ from itertools import zip_longest
 from . import binom, cache, operators, partitions
 from .binom import _as_alpha
 from .errors import DomainError
-from .rational import as_exact, common_denominator, homogeneous, ratio
+from .rational import as_exact, at_parameter, common_denominator, homogeneous, linear_product, ratio
 from .symfun import GENERIC, SymExpr, _orbit_sum, as_nvars
 
 NORMALIZATIONS = ("C", "J", "P")
@@ -143,8 +148,12 @@ def _horner(coeffs, alpha):
     Returns the pair (sum_i c_i P^i Q^(d-i), Q^d), d = len(coeffs) - 1,
     whose ``ratio`` is the value.  For int coefficients and a Fraction or
     float alpha (a float is its exact dyadic ratio) both are ints, not
-    reduced; a symbolic alpha has Q = 1.
+    reduced.  At alpha a bare parameter the list is the polynomial
+    (``rational.at_parameter``); any other symbolic alpha has Q = 1.
     """
+    value = at_parameter(coeffs, alpha)
+    if value is not None:
+        return value, 1
     p, q = homogeneous(alpha)
     value = 0
     scale = 1
@@ -160,17 +169,20 @@ def _from_j(alpha, kappa, norm):
     """Scalar f with V_kappa = f * J_kappa for V in {C, J, P}.
 
     C's f = alpha^k k! / j_kappa and P's f = 1 / c'_kappa divide by hook
-    products, so PoleError marks where that normalization is undefined.
+    products, taken by ``rational.linear_product``, so PoleError marks
+    where that normalization is undefined.
     """
     if norm == "J":
         return 1
+    upper, lower = partitions._hook_pairs(kappa)
     if norm == "C":
         k = partitions.weight(kappa)
-        j_full = partitions.hook_products(alpha, kappa)[2]
-        return alpha**k * math.factorial(k) / partitions._hook_divisor(j_full, alpha, kappa)
-    if norm == "P":
-        return 1 / partitions._hook_divisor(partitions.hook_products(alpha, kappa)[1], alpha, kappa)
-    raise DomainError("unknown normalization %r" % (norm,))
+        num, den = linear_product(alpha, ((0, 1),) * k, upper + lower, math.factorial(k))
+    elif norm == "P":
+        num, den = linear_product(alpha, (), lower)
+    else:
+        raise DomainError("unknown normalization %r" % (norm,))
+    return ratio(num, partitions._hook_divisor(den, alpha, kappa))
 
 
 @cache.memo
@@ -339,12 +351,12 @@ def point_values(alpha, point):
     xs, d = common_denominator(point)
     n = len(xs)
     j_at = _Branching(alpha, xs).value if alpha > 0 else _table_values(alpha, xs)
-    p, q = homogeneous(alpha)
+    p = homogeneous(alpha)[0]
 
     def value(kappa):
         k = partitions.weight(kappa)
-        upper, lower = partitions._hook_ints(p, q, kappa)
-        hooks = partitions._hook_divisor(upper * lower, alpha, kappa)
+        upper, lower = partitions._hook_pairs(kappa)
+        hooks = partitions._hook_divisor(linear_product(alpha, upper + lower, ())[0], alpha, kappa)
         return p**k * math.factorial(k) * j_at(kappa, n), d**k * hooks
 
     return value

@@ -26,12 +26,13 @@ eigenfunction equations, cross-checked against the univariate classical
 polynomials at n = 1.
 """
 
+import math
 from fractions import Fraction
 
 from . import binom, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
-from .rational import as_exact, as_finite, homogeneous, ratio, rf
+from .rational import as_exact, as_finite, homogeneous, linear_product, ratio, rf
 from .symfun import GENERIC, SymExpr, as_nvars, eval_numeric, expand_to_monomials
 
 class OrthoExpansion(SymExpr):
@@ -91,14 +92,23 @@ def _check_weight_param(value, name):
 def _identity_ratio(alpha, kappa, sigma, m):
     """C_kappa(I_m) / C_sigma(I_m) as the generic expansion holds it, at m.
 
-    C_kappa(I_m) is _from_j(kappa) ``binom._box_product(alpha, m, kappa,
-    ())``, and sigma's product divides kappa's, so the ratio is the product
-    over the boxes of kappa/sigma times _from_j(kappa) / _from_j(sigma).
-    It is the generic polynomial's value at m also where C_sigma(I_m) is
-    0, which a negative alpha and a numeric m can make.
+    C_kappa(I_m) is alpha^k k! / j_kappa times ``binom._box_product(alpha,
+    m, kappa, ())``, and sigma's product divides kappa's, so the ratio is
+    alpha^(k-s) (k!/s!) j_sigma / j_kappa times the product over the boxes
+    of kappa/sigma.  The first factor is one ``rational.linear_product``,
+    in which sigma's hooks cancel against kappa's; a vanishing hook product
+    of kappa, then of sigma, raises PoleError.  It is the generic
+    polynomial's value at m also where C_sigma(I_m) is 0, which a negative
+    alpha and a numeric m can make.
     """
-    factor = jack._from_j(alpha, kappa, "C") / jack._from_j(alpha, sigma, "C")
-    return binom._box_product(alpha, m, kappa, sigma) * factor
+    k, s = partitions.weight(kappa), partitions.weight(sigma)
+    upper, lower = partitions._hook_pairs(kappa)
+    upper_s, lower_s = partitions._hook_pairs(sigma)
+    alpha_powers = ((0, 1),) * (k - s)
+    num, den = linear_product(alpha, alpha_powers + upper_s + lower_s, upper + lower, math.perm(k, k - s))
+    partitions._hook_divisor(den, alpha, kappa)
+    partitions._hook_divisor(num, alpha, sigma)
+    return ratio(num, den) * binom._box_product(alpha, m, kappa, sigma)
 
 
 def _binomial_expansion(alpha, kappa, c1, m, values):

@@ -8,7 +8,7 @@ operations pad logically.  Squares of the diagram are addressed with
 
 from . import cache
 from .errors import DomainError, PoleError
-from .rational import as_exact, as_int, homogeneous, ratio, read_int
+from .rational import as_exact, as_int, homogeneous, linear_product, ratio, read_int
 
 LESS = "less"
 EQUAL = "equal"
@@ -178,33 +178,39 @@ def hook_products(alpha, kappa):
 
 @cache.memo
 def _hook_products(alpha, kappa):
-    p, q = homogeneous(alpha)
-    c, cprime = _hook_ints(p, q, kappa)
-    scale = q ** weight(kappa)
-    return ratio(c, scale), ratio(cprime, scale), ratio(c * cprime, scale * scale)
+    upper, lower = _hook_pairs(kappa)
+    return tuple(ratio(*linear_product(alpha, pairs, ())) for pairs in (upper, lower, upper + lower))
 
 
-def _hook_ints(p, q, kappa):
-    """Q^|kappa| times the upper and the lower hook products, alpha = P / Q.
+@cache.memo
+def _hook_pairs(kappa):
+    """(upper, lower): kappa's upper hooks l + alpha (1 + a) and lower hooks
+    l + 1 + alpha a as the int pairs (u, v) of ``rational.linear_product``.
 
-    Each hook u + alpha v is (Q u + P v) / Q, so for a Fraction alpha both
-    are ints; a symbolic alpha (Q = 1) takes them in its field.
+    They are free of alpha, so one entry serves every alpha.
     """
-    conj = conjugate(kappa)
-    c = 1
-    cprime = 1
+    upper, lower = [], []
     for i0, part in enumerate(kappa):
+        # the rows from i0 up to below reach column j0, so leg + 1 = below - i0
+        below = len(kappa)
         for j0 in range(part):
-            a = part - j0 - 1
-            l = conj[j0] - i0 - 1
-            c = c * (q * l + p * (1 + a))
-            cprime = cprime * (q * (l + 1) + p * a)
-    return c, cprime
+            while kappa[below - 1] <= j0:
+                below -= 1
+            leg1, arm1 = below - i0, part - j0
+            upper.append((leg1 - 1, arm1))
+            lower.append((leg1, arm1 - 1))
+    return tuple(upper), tuple(lower)
 
 
 def _hook_divisor(value, alpha, kappa):
-    """value, a product of hooks of kappa about to divide; PoleError if it is 0."""
+    """value, a product of hooks of kappa about to divide; PoleError if it is 0.
+
+    alpha may come as the pair (P, Q) of ``homogeneous``: it is read only
+    for the message.
+    """
     if not value:
+        if isinstance(alpha, tuple):
+            alpha = ratio(*alpha)
         raise PoleError("alpha = %s is a pole of the hook products of %r" % (alpha, kappa))
     return value
 

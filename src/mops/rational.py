@@ -37,6 +37,18 @@ Henrici's method (Knuth, TAOCP 2, 4.5.1), as `fractions.Fraction` does: a
 product cancels each numerator against the other denominator first, and a
 sum needs the gcd of the denominators and, when that is not 1, one more
 gcd with the new numerator; every cancellation takes the cofactors.
+
+Products of factors linear in alpha, u + alpha v over int pairs (hooks,
+box products, one-box binomial ratios), need no gcd at all
+(``linear_product``).  With alpha = (A0 + A1 t) / d in one parameter t,
+each factor is an int content times a primitive key c0 + c1 t, c1 > 0.
+A primitive polynomial of degree 1 is irreducible, and two keys are
+associates only when they are equal, so once equal keys cancel as a
+multiset the keys left above and below share no factor.  By Gauss's
+lemma their products are primitive, so the one common factor left is the
+int gcd of the two contents, and the denominator's leading coefficient
+is its int content times the positive c1s: the sign rule is that int's
+sign.
 """
 
 import re
@@ -312,15 +324,36 @@ def _balanced_digit(p, xi):
     return digit, rest
 
 
+def _int_lead_apart(p, q):
+    """True when p has a variable w that q lacks, in which p's leading coefficient is an int.
+
+    A common factor of p and q is then free of w, as it divides q, so it
+    divides every coefficient of p in w, the int leading one too: the gcd
+    of p and q is an int.  A box product prod (n + alpha (c-1) - (l-1))
+    against a denominator in alpha alone is one such pair.
+    """
+    for w in _p_active_vars(p) - _p_active_vars(q):
+        top = _v_deg(p, w)
+        lead = [e for e in p if _field(e, w) == top]
+        if len(lead) == 1 and lead[0] == top * _UNIT[w]:
+            return True
+    return False
+
+
 def _heugcd(p, q):
     """(g, p/g, q/g) by integer evaluation; None when it gives up.
 
     The division check of the candidate g yields the cofactors p/g and
-    q/g.  With at most one variable free, `_dense_heugcd` runs instead.
+    q/g.  With at most one variable free, `_dense_heugcd` runs instead;
+    with an int leading coefficient apart (`_int_lead_apart`), the gcd is
+    the int gcd of the contents, with no evaluation.
     """
     active = _p_active_vars(p, q)
     if len(active) <= 1:
         return _dense_heugcd(p, q, _UNIT[min(active)] if active else 0)
+    if _int_lead_apart(p, q) or _int_lead_apart(q, p):
+        ig = _int_gcd(_p_content(p), _p_content(q))
+        return _p_const(ig), _p_divexact_int(p, ig), _p_divexact_int(q, ig)
     v = min(active)
     xi = 2 * min(_p_maxnorm(p), _p_maxnorm(q)) + 29
     for _ in range(6):
@@ -681,7 +714,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         if other.__class__ is int and other == 1:
-            return self  # the unit denominator of an ``undivided`` pair
+            return self  # the unit denominator of a ``linear_product`` pair
         other = rf(other)
         if other is NotImplemented:
             return NotImplemented
@@ -992,20 +1025,6 @@ def homogeneous(x):
     return x, 1
 
 
-def undivided(num, den):
-    """num / den as a pair (n, d) for products and sums that divide once.
-
-    Two ints stay as they are, so further factors and terms go in as int
-    operations and ``ratio`` makes one Fraction at the end.  Otherwise the
-    quotient is taken now and the pair is (num / den, 1): the field's own
-    division keeps its values in lowest terms, where a pair of products
-    would grow without cancelling.
-    """
-    if isinstance(num, int) and isinstance(den, int):
-        return num, den
-    return ratio(num, den), 1
-
-
 def ratio(num, den):
     """num / den without a float: a Fraction when both are ints.
 
@@ -1028,6 +1047,110 @@ def rf(x):
     if isinstance(x, Fraction):
         return RationalFunction.from_fraction(x)
     return NotImplemented
+
+
+_UNITS = frozenset(_UNIT)
+
+
+def _linear_form(x):
+    """(A0, A1, d, unit) with x = (A0 + A1 t) / d, or None for another x.
+
+    t is one parameter, ``unit`` its `_UNIT`, A1 != 0 and d > 0 ints.
+    """
+    num, den = x.num, x.den
+    lead = max(num, default=_ZEXP)
+    if lead not in _UNITS or len(num) > 2 or not _p_is_const(den) or (len(num) == 2 and _ZEXP not in num):
+        return None
+    return num.get(_ZEXP, 0), num[lead], den[_ZEXP], lead
+
+
+def _times_linear(coeffs, c0, c1, count):
+    """The coefficient list times (c0 + c1 t)^count, lowest degree first."""
+    for _ in range(count):
+        coeffs = [c0 * a + c1 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+def linear_product(alpha, num_pairs, den_pairs, scale=1):
+    """scale * prod (u + alpha v) / prod (u + alpha v) over int pairs (u, v).
+
+    The result is a pair (num, den) whose ``ratio`` is the value.  alpha
+    is a Fraction, a RationalFunction or the pair (P, Q) of ``homogeneous``;
+    scale an int or a Fraction.  For alpha = P / Q a factor is
+    (Q u + P v) / Q, so the pair is two ints, unreduced, and a caller can
+    sum such pairs over one denominator before its one division; a zero
+    divisor is left for the caller to name.  A symbolic alpha gives
+    (value, 1), the value kept in lowest terms.
+    When alpha = (A0 + A1 t) / d in one parameter t, the factors are keys
+    (c0, c1) of c0 + c1 t and cancel as a multiset, and the value is built
+    canonical on dense int lists with no gcd (see the module docstring);
+    any other alpha takes the field product.
+    """
+    p, q = alpha if alpha.__class__ is tuple else homogeneous(alpha)
+    s_num, s_den = (scale, 1) if scale.__class__ is int else homogeneous(scale)
+    if p.__class__ is int:
+        extra = len(den_pairs) - len(num_pairs)
+        if extra and q != 1:
+            if extra > 0:
+                s_num *= q**extra
+            else:
+                s_den *= q**-extra
+        for u, v in num_pairs:
+            s_num *= q * u + p * v
+        for u, v in den_pairs:
+            s_den *= q * u + p * v
+        return s_num, s_den
+    form = _linear_form(p)
+    if form is None:
+        num, den = rf(s_num), rf(s_den)
+        for u, v in num_pairs:
+            num = num * (u + p * v)
+        for u, v in den_pairs:
+            den = den * (u + p * v)
+        return num / den, 1
+    a0, a1, d, unit = form
+    # a factor u + alpha v is content * key / d, key = (c0, c1) primitive
+    # with c1 > 0, or the int c0 / d when v = 0
+    ints = [s_num * d ** len(den_pairs), s_den * d ** len(num_pairs)]
+    keys = {}
+    for side, pairs in ((0, num_pairs), (1, den_pairs)):
+        step = 1 - 2 * side
+        for u, v in pairs:
+            c0, c1 = d * u + a0 * v, a1 * v
+            if c1:
+                g = _int_gcd(c0, c1) if c1 > 0 else -_int_gcd(c0, c1)
+                key = c0 // g, c1 // g
+                keys[key] = keys.get(key, 0) + step
+                ints[side] *= g
+            else:
+                ints[side] *= c0
+    n_int, d_int = ints
+    if not d_int:
+        raise DomainError("division by the zero rational function")
+    if not n_int:
+        return ZERO, 1
+    g = _int_gcd(n_int, d_int) if d_int > 0 else -_int_gcd(n_int, d_int)
+    num, den = [n_int // g], [d_int // g]
+    for (c0, c1), count in keys.items():
+        if count > 0:
+            num = _times_linear(num, c0, c1, count)
+        elif count:
+            den = _times_linear(den, c0, c1, -count)
+    _check_degree(max(len(num), len(den)) - 1)
+    return RationalFunction(_sparse(num, unit), _sparse(den, unit), _canonical=True), 1
+
+
+def at_parameter(coeffs, x):
+    """sum_i coeffs[i] x^i for int coefficients when x is one bare parameter, else None.
+
+    The coefficient list is the polynomial itself: no field operation.
+    """
+    if not isinstance(x, RationalFunction):
+        return None
+    form = _linear_form(x)
+    if form is None or form[:3] != (0, 1, 1):
+        return None
+    return RationalFunction(_sparse(coeffs, form[3]), _P_ONE, _canonical=True)
 
 
 def param(name):

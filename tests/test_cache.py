@@ -4,7 +4,7 @@ import ast
 import pathlib
 from fractions import Fraction
 
-from mops import binom, cache, hypergeom, jack, orthopoly, symfun
+from mops import binom, cache, hypergeom, jack, orthopoly, partitions, symfun
 from mops.parser import parse_expression
 from mops.rational import ALPHA, rf
 
@@ -17,6 +17,7 @@ def _fill_tables():
         jack.jack_expand(ALPHA, (3, 1), "J", 3),
         jack.jack_expand(ALPHA, (3, 1), "C", 3),
         binom.gbinomial_table(Fraction(2), (3, 2, 1)),
+        partitions.hook_products(ALPHA, (3, 1)),
         orthopoly.hermite2(ALPHA, (2, 2), 2).terms,
         symfun.p2m(parse_expression("p[2,1]*p[1]"), 3),
         symfun.m2p(parse_expression("m[2,1]*m[1]")),

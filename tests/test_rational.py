@@ -1,4 +1,5 @@
 import math
+import random
 import time
 from fractions import Fraction
 from functools import partial
@@ -20,15 +21,19 @@ from mops.rational import (
     PARAMS,
     R,
     Infinity,
+    RationalFunction,
     _canonicalize,
     _p_add,
     _p_mul,
     _p_neg,
     _p_positive,
     param,
+    ratio,
     rf,
 )
 from mops.symfun import GENERIC, SymExpr
+
+from oracles import contiguous_all_boxes, hook_products_field
 
 a = ALPHA
 n = N
@@ -334,6 +339,117 @@ def test_trivial_gcds_take_no_gcd_algorithm():
         for p, q, want in cases:
             assert rational._p_cofactors(p, q) == want, (p, q)
             assert rational._p_gcd(p, q) == want[0]
+
+
+_LINEAR_ALPHAS = (a, 3 * a / 2, (2 * a + 1) / 3, -a, a**2, 1 / a, Fraction(2, 3), Fraction(-3, 2))
+
+
+def _field_product(alpha, num_pairs, den_pairs, scale):
+    value = rf(scale)
+    for u, v in num_pairs:
+        value = value * (u + alpha * v)
+    for u, v in den_pairs:
+        value = value / (u + alpha * v)
+    return value
+
+
+@pytest.mark.parametrize("alpha", _LINEAR_ALPHAS, ids=repr)
+def test_linear_product_matches_the_field_product(alpha):
+    # up to 8 factors u + alpha v on each side, u, v in [-3, 3], some of
+    # them repeated and some shared between the two sides
+    rng = random.Random(32)
+    pool = [(u, v) for u in range(-3, 4) for v in range(-3, 4)]
+    for _ in range(300):
+        num = rng.choices(pool, k=rng.randint(0, 8))
+        shared = rng.sample(num, rng.randint(0, len(num)))
+        den = shared + rng.choices(pool, k=rng.randint(0, 8 - len(shared)))
+        den = [(u, v) for u, v in den if u + alpha * v != 0]
+        rng.shuffle(den)
+        scale = rng.choice((1, -2, 6, Fraction(-5, 4)))
+        want = _field_product(alpha, num, den, scale)
+        pair = rational.linear_product(alpha, num, den, scale)
+        got = ratio(*pair)
+        assert got == want, (alpha, num, den, scale)
+        if isinstance(alpha, Fraction):
+            assert all(type(v) is int for v in pair)
+            continue
+        assert isinstance(got, RationalFunction) and pair[1] == 1
+        assert got.text() == want.text()
+        # canonical: coprime, the denominator's leading coefficient positive
+        assert (got.num, got.den) == _canonicalize(got.num, got.den)
+        assert rational._p_lead_coeff(got.den) > 0
+
+
+def test_linear_product_zero_factors():
+    assert rational.linear_product(a, [(2, 1), (0, 0)], [(1, 1)]) == (0, 1)
+    assert rational.linear_product(Fraction(1, 2), [(1, 1)], [(1, -2), (3, 1)]) == (6, 0)
+    with pytest.raises(DomainError):
+        rational.linear_product(a, [(2, 1)], [(0, 0)])
+    # alpha's pair from ``homogeneous`` works as alpha itself
+    as_pair = rational.linear_product((2, 3), [(1, 1)], [(1, 2)], 4)
+    assert as_pair == rational.linear_product(Fraction(2, 3), [(1, 1)], [(1, 2)], 4)
+
+
+def test_at_parameter_is_the_coefficient_list():
+    assert rational.at_parameter([1, 0, 3], a) == 1 + 3 * a**2
+    assert rational.at_parameter([0, 0], n) == 0
+    assert rational.at_parameter([2, -1], n).text() == (2 - n).text()
+    for x in (2 * a, a + 1, a / 2, a * n, Fraction(3), 5):
+        assert rational.at_parameter([1, 1], x) is None
+
+
+def test_alpha_only_products_take_no_gcd():
+    # hooks, one-box ratios, the C and P factors and J's table at the bare
+    # parameter a are built factor by factor, with no gcd
+    def refuse(*args):
+        raise AssertionError("a gcd algorithm ran")
+
+    kappas = [kappa for k in range(7) for kappa in partitions.partitions_of(k)]
+    outer = (4, 3, 2, 1)
+    steps = [
+        (sigma, i)
+        for sigma in partitions.subpartitions_of(outer)
+        for i in range(1, len(sigma) + 2)
+        if (grown := binom._row_increment(sigma, i)) is not None and partitions.is_subpartition(grown, outer)
+    ]
+    cache.clear_all()
+    want_j = jack.jack_expand(a, (4, 3, 1), "J").text()
+    cache.clear_all()
+    with mock.patch.object(rational, "_p_cofactors", refuse), mock.patch.object(rational, "_heugcd", refuse):
+        got_j = jack.jack_expand(a, (4, 3, 1), "J").text()
+        got_steps = {step: binom.contiguous(a, *step) for step in steps}
+        got_hooks = {kappa: partitions.hook_products(a, kappa) for kappa in kappas}
+        got_factors = {(kappa, norm): jack._from_j(a, kappa, norm) for kappa in kappas for norm in "CP"}
+    cache.clear_all()
+    assert got_j == want_j
+    assert len(steps) == 84
+    for (sigma, i), got in got_steps.items():
+        assert got.text() == contiguous_all_boxes(a, sigma, i).text()
+    for kappa in kappas:
+        c, cprime, j = hook_products_field(a, kappa)
+        assert [v.text() for v in got_hooks[kappa]] == [c.text(), cprime.text(), j.text()]
+        k = partitions.weight(kappa)
+        assert got_factors[kappa, "C"].text() == (a**k * math.factorial(k) / j).text()
+        assert got_factors[kappa, "P"].text() == (1 / cprime).text()
+
+
+def test_an_int_leading_coefficient_apart_gives_the_content_gcd():
+    # a product of factors of degree 1 in n shares no factor with a
+    # polynomial in a alone: the gcd is the int gcd of the contents
+    box = ((n + 2 * a - 1) * (n - 3) * (2 * n + a)).num
+    hooks = (4 * (1 + a) * (2 + 3 * a) * a).num
+    scaled = {e: 6 * c for e, c in box.items()}
+
+    def refuse(*args):
+        raise AssertionError("the gcd evaluated a variable")
+
+    with mock.patch.object(rational, "_p_eval_var", refuse):
+        want = (rf(2).num, {e: 3 * c for e, c in box.items()}, (2 * (1 + a) * (2 + 3 * a) * a).num)
+        assert rational._p_cofactors(scaled, hooks) == want
+        assert rational._p_cofactors(hooks, box) == (rf(1).num, hooks, box)
+    # n^2 has the coefficient a: no shortcut, and the common factor is found
+    shared = ((1 + a) * (a * n**2 + 1)).num
+    assert rational._p_gcd(shared, hooks) == (1 + a).num
 
 
 def _assert_henrici_canonical(f, g):
