@@ -192,7 +192,7 @@ def one_box_recurrence(alpha, kappa, divisor):
     # reversed lexicographic order puts every sigma^(i) before sigma;
     # kappa, the last subpartition, keeps its seed
     for sigma in partitions.subpartitions_of(kappa)[-2::-1]:
-        num = None
+        num, den = 0, 1
         for i in range(1, len(sigma) + 2):
             up_val = table.get(_row_increment(sigma, i))
             if up_val is None:
@@ -200,10 +200,7 @@ def one_box_recurrence(alpha, kappa, divisor):
             coeff_num, coeff_den = _contiguous(p, q, sigma, i)
             value_num, value_den = homogeneous(up_val)
             term_num, term_den = coeff_num * value_num, coeff_den * value_den
-            if num is None:
-                num, den = term_num, term_den
-            else:
-                num, den = num * term_den + term_num * den, den * term_den
+            num, den = num * term_den + term_num * den, den * term_den
         table[sigma] = ratio(num, den * divisor(sigma))
     return table
 

@@ -197,11 +197,26 @@ def cmd_eval(args):
     print(float(value))
 
 
+# per curve: the density options it reads, and those of them it needs
+_DENSITY_OPTIONS = {
+    "smallest": (("alpha", "p", "m", "grid"), ("p", "m", "grid")),
+    "level": (("beta", "n", "grid", "scaled"), ("beta", "n", "grid")),
+    "largest-cdf": (("alpha", "g", "m", "x", "grid", "tol"), ("g", "m")),
+}
+
+
 def cmd_density(args):
+    reads, needs = _DENSITY_OPTIONS[args.which]
+    given = [name for name in ("alpha", "p", "m", "beta", "n", "g", "x", "grid", "scaled", "tol")
+             if getattr(args, name) is not None]
+    foreign = ["--" + name for name in given if name not in reads]
+    if foreign:
+        raise DomainError("density %s does not take %s" % (args.which, ", ".join(foreign)))
+    missing = ["--" + name for name in needs if name not in given]
+    if missing:
+        raise DomainError("density %s needs %s" % (args.which, " and ".join(missing)))
     alpha = parse_scalar(args.alpha) if args.alpha else None
     if args.which == "smallest":
-        if args.p is None or args.m is None:
-            raise DomainError("density smallest needs --p and --m")
         xs = _parse_grid(args.grid)
         values, mass = hypergeom.smallest_eig_density_normalized(alpha, args.p, args.m, xs)
         if mass < sys.float_info.max:
@@ -213,15 +228,11 @@ def cmd_density(args):
         print("# normalizing mass " + text, file=sys.stderr)
         _emit_csv(xs, values)
     elif args.which == "level":
-        if args.beta is None or args.n is None:
-            raise DomainError("density level needs --beta and --n")
         xs = _parse_grid(args.grid)
         density = hypergeom.level_density_scaled if args.scaled else hypergeom.level_density
         values = [density(args.beta, args.n, x) for x in xs]
         _emit_csv(xs, values)
-    elif args.which == "largest-cdf":
-        if args.g is None or args.m is None:
-            raise DomainError("density largest-cdf needs --g and --m")
+    else:  # largest-cdf
         xs = _parse_grid(args.grid) if args.grid else _parse_point(args.x or "")
         if not args.grid and len(xs) != 1:
             raise DomainError("density largest-cdf needs one number --x or a --grid")
@@ -232,8 +243,6 @@ def cmd_density(args):
             print(values[0])
         else:
             _emit_csv(xs, values)
-    else:
-        raise DomainError("unknown density %r" % args.which)
 
 
 def _load_config(path):
@@ -359,7 +368,7 @@ def build_parser():
     point = p.add_mutually_exclusive_group()
     point.add_argument("--x")
     point.add_argument("--grid")
-    p.add_argument("--scaled", action="store_true")
+    p.add_argument("--scaled", action="store_true", default=None)
     p.add_argument("--tol", type=_real)
     p.set_defaults(func=cmd_density)
 

@@ -2,13 +2,17 @@
 
 One series engine, ``_next_layer``, serves every function here.  It
 walks  pFq(a; b; x) = sum_k sum_kappa prod (a_i)_kappa / (k! prod (b_j)_kappa)
-C_kappa(x)  layer by layer in total degree k and gives each layer's
-partitions with their exact coefficients, or with the coefficients times
-C_kappa(I_m).  Only the partitions that can contribute are enumerated: at
-most m parts (C_kappa vanishes on m variables otherwise) and, when an
-upper parameter is a negative integer -p, parts of at most p (its
-Pochhammer symbol vanishes beyond), which also makes the series terminate
-at degree p m.
+C_kappa(x)  layer by layer in total degree k, written in J's
+normalization: C_kappa = alpha^k k! J_kappa / j_kappa, so each layer gives
+its partitions with the coefficients of J_kappa,
+
+    T_kappa = alpha^k prod (a_i)_kappa / (j_kappa prod (b_j)_kappa),
+
+j_kappa the product of kappa's upper and lower hooks.  Only the
+partitions that can contribute are enumerated: at most m parts (J_kappa
+vanishes on m variables otherwise) and, when an upper parameter is a
+negative integer -p, parts of at most p (its Pochhammer symbol vanishes
+beyond), which also makes the series terminate at degree p m.
 
 Every term is updated from its parent, the partition less its last box,
 in the previous layer (after Koev and Edelman, *The efficient evaluation
@@ -24,23 +28,28 @@ parent's term into one num/den per partition: for a Fraction alpha and
 Fraction parameters both are ints, a pole is the int test BP + Et == 0,
 and each term costs one Fraction.  A layer is summed as ints over the
 least common denominator of its terms and divided once.  A symbolic
-alpha or parameter runs the same expressions in its field.
+alpha or parameter runs the same expressions in its field.  A vanishing
+hook product is a pole of the step at the first partition that has it,
+at the identity and at an explicit point alike.
 
-At the identity only the layer sums c_k = sum_kappa coeff_kappa C_kappa(I_m)
-matter, and they depend on (alpha, a, b, m) alone, not on the point.  So
-``_identity_sums`` holds one exact prefix c_0..c_K per series in a
-``cache.memo`` table, together with the layer of degree K to resume from
-(never more than that one layer of terms), and a later call extends it
-only past K.  The points of a curve thus share their sums, and a point
-below the degree already held costs no series work.  The callers differ
-only in how they fold the sums and when they stop:
+The identity is the same step with one more upper parameter: J_kappa(I_m)
+= alpha^k (m/alpha)_kappa (Stanley 1989), so the layer sums
+c_k = sum_kappa coeff_kappa C_kappa(I_m) are alpha^k times the layer sums
+of the series with m/alpha appended.  They depend on (alpha, a, b, m)
+alone, not on the point.  So ``_identity_sums`` holds one exact prefix
+c_0..c_K per series in a ``cache.memo`` table, together with the layer
+of degree K to resume from (never more than that one layer of terms),
+and a later call extends it only past K.  The points of a curve thus
+share their sums, and a point below the degree already held costs no
+series work.  The callers differ only in how they fold the sums and when
+they stop:
 
-- ``ghypergeom`` sums C_kappa at the point, stopping at termination, an
-  explicit degree limit or a relative tolerance (p >= q+2, and p = q+1
-  at a point with some |x_i| > 1, are refused without a limit).
+- ``ghypergeom`` sums the series at the point, stopping at termination,
+  an explicit degree limit or a relative tolerance (p >= q+2, and
+  p = q+1 at a point with some |x_i| > 1, are refused without a limit).
   Scalar-identity arguments x I_m read the held sums and multiply each by
-  x^k.  At an explicit point, exact or dyadic, each plain layer of
-  ``_series_layers`` is sum coeff_kappa C_kappa(x), with C_kappa(x) from
+  x^k.  At an explicit point, exact or dyadic, each layer of
+  ``_series_layers`` is sum T_kappa J_kappa(x), with J_kappa(x) from
   ``jack.point_values``: the branching rule over horizontal strips, one
   value per partition and variable count and no monomial table.  A layer
   is summed over one common denominator, and a float point rounds the
@@ -93,14 +102,18 @@ def _check_tol(tol):
         raise DomainError("tol must be > 0, got %r" % (tol,))
 
 
-def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
+def _next_layer(alpha, upper, lower, m, width, k, prev):
     """The layer of degree k >= 1 of a pFq series on m variables, from prev.
 
     A layer maps every partition kappa of k with at most m parts and parts
     at most ``width`` (None: unbounded), in decreasing lexicographic order,
-    to its term: the exact coefficient
-    coeff_kappa = prod (a_i)_kappa / (k! prod (b_j)_kappa) or, with
-    ``at_identity``, coeff_kappa * C_kappa(I_m).  prev is the layer of
+    to its term, the coefficient of J_kappa:
+
+        T_kappa = alpha^k prod (a_i)_kappa / (j_kappa prod (b_j)_kappa),
+
+    which is coeff_kappa = prod (a_i)_kappa / (k! prod (b_j)_kappa) times
+    C's factor alpha^k k! / j_kappa of J (``jack._from_j``), so that
+    T_kappa J_kappa(x) = coeff_kappa C_kappa(x).  prev is the layer of
     degree k - 1.
 
     Each term comes from the previous layer's term of its parent pi, kappa
@@ -108,14 +121,11 @@ def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
     s = c - 1 - (l-1)/alpha, the box adds the factor a + s to every
     Pochhammer symbol (a)_kappa, so
 
-        coeff_kappa / coeff_pi = prod (a_i + s) / (k prod (b_j + s)),
+        T_kappa / T_pi = h prod (a_i + s) / prod (b_j + s),
 
-    and PoleError is raised when some b_j + s is 0.  At the identity the
-    k of k! cancels against C_kappa(I_m) / C_pi(I_m) = k h, with the hook
-    ratio h from ``partitions._box_hook_ratio`` (only the hooks of row l
-    and of column c change), so
-
-        term_kappa / term_pi = h prod (a_i + s) / prod (b_j + s).
+    with h = alpha j_pi / j_kappa from ``partitions._box_hook_ratio`` (only
+    the hooks of row l and of column c change).  PoleError is raised when
+    the hooks of kappa vanish, and then when some b_j + s is 0.
 
     The term is formed as one num / den.  With alpha = P / Q, s = t / P
     for t = (c-1) P - (l-1) Q, and a parameter A / D gives
@@ -133,19 +143,14 @@ def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
     # prod (E_j P) / prod (D_i P), the part of the ratio every box shares
     num0 = math.prod(e for _, e in lowers) * p ** max(len(lower) - len(upper), 0)
     den0 = math.prod(d for _, d in uppers) * p ** max(len(upper) - len(lower), 0)
-    if not at_identity:
-        den0 = den0 * k
     layer = {}
     for kappa in partitions.partitions_of(k, max_part=width, max_len=m):
         l = len(kappa)
         c = kappa[-1]
         parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
         t = (c - 1) * p - (l - 1) * q
-        if at_identity:
-            num, den = partitions._box_hook_ratio(alpha, kappa, m)
-            num, den = num * num0, den * den0
-        else:
-            num, den = num0, den0
+        num, den = partitions._box_hook_ratio(p, q, kappa)
+        num, den = num * num0, den * den0
         for a_num, a_den in uppers:
             num = num * (a_num * p + a_den * t)
         for (b_num, b_den), b_j in zip(lowers, lower):
@@ -163,15 +168,15 @@ def _next_layer(alpha, upper, lower, m, width, k, prev, at_identity):
 def _series_layers(alpha, upper, lower, m, width=None):
     """Yield the layers k = 0, 1, 2, ... of a pFq series on m variables.
 
-    Each layer is the list of (kappa, coeff_kappa) pairs of ``_next_layer``;
-    the coefficients start from alpha**0 at k = 0, so they stay in alpha's
-    field.  With a width the generator ends after degree width * m, the
-    last layer that can be non-empty.
+    Each layer is the list of (kappa, T_kappa) pairs of ``_next_layer``;
+    the terms start from alpha**0 at k = 0, so they stay in alpha's field.
+    With a width the generator ends after degree width * m, the last layer
+    that can be non-empty.
     """
     layer = {(): alpha**0}
     yield list(layer.items())
     for k in itertools.count(1) if width is None else range(1, width * m + 1):
-        layer = _next_layer(alpha, upper, lower, m, width, k, layer, at_identity=False)
+        layer = _next_layer(alpha, upper, lower, m, width, k, layer)
         yield list(layer.items())
 
 
@@ -197,33 +202,39 @@ def _held_prefix(alpha, upper, lower, m, width):
 def _identity_sums(alpha, upper, lower, m, width=None):
     """Yield c_k = sum over kappa of k of coeff_kappa C_kappa(I_m), k = 0, 1, ...
 
-    None stands for an empty layer.  The sums come from the prefix held for
+    c_k = sum T_kappa J_kappa(I_m), and J_kappa(I_m) = alpha^k (m/alpha)_kappa
+    (Stanley 1989), so c_k is alpha^k times the layer sum of the same
+    series with one more upper parameter, m/alpha.  None stands for an
+    empty layer.  The sums come from the prefix held for
     (alpha, upper, lower, m, width), which is extended layer by layer, and
     kept, only past the highest degree already held.  With a width the
     generator ends after degree width * m.
     """
     held = _held_prefix(alpha, tuple(upper), tuple(lower), m, width)
+    upper = list(upper) + [m / alpha]
     for k in itertools.count() if width is None else range(width * m + 1):
         sums, frontier = held.state
         while k >= len(sums):
-            frontier = _next_layer(alpha, upper, lower, m, width, len(sums), frontier, at_identity=True)
+            degree = len(sums)
+            frontier = _next_layer(alpha, upper, lower, m, width, degree, frontier)
             nums, d = common_denominator(frontier.values())
-            sums += (ratio(sum(nums), d) if frontier else None,)
+            sums += (ratio(sum(nums), d) * alpha**degree if frontier else None,)
             held.state = (sums, frontier)
         yield sums[k]
 
 
-def _layer_at(terms, c_at):
-    """sum coeff_kappa C_kappa(x) over one layer's (kappa, coeff_kappa), in series order.
+def _layer_at(terms, j_at):
+    """sum T_kappa J_kappa(x) over one layer's (kappa, T_kappa), in series order.
 
-    A zero coefficient asks for no C_kappa, so its pole does not count.
-    The terms are summed over their least common denominator and divided once.
+    j_at(kappa) is J_kappa(x) as an int pair (``jack.point_values``), and
+    a zero term asks for none.  The terms are summed over their least
+    common denominator and divided once.
     """
     pairs = []
-    for kappa, coeff in terms:
-        if coeff:
-            c_num, c_den = c_at(kappa)
-            pairs.append((coeff.numerator * c_num, coeff.denominator * c_den))
+    for kappa, term in terms:
+        if term:
+            j_num, j_den = j_at(kappa)
+            pairs.append((term.numerator * j_num, term.denominator * j_den))
     d = math.lcm(*(den for _, den in pairs))
     return Fraction(sum(num * (d // den) for num, den in pairs), d)
 
@@ -256,8 +267,9 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
     finite numbers.  A point with a float coordinate gives a float; an
     exact or empty point gives an exact value.  At an explicit point the
     float coordinates are their exact dyadic values, every layer is the
-    exact sum of coeff_kappa C_kappa(x) with C_kappa(x) from
-    ``jack.point_values``, and only the truncated total is rounded.
+    exact sum of T_kappa J_kappa(x) with J_kappa(x) from
+    ``jack.point_values``, and only the truncated total is rounded.  A
+    vanishing hook product raises PoleError at the point as at x I_m.
     """
     if limit is not None:
         as_int(limit, "limit")
@@ -308,8 +320,8 @@ def ghypergeom(alpha, upper, lower, arg, limit=None, tol=None):
         )
     else:
         # a float coordinate is a dyadic Fraction: the layers are exact
-        c_at = jack.point_values(alpha, [Fraction(v) if isinstance(v, float) else v for v in xs])
-        layers = (_layer_at(terms, c_at) if terms else None for terms in _series_layers(alpha, upper, lower, m, width))
+        j_at = jack.point_values(alpha, [Fraction(v) if isinstance(v, float) else v for v in xs])
+        layers = (_layer_at(terms, j_at) if terms else None for terms in _series_layers(alpha, upper, lower, m, width))
     rounded = kind == "vec" and any(isinstance(v, float) for v in xs)
     total = None
     for k, layer in zip(range(max_degree + 1), layers):

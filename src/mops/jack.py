@@ -37,11 +37,12 @@ and a normalization has a pole exactly where its factor divides by a
 vanishing hook product.
 
 At an explicit numeric point and alpha > 0 no table is needed.
-``point_values`` gives C_kappa(x) from the branching rule over horizontal
+``point_values`` gives J_kappa(x) from the branching rule over horizontal
 strips (Koev & Edelman, Math. Comp. 2006, 4-5): J_kappa in n variables is
 a sum of J_mu in n - 1 variables times x_n^|kappa/mu| and a ratio of
 hooks, so it takes one int per (kappa, n).  A negative alpha may zero a
-hook there, so J's table is summed at the point instead.
+hook there, so J's table is summed at the point instead.  J has no pole;
+the series that read these values carry C's hooks in their one-box step.
 """
 
 import math
@@ -94,15 +95,12 @@ def _divide_linear(poly, p, q):
 @cache.memo
 def _jack_j_table(kappa, length):
     """lambda -> J_{kappa,lambda} as an int list in alpha (index = power), at most length parts."""
-    conj = partitions.conjugate(kappa)
+    # J_kappa's coefficient of m_kappa is c'_kappa, the product of the lower hooks u + alpha v
     seed = [1]
-    for i0, part in enumerate(kappa):
-        for j0 in range(part):
-            # times alpha * arm + leg + 1
-            arm, leg1 = part - j0 - 1, conj[j0] - i0
-            seed = [leg1 * c + arm * b for c, b in zip(seed + [0], [0] + seed)]
-            if not arm:
-                seed.pop()
+    for u, v in partitions._hook_pairs(kappa)[1]:
+        seed = [u * c + v * b for c, b in zip(seed + [0], [0] + seed)]
+        if not v:
+            seed.pop()
     table = {kappa: seed}
     a_kappa, b_kappa = _a_b(kappa)
     for lam in partitions.partitions_of(partitions.weight(kappa), max(kappa, default=0), length):
@@ -334,32 +332,22 @@ def _table_values(alpha, xs):
 
 
 def point_values(alpha, point):
-    """kappa -> C_kappa(x) at the exact point x, as an unreduced int pair.
+    """kappa -> J_kappa(x) at the exact point x, as an unreduced int pair.
 
     The point is a list of ints and Fractions, taken as X / d over their
-    least common denominator d; C_kappa(x) = (num, den) for kappa with at
-    most len(x) parts.  With alpha = P / Q and k = |kappa|,
-    C_kappa = alpha^k k! J_kappa / j_kappa is P^k k! Q^k J_kappa(X) over
-    d^k H, H = Q^(2k) j_kappa the int product of the Q u + P v hooks, with
-    Q^k J_kappa(X) from the branching rule over horizontal strips
+    least common denominator d.  With alpha = P / Q and k = |kappa|,
+    J_kappa(x) = (Q^k J_kappa(X), (d Q)^k) for kappa with at most len(x)
+    parts, Q^k J_kappa(X) from the branching rule over horizontal strips
     (``_Branching``) for alpha > 0, with no monomial table, and from J's
-    table (``_table_values``) for alpha < 0.  H goes through
-    ``partitions._hook_divisor``, so a pole raises PoleError for the
-    partition it is asked for.
+    table (``_table_values``) for alpha < 0.  J has no pole, so neither
+    has this; the series' one-box step carries the hooks.
     """
     alpha = _as_alpha(alpha)
     xs, d = common_denominator(point)
     n = len(xs)
     j_at = _Branching(alpha, xs).value if alpha > 0 else _table_values(alpha, xs)
-    p = homogeneous(alpha)[0]
-
-    def value(kappa):
-        k = partitions.weight(kappa)
-        upper, lower = partitions._hook_pairs(kappa)
-        hooks = partitions._hook_divisor(linear_product(alpha, upper + lower, ())[0], alpha, kappa)
-        return p**k * math.factorial(k) * j_at(kappa, n), d**k * hooks
-
-    return value
+    dq = d * homogeneous(alpha)[1]
+    return lambda kappa: (j_at(kappa, n), dq ** partitions.weight(kappa))
 
 
 def normalization_factor(frm, to, alpha, kappa):

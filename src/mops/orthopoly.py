@@ -293,7 +293,7 @@ def _hermite_values(alpha, kappa):
     for sigma in partitions.subpartitions_of(kappa)[-2::-1]:
         s = partitions.weight(sigma)
         odd = (k - s) % 2
-        num = None
+        num, t_num, den = 0, 0, 1
         for i in range(1, len(sigma) + 2):
             up = (values if odd else sums).get(binom._row_increment(sigma, i))
             if up is None:
@@ -304,18 +304,11 @@ def _hermite_values(alpha, kappa):
             if odd:
                 value_num, value_den = homogeneous(up)
                 term_num, term_den = coeff_num * value_num, coeff_den * value_den
-                if num is None:
-                    num, t_num, den = term_num, content * term_num, term_den
-                else:
-                    num, t_num = num * term_den + term_num * den, t_num * term_den + content * term_num * den
-                    den = den * term_den
-                continue
-            up_s, up_t, up_den = up
-            term_num, term_den = coeff_num * (content * up_s - up_t), coeff_den * up_den
-            if num is None:
-                num, den = term_num, term_den
+                t_num = t_num * term_den + content * term_num * den
             else:
-                num, den = num * term_den + term_num * den, den * term_den
+                up_s, up_t, up_den = up
+                term_num, term_den = coeff_num * (content * up_s - up_t), coeff_den * up_den
+            num, den = num * term_den + term_num * den, den * term_den
         if odd:
             sums[sigma] = num, t_num, den
         else:

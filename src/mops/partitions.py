@@ -8,7 +8,7 @@ operations pad logically.  Squares of the diagram are addressed with
 
 from . import cache
 from .errors import DomainError, PoleError
-from .rational import as_exact, as_int, homogeneous, linear_product, ratio, read_int
+from .rational import as_exact, as_int, linear_product, ratio, read_int
 
 LESS = "less"
 EQUAL = "equal"
@@ -215,47 +215,39 @@ def _hook_divisor(value, alpha, kappa):
     return value
 
 
-def _box_hook_ratio(alpha, kappa, m):
-    """(num, den): num / den = C_kappa(I_m) / (|kappa| C_pi(I_m)), one box's ratio.
+def _box_hook_ratio(p, q, kappa):
+    """(num, den): num / den = alpha j_pi / j_kappa, one box's hook ratio.
 
-    pi is kappa less its last box (l, c): l = len(kappa), c = kappa_l.
-    C_kappa(I_m) = alpha^(2k) k! (m/alpha)_kappa / j_kappa, and the box
-    multiplies (m/alpha)_kappa by m/alpha + c - 1 - (l-1)/alpha.  It
-    changes only the hooks of row l and of column c:
+    alpha = P / Q comes as the pair (p, q) of ``homogeneous``, split once
+    per layer by the series step.  pi is kappa less its last box (l, c):
+    l = len(kappa), c = kappa_l.  The box changes only the hooks of row l
+    and of column c:
 
         j_kappa / j_pi = alpha c (1 + alpha (c-1)) prod_{r<l}
             (h + alpha (1+a_r)) (h + 1 + alpha a_r)
             / ((h - 1 + alpha (1+a_r)) (h + alpha a_r)),
 
-    with h = l - r and a_r = kappa_r - c, so the ratio is num / den with
+    with h = l - r and a_r = kappa_r - c.  Each factor u + alpha v is
+    taken as Q u + P v; den has one such factor more than num, so
 
-        num = (m - l + 1 + alpha (c-1))
-            prod_{r<l} (h - 1 + alpha (1+a_r)) (h + alpha a_r),
-        den = c (1 + alpha (c-1))
-            prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r).
+        num = Q prod_{r<l} (Q (h-1) + P (1+a_r)) (Q h + P a_r),
+        den = c (Q + P (c-1)) prod_{r<l} (Q h + P (1+a_r)) (Q (h+1) + P a_r),
 
-    num and den have equally many factors u + alpha v, so with alpha =
-    P / Q each is taken as Q u + P v and the powers of Q cancel: for a
-    Fraction alpha and a numeric m = M / MQ both are ints.  A symbolic
-    alpha or m makes them field elements.  The pair (num, den) is returned
-    undivided, so a caller can multiply more factors into it before its
-    one division.  kappa must be non-empty; PoleError is raised when den
-    is 0.
+    ints for a Fraction alpha and field elements for a symbolic one
+    (P = alpha, Q = 1).  The pair is returned undivided, so a caller can
+    multiply more factors into it before its one division.  kappa must be
+    non-empty; PoleError is raised when den is 0.
     """
-    p, q = homogeneous(alpha)
-    big_m, m_den = homogeneous(m)
     l = len(kappa)
     c = kappa[-1]
-    # the first factors times Q MQ: Q M - MQ Q (l-1) + MQ P (c-1) and c (MQ Q + MQ P (c-1))
-    lift = p * (m_den * (c - 1))
-    num = q * big_m + m_den * q * (1 - l) + lift
-    den = c * (m_den * q + lift)
+    num = q
+    den = c * (q + p * (c - 1))
     for r0 in range(l - 1):
         h = l - 1 - r0
         arm = p * (kappa[r0] - c)
         num = num * ((q * (h - 1) + p + arm) * (q * h + arm))
         den = den * ((q * h + p + arm) * (q * (h + 1) + arm))
-    return num, _hook_divisor(den, alpha, kappa)
+    return num, _hook_divisor(den, (p, q), kappa)
 
 
 def rho(alpha, kappa):

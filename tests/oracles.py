@@ -152,20 +152,19 @@ def hook_products_field(alpha, kappa):
     return c, cprime, c * cprime
 
 
-def box_hook_ratio_field(alpha, kappa, m):
-    """(num, den) of ``partitions._box_hook_ratio``, in the field of alpha and m.
+def box_hook_ratio_field(alpha, kappa):
+    """(num, den) of ``partitions._box_hook_ratio``, in the field of alpha.
 
-    The ratio C_kappa(I_m) / (|kappa| C_pi(I_m)) of kappa and its parent pi,
-    kappa less its last box (l, c): num = (m - l + 1 + alpha (c-1))
-    prod_{r<l} (h - 1 + alpha (1+a_r)) (h + alpha a_r) and den =
-    c (1 + alpha (c-1)) prod_{r<l} (h + alpha (1+a_r)) (h + 1 + alpha a_r),
-    h = l - r, a_r = kappa_r - c, each factor a field element.
+    The ratio alpha j_pi / j_kappa of kappa and its parent pi, kappa less
+    its last box (l, c): num = prod_{r<l} (h - 1 + alpha (1+a_r))
+    (h + alpha a_r) and den = c (1 + alpha (c-1)) prod_{r<l}
+    (h + alpha (1+a_r)) (h + 1 + alpha a_r), h = l - r, a_r = kappa_r - c,
+    each factor a field element.
     """
     l = len(kappa)
     c = kappa[-1]
-    lift = alpha * (c - 1)
-    num = m - l + 1 + lift
-    den = c * (1 + lift)
+    num = alpha**0
+    den = c * (1 + alpha * (c - 1))
     for r0 in range(l - 1):
         h = l - 1 - r0
         arm = alpha * (kappa[r0] - c)
@@ -476,14 +475,15 @@ def mono_product_by_rearrangements(lam, mu, n):
     return out
 
 
-def next_layer_field(alpha, upper, lower, m, width, k, prev, at_identity):
+def next_layer_field(alpha, upper, lower, m, width, k, prev):
     """The layer of degree k of a pFq series from the layer prev of k - 1.
 
     The arguments and the result are those of ``hypergeom._next_layer``.
-    Each term is its parent's times h prod (a_i + s) / (k' prod (b_j + s)),
-    s = c - 1 - (l-1)/alpha for the last box (l, c), with h the hook ratio
-    of ``box_hook_ratio_field`` and k' = 1 at the identity, k otherwise;
-    every factor is a field element.
+    Each term is its parent's times alpha j_pi / j_kappa prod (a_i + s) /
+    prod (b_j + s), s = c - 1 - (l-1)/alpha for the last box (l, c), with
+    j_pi and j_kappa the whole hook products of ``hook_products_field``;
+    every factor is a field element.  A vanishing j_kappa raises the
+    library's PoleError before any lower parameter is read.
     """
     row_shift = [i / alpha for i in range(m)]
     layer = {}
@@ -492,11 +492,8 @@ def next_layer_field(alpha, upper, lower, m, width, k, prev, at_identity):
         c = kappa[-1]
         parent = kappa[:-1] + (c - 1,) if c > 1 else kappa[:-1]
         s = c - 1 - row_shift[l - 1]
-        if at_identity:
-            hook_num, hook_den = box_hook_ratio_field(alpha, kappa, m)
-            num, den = hook_num / hook_den, 1
-        else:
-            num, den = alpha**0, k
+        j_kappa = partitions._hook_divisor(hook_products_field(alpha, kappa)[2], alpha, kappa)
+        num, den = alpha * hook_products_field(alpha, parent)[2] / j_kappa, 1
         for a_i in upper:
             num = num * (a_i + s)
         for b_j in lower:

@@ -340,6 +340,8 @@ def test_density_needs_numeric_alpha(capsys, which, alpha):
         ["jack", "--alpha", "-1", "--partition", "1,1"],
         ["gbinomial", "--alpha", "-1", "--kappa", "2,1", "--sigma", "1"],
         ["hypergeom", "--alpha", "-1", "--upper", "1", "--lower", "3", "--xid", "1/2:2", "--limit", "4"],
+        # the explicit point raises the pole of (1, 1) that --xid 1/2:2 raises
+        ["hypergeom", "--alpha=-1", "--upper=-1", "--lower", "", "--x", "0.5,0.25", "--limit", "2"],
     ],
 )
 def test_hook_product_pole_exits_3(capsys, argv):
@@ -368,6 +370,35 @@ def test_malformed_input_exits_2(capsys, argv, message):
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, foreign",
+    [
+        (["level", "--alpha", "1", "--beta", "4", "--n", "2", "--grid", "0:1:2"], "--alpha"),
+        (["smallest", "--alpha", "1", "--p", "2", "--m", "2", "--g", "5", "--tol", "1e-3", "--beta", "7",
+          "--grid", "1:2:2"], "--beta, --g, --tol"),
+        (["largest-cdf", "--alpha", "1", "--g", "1", "--m", "2", "--p", "9", "--n", "3", "--scaled", "--x", "2"],
+         "--p, --n, --scaled"),
+    ],
+)
+def test_density_refuses_an_option_its_curve_does_not_read(capsys, argv, foreign):
+    # the curve would compute without it, so a value given there would be dropped
+    got = run(["density"] + argv, capsys)
+    assert got == (2, "", "error: density %s does not take %s\n" % (argv[0], foreign))
+
+
+@pytest.mark.parametrize("argv", [["level", "--beta", "4", "--n", "2"], ["smallest", "--alpha", "1", "--p", "2", "--m", "2"]])
+def test_density_curves_need_a_grid(capsys, argv):
+    assert run(["density"] + argv, capsys) == (2, "", "error: density %s needs --grid\n" % argv[0])
+
+
+def test_readme_density_commands_succeed(capsys):
+    commands = [shlex.split(line)[1:] for line in _readme_cli_lines() if line.startswith("mops density ")]
+    assert len(commands) == 3
+    for argv in commands:
+        code, out, err = run(argv, capsys)
+        assert code == 0 and out and not err.startswith("error"), argv
 
 
 @pytest.mark.parametrize(
@@ -533,11 +564,15 @@ def test_one_point_option_at_a_time(capsys, argv):
     assert "not allowed with argument" in err
 
 
+def _readme_cli_lines():
+    """The lines of the README's CLI example block."""
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
 def _readme_cli_results():
     """(argv, printed result) for each README CLI line that states its result."""
-    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
-    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
-    lines = block.splitlines()
+    lines = _readme_cli_lines()
     found = []
     for i, line in enumerate(lines):
         command, _, comment = line.partition("#")

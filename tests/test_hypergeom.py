@@ -134,6 +134,14 @@ def test_series_layers_coefficients_stay_fractions():
             assert type(c_k) is Fraction, (alpha, upper, lower, m, k, c_k)
 
 
+def _c_factor(alpha, kappa):
+    """alpha^k k! / j_kappa, C_kappa over J_kappa, from the field's whole hook products."""
+    from oracles import hook_products_field
+
+    k = sum(kappa)
+    return alpha**k * math.factorial(k) / hook_products_field(alpha, kappa)[2]
+
+
 def test_series_layers_enumerate_only_contributing_partitions():
     # at most m parts, parts at most the width, and no layer past width * m
     alpha, m, width = Fraction(1, 2), 3, 2
@@ -144,12 +152,14 @@ def test_series_layers_enumerate_only_contributing_partitions():
     for k, terms in enumerate(layers):
         want = [kap for kap in partitions_of(k) if len(kap) <= m and (not kap or kap[0] <= width)]
         assert [kappa for kappa, _ in terms] == want
-        for kappa, coeff in terms:
-            assert coeff == (
+        for kappa, term in terms:
+            # the coefficient of C_kappa times C's factor alpha^k k! / j_kappa of J
+            assert term == (
                 gsfact(alpha, Fraction(-width), kappa)
                 * gsfact(alpha, Fraction(3), kappa)
                 / gsfact(alpha, Fraction(5, 2), kappa)
                 / math.factorial(k)
+                * _c_factor(alpha, kappa)
             )
 
 
@@ -723,27 +733,34 @@ def test_largest_eig_cdf_three_eigenvalues():
 
 
 def _closed_form_layers(alpha, upper, lower, m, degree, width=None):
-    # the engine's two kinds of term from the definitions, partition by partition
+    # the engine's two kinds of term from the definitions, partition by
+    # partition: T_kappa = coeff_kappa C_kappa / J_kappa, and at the identity
+    # coeff_kappa C_kappa(I_m) / alpha^k, the term of the same series with
+    # the upper parameter m/alpha appended; with the layer's sum of
+    # coeff_kappa C_kappa(I_m)
     from mops.binom import gsfact
 
     for k in range(degree + 1):
-        rows = []
+        rows, total = [], 0
         for kappa in partitions_of(k, max_part=width, max_len=m):
             coeff = alpha**0 / math.factorial(k)
             for a_i in upper:
                 coeff = coeff * gsfact(alpha, a_i, kappa)
             for b_j in lower:
                 coeff = coeff / gsfact(alpha, b_j, kappa)
-            rows.append((kappa, coeff, coeff * jack_identity_value(alpha, kappa, "C", m)))
-        yield rows
+            at_identity = coeff * jack_identity_value(alpha, kappa, "C", m)
+            rows.append((kappa, coeff * _c_factor(alpha, kappa), at_identity / alpha**k))
+            total = total + at_identity
+        yield rows, total
 
 
 def _identity_layers(alpha, upper, lower, m, width=None):
-    """The layers of coeff_kappa C_kappa(I_m), walked with the engine's own step."""
+    """The layers of the series with m/alpha appended, walked with the engine's own step."""
+    upper = list(upper) + [m / alpha]
     layer = {(): alpha**0}
     yield list(layer.items())
     for k in range(1, width * m + 1) if width is not None else itertools.count(1):
-        layer = hg._next_layer(alpha, upper, lower, m, width, k, layer, at_identity=True)
+        layer = hg._next_layer(alpha, upper, lower, m, width, k, layer)
         yield list(layer.items())
 
 
@@ -764,23 +781,27 @@ def test_series_layers_per_box_terms_match_closed_forms(alpha, upper, lower):
     for m in range(1, 5):
         plain = hg._series_layers(alpha, upper, lower, m)
         ident = _identity_layers(alpha, upper, lower, m)
+        sums = hg._identity_sums(alpha, upper, lower, m)
         want = _closed_form_layers(alpha, upper, lower, m, degree)
-        for k, p_terms, i_terms, rows in zip(range(degree + 1), plain, ident, want):
+        for k, p_terms, i_terms, c_k, (rows, total) in zip(range(degree + 1), plain, ident, sums, want):
             assert [kappa for kappa, _ in p_terms] == [kappa for kappa, _, _ in rows]
             assert [kappa for kappa, _ in i_terms] == [kappa for kappa, _, _ in rows]
             for (kappa, coeff), (_, term), (_, c_want, t_want) in zip(p_terms, i_terms, rows):
                 assert coeff == c_want, (m, kappa)
                 assert term == t_want, (m, kappa)
+            assert c_k == total, (m, k)
 
 
 def test_series_layers_per_box_terms_terminating():
     # width-bounded: the upper parameter -2 ends the series at degree 2 m
     alpha, upper, lower, m, width = Fraction(3, 2), [Fraction(-2), Fraction(5, 3)], [Fraction(7, 2)], 3, 2
     got = list(_identity_layers(alpha, upper, lower, m, width))
+    sums = list(hg._identity_sums(alpha, upper, lower, m, width))
     want = list(_closed_form_layers(alpha, upper, lower, m, width * m, width))
-    assert len(got) == len(want) == width * m + 1
-    for terms, rows in zip(got, want):
+    assert len(got) == len(sums) == len(want) == width * m + 1
+    for terms, c_k, (rows, total) in zip(got, sums, want):
         assert terms == [(kappa, term) for kappa, _, term in rows]
+        assert c_k == total
 
 
 @pytest.mark.parametrize(
@@ -804,6 +825,22 @@ def test_lower_parameter_pole_names_first_partition(alpha, lower, m, kappa):
         hg.ghypergeom(alpha, [], lower, ("vec", [0.1] * m), limit=6)
 
 
+def test_a_vanishing_hook_raises_at_a_point_as_at_the_identity():
+    # alpha = -1 zeros the hooks of (1, 1).  The terms near alpha = -1 sum
+    # to about 3/8 at this point, where dropping the pole's term gave 1/4;
+    # the point and its x I_m twin raise the same PoleError of (1, 1)
+    point = [Fraction(1, 2), Fraction(1, 4)]
+    for eps in (Fraction(1, 10**9), Fraction(-1, 10**9)):
+        near = hg.ghypergeom(-1 + eps, [-1], [], ("vec", point), limit=2)
+        assert abs(near - Fraction(3, 8)) < 1e-6
+    texts = []
+    for arg in (("vec", point), ("xid", Fraction(1, 2), 2)):
+        with pytest.raises(PoleError) as err:
+            hg.ghypergeom(-1, [-1], [], arg, limit=2)
+        texts.append(str(err.value))
+    assert texts == ["alpha = -1 is a pole of the hook products of (1, 1)"] * 2
+
+
 def test_level_density_matches_hermite2_construction():
     # the density sums the two-box recurrence's values; the limiting-process
     # construction, scaled by C_kappa(I_n), must give the same polynomial
@@ -819,14 +856,20 @@ def test_level_density_matches_hermite2_construction():
 
 
 def _walk(step, alpha, upper, lower, m, at_identity, degree=8):
-    """Layers 1..degree from one step function; a PoleError ends the list with its text."""
+    """Layers 1..degree from one step function; a PoleError ends the list with its text.
+
+    at_identity appends the upper parameter m/alpha of J_kappa(I_m), as
+    ``hypergeom._identity_sums`` does.
+    """
     from mops.errors import PoleError
 
     width = hg._negative_integer_bound(upper)
+    if at_identity:
+        upper = list(upper) + [m / alpha]
     layer, layers = {(): alpha**0}, []
     try:
         for k in range(1, degree + 1):
-            layer = step(alpha, upper, lower, m, width, k, layer, at_identity)
+            layer = step(alpha, upper, lower, m, width, k, layer)
             layers.append([(kappa, term, repr(term)) for kappa, term in layer.items()])
     except PoleError as err:
         layers.append(str(err))

@@ -429,33 +429,43 @@ def _c_by_table(alpha, kappa, point):
     return eval_numeric(jack.jack_expand(alpha, kappa, "C", len(point)), point, alpha)
 
 
+def _j_by_table(alpha, kappa, point):
+    return eval_numeric(jack.jack_expand(alpha, kappa, "J", len(point)), point, alpha)
+
+
 @pytest.mark.parametrize("alpha", [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2)])
 def test_point_values_equal_the_monomial_expansion(alpha):
-    # the branching rule over horizontal strips against the monomial table
+    # the branching rule over horizontal strips against J's monomial table
     # summed at the same point, exactly, for every kappa of weight <= 10
     for m in range(1, 5):
         for point in _POINTS:
-            c_at = jack.point_values(alpha, point[:m])
+            j_at = jack.point_values(alpha, point[:m])
             for k in range(11):
                 for kappa in partitions_of(k, max_len=m):
-                    assert Fraction(*c_at(kappa)) == _c_by_table(alpha, kappa, point[:m]), (m, point, kappa)
+                    assert Fraction(*j_at(kappa)) == _j_by_table(alpha, kappa, point[:m]), (m, point, kappa)
 
 
 @pytest.mark.parametrize("alpha", [Fraction(-1), Fraction(-1, 2), Fraction(-2, 3), Fraction(-3)])
 def test_point_values_at_a_negative_alpha(alpha):
     # a vanishing hook can give a branching coefficient a pole that only the
-    # sum cancels, so J is read from its table, one orbit sum per monomial;
-    # C_kappa's own pole raises the table's PoleError
+    # sum cancels, so J is read from its table, one orbit sum per monomial,
+    # and J has no pole.  A series reaches C_kappa's hooks through its
+    # one-box step: at the point and at x I_m it raises the C table's
+    # PoleError of the first kappa, in series order, whose hooks vanish
     for m, point in itertools.product(range(1, 5), _POINTS):
         point = point[:m]
-        c_at = jack.point_values(alpha, point)
+        j_at = jack.point_values(alpha, point)
+        first_pole = None
         for k in range(11):
             for kappa in partitions_of(k, max_len=m):
-                if hook_products(alpha, kappa)[2]:
-                    assert Fraction(*c_at(kappa)) == _c_by_table(alpha, kappa, point), (m, kappa)
-                    continue
-                with pytest.raises(PoleError) as got:
-                    c_at(kappa)
-                with pytest.raises(PoleError) as want:
-                    _c_by_table(alpha, kappa, point)
-                assert str(got.value) == str(want.value)
+                assert Fraction(*j_at(kappa)) == _j_by_table(alpha, kappa, point), (m, kappa)
+                if first_pole is None and not hook_products(alpha, kappa)[2]:
+                    first_pole = kappa
+        if first_pole is None:
+            continue
+        with pytest.raises(PoleError) as want:
+            _c_by_table(alpha, first_pole, point)
+        for arg in (("vec", point), ("xid", 1, m)):
+            with pytest.raises(PoleError) as got:
+                hypergeom.ghypergeom(alpha, [], [], arg, limit=10)
+            assert str(got.value) == str(want.value), (m, arg)

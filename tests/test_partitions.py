@@ -5,7 +5,7 @@ import pytest
 from mops import jack
 from mops import partitions as pt
 from mops.errors import DomainError, PoleError
-from mops.rational import ALPHA, N, RationalFunction, ratio
+from mops.rational import ALPHA, N, RationalFunction, homogeneous, ratio
 
 from oracles import box_hook_ratio_field, brute_subpartitions, hook_products_field
 
@@ -155,28 +155,36 @@ def test_integer_hook_products_match_field_arithmetic():
 
 
 def test_integer_box_hook_ratio_matches_field_arithmetic():
-    # the one-box ratio in ints, m numeric or symbolic, against the field
-    # loop; where the hooks of the box's row and column vanish it raises
-    # PoleError naming alpha and kappa
+    # the one-box ratio alpha j_pi / j_kappa in ints against the field loop
+    # and against the whole hook products of kappa and its parent pi; where
+    # the hooks of the box's row and column vanish it raises PoleError
+    # naming alpha and kappa
     poles = 0
     for k in range(1, 11):
         for kappa in pt.partitions_of(k):
+            parent = kappa[:-1] + (kappa[-1] - 1,) if kappa[-1] > 1 else kappa[:-1]
             alphas = INT_ALPHAS + [a] if k <= 7 else INT_ALPHAS
             for alpha in alphas:
-                for m in (3, Fraction(5), Fraction(7, 2), N):
-                    num, den = box_hook_ratio_field(alpha, kappa, m)
-                    if not den:
-                        poles += 1
-                        with pytest.raises(PoleError) as err:
-                            pt._box_hook_ratio(alpha, kappa, m)
-                        assert str(err.value) == _pole_message(alpha, kappa)
-                        continue
-                    pair = pt._box_hook_ratio(alpha, kappa, m)
-                    if alpha is not a and not isinstance(m, RationalFunction):
-                        assert all(type(v) is int for v in pair), (alpha, kappa, m)
-                    got = ratio(*pair)
-                    want = num / den
-                    assert got == want and repr(got) == repr(want), (alpha, kappa, m)
+                p, q = homogeneous(alpha)
+                num, den = box_hook_ratio_field(alpha, kappa)
+                j_kappa, j_parent = (hook_products_field(alpha, nu)[2] for nu in (kappa, parent))
+                if j_parent:
+                    # a hook the parent lacks lies in the box's row or column
+                    assert (not den) == (not j_kappa), (alpha, kappa)
+                if not den:
+                    poles += 1
+                    with pytest.raises(PoleError) as err:
+                        pt._box_hook_ratio(p, q, kappa)
+                    assert str(err.value) == _pole_message(alpha, kappa)
+                    continue
+                pair = pt._box_hook_ratio(p, q, kappa)
+                if alpha is not a:
+                    assert all(type(v) is int for v in pair), (alpha, kappa)
+                got = ratio(*pair)
+                want = num / den
+                assert got == want and repr(got) == repr(want), (alpha, kappa)
+                if j_kappa:
+                    assert got == alpha * j_parent / j_kappa, (alpha, kappa)
     assert poles
 
 
@@ -192,7 +200,7 @@ def test_vanishing_hook_reads_zero_and_its_divisions_raise(alpha, kappa, upper_z
         lambda: jack.jack_monomial_coefficients(alpha, kappa),
         lambda: jack.jack_identity_value(alpha, kappa, "C", 3),
         lambda: jack.normalization_factor("C", "J", alpha, kappa),
-        lambda: pt._box_hook_ratio(alpha, kappa, 3),
+        lambda: pt._box_hook_ratio(*homogeneous(alpha), kappa),
     ]
     if lower_zero:
         dividing.append(lambda: jack.jack_expand(alpha, kappa, "P"))
