@@ -15,9 +15,12 @@ whole table at a time.  The contiguous coefficients (sigma^(i) choose
 sigma), sigma^(i) being sigma with one more box in row i, are ratios of
 hook products in which only the hooks of that box's row and column
 change, so ``contiguous`` takes a product over those i - 1 + sigma_i
-boxes alone, one ``rational.linear_product`` of their hooks.  The rest follow from the recurrence
-sum_i (sigma^(i) choose sigma)(kappa choose sigma^(i)) =
-(k - s)(kappa choose sigma)  solved top-down from (kappa choose kappa)=1.
+boxes alone, one ``rational.linear_product`` of their hooks.  The rest
+follow from the recurrence sum_i (sigma^(i) choose sigma)(kappa choose
+sigma^(i)) = (k - s)(kappa choose sigma), solved top-down from
+(kappa choose kappa) = 1.  At a symbolic alpha the table is
+``rational.Factored`` throughout, each entry one sum added up once and
+converted to the field once, so no gcd runs.
 """
 
 import math
@@ -25,7 +28,17 @@ from fractions import Fraction
 
 from . import cache, partitions
 from .errors import DomainError
-from .rational import RationalFunction, as_exact, as_finite, as_int, homogeneous, linear_product, ratio
+from .rational import (
+    RationalFunction,
+    as_exact,
+    as_finite,
+    as_int,
+    factored,
+    field_value,
+    homogeneous,
+    linear_product,
+    ratio,
+)
 
 
 def sfact(r, k):
@@ -71,11 +84,9 @@ def _box_product(alpha, x, kappa, sigma):
     alpha = P / Q, as (Q x + P (c-1) - Q (l-1)) / Q in its field.  alpha,
     kappa and sigma must be canonical, sigma inside kappa.
     """
-    rows = [(l0, range(sigma[l0] if l0 < len(sigma) else 0, part)) for l0, part in enumerate(kappa)]
     if not isinstance(x, RationalFunction):
-        big_x, y = homogeneous(x)
-        pairs = [(big_x - y * l0, y * c0) for l0, columns in rows for c0 in columns]
-        return ratio(*linear_product(alpha, pairs, (), Fraction(1, y ** len(pairs))))
+        return ratio(*linear_product(alpha, *_box_pairs(x, kappa, sigma)))
+    rows = [(l0, range(sigma[l0] if l0 < len(sigma) else 0, part)) for l0, part in enumerate(kappa)]
     p, q = homogeneous(alpha)
     num, boxes = x**0, 0
     for l0, columns in rows:
@@ -84,6 +95,22 @@ def _box_product(alpha, x, kappa, sigma):
             num = num * (base + p * c0)
         boxes += len(columns)
     return ratio(num, q**boxes)
+
+
+def _box_pairs(x, kappa, sigma):
+    """``_box_product`` at a number x = X / Y as ``rational.linear_product``'s
+    (num_pairs, den_pairs, scale).
+
+    A box (l, c) of kappa/sigma gives the pair (X - Y (l-1), Y (c-1)), no
+    pair divides, and scale is 1 / Y^|kappa/sigma|.
+    """
+    big_x, y = homogeneous(x)
+    pairs = [
+        (big_x - y * l0, y * c0)
+        for l0, part in enumerate(kappa)
+        for c0 in range(sigma[l0] if l0 < len(sigma) else 0, part)
+    ]
+    return pairs, (), Fraction(1, y ** len(pairs))
 
 
 def mv_gamma(alpha, a, m):
@@ -139,7 +166,7 @@ def contiguous(alpha, sigma, i):
     alpha the hooks both products share cancel as factors, with no gcd.
     """
     p, q = homogeneous(as_exact(alpha, "alpha"))
-    return ratio(*_contiguous(p, q, partitions.as_partition(sigma), i))
+    return field_value(ratio(*_contiguous(p, q, partitions.as_partition(sigma), i)))
 
 
 @cache.memo
@@ -149,7 +176,8 @@ def _contiguous(p, q, sigma, i):
     alpha = P / Q comes as ``homogeneous(alpha)``, which the callers hold:
     two ints key the table without hashing a Fraction at every box.  For
     a Fraction alpha the pair is two ints, so a caller can sum several such
-    ratios over one denominator; for a symbolic alpha it is (value, 1).
+    ratios over one denominator; for a symbolic alpha it is (value, 1),
+    the value a ``rational.Factored`` of the hooks.
     """
     if _row_increment(sigma, i) is None:
         raise DomainError("row %d of %r cannot be incremented" % (i, sigma))
@@ -167,6 +195,8 @@ def _contiguous(p, q, sigma, i):
             below += 1
         num.append((below - i, 2 + row - j))
         den.append((below - i, 1 + row - j))
+    if p.__class__ is not int:
+        return factored(p, num, den), 1
     pair = linear_product((p, q), num, den)
     if not pair[1]:
         partitions._hook_divisor(0, (p, q), sigma)  # raises PoleError
@@ -184,8 +214,12 @@ def one_box_recurrence(alpha, kappa, divisor):
     ``as_exact`` and ``partitions.as_partition`` leave them.  As in
     ``orthopoly.hermite``, for a Fraction alpha each sum is formed as ints
     over one unreduced denominator from the pairs of ``_contiguous`` and
-    v_sigma is one Fraction; a symbolic alpha runs the same expressions in
-    its field, over the int 1.
+    v_sigma is one Fraction.  At a symbolic alpha the coefficients are
+    ``rational.Factored`` over the int 1: each sum is held as its terms
+    and added up once, at the division by the divisor, a number or a
+    Factored value; a divisor with another parameter (Jacobi's at a
+    symbolic g1, g2 or n) takes the sum to the field.  Each value is
+    converted to the field once, at the end.
     """
     p, q = homogeneous(alpha)
     table = {kappa: alpha**0}
@@ -202,6 +236,8 @@ def one_box_recurrence(alpha, kappa, divisor):
             term_num, term_den = coeff_num * value_num, coeff_den * value_den
             num, den = num * term_den + term_num * den, den * term_den
         table[sigma] = ratio(num, den * divisor(sigma))
+    if p.__class__ is not int:
+        table = {sigma: field_value(value) for sigma, value in table.items()}
     return table
 
 

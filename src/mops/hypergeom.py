@@ -10,9 +10,10 @@ its partitions with the coefficients of J_kappa,
 
 j_kappa the product of kappa's upper and lower hooks.  Only the
 partitions that can contribute are enumerated: at most m parts (J_kappa
-vanishes on m variables otherwise) and, when an upper parameter is a
-negative integer -p, parts of at most p (its Pochhammer symbol vanishes
-beyond), which also makes the series terminate at degree p m.
+vanishes on m variables otherwise) and, when an upper parameter is 0 or
+a negative integer -p, parts of at most p (its Pochhammer symbol vanishes
+beyond), which also makes the series terminate at degree p m: at degree
+0 for the parameter 0, whatever alpha.
 
 Every term is updated from its parent, the partition less its last box,
 in the previous layer (after Koev and Edelman, *The efficient evaluation
@@ -86,11 +87,16 @@ DEGREE_CAP = 400
 
 
 def _negative_integer_bound(values):
-    """Smallest p with some upper parameter equal to -p, else None."""
+    """Smallest p >= 0 with some upper parameter equal to -p, else None.
+
+    The parameter 0 gives 0: (0)_kappa vanishes for every kappa of degree
+    >= 1, so the series is its term of degree 0.  Callers test the bound
+    with ``is None``.
+    """
     best = None
     for v in values:
         v = as_exact(v, "an upper parameter")
-        if isinstance(v, Fraction) and v <= -1 and v.denominator == 1:
+        if isinstance(v, Fraction) and v <= 0 and v.denominator == 1:
             p = -int(v)
             best = p if best is None else min(best, p)
     return best

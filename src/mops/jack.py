@@ -24,16 +24,17 @@ A = sum kappa_i (kappa_i - 1) and B = sum (i-1) kappa_i.  So every step
 is an exact synthetic division of an int list by a linear factor; no gcd.
 
 The integer table is free of alpha and memoized per (kappa, length).  A
-table at a given alpha evaluates each entry once by Horner's rule, in ints
-over one power of the denominator when alpha is a Fraction; at alpha = a,
-a bare parameter, the int list is the polynomial, with no field
-operation.  It scales each entry by the normalization's one factor of J
-(``_from_j``): alpha^k k! / j_kappa for C, 1 for J and 1 / c'_kappa for P,
-c' the product of lower hooks.  The factor is one
-``rational.linear_product`` of the hooks: ints for a Fraction, and for a
-symbolic alpha linear factors that cancel (alpha^k against the upper
-hooks alpha (1 + a) of leg 0) with no gcd.  Every value is thus J's,
-and a normalization has a pole exactly where its factor divides by a
+table at a Fraction alpha evaluates each entry once by Horner's rule, in
+ints over one power of the denominator, and scales it by the
+normalization's one factor of J (``_from_j``): alpha^k k! / j_kappa for
+C, 1 for J and 1 / c'_kappa for P, c' the product of lower hooks.  The
+factor is one ``rational.linear_product`` of the hooks.  At a symbolic
+alpha each entry is the ``rational.Factored`` value J's int list times
+the factor's hooks as linear keys, which cancel (alpha^k against the
+upper hooks alpha (1 + a) of leg 0) with no gcd; it is converted to the
+field once, where a table leaves the module, and the sweep of
+``symfun`` reads it factored.  Every value is thus J's, and a
+normalization has a pole exactly where its factor divides by a
 vanishing hook product.
 
 At an explicit numeric point and alpha > 0 no table is needed.
@@ -51,7 +52,16 @@ from itertools import zip_longest
 from . import binom, cache, operators, partitions
 from .binom import _as_alpha
 from .errors import DomainError
-from .rational import as_exact, at_parameter, common_denominator, homogeneous, linear_product, ratio
+from .rational import (
+    RationalFunction,
+    _divide_key,
+    as_exact,
+    common_denominator,
+    factored,
+    homogeneous,
+    linear_product,
+    ratio,
+)
 from .symfun import GENERIC, SymExpr, _orbit_sum, as_nvars
 
 NORMALIZATIONS = ("C", "J", "P")
@@ -59,7 +69,8 @@ NORMALIZATIONS = ("C", "J", "P")
 
 def jack_monomial_coefficients(alpha, kappa):
     """Full table lambda -> c_{kappa,lambda} for C_kappa, all lengths kept."""
-    return _c_table(alpha, GENERIC, partitions.as_partition(kappa))
+    alpha = _as_alpha(alpha)
+    return _in_field(alpha, _c_table(alpha, GENERIC, partitions.as_partition(kappa)))
 
 
 def _length(kappa, nvars):
@@ -69,8 +80,18 @@ def _length(kappa, nvars):
 
 
 def _c_table(alpha, nvars, kappa):
-    """The C table of kappa over the partitions with at most nvars parts."""
+    """The C table of kappa over the partitions with at most nvars parts.
+
+    At a symbolic alpha its values are ``rational.Factored``, for the sweep.
+    """
     return _jack_monomial_coefficients(_as_alpha(alpha), kappa, _length(kappa, nvars), "C")
+
+
+def _in_field(alpha, table):
+    """The table's values in alpha's field: a Factored table converted once per call."""
+    if isinstance(alpha, RationalFunction):
+        return {lam: value.to_field() for lam, value in table.items()}
+    return table
 
 
 def _a_b(lam):
@@ -80,14 +101,8 @@ def _a_b(lam):
 
 def _divide_linear(poly, p, q):
     """poly / (p alpha - q) in Z[alpha], by synthetic division from the top."""
-    quotient = [0] * (len(poly) - 1)
-    carry = rem = 0
-    for i in range(len(poly) - 1, 0, -1):
-        carry, rem = divmod(poly[i] + q * carry, p)
-        if rem:
-            break
-        quotient[i - 1] = carry
-    if rem or poly[0] + q * carry:
+    quotient = _divide_key(poly, -q, p)
+    if quotient is None:
         raise ArithmeticError("Jack J coefficient is not divisible by %d*a - %d" % (p, q))
     return quotient
 
@@ -146,12 +161,9 @@ def _horner(coeffs, alpha):
     Returns the pair (sum_i c_i P^i Q^(d-i), Q^d), d = len(coeffs) - 1,
     whose ``ratio`` is the value.  For int coefficients and a Fraction or
     float alpha (a float is its exact dyadic ratio) both are ints, not
-    reduced.  At alpha a bare parameter the list is the polynomial
-    (``rational.at_parameter``); any other symbolic alpha has Q = 1.
+    reduced.  A symbolic alpha has Q = 1; the tables take it in
+    ``rational.Factored`` form instead.
     """
-    value = at_parameter(coeffs, alpha)
-    if value is not None:
-        return value, 1
     p, q = homogeneous(alpha)
     value = 0
     scale = 1
@@ -162,31 +174,56 @@ def _horner(coeffs, alpha):
     return value, scale // q
 
 
+def _factor_pairs(kappa, norm):
+    """(num_pairs, den_pairs, scale): ``_from_j``'s f as hooks u + alpha v.
+
+    C's f = alpha^k k! / j_kappa and P's f = 1 / c'_kappa; J's f is 1.
+    """
+    if norm not in NORMALIZATIONS:
+        raise DomainError("unknown normalization %r" % (norm,))
+    if norm == "J":
+        return (), (), 1
+    upper, lower = partitions._hook_pairs(kappa)
+    if norm == "P":
+        return (), lower, 1
+    k = partitions.weight(kappa)
+    return ((0, 1),) * k, upper + lower, math.factorial(k)
+
+
 @cache.memo
 def _from_j(alpha, kappa, norm):
     """Scalar f with V_kappa = f * J_kappa for V in {C, J, P}.
 
-    C's f = alpha^k k! / j_kappa and P's f = 1 / c'_kappa divide by hook
-    products, taken by ``rational.linear_product``, so PoleError marks
-    where that normalization is undefined.
+    C's and P's f divide by hook products (``_factor_pairs``), taken by
+    ``rational.linear_product``, so PoleError marks where that
+    normalization is undefined.
     """
     if norm == "J":
         return 1
-    upper, lower = partitions._hook_pairs(kappa)
-    if norm == "C":
-        k = partitions.weight(kappa)
-        num, den = linear_product(alpha, ((0, 1),) * k, upper + lower, math.factorial(k))
-    elif norm == "P":
-        num, den = linear_product(alpha, (), lower)
-    else:
-        raise DomainError("unknown normalization %r" % (norm,))
+    num, den = linear_product(alpha, *_factor_pairs(kappa, norm))
     return ratio(num, partitions._hook_divisor(den, alpha, kappa))
 
 
 @cache.memo
 def _jack_monomial_coefficients(alpha, kappa, length, norm):
+    """lam -> the coefficient of m_lam in V_kappa.
+
+    At a symbolic alpha each value is a ``rational.Factored``: J's int list
+    times f's hooks, with no field operation, the hooks that divide the
+    list cancelled once here so that the sweep's sums carry fewer keys.
+    J_kappa's own coefficient, c'_kappa, is its lower hooks, so that entry
+    is all keys: C's is alpha^k k! / (upper hooks), which the sweep
+    divides by.
+    """
+    table = _jack_j_table(kappa, length)
+    if isinstance(alpha, RationalFunction):
+        num_pairs, den_pairs, scale = _factor_pairs(kappa, norm)
+        factor = factored(alpha, num_pairs, den_pairs, scale)
+        out = {lam: (factor * factored(alpha, poly=coeffs)).lowest() for lam, coeffs in table.items()}
+        out[kappa] = factored(alpha, num_pairs + partitions._hook_pairs(kappa)[1], den_pairs, scale)
+        return out
     factor = _from_j(alpha, kappa, norm)
-    return {lam: ratio(*_horner(coeffs, alpha)) * factor for lam, coeffs in _jack_j_table(kappa, length).items()}
+    return {lam: ratio(*_horner(coeffs, alpha)) * factor for lam, coeffs in table.items()}
 
 
 class _Branching:
@@ -371,7 +408,7 @@ def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
     if norm not in NORMALIZATIONS:
         raise DomainError("unknown normalization %r" % (norm,))
     length = _length(kappa, nvars)
-    table = _jack_monomial_coefficients(alpha, kappa, length, norm)
+    table = _in_field(alpha, _jack_monomial_coefficients(alpha, kappa, length, norm))
     if len(kappa) > length:
         # no term in fewer variables than kappa has parts, but the same pole
         table = {}
@@ -382,11 +419,18 @@ def jack_identity_value(alpha, kappa, norm, m):
     """Value at x_1 = ... = x_m = 1; m may be numeric or a symbolic scalar.
 
     J_kappa(I_m) = alpha^k (m/alpha)_kappa is ``binom._box_product``, times
-    the normalization's factor.
+    the normalization's factor.  At a symbolic alpha and a numeric m both
+    are products of factors linear in alpha, so they are one
+    ``rational.linear_product``.
     """
     alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
-    return binom._box_product(alpha, as_exact(m, "m"), kappa, ()) * _from_j(alpha, kappa, norm)
+    m = as_exact(m, "m")
+    if isinstance(alpha, RationalFunction) and not isinstance(m, RationalFunction):
+        boxes, _, box_scale = binom._box_pairs(m, kappa, ())
+        num_pairs, den_pairs, scale = _factor_pairs(kappa, norm)
+        return linear_product(alpha, tuple(boxes) + num_pairs, den_pairs, box_scale * scale)[0]
+    return binom._box_product(alpha, m, kappa, ()) * _from_j(alpha, kappa, norm)
 
 
 def apply_dstar(expr, alpha, nvars):

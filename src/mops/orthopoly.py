@@ -32,7 +32,19 @@ from fractions import Fraction
 from . import binom, jack, operators, partitions
 from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
-from .rational import as_exact, as_finite, homogeneous, linear_product, ratio, rf
+from .rational import (
+    RationalFunction,
+    as_exact,
+    as_finite,
+    common_denominator,
+    factored,
+    field_value,
+    homogeneous,
+    linear_product,
+    ratio,
+    rf,
+    settled,
+)
 from .symfun import GENERIC, SymExpr, as_nvars, eval_numeric, expand_to_monomials
 
 class OrthoExpansion(SymExpr):
@@ -97,15 +109,20 @@ def _identity_ratio(alpha, kappa, sigma, m):
     alpha^(k-s) (k!/s!) j_sigma / j_kappa times the product over the boxes
     of kappa/sigma.  The first factor is one ``rational.linear_product``,
     in which sigma's hooks cancel against kappa's; a vanishing hook product
-    of kappa, then of sigma, raises PoleError.  It is the generic
-    polynomial's value at m also where C_sigma(I_m) is 0, which a negative
-    alpha and a numeric m can make.
+    of kappa, then of sigma, raises PoleError.  At a symbolic alpha no hook
+    vanishes, and for a numeric m the box factors m + alpha (c-1) - (l-1)
+    depend on alpha alone, so they join the same product.  It is the
+    generic polynomial's value at m also where C_sigma(I_m) is 0, which a
+    negative alpha and a numeric m can make.
     """
     k, s = partitions.weight(kappa), partitions.weight(sigma)
     upper, lower = partitions._hook_pairs(kappa)
     upper_s, lower_s = partitions._hook_pairs(sigma)
-    alpha_powers = ((0, 1),) * (k - s)
-    num, den = linear_product(alpha, alpha_powers + upper_s + lower_s, upper + lower, math.perm(k, k - s))
+    above = ((0, 1),) * (k - s) + upper_s + lower_s
+    if isinstance(alpha, RationalFunction) and not isinstance(m, RationalFunction):
+        boxes, _, scale = binom._box_pairs(m, kappa, sigma)
+        return linear_product(alpha, above + tuple(boxes), upper + lower, math.perm(k, k - s) * scale)[0]
+    num, den = linear_product(alpha, above, upper + lower, math.perm(k, k - s))
     partitions._hook_divisor(den, alpha, kappa)
     partitions._hook_divisor(num, alpha, sigma)
     return ratio(num, den) * binom._box_product(alpha, m, kappa, sigma)
@@ -157,9 +174,19 @@ def jacobi(alpha, kappa, g1, g2, nvars=GENERIC):
     k = partitions.weight(kappa)
     big_g = _jacobi_g(alpha, g1, g2, m)
     rho_kappa = partitions.rho(alpha, kappa)
+    a_kappa, b_kappa = jack._a_b(kappa)
+    alpha_only = isinstance(alpha, RationalFunction) and all(isinstance(x, Fraction) for x in (g1, g2, m))
 
     def divisor(sigma):
-        denom = big_g * (k - partitions.weight(sigma)) + rho_kappa - partitions.rho(alpha, sigma)
+        s = partitions.weight(sigma)
+        if alpha_only:
+            # rho = A - (2/alpha) B, so the divisor is (U + alpha V) / alpha: one key over alpha
+            a_sigma, b_sigma = jack._a_b(sigma)
+            (u, v), d = common_denominator(
+                [2 * ((m - 1) * (k - s) - b_kappa + b_sigma), (g1 + g2 + 2) * (k - s) + a_kappa - a_sigma]
+            )
+            return factored(alpha, ((u, v),), ((0, 1),), Fraction(1, d))
+        denom = big_g * (k - s) + rho_kappa - partitions.rho(alpha, sigma)
         if isinstance(denom, Fraction) and denom == 0:
             raise PoleError("Jacobi recurrence denominator vanished at sigma=%r" % (sigma,))
         return denom
@@ -280,13 +307,16 @@ def _hermite_values(alpha, kappa):
     coefficients are the undivided pairs of ``binom._contiguous`` that
     ``binom.one_box_recurrence`` sums too: for a Fraction alpha, S and T
     are held as ints (S_num, T_num, den) over one unreduced denominator,
-    den for S and den P for T, and v_sigma is one Fraction.  A symbolic
-    alpha runs the same expressions in its field, with P = alpha, Q = 1,
-    and the coefficients, S, T and the values v as field elements over
-    the int 1.
+    den for S and den P for T, and v_sigma is one Fraction.  At a symbolic
+    alpha they are ``rational.Factored`` over the int 1, with P the key
+    X = alpha and Q = 1: each sum is held as its terms and added up once,
+    when S and T are stored and when v_sigma is divided, and each v_sigma
+    is converted to the field once, at the end.
     """
     k = partitions.weight(kappa)
     p, q = homogeneous(alpha)
+    # P in the contents and the last division
+    big_p = p if p.__class__ is int else factored(alpha, ((0, 1),))
     values, sums = {kappa: 1}, {}
     # reversed lexicographic order puts every sigma^(i) before sigma;
     # kappa, the last subpartition, keeps its seed
@@ -300,7 +330,7 @@ def _hermite_values(alpha, kappa):
                 continue
             coeff_num, coeff_den = binom._contiguous(p, q, sigma, i)
             # P c_i(sigma)
-            content = (sigma[i - 1] if i <= len(sigma) else 0) * p - (i - 1) * q
+            content = (sigma[i - 1] if i <= len(sigma) else 0) * big_p - (i - 1) * q
             if odd:
                 value_num, value_den = homogeneous(up)
                 term_num, term_den = coeff_num * value_num, coeff_den * value_den
@@ -310,9 +340,11 @@ def _hermite_values(alpha, kappa):
                 term_num, term_den = coeff_num * (content * up_s - up_t), coeff_den * up_den
             num, den = num * term_den + term_num * den, den * term_den
         if odd:
-            sums[sigma] = num, t_num, den
+            sums[sigma] = settled(num), settled(t_num), den
         else:
-            values[sigma] = ratio(num, p * (den * (k - s)))
+            values[sigma] = ratio(num, big_p * (den * (k - s)))
+    if p.__class__ is not int:
+        values = {sigma: field_value(value) for sigma, value in values.items()}
     return values
 
 

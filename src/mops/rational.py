@@ -38,17 +38,30 @@ product cancels each numerator against the other denominator first, and a
 sum needs the gcd of the denominators and, when that is not 1, one more
 gcd with the new numerator; every cancellation takes the cofactors.
 
-Products of factors linear in alpha, u + alpha v over int pairs (hooks,
-box products, one-box binomial ratios), need no gcd at all
-(``linear_product``).  With alpha = (A0 + A1 t) / d in one parameter t,
-each factor is an int content times a primitive key c0 + c1 t, c1 > 0.
-A primitive polynomial of degree 1 is irreducible, and two keys are
-associates only when they are equal, so once equal keys cancel as a
-multiset the keys left above and below share no factor.  By Gauss's
-lemma their products are primitive, so the one common factor left is the
-int gcd of the two contents, and the denominator's leading coefficient
-is its int content times the positive c1s: the sign rule is that int's
-sign.
+Values in alpha alone whose denominators are products of factors linear
+in alpha (hooks, box products, one-box binomial ratios, the binomial
+table, the Hermite values, the C tables and the sweep out of them) take
+no gcd at all: they are held in a factored form, ``Factored``, and
+converted to the field once.  A value is an int ratio times an int
+coefficient list in a formal X that stands for alpha, times a multiset
+of primitive linear keys c0 + c1 X (c1 > 0) with signed exponents.  A
+product merges the multisets.  A sum takes the lcm of its terms' keys,
+adds the numerator lists once, and cancels each key below by synthetic
+division while the sum vanishes at the key's root.  That test is a
+complete cancellation: a primitive polynomial of degree 1 is
+irreducible, so it divides the numerator exactly when the numerator
+vanishes at its root, and otherwise shares no factor with it; two keys
+are associates only when they are equal, so keys left above and below
+share none either.  By Gauss's lemma the products of primitive lists
+and keys are primitive, so once the keys are cancelled the one common
+factor left is the int gcd of the two contents, and the denominator's
+leading coefficient is its int content times the positive c1s: the sign
+rule is that int's sign.  The conversion substitutes X := alpha once: at
+alpha a bare parameter the lists are the polynomial; at alpha =
+(A0 + A1 t) / d the list is Taylor-shifted and each key is an int times
+a primitive key in t, distinct keys staying distinct, with one int
+content gcd; any other symbolic alpha takes the field operations, once
+per value.  ``linear_product`` is such a product converted at once.
 """
 
 import re
@@ -1064,11 +1077,457 @@ def _linear_form(x):
     return num.get(_ZEXP, 0), num[lead], den[_ZEXP], lead
 
 
-def _times_linear(coeffs, c0, c1, count):
-    """The coefficient list times (c0 + c1 t)^count, lowest degree first."""
+# Int lists are multiplied by Kronecker substitution: a list is its value
+# at t = 2^bits, one int, and a product's coefficients are the balanced
+# base-2^bits digits of the product of the values, exactly when bits - 1
+# exceeds every coefficient's bit length.  A linear factor c0 + c1 t is
+# then one int, so a product of many costs a few int products, not a
+# pass over the list per factor.
+
+
+def _at_power_of_two(coeffs, bits):
+    """sum_i coeffs[i] 2^(bits i): the list's value at t = 2^bits."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value
+
+
+def _digits(value, bits, count):
+    """The count balanced base-2^bits digits of value, lowest first."""
+    full = 1 << bits
+    half, mask = full >> 1, full - 1
+    out = []
     for _ in range(count):
-        coeffs = [c0 * a + c1 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs
+        digit = value & mask
+        if digit >= half:
+            digit -= full
+        out.append(digit)
+        value = (value - digit) >> bits
+    return out
+
+
+def _times_keys(coeffs, factors):
+    """The int list times prod (c0 + c1 t)^e over factors ((c0, c1), e), e > 0.
+
+    |coefficient| of the product < sum |coeffs| * prod (|c0| + |c1|)^e,
+    which fixes bits.
+    """
+    if not factors:
+        return list(coeffs)
+    bits = sum(map(abs, coeffs)).bit_length() + 1
+    length = len(coeffs)
+    for (c0, c1), e in factors:
+        bits += e * (abs(c0) + abs(c1)).bit_length()
+        length += e
+    value = _at_power_of_two(coeffs, bits)
+    for (c0, c1), e in factors:
+        value *= ((c1 << bits) + c0) ** e
+    return _digits(value, bits, length)
+
+
+def _divide_key(coeffs, c0, c1):
+    """coeffs / (c0 + c1 t) by synthetic division from the top, or None when
+    c0 + c1 t, c1 > 0, does not divide the int list exactly."""
+    top = len(coeffs) - 1
+    out = [0] * top
+    carry = coeffs[top]
+    for i in range(top - 1, -1, -1):
+        if c1 == 1:
+            q = carry
+        else:
+            q, rem = divmod(carry, c1)
+            if rem:
+                return None
+        out[i] = q
+        carry = coeffs[i] - q * c0
+    return None if carry else out
+
+
+_ONE_POLY = (1,)
+
+
+class Factored:
+    """A value in alpha alone, factored: (num / den) * poly(X) * prod key(X)^e.
+
+    X stands for alpha.  num and den > 0 are ints, poly an int coefficient
+    list (lowest degree first; the tuple (1,) when there is none) and keys
+    a dict from a primitive linear key (c0, c1), c1 > 0, meaning c0 + c1 X,
+    to a nonzero exponent.  Nothing here depends on alpha, which is kept
+    for the one conversion, ``to_field``.
+
+    A product merges the key multisets; a key above and below cancels.  A
+    sum is held as its terms until it is stored, divided, tested or
+    converted (``settled``): then the keys' lcm takes the place of the
+    denominators, the numerator lists are added, and each key below is
+    cancelled by synthetic division while the sum vanishes at its root,
+    once per sum.  A product by a held sum distributes over its terms.
+    A quotient by a value whose poly is 1 (a number or keys alone) stays
+    factored; by any other value it is taken in the field.  An int, a
+    Fraction or a constant RationalFunction enters as a number; any other
+    field value takes this one to the field.
+    """
+
+    __slots__ = ("alpha", "num", "den", "poly", "keys", "terms", "low")
+
+    def __init__(self, alpha, num, den, poly, keys, terms=None):
+        self.alpha = alpha
+        self.num = num
+        self.den = den
+        self.poly = poly
+        self.keys = keys
+        self.terms = terms
+        # True once the value is known to be in lowest terms (``lowest``)
+        self.low = False
+
+    # -- the held sum -------------------------------------------------
+
+    def settled(self):
+        """self, with a held sum added up in place."""
+        terms = self.terms
+        if terms is None:
+            return self
+        terms = [t for t in terms if t.num]
+        self.terms = None
+        if len(terms) <= 1:
+            t = terms[0] if terms else _zero(self.alpha)
+            self.num, self.den, self.poly, self.keys, self.low = t.num, t.den, t.poly, t.keys, t.low
+            return self
+        # each key to its least exponent over the terms, 0 where a term lacks it
+        least, seen = {}, {}
+        for t in terms:
+            for key, e in t.keys.items():
+                if key in least:
+                    seen[key] += 1
+                    if e < least[key]:
+                        least[key] = e
+                else:
+                    least[key], seen[key] = e, 1
+        for key, count in seen.items():
+            if count < len(terms) and least[key] > 0:
+                least[key] = 0
+        den = lcm(*(t.den for t in terms))
+        # each term's list times its keys past the least, at t = 2^bits: the
+        # sum is one int, and its digits are the summed list
+        parts, bits, length = [], 0, 0
+        for t in terms:
+            scale = t.num * (den // t.den)
+            rests = [(key, t.keys.get(key, 0) - e) for key, e in least.items()]
+            rests = [(key, r) for key, r in rests if r]
+            size = (abs(scale) * sum(map(abs, t.poly))).bit_length()
+            count = len(t.poly)
+            for (c0, c1), r in rests:
+                size += r * (abs(c0) + c1).bit_length()
+                count += r
+            bits, length = max(bits, size), max(length, count)
+            parts.append((scale, t.poly, rests))
+        bits += len(terms).bit_length() + 1
+        value = 0
+        for scale, poly, rests in parts:
+            part = scale * _at_power_of_two(poly, bits)
+            for (c0, c1), r in rests:
+                part *= ((c1 << bits) + c0) ** r
+            value += part
+        total = _digits(value, bits, length)
+        while total and not total[-1]:
+            total.pop()
+        if not total:
+            self.num, self.den, self.poly, self.keys = 0, 1, _ONE_POLY, {}
+            return self
+        self.num, self.den, self.poly, self.keys = _lowest(total, 1, den, least)
+        self.low = True
+        return self
+
+    def lowest(self):
+        """self with each key below that divides poly cancelled and num / den
+        in lowest terms: the canonical form's parts."""
+        s = self.settled()
+        if not s.low:
+            if s.num and (s.den != 1 or any(e < 0 for e in s.keys.values())):
+                s = Factored(s.alpha, *_lowest(s.poly, s.num, s.den, s.keys))
+            s.low = True
+        return s
+
+    def __bool__(self):
+        return bool(self.settled().num)
+
+    # -- arithmetic ---------------------------------------------------
+
+    def _number(self, x):
+        """x as a Factored, or None for a field value with a parameter."""
+        if x.__class__ is Factored:
+            return x
+        if isinstance(x, RationalFunction):
+            if not x.is_constant:
+                return None
+            x = x.to_fraction()
+        if isinstance(x, int):
+            return Factored(self.alpha, x, 1, _ONE_POLY, {})
+        return Factored(self.alpha, x.numerator, x.denominator, _ONE_POLY, {})
+
+    def __mul__(self, other):
+        if other.__class__ is int and other == 1:
+            return self
+        o = self._number(other)
+        if o is None:
+            return self.to_field() * other
+        if self.terms is not None:
+            if o.terms is not None:
+                o = o.settled()
+            return _held(self.alpha, [_product(t, o) for t in self.terms])
+        if o.terms is not None:
+            return _held(self.alpha, [_product(self, t) for t in o.terms])
+        return _product(self, o)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        if self.terms is not None:
+            return _held(self.alpha, [-t for t in self.terms])
+        return Factored(self.alpha, -self.num, self.den, self.poly, self.keys)
+
+    def __add__(self, other):
+        if other.__class__ is int and not other:
+            return self
+        o = self._number(other)
+        if o is None:
+            return self.to_field() + other
+        return _held(self.alpha, (self.terms or [self]) + (o.terms or [o]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def _inverse(self):
+        """1 / self, for a settled nonzero value whose poly is 1."""
+        if not self.num:
+            raise DomainError("division by the zero rational function")
+        num, den = (self.den, self.num) if self.num > 0 else (-self.den, -self.num)
+        return Factored(self.alpha, num, den, _ONE_POLY, {key: -e for key, e in self.keys.items()})
+
+    def __truediv__(self, other):
+        o = self._number(other)
+        if o is not None:
+            o = o.settled()
+            if len(o.poly) == 1:
+                return _product(self.settled(), o._inverse())
+        return self.to_field() / (other.to_field() if o is not None else other)
+
+    def __rtruediv__(self, other):
+        s = self.settled()
+        o = s._number(other)
+        if o is None or len(s.poly) > 1:
+            return other / s.to_field()
+        return _product(o, s._inverse())
+
+    # -- the one conversion -------------------------------------------
+
+    def to_field(self):
+        """The canonical RationalFunction: X := alpha, once.
+
+        A key below that divides poly is cancelled first, by its root, so
+        the keys below share no factor with the numerator.  At alpha = a
+        bare parameter the lists are the polynomial; at alpha =
+        (A0 + A1 t) / d poly is shifted once and each key is a primitive
+        key in t times an int, so in both cases the value is built on
+        dense int lists with no gcd (see the module docstring).  Any
+        other symbolic alpha takes the field operations, once.
+        """
+        s = self.lowest()
+        if not s.num:
+            return ZERO
+        num, den, poly, keys = s.num, s.den, s.poly, s.keys
+        form = _linear_form(self.alpha)
+        if form is None:
+            value = ZERO
+            for c in reversed(poly):
+                value = value * self.alpha + c
+            above, below = rf(Fraction(num, den)) * value, ONE
+            for (c0, c1), e in keys.items():
+                factor = c0 + self.alpha * c1
+                if e > 0:
+                    above = above * factor**e
+                else:
+                    below = below * factor**-e
+            return above / below
+        a0, a1, d, unit = form
+        if (a0, a1, d) != (0, 1, 1):
+            # X = (A0 + A1 t) / d: poly(X) = sum_i poly_i (A0 + A1 t)^i d^(D-i) / d^D,
+            # by Horner's rule at t = 2^bits
+            degree = len(poly) - 1
+            den *= d**degree
+            bits = sum(map(abs, poly)).bit_length() + degree * max(abs(a0) + abs(a1), d).bit_length() + 1
+            at_t = (a1 << bits) + a0
+            value, scale = 0, 1
+            for c in reversed(poly):
+                value = value * at_t + c * scale
+                scale *= d
+            shifted, moved = _digits(value, bits, len(poly)), {}
+            for (c0, c1), e in keys.items():
+                # c0 + c1 X = (g / d) (u + v t), u + v t primitive, v > 0
+                u, v = c0 * d + c1 * a0, c1 * a1
+                g = _int_gcd(u, v) if v > 0 else -_int_gcd(u, v)
+                moved[u // g, v // g] = e
+                if e > 0:
+                    num *= g**e
+                    den *= d**e
+                else:
+                    num *= d**-e
+                    den *= g**-e
+            num, den, poly, keys = _primitive(shifted, num, den, moved)
+        above = _times_keys([num * c for c in poly], [(key, e) for key, e in keys.items() if e > 0])
+        below = _times_keys([den], [(key, -e) for key, e in keys.items() if e < 0])
+        _check_degree(max(len(above), len(below)) - 1)
+        return RationalFunction(
+            _sparse(above, unit), _P_ONE if below == [1] else _sparse(below, unit), _canonical=True
+        )
+
+
+def _zero(alpha):
+    return Factored(alpha, 0, 1, _ONE_POLY, {})
+
+
+def _held(alpha, terms):
+    return Factored(alpha, 0, 1, _ONE_POLY, {}, terms)
+
+
+# an int point far from every key's root: a key that divides the list
+# divides its value there
+_XI = 1 << 64
+
+
+def _lowest(coeffs, num, den, keys):
+    """``_primitive`` of coeffs after each key below that divides it is cancelled.
+
+    A linear key divides coeffs iff coeffs vanishes at its root, which one
+    synthetic division tests.  A key whose value at _XI does not divide the
+    list's value there cannot divide the list, so one int remainder turns
+    most keys away before a division.
+    """
+    out = {}
+    at_xi = None
+    for key, e in keys.items():
+        while e < 0 and len(coeffs) > 1:
+            if at_xi is None:
+                at_xi = 0
+                for c in reversed(coeffs):
+                    at_xi = at_xi * _XI + c
+            c0, c1 = key
+            if at_xi % (c0 + c1 * _XI):
+                break
+            quotient = _divide_key(coeffs, c0, c1)
+            if quotient is None:
+                break
+            coeffs, e = quotient, e + 1
+            at_xi //= c0 + c1 * _XI
+        if e:
+            out[key] = e
+    return _primitive(coeffs, num, den, out)
+
+
+def _primitive(coeffs, num, den, keys):
+    """(num, den, poly, keys) with poly's int content moved into num / den, in lowest terms.
+
+    A list of degree 1 becomes one more key.
+    """
+    content = _int_gcd(*coeffs)
+    if coeffs[-1] < 0:
+        content = -content
+    num *= content
+    if len(coeffs) == 1:
+        poly = _ONE_POLY
+    elif len(coeffs) == 2:
+        keys = dict(keys)
+        key = coeffs[0] // content, coeffs[1] // content
+        e = keys.get(key, 0) + 1
+        if e:
+            keys[key] = e
+        else:
+            del keys[key]
+        poly = _ONE_POLY
+    else:
+        poly = [c // content for c in coeffs] if content != 1 else coeffs
+    g = _int_gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g, poly, keys
+
+
+def _product(x, y):
+    """x * y for two Factored values that hold no sum."""
+    if not x.num or not y.num:
+        return _zero(x.alpha)
+    keys = x.keys
+    if y.keys:
+        if keys:
+            keys = dict(keys)
+            for key, e in y.keys.items():
+                e += keys.get(key, 0)
+                if e:
+                    keys[key] = e
+                else:
+                    del keys[key]
+        else:
+            keys = y.keys
+    if len(y.poly) == 1:
+        poly = x.poly
+    elif len(x.poly) == 1:
+        poly = y.poly
+    else:
+        poly = [0] * (len(x.poly) + len(y.poly) - 1)
+        for i, a in enumerate(x.poly):
+            for j, b in enumerate(y.poly):
+                poly[i + j] += a * b
+    return Factored(x.alpha, x.num * y.num, x.den * y.den, poly, keys)
+
+
+def factored(alpha, num_pairs=(), den_pairs=(), scale=1, poly=_ONE_POLY):
+    """scale * poly(alpha) * prod (u + alpha v) / prod (u + alpha v) as a Factored.
+
+    The pairs are ints (u, v); a factor with v = 0 is the int u, any other
+    is g (c0 + c1 X) with (c0, c1) primitive and c1 > 0.  A zero factor
+    below raises DomainError.  poly is an int list in alpha, kept as it is.
+    """
+    num, den = (scale, 1) if scale.__class__ is int else (scale.numerator, scale.denominator)
+    while len(poly) > 1 and not poly[-1]:
+        poly = poly[:-1]
+    if len(poly) == 1:
+        num *= poly[0]
+        poly = _ONE_POLY
+    keys = {}
+    for step, pairs in ((1, num_pairs), (-1, den_pairs)):
+        for u, v in pairs:
+            if v:
+                g = _int_gcd(u, v) if v > 0 else -_int_gcd(u, v)
+                key = u // g, v // g
+                keys[key] = keys.get(key, 0) + step
+            else:
+                g = u
+            if step > 0:
+                num *= g
+            else:
+                den *= g
+    if not den:
+        raise DomainError("division by the zero rational function")
+    if den < 0:
+        num, den = -num, -den
+    if not num:
+        return _zero(alpha)
+    return Factored(alpha, num, den, poly, {key: e for key, e in keys.items() if e})
+
+
+def settled(x):
+    """A held sum of Factored terms added up (``Factored.settled``); anything else as it is."""
+    return x.settled() if x.__class__ is Factored else x
+
+
+def field_value(x):
+    """x in its field: a Factored converted once (``Factored.to_field``), anything else as it is."""
+    return x.to_field() if x.__class__ is Factored else x
 
 
 def linear_product(alpha, num_pairs, den_pairs, scale=1):
@@ -1080,77 +1539,25 @@ def linear_product(alpha, num_pairs, den_pairs, scale=1):
     (Q u + P v) / Q, so the pair is two ints, unreduced, and a caller can
     sum such pairs over one denominator before its one division; a zero
     divisor is left for the caller to name.  A symbolic alpha gives
-    (value, 1), the value kept in lowest terms.
-    When alpha = (A0 + A1 t) / d in one parameter t, the factors are keys
-    (c0, c1) of c0 + c1 t and cancel as a multiset, and the value is built
-    canonical on dense int lists with no gcd (see the module docstring);
-    any other alpha takes the field product.
+    (value, 1), the value the ``factored`` product converted once
+    (``Factored.to_field``): in one parameter, equal keys cancel as a
+    multiset and the rest are multiplied on dense int lists with no gcd.
     """
     p, q = alpha if alpha.__class__ is tuple else homogeneous(alpha)
+    if p.__class__ is not int:
+        return factored(p, num_pairs, den_pairs, scale).to_field(), 1
     s_num, s_den = (scale, 1) if scale.__class__ is int else homogeneous(scale)
-    if p.__class__ is int:
-        extra = len(den_pairs) - len(num_pairs)
-        if extra and q != 1:
-            if extra > 0:
-                s_num *= q**extra
-            else:
-                s_den *= q**-extra
-        for u, v in num_pairs:
-            s_num *= q * u + p * v
-        for u, v in den_pairs:
-            s_den *= q * u + p * v
-        return s_num, s_den
-    form = _linear_form(p)
-    if form is None:
-        num, den = rf(s_num), rf(s_den)
-        for u, v in num_pairs:
-            num = num * (u + p * v)
-        for u, v in den_pairs:
-            den = den * (u + p * v)
-        return num / den, 1
-    a0, a1, d, unit = form
-    # a factor u + alpha v is content * key / d, key = (c0, c1) primitive
-    # with c1 > 0, or the int c0 / d when v = 0
-    ints = [s_num * d ** len(den_pairs), s_den * d ** len(num_pairs)]
-    keys = {}
-    for side, pairs in ((0, num_pairs), (1, den_pairs)):
-        step = 1 - 2 * side
-        for u, v in pairs:
-            c0, c1 = d * u + a0 * v, a1 * v
-            if c1:
-                g = _int_gcd(c0, c1) if c1 > 0 else -_int_gcd(c0, c1)
-                key = c0 // g, c1 // g
-                keys[key] = keys.get(key, 0) + step
-                ints[side] *= g
-            else:
-                ints[side] *= c0
-    n_int, d_int = ints
-    if not d_int:
-        raise DomainError("division by the zero rational function")
-    if not n_int:
-        return ZERO, 1
-    g = _int_gcd(n_int, d_int) if d_int > 0 else -_int_gcd(n_int, d_int)
-    num, den = [n_int // g], [d_int // g]
-    for (c0, c1), count in keys.items():
-        if count > 0:
-            num = _times_linear(num, c0, c1, count)
-        elif count:
-            den = _times_linear(den, c0, c1, -count)
-    _check_degree(max(len(num), len(den)) - 1)
-    return RationalFunction(_sparse(num, unit), _sparse(den, unit), _canonical=True), 1
-
-
-def at_parameter(coeffs, x):
-    """sum_i coeffs[i] x^i for int coefficients when x is one bare parameter, else None.
-
-    The coefficient list is the polynomial itself: no field operation.
-    """
-    if not isinstance(x, RationalFunction):
-        return None
-    form = _linear_form(x)
-    if form is None or form[:3] != (0, 1, 1):
-        return None
-    return RationalFunction(_sparse(coeffs, form[3]), _P_ONE, _canonical=True)
+    extra = len(den_pairs) - len(num_pairs)
+    if extra and q != 1:
+        if extra > 0:
+            s_num *= q**extra
+        else:
+            s_den *= q**-extra
+    for u, v in num_pairs:
+        s_num *= q * u + p * v
+    for u, v in den_pairs:
+        s_den *= q * u + p * v
+    return s_num, s_den
 
 
 def param(name):

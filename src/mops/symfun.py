@@ -30,7 +30,7 @@ from functools import partial, reduce
 
 from . import cache, partitions
 from .errors import DomainError, UnsupportedModeError
-from .rational import RationalFunction, as_exact, as_finite, as_int, common_denominator, rf, to_float
+from .rational import RationalFunction, as_exact, as_finite, as_int, common_denominator, field_value, rf, to_float
 
 GENERIC = None
 
@@ -401,23 +401,26 @@ def _sweep(flat, basis, pick, column):
     column(lam), the monomial expansion of the target basis element at lam
     in flat's variables, has its other terms beyond lam in the order pick
     walks, so the term pick takes is solved: its coefficient over the
-    diagonal is the answer's.
+    diagonal is the answer's.  A term that cancels to 0 is dropped when it
+    is picked.  At a symbolic alpha a Jack column is
+    ``rational.Factored``, J's int lists times C's hooks, and its diagonal
+    alpha^k k! / (upper hooks) is all keys: each coefficient is held as the
+    terms subtracted from it and added up once, when it is picked, and
+    the answer is converted to the field once per term.
     """
     rest = dict(flat.terms)
     out = {}
     while rest:
         lam = pick(rest)
+        value = rest.pop(lam)
+        if not value:
+            continue
         col = column(lam)
-        scale = out[lam] = rest.pop(lam) / col[lam]
+        scale = out[lam] = value / col[lam]
         for nu, c in col.items():
-            if nu == lam:
-                continue
-            val = rest.get(nu, 0) - scale * c
-            if val:
-                rest[nu] = val
-            else:
-                rest.pop(nu, None)
-    return SymExpr._of_canonical(basis, out, flat.nvars)
+            if nu != lam:
+                rest[nu] = rest.get(nu, 0) - scale * c
+    return SymExpr._of_canonical(basis, {lam: field_value(c) for lam, c in out.items()}, flat.nvars)
 
 
 def m2jack(alpha, expr, nvars=GENERIC):

@@ -12,7 +12,11 @@ generalized Pochhammer symbols row by row (the library multiplies box
 factors homogeneously), and Jack tables at alpha = 1 from Kostka numbers
 counted over semistandard tableaux.  ``jack_c_recurrence`` is the
 Laplace-Beltrami recurrence run in the coefficient field itself, the
-reference for the library's integer tables.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
+reference for the library's integer tables.  ``gbinomial_field``,
+``hermite_values_field`` and ``m2jack_field`` run the binomial table,
+the Hermite two-box recurrence (path by path) and the triangular sweep
+into the C basis with every operation in the field, the reference for
+the library's factored values.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
 ratio of Hankel determinants of incomplete Gamma functions, in mpmath.
 ``next_layer_field`` is the series engine's per-box step with every
 factor a + s a field element and one division per factor, the reference
@@ -349,6 +353,92 @@ def jack_c_recurrence(alpha, kappa):
             raise PoleError("alpha = %s zeroes rho_kappa - rho_lambda" % (alpha,))
         table[lam] = two_over_alpha * total / denom
     return table
+
+
+def _grown(sigma, i):
+    """sigma with one more box in row i (1-based), or None if that is no partition."""
+    row = sigma[i - 1] if i <= len(sigma) else 0
+    if i > len(sigma) + 1 or (i > 1 and sigma[i - 2] <= row):
+        return None
+    return sigma[: i - 1] + (row + 1,) + sigma[i:]
+
+
+def gbinomial_field(alpha, kappa):
+    """sigma -> (kappa choose sigma) by the one-box recurrence in the field.
+
+    sum_i (sigma^(i) choose sigma)(kappa choose sigma^(i)) =
+    (k - s)(kappa choose sigma), solved from (kappa choose kappa) = 1 with
+    each contiguous coefficient from ``contiguous_all_boxes`` and every
+    sum a field operation, where the library adds factored values once
+    per table entry.
+    """
+    k = partitions.weight(kappa)
+    table = {kappa: alpha**0}
+    for sigma in sorted(brute_subpartitions(kappa), key=partitions.weight, reverse=True):
+        if sigma == kappa:
+            continue
+        total = alpha * 0
+        for i in range(1, len(sigma) + 2):
+            up = _grown(sigma, i)
+            if up in table:
+                total = total + contiguous_all_boxes(alpha, sigma, i) * table[up]
+        table[sigma] = total / (k - partitions.weight(sigma))
+    return table
+
+
+def hermite_values_field(alpha, kappa):
+    """sigma -> v_sigma of ``orthopoly.hermite``'s recurrence, path by path, in the field.
+
+    v_sigma = sum (c_1 - c_2) (sigma^(i) choose sigma) (tau^(j) choose tau)
+    v_tau^(j) / (k - s) over every two-box path sigma -> tau = sigma^(i) ->
+    tau^(j) inside kappa, c_1 and c_2 the contents col - 1 - (row-1)/alpha
+    of the two boxes, from v_kappa = 1; the library shares the sums over
+    the paths through one tau.
+    """
+    k = partitions.weight(kappa)
+    inside = set(brute_subpartitions(kappa))
+    values = {kappa: alpha**0}
+
+    def content(part, i):
+        return (part[i - 1] if i <= len(part) else 0) - (i - 1) / alpha
+
+    for sigma in sorted(inside, key=partitions.weight, reverse=True):
+        s = partitions.weight(sigma)
+        if (k - s) % 2 or sigma == kappa:
+            continue
+        total = alpha * 0
+        for i in range(1, len(sigma) + 2):
+            tau = _grown(sigma, i)
+            if tau not in inside:
+                continue
+            for j in range(1, len(tau) + 2):
+                top = _grown(tau, j)
+                if top in values:
+                    weight = content(sigma, i) - content(tau, j)
+                    total = total + weight * contiguous_all_boxes(alpha, sigma, i) * contiguous_all_boxes(alpha, tau, j) * values[top]
+        values[sigma] = total / (k - s)
+    return values
+
+
+def m2jack_field(alpha, lam):
+    """m_lam in the Jack C basis: the triangular solve, every step in the field.
+
+    The columns are ``jack_c_recurrence``'s field tables, and each
+    coefficient is updated by one field subtraction per column.
+    """
+    rest = {lam: alpha**0}
+    out = {}
+    while rest:
+        mu = max(rest)
+        value = rest.pop(mu)
+        if not value:
+            continue
+        col = jack_c_recurrence(alpha, mu)
+        scale = out[mu] = value / col[mu]
+        for nu, c in col.items():
+            if nu != mu:
+                rest[nu] = rest.get(nu, 0) - scale * c
+    return out
 
 
 def kostka(shape, content):

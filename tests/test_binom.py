@@ -9,7 +9,7 @@ from mops.errors import DomainError
 from mops.partitions import is_subpartition, partitions_of, subpartitions_of, weight
 from mops.rational import ALPHA, GAMMA, N, R, homogeneous
 
-from oracles import contiguous_all_boxes, gbinomial_from_definition, gsfact_by_rows
+from oracles import contiguous_all_boxes, gbinomial_field, gbinomial_from_definition, gsfact_by_rows
 from test_symfun import _referrers
 
 a = ALPHA
@@ -221,3 +221,17 @@ def test_numeric_gbinomial_table_is_the_symbolic_one_substituted(alpha):
             for sig, value in num.items():
                 assert type(value) is Fraction, (kap, sig)
                 assert sym[sig].substitute({"a": alpha}).to_fraction() == value, (alpha, kap, sig)
+
+
+@pytest.mark.parametrize(
+    "alpha, top", [(ALPHA, 7), (-ALPHA, 7), (3 * ALPHA / 2 + 1, 6), (ALPHA**2, 5), (1 / ALPHA, 5)], ids=repr
+)
+def test_factored_table_matches_the_field_recurrence(alpha, top):
+    # every kappa with |kappa| <= top: the factored recurrence, converted
+    # once per entry, against the recurrence with every sum in the field
+    for k in range(top + 1):
+        for kappa in partitions_of(k):
+            got = binom.gbinomial_table(alpha, kappa)
+            want = gbinomial_field(alpha, kappa)
+            assert got.keys() == want.keys()
+            assert all(got[sigma].text() == want[sigma].text() for sigma in want), kappa

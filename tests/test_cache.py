@@ -16,6 +16,7 @@ def _fill_tables():
     return [
         jack.jack_expand(ALPHA, (3, 1), "J", 3),
         jack.jack_expand(ALPHA, (3, 1), "C", 3),
+        jack.normalization_factor("C", "P", ALPHA, (3, 1)),
         binom.gbinomial_table(Fraction(2), (3, 2, 1)),
         partitions.hook_products(ALPHA, (3, 1)),
         orthopoly.hermite2(ALPHA, (2, 2), 2).terms,

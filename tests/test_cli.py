@@ -351,6 +351,15 @@ def test_hook_product_pole_exits_3(capsys, argv):
     assert err.startswith("error: ") and "pole" in err
 
 
+@pytest.mark.parametrize("point", [["--xid", "1/2:2"], ["--x", "0.5,0.25"]])
+@pytest.mark.parametrize("alpha", ["-1", "1"])
+def test_upper_parameter_zero_prints_one_without_a_limit(capsys, point, alpha):
+    # (0)_kappa vanishes past degree 0, so no hook of (2,) is read at alpha = -1
+    code, out, err = run(["hypergeom", "--alpha=" + alpha, "--upper=0", "--lower", ""] + point, capsys)
+    assert (code, err) == (0, "")
+    assert out.strip() in ("1", "1.0")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

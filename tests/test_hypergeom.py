@@ -841,6 +841,20 @@ def test_a_vanishing_hook_raises_at_a_point_as_at_the_identity():
     assert texts == ["alpha = -1 is a pole of the hook products of (1, 1)"] * 2
 
 
+def test_an_upper_parameter_zero_ends_the_series_at_degree_zero():
+    # (0)_kappa = 0 for every kappa of degree >= 1, so the series is 1 at
+    # every alpha, without a limit and past the poles of the hooks
+    point = [Fraction(1, 2), Fraction(1, 4)]
+    assert hg._negative_integer_bound([Fraction(3), Fraction(0), Fraction(-2)]) == 0
+    assert hg.classify([0], []) == "terminating"
+    for alpha in (-1, 1, Fraction(1, 2), -1 + Fraction(1, 10**9)):
+        for arg in (("vec", point), ("xid", Fraction(1, 2), 2)):
+            assert hg.ghypergeom(alpha, [0], [], arg, limit=3) == 1
+            assert hg.ghypergeom(alpha, [0, Fraction(1, 2)], [3], arg) == 1
+    assert hg.ghypergeom(1, [0], [], ("vec", [0.5, 0.25])) == 1.0
+    assert hg.ghypergeom(a, [0], [], ("xid", Fraction(1, 2), 2)) == 1
+
+
 def test_level_density_matches_hermite2_construction():
     # the density sums the two-box recurrence's values; the limiting-process
     # construction, scaled by C_kappa(I_n), must give the same polynomial

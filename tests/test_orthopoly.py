@@ -15,6 +15,7 @@ from mops.symfun import GENERIC, SymExpr, eval_numeric, expand_to_monomials, jac
 from oracles import (
     hermite_expect_2vars,
     hermite_moments,
+    hermite_values_field,
     jacobi_moments,
     laguerre_moments,
     monic_orthogonal,
@@ -493,3 +494,17 @@ def test_expansion_is_a_jack_symexpr(build):
         xs = [Fraction(1, 3), Fraction(-2, 5), Fraction(3, 4)][:n]
         value = eval_numeric(e, xs, alpha)
         assert isinstance(value, Fraction) and value == eval_numeric(mono, xs)
+
+
+@pytest.mark.parametrize(
+    "alpha, top", [(ALPHA, 7), (-ALPHA, 7), (3 * ALPHA / 2 + 1, 6), (ALPHA**2, 5), (1 / ALPHA, 5)], ids=repr
+)
+def test_hermite_values_match_the_field_recurrence_path_by_path(alpha, top):
+    # every kappa with |kappa| <= top: S, T and v held factored, against
+    # the two-box recurrence taken path by path in the field
+    for k in range(top + 1):
+        for kappa in partitions_of(k):
+            got = op._hermite_values(alpha, kappa)
+            want = hermite_values_field(alpha, kappa)
+            assert got.keys() == want.keys(), kappa
+            assert all(rf(got[sigma]).text() == want[sigma].text() for sigma in want), kappa

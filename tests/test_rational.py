@@ -33,7 +33,13 @@ from mops.rational import (
 )
 from mops.symfun import GENERIC, SymExpr
 
-from oracles import contiguous_all_boxes, hook_products_field
+from oracles import (
+    contiguous_all_boxes,
+    gbinomial_field,
+    hermite_values_field,
+    hook_products_field,
+    m2jack_field,
+)
 
 a = ALPHA
 n = N
@@ -390,17 +396,81 @@ def test_linear_product_zero_factors():
     assert as_pair == rational.linear_product(Fraction(2, 3), [(1, 1)], [(1, 2)], 4)
 
 
-def test_at_parameter_is_the_coefficient_list():
-    assert rational.at_parameter([1, 0, 3], a) == 1 + 3 * a**2
-    assert rational.at_parameter([0, 0], n) == 0
-    assert rational.at_parameter([2, -1], n).text() == (2 - n).text()
-    for x in (2 * a, a + 1, a / 2, a * n, Fraction(3), 5):
-        assert rational.at_parameter([1, 1], x) is None
+def test_factored_list_is_the_polynomial_at_a_bare_parameter():
+    # at alpha a bare parameter the int list is the polynomial itself
+    assert rational.factored(a, poly=[1, 0, 3]).to_field() == 1 + 3 * a**2
+    assert rational.factored(n, poly=[0, 0]).to_field() == 0
+    assert rational.factored(n, poly=[2, -1]).to_field().text() == (2 - n).text()
+    for x in (2 * a, a + 1, a / 2, a * n):
+        assert rational.factored(x, poly=[1, 1]).to_field() == 1 + x
+
+
+_FACTORED_ALPHAS = (a, -a, 3 * a / 2, (2 * a + 1) / 3, a**2, 1 / a)
+
+
+def _assert_canonical_equal(got, want):
+    assert isinstance(got, RationalFunction)
+    assert got == want and got.text() == want.text()
+    # canonical: coprime, the denominator's leading coefficient positive
+    assert (got.num, got.den) == _canonicalize(got.num, got.den)
+    assert rational._p_lead_coeff(got.den) > 0
+
+
+@pytest.mark.parametrize("alpha", _FACTORED_ALPHAS, ids=repr)
+def test_factored_form_matches_the_field(alpha):
+    # random products of linear factors u + alpha v and int lists in alpha,
+    # their sums (held, then added up once), products by held sums,
+    # quotients by values whose list is 1, and a field value with another
+    # parameter, against the same expressions in the field
+    rng = random.Random(34)
+    pool = [(u, v) for u in range(-3, 4) for v in range(-3, 4) if (u, v) != (0, 0)]
+
+    def value():
+        num = rng.choices(pool, k=rng.randint(0, 4))
+        den = rng.choices(pool, k=rng.randint(0, 4))
+        poly = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] if rng.random() < 0.6 else [1]
+        scale = rng.choice((1, -2, Fraction(3, 4)))
+        want = _field_product(alpha, num, den, scale) * sum(c * alpha**i for i, c in enumerate(poly))
+        return rational.factored(alpha, num, den, scale, poly), want, len(poly) == 1
+
+    for _ in range(150):
+        terms = [value() for _ in range(rng.randint(1, 4))]
+        total = sum((f for f, _, _ in terms), 0)
+        want = sum((w for _, w, _ in terms), rf(0))
+        _assert_canonical_equal(rational.field_value(total), want)
+        assert bool(total) == bool(want)
+        f, w, _ = value()
+        _assert_canonical_equal((f * sum((t for t, _, _ in terms), 0)).to_field(), w * want)
+        _assert_canonical_equal((f - terms[0][0] * Fraction(2, 3)).to_field(), w - terms[0][1] * Fraction(2, 3))
+        _assert_canonical_equal(n * f, n * w)
+        for g, v, keys_only in terms:
+            if v:
+                _assert_canonical_equal(rational.field_value(f / g), w / v)
+                _assert_canonical_equal(rational.field_value(Fraction(-5, 3) / g), Fraction(-5, 3) / v)
+                if keys_only:
+                    assert isinstance(f / g, rational.Factored)
+
+
+def test_factored_sum_cancels_its_keys_below_by_their_roots():
+    # 1/(1+a) + a/(1+a) = 1 and (a - 1)/(a + 1)^2 + 2/(a + 1)^2 = 1/(a + 1):
+    # the sum vanishes at the root of each key that divides it
+    one = rational.factored(a, (), [(1, 1)]) + rational.factored(a, [(0, 1)], [(1, 1)])
+    assert one.settled().keys == {} and one.poly == (1,) and one.to_field() == 1
+    x = rational.factored(a, [(-1, 1)], [(1, 1), (1, 1)]) + rational.factored(a, (), [(1, 1)] * 2, 2)
+    assert x.settled().keys == {(1, 1): -1} and x.to_field() == 1 / (1 + a)
+    # a product leaves the cancellation to the conversion
+    y = rational.factored(a, (), [(2, 1)], 1, [2, 1]) * rational.factored(a, [(1, 3)])
+    assert y.to_field() == 1 + 3 * a
+    # 2 a + 3 as an int list becomes a key
+    z = rational.factored(a, [(0, 2)]) + 3
+    assert z.settled().keys == {(3, 2): 1} and z.num == 1
 
 
 def test_alpha_only_products_take_no_gcd():
     # hooks, one-box ratios, the C and P factors and J's table at the bare
-    # parameter a are built factor by factor, with no gcd
+    # parameter a are built factor by factor, with no gcd; so are the
+    # binomial table, the Hermite values and the sweep into the C basis at
+    # an alpha affine in one parameter, each value converted once
     def refuse(*args):
         raise AssertionError("a gcd algorithm ran")
 
@@ -412,16 +482,29 @@ def test_alpha_only_products_take_no_gcd():
         for i in range(1, len(sigma) + 2)
         if (grown := binom._row_increment(sigma, i)) is not None and partitions.is_subpartition(grown, outer)
     ]
+    affine = (a, (2 * a + 1) / 3)
+    m6 = SymExpr("m", {(6,): 1})
+    tables = (
+        (lambda alpha: binom.gbinomial_table(alpha, outer), lambda alpha: gbinomial_field(alpha, outer)),
+        (lambda alpha: orthopoly._hermite_values(alpha, outer), lambda alpha: hermite_values_field(alpha, outer)),
+        (lambda alpha: symfun.m2jack(alpha, m6).terms, lambda alpha: m2jack_field(alpha, (6,))),
+    )
     cache.clear_all()
     want_j = jack.jack_expand(a, (4, 3, 1), "J").text()
+    want_tables = [[field(alpha) for _, field in tables] for alpha in affine]
     cache.clear_all()
     with mock.patch.object(rational, "_p_cofactors", refuse), mock.patch.object(rational, "_heugcd", refuse):
         got_j = jack.jack_expand(a, (4, 3, 1), "J").text()
         got_steps = {step: binom.contiguous(a, *step) for step in steps}
         got_hooks = {kappa: partitions.hook_products(a, kappa) for kappa in kappas}
         got_factors = {(kappa, norm): jack._from_j(a, kappa, norm) for kappa in kappas for norm in "CP"}
+        got_tables = [[table(alpha) for table, _ in tables] for alpha in affine]
     cache.clear_all()
     assert got_j == want_j
+    for got, want in zip(got_tables, want_tables):
+        for got_table, want_table in zip(got, want):
+            assert got_table.keys() == want_table.keys()
+            assert all(got_table[key] == want_table[key] for key in want_table)
     assert len(steps) == 84
     for (sigma, i), got in got_steps.items():
         assert got.text() == contiguous_all_boxes(a, sigma, i).text()

@@ -28,7 +28,7 @@ from mops.symfun import (
     p2m,
 )
 
-from oracles import mono_product_by_rearrangements, power_sum_monomials
+from oracles import m2jack_field, mono_product_by_rearrangements, power_sum_monomials
 
 a = ALPHA
 
@@ -469,3 +469,16 @@ def test_monomial_expansion_validates_each_key_once(monkeypatch):
     assert list(got.terms.items()) == list(want.terms.items())
     assert len(expansion.terms) == 29 and len(got.terms) == 101
     assert len(calls) <= 4 * len(expansion.terms)
+
+
+@pytest.mark.parametrize("alpha, top", [(ALPHA, 7), (-ALPHA, 7), (3 * ALPHA / 2 + 1, 6), (ALPHA**2, 5)], ids=repr)
+def test_sweep_into_the_c_basis_matches_the_field_sweep(alpha, top):
+    # m_lambda for every |lambda| <= top: factored columns and coefficients
+    # added up once when picked, against field columns and one field
+    # subtraction per column
+    for k in range(top + 1):
+        for lam in partitions_of(k):
+            got = symfun.m2jack(alpha, SymExpr("m", {lam: 1}))
+            want = m2jack_field(alpha, lam)
+            assert got.terms.keys() == want.keys(), lam
+            assert all(got.terms[mu].text() == want[mu].text() for mu in want), lam
