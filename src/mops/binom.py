@@ -19,8 +19,13 @@ boxes alone, one ``rational.linear_product`` of their hooks.  The rest
 follow from the recurrence sum_i (sigma^(i) choose sigma)(kappa choose
 sigma^(i)) = (k - s)(kappa choose sigma), solved top-down from
 (kappa choose kappa) = 1.  At a symbolic alpha the table is
-``rational.Factored`` throughout, each entry one sum added up once and
-converted to the field once, so no gcd runs.
+``rational.Factored`` throughout, each entry one sum added up once, so
+no gcd runs: the memo holds it factored for ``orthopoly.hermite2``,
+which multiplies and sums the entries as they are, and
+``gbinomial_table`` converts it to the field once per call.  At x = n and
+a symbolic alpha the box factors n + alpha (c-1) - (l-1) are
+``rational.in_n``'s (``_n_boxes``), so ``_box_product``'s field branch
+serves an x with another parameter, and x = n at a numeric alpha.
 """
 
 import math
@@ -29,6 +34,7 @@ from fractions import Fraction
 from . import cache, partitions
 from .errors import DomainError
 from .rational import (
+    Factored,
     RationalFunction,
     as_exact,
     as_finite,
@@ -97,6 +103,11 @@ def _box_product(alpha, x, kappa, sigma):
     return ratio(num, q**boxes)
 
 
+def _boxes(kappa, sigma):
+    """(l - 1, c - 1) for the boxes (l, c) of kappa/sigma, row by row."""
+    return [(l0, c0) for l0, part in enumerate(kappa) for c0 in range(sigma[l0] if l0 < len(sigma) else 0, part)]
+
+
 def _box_pairs(x, kappa, sigma):
     """``_box_product`` at a number x = X / Y as ``rational.linear_product``'s
     (num_pairs, den_pairs, scale).
@@ -105,12 +116,14 @@ def _box_pairs(x, kappa, sigma):
     pair divides, and scale is 1 / Y^|kappa/sigma|.
     """
     big_x, y = homogeneous(x)
-    pairs = [
-        (big_x - y * l0, y * c0)
-        for l0, part in enumerate(kappa)
-        for c0 in range(sigma[l0] if l0 < len(sigma) else 0, part)
-    ]
+    pairs = [(big_x - y * l0, y * c0) for l0, c0 in _boxes(kappa, sigma)]
     return pairs, (), Fraction(1, y ** len(pairs))
+
+
+def _n_boxes(kappa, sigma):
+    """``_box_product`` at x = n as ``rational.in_n``'s boxes: the pair (1 - l, c - 1)
+    is the factor n + alpha (c-1) - (l-1) of the box (l, c) of kappa/sigma."""
+    return [(-l0, c0) for l0, c0 in _boxes(kappa, sigma)]
 
 
 def mv_gamma(alpha, a, m):
@@ -217,12 +230,12 @@ def one_box_recurrence(alpha, kappa, divisor):
     v_sigma is one Fraction.  At a symbolic alpha the coefficients are
     ``rational.Factored`` over the int 1: each sum is held as its terms
     and added up once, at the division by the divisor, a number or a
-    Factored value; a divisor with another parameter (Jacobi's at a
-    symbolic g1, g2 or n) takes the sum to the field.  Each value is
-    converted to the field once, at the end.
+    Factored value, and the values are returned factored, in lowest
+    terms; a divisor with another parameter (Jacobi's at a symbolic g1,
+    g2 or n) takes the sum to the field.
     """
     p, q = homogeneous(alpha)
-    table = {kappa: alpha**0}
+    table = {kappa: alpha**0 if p.__class__ is int else factored(alpha)}
     # reversed lexicographic order puts every sigma^(i) before sigma;
     # kappa, the last subpartition, keeps its seed
     for sigma in partitions.subpartitions_of(kappa)[-2::-1]:
@@ -237,25 +250,38 @@ def one_box_recurrence(alpha, kappa, divisor):
             num, den = num * term_den + term_num * den, den * term_den
         table[sigma] = ratio(num, den * divisor(sigma))
     if p.__class__ is not int:
-        table = {sigma: field_value(value) for sigma, value in table.items()}
+        table = {sigma: value.lowest() if value.__class__ is Factored else value for sigma, value in table.items()}
     return table
 
 
 def gbinomial_table(alpha, kappa):
-    """{sigma: (kappa choose sigma)} for sigma inside kappa, in decreasing lexicographic order."""
-    return _gbinomial_table(as_exact(alpha, "alpha"), partitions.as_partition(kappa))
+    """{sigma: (kappa choose sigma)} for sigma inside kappa, in decreasing lexicographic order.
+
+    At a symbolic alpha the memo holds the ``rational.Factored`` table,
+    which is converted here, once per call.
+    """
+    alpha = as_exact(alpha, "alpha")
+    table = _gbinomial_table(alpha, partitions.as_partition(kappa))
+    if isinstance(alpha, RationalFunction):
+        return {sigma: value.to_field() for sigma, value in table.items()}
+    return table
 
 
 @cache.memo
 def _gbinomial_table(alpha, kappa):
+    """The table of ``gbinomial_table``, factored at a symbolic alpha."""
     k = partitions.weight(kappa)
     return one_box_recurrence(alpha, kappa, lambda sigma: k - partitions.weight(sigma))
 
 
 def gbinomial(alpha, kappa, sigma):
-    """Generalized binomial coefficient; 0 when sigma is not inside kappa."""
+    """Generalized binomial coefficient; 0 when sigma is not inside kappa.
+
+    Only this entry of the factored table is converted.
+    """
+    alpha = as_exact(alpha, "alpha")
     kappa = partitions.as_partition(kappa)
     sigma = partitions.as_partition(sigma)
     if not partitions.is_subpartition(sigma, kappa):
-        return as_exact(alpha, "alpha") * 0
-    return gbinomial_table(alpha, kappa)[sigma]
+        return alpha * 0
+    return field_value(_gbinomial_table(alpha, kappa)[sigma])

@@ -51,7 +51,8 @@ def expect_jack_c(spec, kappa):
 
     Hermite: zero for odd k = |kappa|; for even k it is (-1)^(k/2) times
     the constant term v_() C_kappa(I_m) of the Hermite polynomial, v_()
-    from ``orthopoly._hermite_values``.  Laguerre: (g + (m-1)/alpha + 1)_kappa
+    from ``orthopoly._hermite_values`` and the product converted once by
+    ``orthopoly._identity_ratio`` at sigma = ().  Laguerre: (g + (m-1)/alpha + 1)_kappa
     C_kappa(I_m).  Jacobi: (c1)_kappa / (c2)_kappa C_kappa(I_m) with
     c1 = g1 + (m-1)/alpha + 1 and c2 = g1 + g2 + 2(m-1)/alpha + 2.  A
     Hermite zero, and the zero for kappa longer than m, is ``alpha * 0``.
@@ -65,7 +66,7 @@ def expect_jack_c(spec, kappa):
     if spec.family == "hermite":
         if k % 2:
             return alpha * 0
-        h0 = orthopoly._hermite_values(alpha, kappa)[()] * jack.jack_identity_value(alpha, kappa, "C", m)
+        h0 = orthopoly._identity_ratio(alpha, kappa, (), m, orthopoly._hermite_values(alpha, kappa)[()])
         if not h0:
             return alpha * 0
         return h0 if (k // 2) % 2 == 0 else -h0

@@ -53,12 +53,14 @@ from . import binom, cache, operators, partitions
 from .binom import _as_alpha
 from .errors import DomainError
 from .rational import (
+    N,
     RationalFunction,
     _divide_key,
     as_exact,
     common_denominator,
     factored,
     homogeneous,
+    in_n,
     linear_product,
     ratio,
 )
@@ -421,15 +423,20 @@ def jack_identity_value(alpha, kappa, norm, m):
     J_kappa(I_m) = alpha^k (m/alpha)_kappa is ``binom._box_product``, times
     the normalization's factor.  At a symbolic alpha and a numeric m both
     are products of factors linear in alpha, so they are one
-    ``rational.linear_product``.
+    ``rational.linear_product``.  At m = n the box factors are
+    n + alpha (c-1) - (l-1), and the product is ``rational.in_n``'s,
+    converted once with no gcd.
     """
     alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     m = as_exact(m, "m")
-    if isinstance(alpha, RationalFunction) and not isinstance(m, RationalFunction):
-        boxes, _, box_scale = binom._box_pairs(m, kappa, ())
+    if isinstance(alpha, RationalFunction):
         num_pairs, den_pairs, scale = _factor_pairs(kappa, norm)
-        return linear_product(alpha, tuple(boxes) + num_pairs, den_pairs, box_scale * scale)[0]
+        if not isinstance(m, RationalFunction):
+            boxes, _, box_scale = binom._box_pairs(m, kappa, ())
+            return linear_product(alpha, tuple(boxes) + num_pairs, den_pairs, box_scale * scale)[0]
+        if m == N:
+            return in_n(alpha, [factored(alpha, num_pairs, den_pairs, scale)], binom._n_boxes(kappa, ()))
     return binom._box_product(alpha, m, kappa, ()) * _from_j(alpha, kappa, norm)
 
 

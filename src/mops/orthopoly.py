@@ -20,6 +20,10 @@ the product over the boxes of kappa/sigma of ``binom._box_product`` times
 the C normalization's factors of kappa and sigma, one formula at every
 sigma, also where C_sigma(I_n) is 0.  Only the sigma an expansion holds
 are visited, so a pole of another subpartition's hooks raises nothing.
+It takes the coefficient too and is the one place where a coefficient
+at a symbolic alpha is converted to the field: the Hermite values and
+hermite2's sums per power of n stay ``rational.Factored`` up to it, and
+at a generic n the product is ``rational.in_n``'s, with no gcd.
 
 Sign conventions follow the explicit expansion formulas and the
 eigenfunction equations, cross-checked against the univariate classical
@@ -34,12 +38,14 @@ from .errors import DomainError, PoleError
 from .rational import N as N_PARAM
 from .rational import (
     RationalFunction,
+    _digits,
     as_exact,
     as_finite,
     common_denominator,
     factored,
     field_value,
     homogeneous,
+    in_n,
     linear_product,
     ratio,
     rf,
@@ -101,31 +107,51 @@ def _check_weight_param(value, name):
     return value
 
 
-def _identity_ratio(alpha, kappa, sigma, m):
-    """C_kappa(I_m) / C_sigma(I_m) as the generic expansion holds it, at m.
+def _identity_ratio(alpha, kappa, sigma, m, coeff=1):
+    """coeff * C_kappa(I_m) / C_sigma(I_m) as the generic expansion holds it, at m.
 
     C_kappa(I_m) is alpha^k k! / j_kappa times ``binom._box_product(alpha,
     m, kappa, ())``, and sigma's product divides kappa's, so the ratio is
     alpha^(k-s) (k!/s!) j_sigma / j_kappa times the product over the boxes
     of kappa/sigma.  The first factor is one ``rational.linear_product``,
     in which sigma's hooks cancel against kappa's; a vanishing hook product
-    of kappa, then of sigma, raises PoleError.  At a symbolic alpha no hook
-    vanishes, and for a numeric m the box factors m + alpha (c-1) - (l-1)
-    depend on alpha alone, so they join the same product.  It is the
-    generic polynomial's value at m also where C_sigma(I_m) is 0, which a
-    negative alpha and a numeric m can make.
+    of kappa, then of sigma, raises PoleError.  It is the generic
+    polynomial's value at m also where C_sigma(I_m) is 0, which a negative
+    alpha and a numeric m can make.
+
+    coeff is an exact value or a list of them over the powers of m, lowest
+    first (``hermite2``'s sums), added up by Horner's rule where they are
+    not kept apart.  This is where every coefficient at a symbolic alpha
+    is converted to the field, once.  No hook vanishes there, and the
+    first factor is a ``rational.Factored``.  At a numeric m the box
+    factors m + alpha (c-1) - (l-1) depend on alpha alone and join it.  At
+    m = n the rows times the first factor are ``rational.in_n``'s, the
+    boxes its factors n + alpha (c-1) - (l-1).  A coeff with another
+    parameter (Laguerre's and Jacobi's, whose c1 carries g or g1)
+    multiplies the converted ratio in the field.
     """
+    rows = coeff if isinstance(coeff, list) else [coeff]
     k, s = partitions.weight(kappa), partitions.weight(sigma)
     upper, lower = partitions._hook_pairs(kappa)
     upper_s, lower_s = partitions._hook_pairs(sigma)
     above = ((0, 1),) * (k - s) + upper_s + lower_s
-    if isinstance(alpha, RationalFunction) and not isinstance(m, RationalFunction):
-        boxes, _, scale = binom._box_pairs(m, kappa, sigma)
-        return linear_product(alpha, above + tuple(boxes), upper + lower, math.perm(k, k - s) * scale)[0]
-    num, den = linear_product(alpha, above, upper + lower, math.perm(k, k - s))
+    scale = math.perm(k, k - s)
+    if isinstance(alpha, RationalFunction) and isinstance(m, RationalFunction):
+        first = factored(alpha, above, upper + lower, scale)
+        boxes = binom._n_boxes(kappa, sigma)
+        if isinstance(coeff, RationalFunction):
+            return coeff * in_n(alpha, [first], boxes)
+        return in_n(alpha, [settled(row) * first for row in rows], boxes)
+    value = rows[-1]
+    for row in rows[-2::-1]:
+        value = value * m + row
+    if isinstance(alpha, RationalFunction):
+        pairs, _, box_scale = binom._box_pairs(m, kappa, sigma)
+        return field_value(value * factored(alpha, above + tuple(pairs), upper + lower, scale * box_scale))
+    num, den = linear_product(alpha, above, upper + lower, scale)
     partitions._hook_divisor(den, alpha, kappa)
     partitions._hook_divisor(num, alpha, sigma)
-    return ratio(num, den) * binom._box_product(alpha, m, kappa, sigma)
+    return value * ratio(num, den) * binom._box_product(alpha, m, kappa, sigma)
 
 
 def _binomial_expansion(alpha, kappa, c1, m, values):
@@ -133,9 +159,7 @@ def _binomial_expansion(alpha, kappa, c1, m, values):
     coeffs = {}
     for sigma, val in values.items():
         sign = -1 if partitions.weight(sigma) % 2 else 1
-        coeffs[sigma] = (
-            sign * val * binom.gsfact_skew(alpha, c1, kappa, sigma) * _identity_ratio(alpha, kappa, sigma, m)
-        )
+        coeffs[sigma] = _identity_ratio(alpha, kappa, sigma, m, sign * val * binom.gsfact_skew(alpha, c1, kappa, sigma))
     return coeffs
 
 
@@ -211,53 +235,74 @@ def hermite2(alpha, kappa, nvars=GENERIC):
     when k - s is odd.  e_d(kappa/mu)/alpha^d is the coefficient of
     r^((k+s)/2 - |mu|) in (r + c0)_kappa / (r + c0)_mu, c0 = 1 + (m-1)/alpha
     (see ``_hermite_mu_walk``).  The walk takes mu from the table of kappa
-    and sigma from the table of mu.
+    and sigma from the table of mu, both read factored at a symbolic
+    alpha.  Each term is a value in alpha alone per power of m, so the
+    coefficient of m^r in the sum over mu is one held sum, and
+    ``_identity_ratio`` converts the sums times the identity ratio once.
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     m = _check_nvars(kappa, nvars)
     k = partitions.weight(kappa)
+    p, q = homogeneous(alpha)
+
+    def over_alpha(poly, d):
+        """poly(alpha) / alpha^d for an int list poly, factored at a symbolic alpha."""
+        if p.__class__ is not int:
+            return factored(alpha, (), ((0, 1),) * d, 1, poly)
+        num, den = jack._horner(poly, alpha)
+        return Fraction(num * q**d, den * p**d)
+
     totals = {}
     for mu, kappa_mu, e in _hermite_mu_walk(alpha, kappa, m):
         j = partitions.weight(mu)
-        for sigma, mu_sigma in binom.gbinomial_table(alpha, mu).items():
+        for sigma, mu_sigma in binom._gbinomial_table(alpha, mu).items():
             s = partitions.weight(sigma)
             if (k - s) % 2 or 2 * j > k + s:
                 continue
-            term = kappa_mu * mu_sigma * e[(k - s) // 2]
-            total = totals.get(sigma)
-            totals[sigma] = term if total is None else total + term
-    coeffs = {
-        sigma: total / alpha ** ((k - partitions.weight(sigma)) // 2) * _identity_ratio(alpha, kappa, sigma, m)
-        for sigma, total in totals.items()
-    }
+            d = (k - s) // 2
+            scale = kappa_mu * mu_sigma
+            terms = [scale * over_alpha(poly, d) for poly in e[d]]
+            rows = totals.get(sigma)
+            totals[sigma] = terms if rows is None else [row + term for row, term in zip(rows, terms)]
+    coeffs = {sigma: _identity_ratio(alpha, kappa, sigma, m, rows) for sigma, rows in totals.items()}
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 
 
 def _hermite_mu_walk(alpha, kappa, m):
     """(mu, (-1)^(k-|mu|) (kappa choose mu), e) for each mu <= kappa.
 
-    alpha and kappa must be canonical and m the scalar of ``_check_nvars``.
-    e[t], t <= h = k/2 rounded down, is the elementary symmetric polynomial
+    alpha and kappa must be canonical and m the scalar of ``_check_nvars``;
+    (kappa choose mu) is read factored at a symbolic alpha.  e[t], t <= h
+    = k/2 rounded down, is the elementary symmetric polynomial
     e_t(kappa/mu) of the numerators alpha j + m - 1 - (i-1) over the boxes
-    (i, j) of kappa/mu.  (r + c0)_kappa/(r + c0)_mu is the product of the
-    k - |mu| factors r + numerator/alpha, so its coefficient of
-    r^(k-|mu|-t) is e_t(kappa/mu)/alpha^t.
+    (i, j) of kappa/mu, as its coefficients of m^0 .. m^t at m = n (one,
+    at a numeric m), each an int list in alpha, lowest power first.
+    (r + c0)_kappa/(r + c0)_mu is the product of the k - |mu| factors
+    r + numerator/alpha, so its coefficient of r^(k-|mu|-t) is
+    e_t(kappa/mu)/alpha^t.  Each e_t is one int, the polynomial at
+    alpha = 2^bits and n = 2^(bits (h+1)).
     """
     k = partitions.weight(kappa)
     h = k // 2
-    for mu, kappa_mu in binom.gbinomial_table(alpha, kappa).items():
+    # a numerator is nc n + shift - (i-1) + alpha j
+    nc, shift = (1, -1) if isinstance(m, RationalFunction) else (0, m.numerator - 1)
+    # |a coefficient of e_t| <= the product over the boxes of 1 + nc + |shift - (i-1)| + j
+    bits = 2 + sum((1 + nc + abs(shift - l0) + c0 + 1).bit_length() for l0, c0 in binom._boxes(kappa, ()))
+    width = h + 1
+    step = bits * width
+    for mu, kappa_mu in binom._gbinomial_table(alpha, kappa).items():
         j = partitions.weight(mu)
         e = [1] + [0] * h
-        seen = 0
-        for i0, part in enumerate(kappa):
-            low = mu[i0] if i0 < len(mu) else 0
-            for col in range(low + 1, part + 1):
-                x = alpha * col + m - 1 - i0
-                seen += 1
-                for t in range(min(seen, h), 0, -1):
-                    e[t] = e[t] + e[t - 1] * x
-        yield mu, -kappa_mu if (k - j) % 2 else kappa_mu, e
+        for seen, (l0, c0) in enumerate(binom._boxes(kappa, mu), 1):
+            x = (nc << step) + ((c0 + 1) << bits) + shift - l0
+            for t in range(min(seen, h), 0, -1):
+                e[t] += e[t - 1] * x
+        lists = []
+        for t, value in enumerate(e):
+            digits = _digits(value, bits, width * (t + 1 if nc else 1))
+            lists.append([digits[r : r + width] for r in range(0, len(digits), width)])
+        yield mu, -kappa_mu if (k - j) % 2 else kappa_mu, lists
 
 
 # ---------------------------------------------------------------------------
@@ -276,13 +321,14 @@ def hermite(alpha, kappa, nvars=GENERIC):
     sigma^(i)(j) inside kappa, c_1 and c_2 the contents of the first and
     second boxes, from v_kappa = 1 (``_hermite_values``).
     The recurrence is linear and free of the variable count, so the
-    coefficient of C_sigma is v_sigma C_kappa(I)/C_sigma(I).
+    coefficient of C_sigma is v_sigma C_kappa(I)/C_sigma(I), converted
+    once by ``_identity_ratio``.
     """
     alpha = jack._as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     m = _check_nvars(kappa, nvars)
     values = _hermite_values(alpha, kappa)
-    coeffs = {sigma: val * _identity_ratio(alpha, kappa, sigma, m) for sigma, val in values.items()}
+    coeffs = {sigma: _identity_ratio(alpha, kappa, sigma, m, val) for sigma, val in values.items()}
     return OrthoExpansion("hermite", kappa, {"alpha": alpha}, nvars, coeffs)
 
 
@@ -310,8 +356,8 @@ def _hermite_values(alpha, kappa):
     den for S and den P for T, and v_sigma is one Fraction.  At a symbolic
     alpha they are ``rational.Factored`` over the int 1, with P the key
     X = alpha and Q = 1: each sum is held as its terms and added up once,
-    when S and T are stored and when v_sigma is divided, and each v_sigma
-    is converted to the field once, at the end.
+    when S and T are stored and when v_sigma is divided, and v_sigma is
+    returned factored, for the caller's one conversion.
     """
     k = partitions.weight(kappa)
     p, q = homogeneous(alpha)
@@ -343,8 +389,6 @@ def _hermite_values(alpha, kappa):
             sums[sigma] = settled(num), settled(t_num), den
         else:
             values[sigma] = ratio(num, big_p * (den * (k - s)))
-    if p.__class__ is not int:
-        values = {sigma: field_value(value) for sigma, value in values.items()}
     return values
 
 

@@ -62,6 +62,18 @@ alpha a bare parameter the lists are the polynomial; at alpha =
 a primitive key in t, distinct keys staying distinct, with one int
 content gcd; any other symbolic alpha takes the field operations, once
 per value.  ``linear_product`` is such a product converted at once.
+
+A polynomial in the variable count n over such values converts once
+too, ``in_n``: sum_r n^r c_r times a product of box factors
+n + u + alpha v, the form of the Hermite coefficients at a generic n.
+The rows c_r go over the lcm of their keys and one int denominator, so
+the denominator is in alpha alone.  A box factor is monic in n, so it is
+primitive and irreducible and no key, free of n, divides it; by Gauss's
+lemma its product with the rows is divisible by a key exactly when every
+row is.  So the cancellation is complete once each key below that
+divides every row is cancelled by its root and the int contents are
+reduced by one gcd, and the sign rule is the one above.  The numerator
+is built on one int, the Kronecker substitution of both n and alpha.
 """
 
 import re
@@ -1193,34 +1205,17 @@ class Factored:
             t = terms[0] if terms else _zero(self.alpha)
             self.num, self.den, self.poly, self.keys, self.low = t.num, t.den, t.poly, t.keys, t.low
             return self
-        # each key to its least exponent over the terms, 0 where a term lacks it
-        least, seen = {}, {}
-        for t in terms:
-            for key, e in t.keys.items():
-                if key in least:
-                    seen[key] += 1
-                    if e < least[key]:
-                        least[key] = e
-                else:
-                    least[key], seen[key] = e, 1
-        for key, count in seen.items():
-            if count < len(terms) and least[key] > 0:
-                least[key] = 0
-        den = lcm(*(t.den for t in terms))
+        least, den, parts = _common(terms)
         # each term's list times its keys past the least, at t = 2^bits: the
         # sum is one int, and its digits are the summed list
-        parts, bits, length = [], 0, 0
-        for t in terms:
-            scale = t.num * (den // t.den)
-            rests = [(key, t.keys.get(key, 0) - e) for key, e in least.items()]
-            rests = [(key, r) for key, r in rests if r]
-            size = (abs(scale) * sum(map(abs, t.poly))).bit_length()
-            count = len(t.poly)
+        bits, length = 0, 0
+        for scale, poly, rests in parts:
+            size = (abs(scale) * sum(map(abs, poly))).bit_length()
+            count = len(poly)
             for (c0, c1), r in rests:
                 size += r * (abs(c0) + c1).bit_length()
                 count += r
             bits, length = max(bits, size), max(length, count)
-            parts.append((scale, t.poly, rests))
         bits += len(terms).bit_length() + 1
         value = 0
         for scale, poly, rests in parts:
@@ -1327,64 +1322,15 @@ class Factored:
     # -- the one conversion -------------------------------------------
 
     def to_field(self):
-        """The canonical RationalFunction: X := alpha, once.
+        """The canonical RationalFunction: X := alpha, once (``_assemble``).
 
         A key below that divides poly is cancelled first, by its root, so
-        the keys below share no factor with the numerator.  At alpha = a
-        bare parameter the lists are the polynomial; at alpha =
-        (A0 + A1 t) / d poly is shifted once and each key is a primitive
-        key in t times an int, so in both cases the value is built on
-        dense int lists with no gcd (see the module docstring).  Any
-        other symbolic alpha takes the field operations, once.
+        the keys below share no factor with the numerator.
         """
         s = self.lowest()
         if not s.num:
             return ZERO
-        num, den, poly, keys = s.num, s.den, s.poly, s.keys
-        form = _linear_form(self.alpha)
-        if form is None:
-            value = ZERO
-            for c in reversed(poly):
-                value = value * self.alpha + c
-            above, below = rf(Fraction(num, den)) * value, ONE
-            for (c0, c1), e in keys.items():
-                factor = c0 + self.alpha * c1
-                if e > 0:
-                    above = above * factor**e
-                else:
-                    below = below * factor**-e
-            return above / below
-        a0, a1, d, unit = form
-        if (a0, a1, d) != (0, 1, 1):
-            # X = (A0 + A1 t) / d: poly(X) = sum_i poly_i (A0 + A1 t)^i d^(D-i) / d^D,
-            # by Horner's rule at t = 2^bits
-            degree = len(poly) - 1
-            den *= d**degree
-            bits = sum(map(abs, poly)).bit_length() + degree * max(abs(a0) + abs(a1), d).bit_length() + 1
-            at_t = (a1 << bits) + a0
-            value, scale = 0, 1
-            for c in reversed(poly):
-                value = value * at_t + c * scale
-                scale *= d
-            shifted, moved = _digits(value, bits, len(poly)), {}
-            for (c0, c1), e in keys.items():
-                # c0 + c1 X = (g / d) (u + v t), u + v t primitive, v > 0
-                u, v = c0 * d + c1 * a0, c1 * a1
-                g = _int_gcd(u, v) if v > 0 else -_int_gcd(u, v)
-                moved[u // g, v // g] = e
-                if e > 0:
-                    num *= g**e
-                    den *= d**e
-                else:
-                    num *= d**-e
-                    den *= g**-e
-            num, den, poly, keys = _primitive(shifted, num, den, moved)
-        above = _times_keys([num * c for c in poly], [(key, e) for key, e in keys.items() if e > 0])
-        below = _times_keys([den], [(key, -e) for key, e in keys.items() if e < 0])
-        _check_degree(max(len(above), len(below)) - 1)
-        return RationalFunction(
-            _sparse(above, unit), _P_ONE if below == [1] else _sparse(below, unit), _canonical=True
-        )
+        return _assemble(self.alpha, s.num, s.den, [s.poly], s.keys)
 
 
 def _zero(alpha):
@@ -1395,38 +1341,84 @@ def _held(alpha, terms):
     return Factored(alpha, 0, 1, _ONE_POLY, {}, terms)
 
 
+def _common(terms):
+    """(least, den, parts): nonzero Factored values that hold no sum, over one denominator.
+
+    least maps each key to its least exponent over the terms, 0 where a
+    term lacks a key that the others hold above; den is the lcm of the int
+    denominators; each part is a term's (scale, poly, rests): its int
+    factor over den, its list and its keys past least, as pairs (key, r)
+    with r > 0.
+    """
+    least, seen = {}, {}
+    for t in terms:
+        for key, e in t.keys.items():
+            if key in least:
+                seen[key] += 1
+                if e < least[key]:
+                    least[key] = e
+            else:
+                least[key], seen[key] = e, 1
+    for key, count in seen.items():
+        if count < len(terms) and least[key] > 0:
+            least[key] = 0
+    den = lcm(*(t.den for t in terms))
+    parts = []
+    for t in terms:
+        rests = [(key, t.keys.get(key, 0) - e) for key, e in least.items()]
+        parts.append((t.num * (den // t.den), t.poly, [(key, r) for key, r in rests if r]))
+    return least, den, parts
+
+
 # an int point far from every key's root: a key that divides the list
 # divides its value there
 _XI = 1 << 64
 
 
-def _lowest(coeffs, num, den, keys):
-    """``_primitive`` of coeffs after each key below that divides it is cancelled.
+def _cancel_below(rows, keys):
+    """(rows, keys) with each key below that divides every int list in rows cancelled.
 
-    A linear key divides coeffs iff coeffs vanishes at its root, which one
-    synthetic division tests.  A key whose value at _XI does not divide the
-    list's value there cannot divide the list, so one int remainder turns
-    most keys away before a division.
+    A linear key divides a list iff the list vanishes at its root, which one
+    synthetic division tests; a zero list [0] is divided by every key.  A
+    key whose value at _XI does not divide a list's value there cannot
+    divide the list, so one int remainder turns most keys away before a
+    division.  Keys of exponent 0 are dropped.
     """
     out = {}
-    at_xi = None
+    at_xi = [None] * len(rows)
     for key, e in keys.items():
-        while e < 0 and len(coeffs) > 1:
-            if at_xi is None:
-                at_xi = 0
-                for c in reversed(coeffs):
-                    at_xi = at_xi * _XI + c
-            c0, c1 = key
-            if at_xi % (c0 + c1 * _XI):
-                break
-            quotient = _divide_key(coeffs, c0, c1)
-            if quotient is None:
-                break
-            coeffs, e = quotient, e + 1
-            at_xi //= c0 + c1 * _XI
+        c0, c1 = key
+        at_key = c0 + c1 * _XI
+        while e < 0:
+            quotients = []
+            for i, row in enumerate(rows):
+                if len(row) == 1:
+                    if row[0]:
+                        break
+                    quotients.append(row)
+                    continue
+                if at_xi[i] is None:
+                    at_xi[i] = _at_power_of_two(row, 64)
+                if at_xi[i] % at_key:
+                    break
+                quotient = _divide_key(row, c0, c1)
+                if quotient is None:
+                    break
+                quotients.append(quotient)
+            else:
+                rows, e = quotients, e + 1
+                at_xi = [None if v is None else v // at_key for v in at_xi]
+                continue
+            break
         if e:
             out[key] = e
-    return _primitive(coeffs, num, den, out)
+    return rows, out
+
+
+def _lowest(coeffs, num, den, keys):
+    """``_primitive`` of coeffs after each key below that divides it is cancelled."""
+    (coeffs,), keys = _cancel_below([coeffs], keys)
+    return _primitive(coeffs, num, den, keys)
 
 
 def _primitive(coeffs, num, den, keys):
@@ -1528,6 +1520,146 @@ def settled(x):
 def field_value(x):
     """x in its field: a Factored converted once (``Factored.to_field``), anything else as it is."""
     return x.to_field() if x.__class__ is Factored else x
+
+
+def in_n(alpha, coeffs, boxes=()):
+    """sum_r n^r coeffs[r] * prod (n + u + alpha v) over int pairs (u, v), converted once.
+
+    coeffs are Factored values of one alpha, the coefficients of the powers
+    of the parameter n, lowest first; a box (u, v) is the factor
+    n + u + alpha v, such as the box (l, c) of a generalized Pochhammer
+    symbol at n, (1 - l, c - 1).  The rows are put over their keys' lcm
+    and one int denominator, and each key below that divides every row
+    is cancelled by its root; ``_assemble`` builds the value with no gcd
+    (see the module docstring).
+    """
+    rows = [c.settled() for c in coeffs]
+    live = [row for row in rows if row.num]
+    if not live:
+        return ZERO
+    least, den, parts = _common(live)
+    parts = iter(parts)
+    lists = []
+    for row in rows:
+        if row.num:
+            scale, poly, rests = next(parts)
+            lists.append(_times_keys([scale * c for c in poly], rests))
+        else:
+            lists.append([0])
+    lists, keys = _cancel_below(lists, least)
+    content = _int_gcd(*(c for row in lists for c in row))
+    if content != 1:
+        lists = [[c // content for c in row] for row in lists]
+    g = _int_gcd(content, den)
+    return _assemble(alpha, content // g, den // g, lists, keys, boxes)
+
+
+def _assemble(alpha, num, den, rows, keys, boxes=()):
+    """num / den * sum_r n^r rows[r](X) * prod key(X)^e * prod (n + u + v X) at X := alpha.
+
+    rows are int lists in X with no common int factor, keys a multiset as
+    in ``Factored``, no key below divides every row, and num / den > 0 is
+    in lowest terms.  The value is canonical with no gcd.  At alpha a bare
+    parameter t the numerator is built on one int, the Kronecker
+    substitution of both n and t.  At alpha = (A0 + A1 t) / d, t not n,
+    each row is Taylor-shifted, each key is an int times a primitive key
+    in t, distinct keys staying distinct, each box is
+    (d n + d u + v A0 + v A1 t) / d, an int times a primitive factor, and
+    one int gcd reduces the contents.  Any other symbolic alpha, and alpha
+    in n with an n in the rows or boxes, takes the field operations, once.
+    """
+    form = _linear_form(alpha)
+    unit_n = _UNIT[_PINDEX["n"]]
+    if form is None or (form[3] == unit_n and (len(rows) > 1 or boxes)):
+        value = None
+        for row in reversed(rows):
+            term = ZERO
+            for c in reversed(row):
+                term = term * alpha + c
+            value = term if value is None else value * N + term
+        above, below = rf(Fraction(num, den)) * value, ONE
+        for (c0, c1), e in keys.items():
+            factor = c0 + alpha * c1
+            if e > 0:
+                above = above * factor**e
+            else:
+                below = below * factor**-e
+        for u, v in boxes:
+            above = above * (N + u + alpha * v)
+        return above / below
+    a0, a1, d, unit = form
+    triples = [(1, u, v) for u, v in boxes]
+    if (a0, a1, d) != (0, 1, 1):
+        # X = (A0 + A1 t) / d: row(X) = sum_i row_i (A0 + A1 t)^i d^(D-i) / d^D,
+        # D the rows' largest degree, by Horner's rule at t = 2^bits
+        degree = max(map(len, rows)) - 1
+        den *= d**degree
+        bits = max(sum(map(abs, row)) for row in rows).bit_length()
+        bits += degree * max(abs(a0) + abs(a1), d).bit_length() + 1
+        at_t = (a1 << bits) + a0
+        shifted = []
+        for row in rows:
+            value, scale = 0, 1
+            for i in range(degree, -1, -1):
+                value = value * at_t + (row[i] if i < len(row) else 0) * scale
+                scale *= d
+            shifted.append(_digits(value, bits, degree + 1))
+        moved = {}
+        for (c0, c1), e in keys.items():
+            # c0 + c1 X = (g / d) (u + v t), u + v t primitive, v > 0
+            u, v = c0 * d + c1 * a0, c1 * a1
+            g = _int_gcd(u, v) if v > 0 else -_int_gcd(u, v)
+            moved[u // g, v // g] = e
+            if e > 0:
+                num *= g**e
+                den *= d**e
+            else:
+                num *= d**-e
+                den *= g**-e
+        rows, keys = shifted, moved
+        for i, (_, u, v) in enumerate(triples):
+            # n + u + v X = (d n + d u + v A0 + v A1 t) / d
+            c = (d, d * u + v * a0, v * a1)
+            g = _int_gcd(*c)
+            num *= g
+            den *= d
+            triples[i] = (d // g, c[1] // g, c[2] // g)
+        content = _int_gcd(*(c for row in rows for c in row))
+        if content != 1:
+            num *= content
+            rows = [[c // content for c in row] for row in rows]
+        g = _int_gcd(num, den) if den > 0 else -_int_gcd(num, den)
+        num, den = num // g, den // g
+    above = [(key, e) for key, e in keys.items() if e > 0]
+    below = _times_keys([den], [(key, -e) for key, e in keys.items() if e < 0])
+    if len(rows) == 1 and not triples:
+        numer = _times_keys([num * c for c in rows[0]], above)
+        _check_degree(max(len(numer), len(below)) - 1)
+        return RationalFunction(_sparse(numer, unit), _P_ONE if below == [1] else _sparse(below, unit), _canonical=True)
+    # n^r t^i is the digit r * width + i of one int at t = 2^bits
+    width = max(map(len, rows)) + sum(e for _, e in above) + len(triples)
+    height = len(rows) + len(triples)
+    _check_degree(max(width + height - 2, len(below) - 1))
+    bits = (abs(num) * sum(abs(c) for row in rows for c in row)).bit_length() + 1
+    for (c0, c1), e in above:
+        bits += e * (abs(c0) + abs(c1)).bit_length()
+    for an, u, v in triples:
+        bits += (an + abs(u) + abs(v)).bit_length()
+    step = bits * width
+    value = 0
+    for row in reversed(rows):
+        value = (value << step) + _at_power_of_two(row, bits)
+    value *= num
+    for (c0, c1), e in above:
+        value *= ((c1 << bits) + c0) ** e
+    for an, u, v in triples:
+        value *= (an << step) + (v << bits) + u
+    digits = _digits(value, bits, width * height)
+    numer = {}
+    for r in range(height):
+        base = r * unit_n
+        numer.update({base + i * unit: c for i, c in enumerate(digits[r * width : (r + 1) * width]) if c})
+    return RationalFunction(numer, _P_ONE if below == [1] else _sparse(below, unit), _canonical=True)
 
 
 def linear_product(alpha, num_pairs, den_pairs, scale=1):

@@ -16,7 +16,9 @@ reference for the library's integer tables.  ``gbinomial_field``,
 ``hermite_values_field`` and ``m2jack_field`` run the binomial table,
 the Hermite two-box recurrence (path by path) and the triangular sweep
 into the C basis with every operation in the field, the reference for
-the library's factored values.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
+the library's factored values; ``hermite_field`` multiplies the Hermite
+values by identity values formed factor by factor in the field, the
+reference for the library's one conversion of each coefficient.  ``largest_cdf_beta2`` is the beta = 2 largest-eigenvalue CDF as a
 ratio of Hankel determinants of incomplete Gamma functions, in mpmath.
 ``next_layer_field`` is the series engine's per-box step with every
 factor a + s a field element and one division per factor, the reference
@@ -418,6 +420,31 @@ def hermite_values_field(alpha, kappa):
                     total = total + weight * contiguous_all_boxes(alpha, sigma, i) * contiguous_all_boxes(alpha, tau, j) * values[top]
         values[sigma] = total / (k - s)
     return values
+
+
+def identity_c_field(alpha, kappa, m):
+    """C_kappa(I_m) = alpha^k k! / j_kappa prod (m + alpha (c-1) - (l-1)) over the boxes (l, c), in the field.
+
+    j_kappa from ``hook_products_field`` and each box factor multiplied in
+    as it stands, where the library takes them as linear keys.
+    """
+    k = partitions.weight(kappa)
+    value = alpha**k * math.factorial(k) / hook_products_field(alpha, kappa)[2]
+    for l0, part in enumerate(kappa):
+        for c0 in range(part):
+            value = value * (m + alpha * c0 - l0)
+    return value
+
+
+def hermite_field(alpha, kappa, m):
+    """sigma -> the coefficient of C_sigma in the Hermite polynomial of kappa in m variables, in the field.
+
+    v_sigma from ``hermite_values_field`` times C_kappa(I_m) / C_sigma(I_m)
+    from ``identity_c_field``; m must be at least len(kappa), so that no
+    C_sigma(I_m) is 0.
+    """
+    top = identity_c_field(alpha, kappa, m)
+    return {sigma: v * top / identity_c_field(alpha, sigma, m) for sigma, v in hermite_values_field(alpha, kappa).items()}
 
 
 def m2jack_field(alpha, lam):

@@ -36,6 +36,7 @@ from mops.symfun import GENERIC, SymExpr
 from oracles import (
     contiguous_all_boxes,
     gbinomial_field,
+    hermite_field,
     hermite_values_field,
     hook_products_field,
     m2jack_field,
@@ -451,6 +452,43 @@ def test_factored_form_matches_the_field(alpha):
                     assert isinstance(f / g, rational.Factored)
 
 
+@pytest.mark.parametrize("alpha", _FACTORED_ALPHAS, ids=repr)
+def test_in_n_matches_the_field_product(alpha):
+    # rows over the powers of n (zero rows, held sums, keys shared by every
+    # row and some repeated) times box factors n + u + alpha v: one
+    # conversion against the same sum and product in the field
+    rng = random.Random(35)
+    pool = [(u, v) for u in range(-3, 4) for v in range(-3, 4) if (u, v) != (0, 0)]
+    zero = rational.factored(alpha, scale=0)
+    assert rational.in_n(alpha, [zero, zero], [(1, 2)]) == 0 and rational.in_n(alpha, [], ()) == 0
+
+    def value(shared):
+        num = rng.choices(pool, k=rng.randint(0, 3)) + shared[0]
+        den = rng.choices(pool, k=rng.randint(0, 3)) + shared[1]
+        poly = [rng.randint(-4, 4) for _ in range(rng.randint(1, 4))] if rng.random() < 0.6 else [1]
+        scale = rng.choice((1, -2, Fraction(3, 4)))
+        want = _field_product(alpha, num, den, scale) * sum(c * alpha**i for i, c in enumerate(poly))
+        return rational.factored(alpha, num, den, scale, poly), want
+
+    for _ in range(120):
+        shared = rng.choices(pool, k=rng.randint(0, 2)), rng.choices(pool, k=rng.randint(0, 2)) * 2
+        rows, want = [], rf(0)
+        for r in range(rng.randint(1, 4)):
+            if rng.random() < 0.2:
+                row, w = zero, rf(0)
+            else:
+                row, w = value(shared)
+                if rng.random() < 0.3:
+                    other, w2 = value(shared)
+                    row, w = row + other, w + w2
+            rows.append(row)
+            want = want + w * n**r
+        boxes = [(rng.randint(-3, 3), rng.randint(0, 3)) for _ in range(rng.randint(0, 4))]
+        for u, v in boxes:
+            want = want * (n + u + alpha * v)
+        _assert_canonical_equal(rational.in_n(alpha, rows, boxes), want)
+
+
 def test_factored_sum_cancels_its_keys_below_by_their_roots():
     # 1/(1+a) + a/(1+a) = 1 and (a - 1)/(a + 1)^2 + 2/(a + 1)^2 = 1/(a + 1):
     # the sum vanishes at the root of each key that divides it
@@ -504,7 +542,7 @@ def test_alpha_only_products_take_no_gcd():
     for got, want in zip(got_tables, want_tables):
         for got_table, want_table in zip(got, want):
             assert got_table.keys() == want_table.keys()
-            assert all(got_table[key] == want_table[key] for key in want_table)
+            assert all(rational.field_value(got_table[key]) == want_table[key] for key in want_table)
     assert len(steps) == 84
     for (sigma, i), got in got_steps.items():
         assert got.text() == contiguous_all_boxes(a, sigma, i).text()
@@ -514,6 +552,38 @@ def test_alpha_only_products_take_no_gcd():
         k = partitions.weight(kappa)
         assert got_factors[kappa, "C"].text() == (a**k * math.factorial(k) / j).text()
         assert got_factors[kappa, "P"].text() == (1 / cprime).text()
+
+
+def test_hermite_coefficients_take_no_gcd():
+    # hermite, hermite2 and the Hermite E[C_kappa] at a symbolic alpha, at
+    # a generic and a numeric n: each coefficient is converted once with no
+    # gcd.  The two constructions share that conversion, so the reference
+    # is the field's, from oracles.hermite_field
+    def refuse(*args):
+        raise AssertionError("a gcd algorithm ran")
+
+    kappas = [(2, 1), (2, 2), (3, 2, 1), (2, 2, 1, 1), (4, 2)]
+    cases = [(alpha, kappa, nvars) for alpha in (a, (2 * a + 1) / 3) for kappa in kappas for nvars in (GENERIC, 5)]
+    want = {case: hermite_field(case[0], case[1], N if case[2] is GENERIC else case[2]) for case in cases}
+    cache.clear_all()
+    with mock.patch.object(rational, "_p_cofactors", refuse), mock.patch.object(rational, "_heugcd", refuse):
+        got = {
+            (alpha, kappa, nvars): (
+                orthopoly.hermite(alpha, kappa, nvars).terms,
+                orthopoly.hermite2(alpha, kappa, nvars).terms,
+                expect.expect_jack_c(expect.EnsembleSpec("hermite", alpha, nvars), kappa),
+            )
+            for alpha, kappa, nvars in cases
+        }
+    cache.clear_all()
+    for case in cases:
+        coeffs = {sigma: c for sigma, c in want[case].items() if c}
+        for terms in got[case][:2]:
+            assert {sigma for sigma, c in terms.items() if c} == coeffs.keys(), case
+            assert all(rf(terms[sigma]).text() == c.text() for sigma, c in coeffs.items()), case
+        k = partitions.weight(case[1])
+        constant = want[case][()] * (-1) ** (k // 2) if k % 2 == 0 else rf(0)
+        assert rf(got[case][2]).text() == constant.text(), case
 
 
 def test_an_int_leading_coefficient_apart_gives_the_content_gcd():
