@@ -1,19 +1,24 @@
 """Expected values over the 2/alpha Hermite, Laguerre and Jacobi ensembles.
 
-Everything reduces to the expectation of a single Jack polynomial C_kappa:
-a generalized-Pochhammer closed form for Laguerre and Jacobi, and the
-constant term of the Hermite polynomial for Hermite.  That term is
-v_() C_kappa(I_m), v_() being the last value of the n-free recurrence of
-``orthopoly.hermite`` (``orthopoly._hermite_values``), so no expansion is
-built.  Expressions are first flattened to the Jack C basis and
-expectation is applied by linearity.
+Expressions are first flattened to the Jack C basis and expectation is
+applied by linearity, to the expectations of single Jack polynomials
+C_kappa: a generalized-Pochhammer closed form for Laguerre and Jacobi,
+and the constant term of the Hermite polynomial for Hermite.  That term
+is v_() C_kappa(I_m), v_() being the last value of the n-free two-box
+recurrence of ``orthopoly.hermite``, so no expansion is built.  The
+recurrence is linear and its divisor depends on the level alone, so one
+upward pass gives v_() for every kappa of one weight
+(``orthopoly._hermite_constants``), and the flattened expansion's
+coefficients, held factored at a symbolic alpha (``symfun._m2c``,
+``symfun._jack2c``), times those values are summed and converted to the
+field once (``orthopoly._identity_sum``).
 """
 
 from fractions import Fraction
 
 from . import binom, jack, orthopoly, partitions, symfun
 from .errors import DomainError, UnsupportedModeError
-from .rational import as_exact, as_int
+from .rational import as_exact, as_int, field_value
 from .symfun import GENERIC, as_nvars
 
 
@@ -50,26 +55,19 @@ def expect_jack_c(spec, kappa):
     """E[C_kappa] over the ensemble.
 
     Hermite: zero for odd k = |kappa|; for even k it is (-1)^(k/2) times
-    the constant term v_() C_kappa(I_m) of the Hermite polynomial, v_()
-    from ``orthopoly._hermite_values`` and the product converted once by
-    ``orthopoly._identity_ratio`` at sigma = ().  Laguerre: (g + (m-1)/alpha + 1)_kappa
+    the constant term v_() C_kappa(I_m) of the Hermite polynomial, the
+    one-term case of ``_hermite_sum``.  Laguerre: (g + (m-1)/alpha + 1)_kappa
     C_kappa(I_m).  Jacobi: (c1)_kappa / (c2)_kappa C_kappa(I_m) with
     c1 = g1 + (m-1)/alpha + 1 and c2 = g1 + g2 + 2(m-1)/alpha + 2.  A
     Hermite zero, and the zero for kappa longer than m, is ``alpha * 0``.
     """
     kappa = partitions.as_partition(kappa)
-    k = partitions.weight(kappa)
     alpha = spec.alpha
     if spec.nvars is not GENERIC and len(kappa) > spec.nvars:
         return alpha * 0
-    m = orthopoly._check_nvars(kappa, spec.nvars)
     if spec.family == "hermite":
-        if k % 2:
-            return alpha * 0
-        h0 = orthopoly._identity_ratio(alpha, kappa, (), m, orthopoly._hermite_values(alpha, kappa)[()])
-        if not h0:
-            return alpha * 0
-        return h0 if (k // 2) % 2 == 0 else -h0
+        return _hermite_sum(spec, {kappa: 1})
+    m = orthopoly._check_nvars(kappa, spec.nvars)
     ident = jack.jack_identity_value(alpha, kappa, "C", m)
     if spec.family == "laguerre":
         c1 = spec.params["g"] + (m - 1) / alpha + 1
@@ -79,18 +77,46 @@ def expect_jack_c(spec, kappa):
     return binom.gsfact(alpha, c1, kappa) / binom.gsfact(alpha, c2, kappa) * ident
 
 
-def _expect_c_basis(spec, cexp):
-    """E of a Jack C-basis SymExpr, by linearity."""
+def _expect_c_basis(spec, terms):
+    """E of a Jack C-basis expansion {kappa: coefficient}, by linearity.
+
+    The coefficients may be held factored, as ``symfun._m2c`` leaves them.
+    """
+    if spec.family == "hermite":
+        return _hermite_sum(spec, terms)
     total = None
-    for kappa, coeff in cexp.terms.items():
-        term = coeff * expect_jack_c(spec, kappa)
+    for kappa, coeff in terms.items():
+        term = field_value(coeff) * expect_jack_c(spec, kappa)
         total = term if total is None else total + term
     return total if total is not None else spec.alpha * 0
 
 
+def _hermite_sum(spec, terms):
+    """sum f_kappa E[C_kappa] over the Hermite ensemble, {kappa: f_kappa} given.
+
+    Odd weights and kappa longer than a numeric m give zero.  The kappas
+    of each even weight k share one ``orthopoly._hermite_constants`` pass,
+    and the sum of f_kappa (-1)^(k/2) v_() C_kappa(I_m) is converted once,
+    ``orthopoly._identity_sum``.  A zero is ``alpha * 0``.
+    """
+    alpha, nvars = spec.alpha, spec.nvars
+    by_weight = {}
+    for kappa in terms:
+        k = partitions.weight(kappa)
+        if k % 2 == 0 and (nvars is GENERIC or len(kappa) <= nvars):
+            by_weight.setdefault(k, []).append(kappa)
+    triples = []
+    for k, kappas in by_weight.items():
+        sign = -1 if (k // 2) % 2 else 1
+        for kappa, value in orthopoly._hermite_constants(alpha, kappas).items():
+            triples.append((kappa, terms[kappa], sign * value))
+    total = orthopoly._identity_sum(alpha, orthopoly._check_nvars((), nvars), triples)
+    return total if total else alpha * 0
+
+
 def expect_jack_expr(spec, expr):
     """E of an expression over Jack-basis leaves."""
-    return _expect_c_basis(spec, symfun.jack2jack(spec.alpha, expr, spec.nvars))
+    return _expect_c_basis(spec, symfun._jack2c(spec.alpha, expr, spec.nvars))
 
 
 def expect_monomial_expr(spec, expr):
@@ -99,7 +125,7 @@ def expect_monomial_expr(spec, expr):
         raise UnsupportedModeError(
             "products of monomials need a numeric variable count for expectations"
         )
-    return _expect_c_basis(spec, symfun.m2jack(spec.alpha, expr, spec.nvars))
+    return _expect_c_basis(spec, symfun._m2c(spec.alpha, expr, spec.nvars))
 
 
 def conjecture_coefficients(alpha, k):

@@ -406,15 +406,19 @@ def normalization_factor(frm, to, alpha, kappa):
 def jack_expand(alpha, kappa, norm="C", nvars=GENERIC):
     """Monomial expansion of the Jack polynomial in the given normalization."""
     alpha = _as_alpha(alpha)
+    return SymExpr._of_canonical("m", _in_field(alpha, _jack_terms(alpha, kappa, norm, nvars)), nvars)
+
+
+def _jack_terms(alpha, kappa, norm, nvars):
+    """``jack_expand``'s terms, factored at a symbolic alpha (``symfun``'s expansion)."""
+    alpha = _as_alpha(alpha)
     kappa = partitions.as_partition(kappa)
     if norm not in NORMALIZATIONS:
         raise DomainError("unknown normalization %r" % (norm,))
     length = _length(kappa, nvars)
-    table = _in_field(alpha, _jack_monomial_coefficients(alpha, kappa, length, norm))
-    if len(kappa) > length:
-        # no term in fewer variables than kappa has parts, but the same pole
-        table = {}
-    return SymExpr._of_canonical("m", table, nvars)
+    table = _jack_monomial_coefficients(alpha, kappa, length, norm)
+    # no term in fewer variables than kappa has parts, but the same pole
+    return table if len(kappa) <= length else {}
 
 
 def jack_identity_value(alpha, kappa, norm, m):

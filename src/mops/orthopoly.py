@@ -8,8 +8,11 @@ provided; they must agree exactly, which is enforced by the test suite.
 inside kappa, each weighted by the content of its first box less the
 content of its second, the content of box (row, col) being
 col - 1 - (row - 1)/alpha.  Its values ``_hermite_values`` do not depend
-on the variable count, and they also serve the level density and the
-Hermite expectations, whose constant term is v_() C_kappa(I_m).
+on the variable count, and they also serve the level density.  The
+Hermite expectations need only the constant term v_() C_kappa(I_m): the
+recurrence is linear and its divisor depends on the level alone, so
+``_hermite_constants`` runs it upward once for every kappa of one
+weight, and ``_identity_sum`` converts a whole expansion's sum once.
 ``hermite2`` takes the Laguerre limit: a sum over the pairs
 sigma <= mu <= kappa of (kappa choose mu)(mu choose sigma) times one
 coefficient of a Pochhammer ratio, read from one walk over mu,
@@ -20,10 +23,11 @@ the product over the boxes of kappa/sigma of ``binom._box_product`` times
 the C normalization's factors of kappa and sigma, one formula at every
 sigma, also where C_sigma(I_n) is 0.  Only the sigma an expansion holds
 are visited, so a pole of another subpartition's hooks raises nothing.
-It takes the coefficient too and is the one place where a coefficient
-at a symbolic alpha is converted to the field: the Hermite values and
-hermite2's sums per power of n stay ``rational.Factored`` up to it, and
-at a generic n the product is ``rational.in_n``'s, with no gcd.
+It takes the coefficient too and, with ``_identity_sum``, its sum over
+kappa at sigma = (), is the one place where a coefficient at a symbolic
+alpha is converted to the field: the Hermite values and hermite2's sums
+per power of n stay ``rational.Factored`` up to it, and at a generic n
+the product is ``rational.in_n``'s, with no gcd.
 
 Sign conventions follow the explicit expansion formulas and the
 eigenfunction equations, cross-checked against the univariate classical
@@ -131,13 +135,9 @@ def _identity_ratio(alpha, kappa, sigma, m, coeff=1):
     multiplies the converted ratio in the field.
     """
     rows = coeff if isinstance(coeff, list) else [coeff]
-    k, s = partitions.weight(kappa), partitions.weight(sigma)
-    upper, lower = partitions._hook_pairs(kappa)
-    upper_s, lower_s = partitions._hook_pairs(sigma)
-    above = ((0, 1),) * (k - s) + upper_s + lower_s
-    scale = math.perm(k, k - s)
+    above, below, scale = _ratio_pairs(kappa, sigma)
     if isinstance(alpha, RationalFunction) and isinstance(m, RationalFunction):
-        first = factored(alpha, above, upper + lower, scale)
+        first = factored(alpha, above, below, scale)
         boxes = binom._n_boxes(kappa, sigma)
         if isinstance(coeff, RationalFunction):
             return coeff * in_n(alpha, [first], boxes)
@@ -147,11 +147,83 @@ def _identity_ratio(alpha, kappa, sigma, m, coeff=1):
         value = value * m + row
     if isinstance(alpha, RationalFunction):
         pairs, _, box_scale = binom._box_pairs(m, kappa, sigma)
-        return field_value(value * factored(alpha, above + tuple(pairs), upper + lower, scale * box_scale))
-    num, den = linear_product(alpha, above, upper + lower, scale)
+        return field_value(value * factored(alpha, above + tuple(pairs), below, scale * box_scale))
+    num, den = linear_product(alpha, above, below, scale)
     partitions._hook_divisor(den, alpha, kappa)
     partitions._hook_divisor(num, alpha, sigma)
     return value * ratio(num, den) * binom._box_product(alpha, m, kappa, sigma)
+
+
+def _ratio_pairs(kappa, sigma):
+    """(num_pairs, den_pairs, scale): alpha^(k-s) (k!/s!) j_sigma / j_kappa as linear factors."""
+    k, s = partitions.weight(kappa), partitions.weight(sigma)
+    upper, lower = partitions._hook_pairs(kappa)
+    upper_s, lower_s = partitions._hook_pairs(sigma)
+    return ((0, 1),) * (k - s) + upper_s + lower_s, upper + lower, math.perm(k, k - s)
+
+
+def _identity_sum(alpha, m, terms):
+    """sum f v C_kappa(I_m) over the triples (kappa, f, v), converted once.
+
+    f is an expansion's coefficient and v a value of ``_identity_ratio``'s
+    coeff, each a number or, at a symbolic alpha, a ``rational.Factored``.
+    At a Fraction alpha every term is ``_identity_ratio``'s, added in the
+    field.  At a symbolic alpha the products f v C_kappa(I_m) are held
+    factored and summed, and the sum is converted once, with no gcd: at a
+    numeric m each C_kappa(I_m) is a product of factors linear in alpha,
+    and at m = n kappa's box factors n + alpha (c-1) - (l-1) are expanded
+    into int lists in alpha per power of n (``_box_rows``), so the sum is
+    one ``rational.in_n`` over one held sum per power of n.  An f with a
+    parameter (a user's symbolic scalar) multiplies its own converted
+    term in the field.  kappa must fit in m variables.
+    """
+    total = None
+    held = []
+    for kappa, f, v in terms:
+        parametric = isinstance(f, RationalFunction) and not f.is_constant
+        if isinstance(alpha, RationalFunction) and not parametric:
+            held.append((kappa, f * v))
+            continue
+        term = f * _identity_ratio(alpha, kappa, (), m, v)
+        total = term if total is None else total + term
+    if held:
+        at_n = isinstance(m, RationalFunction)
+        sums = {}
+        for kappa, c in held:
+            above, below, scale = _ratio_pairs(kappa, ())
+            if at_n:
+                first = c * factored(alpha, above, below, scale)
+                parts = [(r, first * factored(alpha, poly=poly)) for r, poly in enumerate(_box_rows(kappa)) if any(poly)]
+            else:
+                pairs, _, box_scale = binom._box_pairs(m, kappa, ())
+                parts = [(0, c * factored(alpha, above + tuple(pairs), below, scale * box_scale))]
+            for r, part in parts:
+                sums[r] = sums[r] + part if r in sums else part
+        if at_n:
+            zero = factored(alpha, scale=0)
+            value = in_n(alpha, [sums.get(r, zero) for r in range(max(sums) + 1)])
+        else:
+            value = field_value(sums[0])
+        total = value if total is None else value + total
+    return total
+
+
+def _box_rows(kappa):
+    """prod over the boxes (l, c) of kappa of n + alpha (c-1) - (l-1) as its
+    coefficients of n^0 .. n^k, each an int list in alpha, lowest power first.
+
+    The product is one int, at alpha = 2^bits and n = 2^(bits (k+1)).
+    """
+    boxes = binom._boxes(kappa, ())
+    width = len(boxes) + 1
+    # |a coefficient| <= the product over the boxes of 1 + (l-1) + (c-1)
+    bits = 2 + sum((1 + l0 + c0).bit_length() for l0, c0 in boxes)
+    step = bits * width
+    value = 1
+    for l0, c0 in boxes:
+        value *= (1 << step) + (c0 << bits) - l0
+    digits = _digits(value, bits, width * width)
+    return [digits[r : r + width] for r in range(0, len(digits), width)]
 
 
 def _binomial_expansion(alpha, kappa, c1, m, values):
@@ -390,6 +462,68 @@ def _hermite_values(alpha, kappa):
         else:
             values[sigma] = ratio(num, big_p * (den * (k - s)))
     return values
+
+
+def _hermite_constants(alpha, kappas):
+    """{kappa: v_() of ``_hermite_values(alpha, kappa)``} for kappas of one weight k.
+
+    alpha must be canonical and k even.  The two-box recurrence is linear
+    and its divisor k - s depends on the level s alone, so v_() is the sum
+    over the chains () -> ... -> kappa of the products of their steps'
+    weights, and one upward pass over the subpartitions of all the kappas
+    gives each kappa's.  From w_() = 1, an odd level holds for each tau
+
+        U_tau = sum_sigma (tau choose sigma) w_sigma / (k - s),
+        V_tau = sum_sigma c_i(sigma) (tau choose sigma) w_sigma / (k - s),
+
+    sigma running over the tau = sigma^(i) a level below, and an even
+    level w_rho = sum_tau (rho choose tau) (V_tau - c_j(tau) U_tau), tau
+    running over the rho = tau^(j) below it; w_kappa = v_().  The sums are
+    held as ``_hermite_values`` holds S and T, from the same pairs of
+    ``binom._contiguous``: with P c_i(sigma) = P sigma_i - Q (i-1), U and V
+    are ints (U_num, V_num, den) over one unreduced denominator at a
+    Fraction alpha = P / Q, den for U and den P for V, and w is one
+    Fraction; at a symbolic alpha they are ``rational.Factored``, added up
+    once when stored, and w is returned factored.
+    """
+    k = partitions.weight(kappas[0])
+    p, q = homogeneous(alpha)
+    big_p = p if p.__class__ is int else factored(alpha, ((0, 1),))
+    inside = set()
+    for kappa in kappas:
+        inside.update(partitions.subpartitions_of(kappa))
+    levels = [[] for _ in range(k + 1)]
+    for sigma in inside:
+        levels[partitions.weight(sigma)].append(sigma)
+    held = {(): 1}
+    for s in range(k):
+        odd = s % 2
+        sums = {}
+        for sigma in levels[s]:
+            value = held.pop(sigma)
+            for i in range(1, len(sigma) + 2):
+                tau = binom._row_increment(sigma, i)
+                if tau not in inside:
+                    continue
+                coeff_num, coeff_den = binom._contiguous(p, q, sigma, i)
+                # P c_i(sigma)
+                content = (sigma[i - 1] if i <= len(sigma) else 0) * big_p - (i - 1) * q
+                if odd:
+                    u, v, den = value
+                    term_num, term_den = coeff_num * (v - content * u), coeff_den * den
+                    num, acc = sums.get(tau, (0, 1))
+                    sums[tau] = num * term_den + term_num * acc, acc * term_den
+                else:
+                    value_num, value_den = homogeneous(value)
+                    term_num, term_den = coeff_num * value_num, coeff_den * value_den
+                    u, v, acc = sums.get(tau, (0, 0, 1))
+                    sums[tau] = u * term_den + term_num * acc, v * term_den + content * term_num * acc, acc * term_den
+        for tau, pair in sums.items():
+            if odd:
+                held[tau] = ratio(pair[0], big_p * pair[1])
+            else:
+                held[tau] = settled(pair[0]), settled(pair[1]), pair[2] * (k - s)
+    return held
 
 
 # ---------------------------------------------------------------------------

@@ -1560,7 +1560,8 @@ def _assemble(alpha, num, den, rows, keys, boxes=()):
     rows are int lists in X with no common int factor, keys a multiset as
     in ``Factored``, no key below divides every row, and num / den > 0 is
     in lowest terms.  The value is canonical with no gcd.  At alpha a bare
-    parameter t the numerator is built on one int, the Kronecker
+    parameter t one row with no key and no box is the numerator as it
+    stands, and otherwise the numerator is built on one int, the Kronecker
     substitution of both n and t.  At alpha = (A0 + A1 t) / d, t not n,
     each row is Taylor-shifted, each key is an int times a primitive key
     in t, distinct keys staying distinct, each box is
@@ -1568,6 +1569,12 @@ def _assemble(alpha, num, den, rows, keys, boxes=()):
     one int gcd reduces the contents.  Any other symbolic alpha, and alpha
     in n with an n in the rows or boxes, takes the field operations, once.
     """
+    unit = _BARE.get(alpha)
+    if unit is not None and not keys and not boxes and len(rows) == 1:
+        # a keyless value at a bare parameter: the list is the numerator
+        _check_degree(len(rows[0]) - 1)
+        numer = {i * unit: num * c for i, c in enumerate(rows[0]) if c}
+        return RationalFunction(numer, _P_ONE if den == 1 else {_ZEXP: den}, _canonical=True)
     form = _linear_form(alpha)
     unit_n = _UNIT[_PINDEX["n"]]
     if form is None or (form[3] == unit_n and (len(rows) > 1 or boxes)):
@@ -1697,6 +1704,9 @@ def param(name):
         raise DomainError("unknown parameter %r" % name)
     return RationalFunction({_UNIT[_PINDEX[name]]: 1}, _P_ONE, _canonical=True)
 
+
+# each parameter to its `_UNIT`
+_BARE = {param(name): unit for name, unit in zip(PARAMS, _UNIT)}
 
 ZERO = RationalFunction.from_int(0)
 ONE = RationalFunction.from_int(1)

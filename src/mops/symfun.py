@@ -12,7 +12,11 @@ Every conversion goes through the monomial basis.  The one way in is
 ``expand_to_monomials``, a fold that expands each leaf and multiplies
 monomials; the one way out is ``_sweep``, a triangular solve against the
 monomial expansions of the target basis (Jack C for m2jack and jack2jack,
-power sums for m2p).
+power sums for m2p).  At a symbolic alpha both hold the Jack tables'
+``rational.Factored`` values as they are, and a public conversion takes
+each coefficient of its answer to the field once (``_converted``);
+``expect`` reads m2jack's and jack2jack's coefficients unconverted
+(``_m2c``, ``_jack2c``).
 
 Variable-count modes: an int fixes the number of variables n (an m or
 Jack element on a partition longer than n is zero, a p element is not);
@@ -346,7 +350,7 @@ def _mul_m(e1, e2, nvars):
             c = c1 * c2
             for nu, mult in mono_product(p1, p2, nvars).items():
                 terms[nu] = terms[nu] + c * mult if nu in terms else c * mult
-    return SymExpr("m", terms, nvars)
+    return SymExpr._of_canonical("m", terms, nvars)
 
 
 def m2m(expr, nvars=GENERIC):
@@ -375,7 +379,7 @@ def m2p(expr):
         terms = expand_to_monomials(None, Leaf("p", lam)).terms
         return {nu: Fraction(c) for nu, c in terms.items()}
 
-    return _sweep(m2m(expr, GENERIC), "p", min, column)
+    return _converted("p", _sweep(m2m(expr, GENERIC), min, column), GENERIC)
 
 
 def alpha_inner_product(f, g, alpha):
@@ -395,8 +399,8 @@ def alpha_inner_product(f, g, alpha):
 # the triangular sweep and Jack conversions
 
 
-def _sweep(flat, basis, pick, column):
-    """The one triangular solve out of a monomial SymExpr.
+def _sweep(flat, pick, column):
+    """The one triangular solve out of a monomial SymExpr: {lam: coefficient}.
 
     column(lam), the monomial expansion of the target basis element at lam
     in flat's variables, has its other terms beyond lam in the order pick
@@ -406,7 +410,7 @@ def _sweep(flat, basis, pick, column):
     ``rational.Factored``, J's int lists times C's hooks, and its diagonal
     alpha^k k! / (upper hooks) is all keys: each coefficient is held as the
     terms subtracted from it and added up once, when it is picked, and
-    the answer is converted to the field once per term.
+    the answer is returned factored, for the caller's one conversion.
     """
     rest = dict(flat.terms)
     out = {}
@@ -420,7 +424,12 @@ def _sweep(flat, basis, pick, column):
         for nu, c in col.items():
             if nu != lam:
                 rest[nu] = rest.get(nu, 0) - scale * c
-    return SymExpr._of_canonical(basis, {lam: field_value(c) for lam, c in out.items()}, flat.nvars)
+    return out
+
+
+def _converted(basis, terms, nvars):
+    """A SymExpr of held coefficients, each converted to its field once."""
+    return SymExpr._of_canonical(basis, {lam: field_value(c) for lam, c in terms.items()}, nvars)
 
 
 def m2jack(alpha, expr, nvars=GENERIC):
@@ -429,9 +438,14 @@ def m2jack(alpha, expr, nvars=GENERIC):
     C_lam = c_lam*m_lam + terms dominated by lam, hence lex-less, so max
     is solved first.
     """
+    return _converted("C", _m2c(alpha, expr, nvars), nvars)
+
+
+def _m2c(alpha, expr, nvars):
+    """``m2jack``'s coefficients, held: ``rational.Factored`` at a symbolic alpha."""
     from . import jack
 
-    return _sweep(m2m(expr, nvars), "C", max, partial(jack._c_table, alpha, nvars))
+    return _sweep(m2m(expr, nvars), max, partial(jack._c_table, alpha, nvars))
 
 
 def expand_to_monomials(alpha, expr, nvars=GENERIC):
@@ -442,6 +456,13 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
     is the product of its one-part monomials, p_lam = prod_i m_(lam_i),
     multiplied like any other product.
     """
+    flat = _expand(alpha, expr, nvars)
+    return _converted("m", flat.terms, nvars) if isinstance(alpha, RationalFunction) else flat
+
+
+def _expand(alpha, expr, nvars):
+    """``expand_to_monomials`` with a Jack leaf's values held, ``rational.Factored``
+    at a symbolic alpha: sums and products of them are added up once each."""
     from . import jack
 
     mul = partial(_mul_m, nvars=nvars)
@@ -454,21 +475,25 @@ def expand_to_monomials(alpha, expr, nvars=GENERIC):
             return reduce(mul, ones, SymExpr("m", {(): coeff}, nvars))
         if alpha is None:
             raise DomainError("Jack-basis leaves need alpha")
-        return jack.jack_expand(alpha, part, basis, nvars).scale(coeff)
+        return SymExpr._of_canonical("m", jack._jack_terms(alpha, part, basis, nvars), nvars).scale(coeff)
 
     return _fold(expr, lambda value: SymExpr("m", {(): value}, nvars), leaf, _add_into, mul)
 
 
 def jack2jack(alpha, expr, nvars=GENERIC):
     """Flatten an expression over Jack and monomial leaves into the Jack C basis."""
+    return _converted("C", _jack2c(alpha, expr, nvars), nvars)
+
+
+def _jack2c(alpha, expr, nvars):
+    """``jack2jack``'s coefficients, held: ``rational.Factored`` at a symbolic alpha."""
     from . import jack
 
     message = "jack2jack expects Jack or monomial leaves, found %s"
     _require_bases(expr, ("m",) + JACK_BASES, message)
     if nvars is GENERIC and has_true_product(expr):
         raise UnsupportedModeError("products of Jack polynomials need a numeric variable count")
-    flat = expand_to_monomials(alpha, expr, nvars)
-    return _sweep(flat, "C", max, partial(jack._c_table, alpha, nvars))
+    return _sweep(_expand(alpha, expr, nvars), max, partial(jack._c_table, alpha, nvars))
 
 
 # ---------------------------------------------------------------------------

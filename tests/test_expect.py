@@ -6,10 +6,10 @@ import pytest
 import scipy.integrate as si
 
 from mops import expect as ex
-from mops import jack
-from mops.errors import DomainError, UnsupportedModeError
+from mops import jack, orthopoly, symfun
+from mops.errors import DomainError, PoleError, UnsupportedModeError
 from mops.partitions import partitions_of
-from mops.rational import ALPHA, N, rf
+from mops.rational import ALPHA, N, field_value, rf
 from mops.symfun import GENERIC, Leaf, Pow, Prod, Scalar, Sum, SymExpr
 
 from oracles import hermite_expect_2vars
@@ -201,13 +201,80 @@ def test_hermite_expectation_builds_no_expansion(monkeypatch):
     def refuse(*args):
         raise AssertionError("whole Hermite expansion built")
 
-    for name in ("hermite", "hermite2"):
+    for name in ("hermite", "hermite2", "_hermite_values"):
         monkeypatch.setattr(op, name, refuse)
     spec = ex.EnsembleSpec("hermite", a, GENERIC)
     assert ex.expect_jack_c(spec, (2,)) == N * (N + a) / (1 + a)
     spec = ex.EnsembleSpec("hermite", a, 5)
     val = ex.expect_jack_c(spec, (2,) * 5) / jack.jack_identity_value(a, (2,) * 5, "C", 5)
     assert val == (a**4 + 10 * a**3 + 45 * a**2 + 80 * a + 89) / a**4
+
+
+@pytest.mark.parametrize("alpha", [a, (2 * a + 1) / 3, 1, Fraction(3, 2), Fraction(1, 2)], ids=repr)
+def test_hermite_constants_match_the_downward_pass(alpha):
+    # one upward pass per weight gives v_() of every kappa of that weight
+    for k in (2, 4, 6, 8):
+        kappas = list(partitions_of(k))
+        got = orthopoly._hermite_constants(alpha, kappas)
+        assert got.keys() == set(kappas)
+        for kappa in kappas:
+            assert field_value(got[kappa]) == field_value(orthopoly._hermite_values(alpha, kappa)[()]), kappa
+
+
+def _per_kappa(spec, terms):
+    """sum f E[C_kappa] the old way: v_() from the downward pass, one term at a time."""
+    total = 0
+    m = N if spec.nvars is GENERIC else Fraction(spec.nvars)
+    for kappa, f in terms.items():
+        k = sum(kappa)
+        if k % 2 == 0:
+            v = orthopoly._hermite_values(spec.alpha, kappa)[()]
+            total = total + f * (-1) ** (k // 2) * orthopoly._identity_ratio(spec.alpha, kappa, (), m, v)
+    return total
+
+
+def test_hermite_pole_at_negative_alpha():
+    # at alpha = -2/3 some kappa of weight 6 divide by a vanishing hook
+    # product: E[m_6] raises, and so does each such E[C_kappa] by both
+    # routes; an expansion whose kappas avoid the pole returns the per-kappa
+    # value
+    alpha = Fraction(-2, 3)
+    for nvars in (GENERIC, 4):
+        spec = ex.EnsembleSpec("hermite", alpha, nvars)
+        with pytest.raises(PoleError):
+            ex.expect_monomial_expr(spec, SymExpr("m", {(6,): 1}))
+        poles = set()
+        for kappa in partitions_of(6):
+            try:
+                want = _per_kappa(spec, {kappa: 1})
+            except PoleError:
+                poles.add(kappa)
+                with pytest.raises(PoleError):
+                    ex.expect_jack_c(spec, kappa)
+                with pytest.raises(PoleError):
+                    ex._expect_c_basis(spec, {(2,): 1, kappa: 1, (4,): 1})
+            else:
+                assert ex.expect_jack_c(spec, kappa) == want
+        assert poles and poles < set(partitions_of(6))
+        clear = {kappa: Fraction(i + 1, 7) for i, kappa in enumerate(partitions_of(6)) if kappa not in poles}
+        clear.update({(2,): Fraction(3, 7), (3,): 5, (2, 2): -1})
+        got = ex._expect_c_basis(spec, clear)
+        assert got == _per_kappa(spec, clear) and got != 0
+
+
+@pytest.mark.parametrize("nvars", [GENERIC, 3])
+def test_mixed_weights_and_a_symbolic_scalar(nvars):
+    # weights 2, 3 and 4, a J leaf and a user's symbolic scalar: the one
+    # converted sum equals the per-kappa expectations added in the field
+    tree = Sum([Prod([Scalar(a + 1), Leaf("C", (2,))]), Leaf("J", (2, 1)), Leaf("C", (4,)), Leaf("C", (2, 2))])
+    spec = ex.EnsembleSpec("hermite", a, nvars)
+    terms = symfun.jack2jack(a, tree, nvars).terms
+    assert {sum(kappa) for kappa in terms} == {2, 3, 4}
+    want = 0
+    for kappa, f in terms.items():
+        want = want + f * ex.expect_jack_c(spec, kappa)
+    got = ex.expect_jack_expr(spec, tree)
+    assert got == want and got == _per_kappa(spec, terms)
 
 
 def test_hermite_zero_is_typed():

@@ -264,11 +264,13 @@ def test_zero_identity_value_keeps_the_generic_ratio(family, alpha, kappa):
 
 
 def test_hermite_values_readers():
-    # one recurrence serves hermite, the level density and the Hermite
+    # the downward recurrence serves hermite and the level density, and its
+    # upward twin, every kappa of one weight at once, the Hermite
     # expectations; the mu-walk is hermite2's alone, the cross-check
     src = pathlib.Path(op.__file__).parent
     readers = {
-        "_hermite_values": {"orthopoly.hermite", "expect.expect_jack_c", "hypergeom._level_density_coeffs"},
+        "_hermite_values": {"orthopoly.hermite", "hypergeom._level_density_coeffs"},
+        "_hermite_constants": {"expect._hermite_sum"},
         "_hermite_mu_walk": {"orthopoly.hermite2"},
     }
     for target, want in readers.items():

@@ -39,6 +39,7 @@ from oracles import (
     hermite_field,
     hermite_values_field,
     hook_products_field,
+    identity_c_field,
     m2jack_field,
 )
 
@@ -584,6 +585,42 @@ def test_hermite_coefficients_take_no_gcd():
         k = partitions.weight(case[1])
         constant = want[case][()] * (-1) ** (k // 2) if k % 2 == 0 else rf(0)
         assert rf(got[case][2]).text() == constant.text(), case
+
+
+def test_hermite_expectation_sums_take_no_gcd():
+    # E[m_6] and E of a C-basis sum at a symbolic alpha, at a generic and a
+    # numeric n: the sweep's coefficients stay factored, one upward pass
+    # gives each weight's constants and the sum is converted once, with no
+    # gcd and no downward pass; the reference is the field's, term by term
+    def refuse(*args):
+        raise AssertionError("a gcd algorithm or the downward pass ran")
+
+    m6 = SymExpr("m", {(6,): 1})
+    csum = SymExpr("C", {(2,): 1, (4,): 1, (2, 2): 3, (3, 1): -2, (2, 1, 1): 1, (3,): 5})
+    cases = [(alpha, nvars) for alpha in (a, (2 * a + 1) / 3) for nvars in (GENERIC, 5)]
+
+    def reference(alpha, m, terms):
+        total = rf(0)
+        for kappa, f in terms.items():
+            k = partitions.weight(kappa)
+            if k % 2 == 0:
+                v = hermite_values_field(alpha, kappa)[()]
+                total = total + f * (-1) ** (k // 2) * v * identity_c_field(alpha, kappa, m)
+        return total
+
+    want = {}
+    for alpha, nvars in cases:
+        m = N if nvars is GENERIC else nvars
+        want[alpha, nvars] = (reference(alpha, m, m2jack_field(alpha, (6,))), reference(alpha, m, csum.terms))
+    cache.clear_all()
+    with mock.patch.object(rational, "_p_cofactors", refuse), mock.patch.object(rational, "_heugcd", refuse), mock.patch.object(orthopoly, "_hermite_values", refuse):
+        got = {}
+        for alpha, nvars in cases:
+            spec = expect.EnsembleSpec("hermite", alpha, nvars)
+            got[alpha, nvars] = (expect.expect_monomial_expr(spec, m6), expect.expect_jack_expr(spec, csum))
+    cache.clear_all()
+    for case in cases:
+        assert [value.text() for value in got[case]] == [value.text() for value in want[case]], case
 
 
 def test_an_int_leading_coefficient_apart_gives_the_content_gcd():

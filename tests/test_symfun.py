@@ -312,20 +312,29 @@ def _referrers(source, module, target="jack_expand"):
 
 
 def test_monomial_expansions_go_through_expand_to_monomials():
-    # one place turns a basis into monomials; the CLI's jack command, which
-    # prints the expansion itself, is the only other caller of jack_expand
+    # one place turns a basis into monomials: the fold of expand_to_monomials,
+    # symfun._expand, which reads a Jack leaf's held terms; the CLI's jack
+    # command, which prints the expansion itself, is the only caller of
+    # jack_expand, the converted terms
     assert _referrers("def f():\n    return jack.jack_expand(1, (1,))\n", "m") == {"m.f"}
     assert _referrers("class K:\n    def g(self):\n        jack_expand()\n", "m") == {"m.g"}
     src = pathlib.Path(symfun.__file__).parent
-    callers = set()
+    callers, held = set(), set()
     for path in sorted(src.glob("*.py")):
         callers |= _referrers(path.read_text(), path.stem)
-    assert callers == {"symfun.expand_to_monomials", "cli.cmd_jack"}
+        held |= _referrers(path.read_text(), path.stem, "_jack_terms")
+    assert callers == {"cli.cmd_jack"}
+    assert held == {"symfun._expand", "jack.jack_expand"}
+    assert _referrers(pathlib.Path(symfun.__file__).read_text(), "symfun", "_expand") == {
+        "symfun.expand_to_monomials",
+        "symfun._jack2c",
+    }
 
 
 def test_jack_tables_are_read_only_inside_jack():
     # every Jack table is built to its variable count in jack.py; the sweeps
-    # of m2jack and jack2jack read the cut C table through jack._c_table,
+    # of m2jack and jack2jack (_m2c, _jack2c) read the cut C table through
+    # jack._c_table,
     # and J's int table is read by the scaled tables and, at a point with a
     # negative alpha, by jack._table_values
     sample = "def f():\n    return jack._c_table(1, 2, (1,))\n"
@@ -333,8 +342,8 @@ def test_jack_tables_are_read_only_inside_jack():
     src = pathlib.Path(symfun.__file__).parent
     readers = {
         "_jack_j_table": {"jack._jack_monomial_coefficients", "jack._table_values"},
-        "_jack_monomial_coefficients": {"jack._c_table", "jack.jack_expand"},
-        "_c_table": {"jack.jack_monomial_coefficients", "symfun.m2jack", "symfun.jack2jack"},
+        "_jack_monomial_coefficients": {"jack._c_table", "jack._jack_terms"},
+        "_c_table": {"jack.jack_monomial_coefficients", "symfun._m2c", "symfun._jack2c"},
     }
     for target, want in readers.items():
         found = set()
