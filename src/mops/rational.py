@@ -1705,9 +1705,6 @@ def param(name):
     return RationalFunction({_UNIT[_PINDEX[name]]: 1}, _P_ONE, _canonical=True)
 
 
-# each parameter to its `_UNIT`
-_BARE = {param(name): unit for name, unit in zip(PARAMS, _UNIT)}
-
 ZERO = RationalFunction.from_int(0)
 ONE = RationalFunction.from_int(1)
 
@@ -1717,3 +1714,7 @@ GAMMA = param("g")
 G1 = param("g1")
 G2 = param("g2")
 R = param("r")
+
+# each parameter to its `_UNIT`, keyed by the objects above so that a
+# lookup of one of them is an identity test
+_BARE = {x: unit for x, unit in zip((ALPHA, N, GAMMA, G1, G2, R), _UNIT)}
